@@ -7,7 +7,7 @@ Z/2Z-grading verdicts, and for the complete quadrilateral computes Miyamoto
 groups over GF(2^k) and full automorphism groups by exhaustive enumeration.
 """
 
-from .gf import Field, FieldMatrix, Fel
+from .gf import Field, FieldMatrix
 from .fischer import (
     FischerSpace,
     InvalidSpaceError,

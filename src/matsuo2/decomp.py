@@ -10,8 +10,6 @@ their products meet, by exhaustive multiplication of basis pairs.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import fischer, matsuo
@@ -58,10 +56,6 @@ class LineDecomposition:
         c = self.coords(v)
         d0 = len(self.basis0)
         return bool(c & ((1 << d0) - 1)), bool(c >> d0)
-
-    def in_one_part(self, v: int) -> bool:
-        f0, _ = self.component_flags(v)
-        return not f0
 
 
 def decompose_line(alg: matsuo.NilpotentMatsuoAlgebra, line) -> LineDecomposition:
@@ -125,25 +119,6 @@ class Witness:
     bad_component: int
 
 
-def _ad_rows_for(alg, u):
-    rows = [0] * alg.dim
-    uu = u
-    while uu:
-        low = uu & -uu
-        for r, ar in enumerate(alg.ad_rows(low.bit_length() - 1)):
-            rows[r] ^= ar
-        uu ^= low
-    return rows
-
-
-def _apply_rows(rows, v):
-    out = 0
-    for i, r in enumerate(rows):
-        if (r & v).bit_count() & 1:
-            out |= 1 << i
-    return out
-
-
 def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition,
                  _witness_out: list | None = None) -> FusionTable:
     """Observed fusion law from all basis-pair products of the two parts.
@@ -152,16 +127,16 @@ def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition,
     product has a nonzero 1-component.
     """
     parts = (dec.basis0, dec.basis1)
-    ad_cache = {u: _ad_rows_for(alg, u) for u in dec.basis0 + dec.basis1}
+    ad_cache = {u: matsuo.ad_matrix(alg, u) for u in dec.basis0 + dec.basis1}
     cells = {}
     for x, y in ((0, 0), (0, 1), (1, 1)):
         labels = set()
         for i, u in enumerate(parts[x]):
-            rows = ad_cache[u]
+            apply_u = ad_cache[u].matvec
             js = range(i, len(parts[y])) if x == y else range(len(parts[y]))
             for j in js:
                 v = parts[y][j]
-                p = _apply_rows(rows, v)
+                p = apply_u(v)
                 if not p:
                     continue
                 f0, f1 = dec.component_flags(p)
@@ -227,13 +202,6 @@ class GradingVerdict:
     graded: bool
     good_lines: tuple[tuple[int, int, int], ...]
 
-    def verdict_for(self, line) -> LineVerdict:
-        t = tuple(sorted(line))
-        for v in self.verdicts:
-            if v.line == t:
-                return v
-        raise KeyError(t)
-
     def to_json_dict(self) -> dict:
         return {
             "z2_graded": self.graded,
@@ -256,24 +224,10 @@ def line_verdict(alg: matsuo.NilpotentMatsuoAlgebra, line) -> LineVerdict:
     )
 
 
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MATSUO2_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def classify_space(alg: matsuo.NilpotentMatsuoAlgebra,
-                   threads: int | None = None) -> GradingVerdict:
-    """Verdicts for every line, in line order regardless of thread count."""
+def classify_space(alg: matsuo.NilpotentMatsuoAlgebra) -> GradingVerdict:
+    """Verdicts for every line, in line order."""
     lines = alg.space.lines
-    if threads is None:
-        threads = default_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            verdicts = tuple(ex.map(lambda t: line_verdict(alg, t), lines))
-    else:
-        verdicts = tuple(line_verdict(alg, t) for t in lines)
+    verdicts = tuple(line_verdict(alg, t) for t in lines)
     good = tuple(
         t for t in lines if not fischer.cqs_through_line(alg.space, t)
     )
@@ -428,9 +382,8 @@ def cq_pair_case(space: fischer.FischerSpace, line, quad1, quad2) -> CqPairCase:
                     f"expected line {tuple(sorted(triple))!r} is missing"
                 )
         third = frozenset((a, b, c, d, e, f))
-        inside = fischer._lines_inside(space, third)
-        on_count = {u: sum(1 for q3 in inside if u in q3) for u in third}
-        if len(third) != 6 or len(inside) != 4 or set(on_count.values()) != {2}:
+        shape = fischer._plane_shape(space, third)
+        if shape is not fischer.PlaneType.COMPLETE_QUADRILATERAL:
             raise fischer.InvalidSpaceError(
                 f"{sorted(third)!r} is not a third quadrilateral through {t!r}"
             )

@@ -55,9 +55,6 @@ class FischerSpace:
         self._lines_through = lines_through
         self._symplectic = symplectic
 
-    def n_lines(self) -> int:
-        return len(self.lines)
-
     def is_line(self, triple) -> bool:
         return tuple(sorted(triple)) in self._line_set
 
@@ -66,9 +63,6 @@ class FischerSpace:
 
     def lines_through(self, x: int) -> tuple[tuple[int, int, int], ...]:
         return tuple(self.lines[i] for i in self._lines_through[x])
-
-    def label_index(self, label: str) -> int:
-        return self.labels.index(label)
 
     def __repr__(self) -> str:
         name = self.meta.name if self.meta else "custom"
@@ -219,6 +213,26 @@ def _lines_inside(s: FischerSpace, pts: frozenset[int]) -> list[tuple[int, int, 
     return [t for t in s.lines if _line_mask(t) & ~pm == 0]
 
 
+# points of each plane shape -> (its lines, lines through each point, shape)
+_PLANE_SHAPES = {
+    6: (4, 2, PlaneType.COMPLETE_QUADRILATERAL),
+    9: (12, 4, PlaneType.AFFINE_PLANE),
+}
+
+
+def _plane_shape(s: FischerSpace, pts: frozenset[int]) -> PlaneType | None:
+    """The plane shape a point set has in the space, or None if it has neither."""
+    if len(pts) not in _PLANE_SHAPES:
+        return None
+    n_lines, per_point, shape = _PLANE_SHAPES[len(pts)]
+    inside = _lines_inside(s, pts)
+    if len(inside) == n_lines and all(
+        sum(1 for t in inside if p in t) == per_point for p in pts
+    ):
+        return shape
+    return None
+
+
 def plane_type(s: FischerSpace, line1, line2) -> PlaneType:
     """Classify the subspace generated by two distinct intersecting lines."""
     t1, t2 = tuple(sorted(line1)), tuple(sorted(line2))
@@ -229,19 +243,13 @@ def plane_type(s: FischerSpace, line1, line2) -> PlaneType:
     if not set(t1) & set(t2):
         raise ValueError("lines must intersect")
     pts = generated_subspace(s, set(t1) | set(t2))
-    inside = _lines_inside(s, pts)
-    if len(pts) == 6:
-        on_count = {p: sum(1 for t in inside if p in t) for p in pts}
-        if len(inside) == 4 and all(c == 2 for c in on_count.values()):
-            return PlaneType.COMPLETE_QUADRILATERAL
-    elif len(pts) == 9:
-        on_count = {p: sum(1 for t in inside if p in t) for p in pts}
-        if len(inside) == 12 and all(c == 4 for c in on_count.values()):
-            return PlaneType.AFFINE_PLANE
-    raise InvalidSpaceError(
-        f"lines {t1} and {t2} generate a {len(pts)}-point subspace that is "
-        "neither a complete quadrilateral nor an affine plane"
-    )
+    shape = _plane_shape(s, pts)
+    if shape is None:
+        raise InvalidSpaceError(
+            f"lines {t1} and {t2} generate a {len(pts)}-point subspace that is "
+            "neither a complete quadrilateral nor an affine plane"
+        )
+    return shape
 
 
 def is_symplectic_type(s: FischerSpace) -> bool:
@@ -403,6 +411,13 @@ def save_space(s: FischerSpace, path) -> None:
         fh.write(space_to_text(s))
 
 
+def _parse_int(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InvalidSpaceError(f"line {lineno}: bad {what} {token!r}") from None
+
+
 def parse_space(text: str, meta: SpaceMeta | None = None) -> FischerSpace:
     n_points = None
     labels: dict[int, str] = {}
@@ -417,10 +432,19 @@ def parse_space(text: str, meta: SpaceMeta | None = None) -> FischerSpace:
                 raise InvalidSpaceError(
                     f"line {lineno}: expected header 'fischer <n_points>'"
                 )
-            n_points = int(parts[1])
+            n_points = _parse_int(parts[1], lineno, "point count")
             continue
         if parts[0] == "label":
-            labels[int(parts[1])] = stripped.split(None, 2)[2]
+            if len(parts) < 3:
+                raise InvalidSpaceError(
+                    f"line {lineno}: expected 'label <index> <text>'"
+                )
+            i = _parse_int(parts[1], lineno, "label index")
+            if not 0 <= i < n_points:
+                raise InvalidSpaceError(
+                    f"line {lineno}: label index {i} is outside 0..{n_points - 1}"
+                )
+            labels[i] = stripped.split(None, 2)[2]
             continue
         if len(parts) != 3:
             raise InvalidSpaceError(f"line {lineno}: expected three point indices")

@@ -114,9 +114,6 @@ class Field:
         n = self.order - 1
         return self._exp[(n - self._log[a]) % n]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def power(self, a: int, n: int) -> int:
         if n < 0:
             return self.power(self.inv(a), -n)
@@ -134,9 +131,6 @@ class Field:
     def nonzero(self) -> range:
         return range(1, self.order)
 
-    def el(self, bits: int) -> "Fel":
-        return Fel(self, bits)
-
     def pretty(self, bits: int) -> str:
         """Pretty name of an element; GF(4) uses {0, 1, w, w+1}."""
         if self.k == 2:
@@ -151,60 +145,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"GF({self.order})"
-
-
-class Fel:
-    """A field element carrying its field; serializes as a decimal bit pattern."""
-
-    __slots__ = ("field", "bits")
-
-    def __init__(self, field: Field, bits: int) -> None:
-        if not 0 <= bits < field.order:
-            raise ValueError(f"bit pattern {bits} out of range for {field!r}")
-        self.field = field
-        self.bits = bits
-
-    def _coerce(self, other: "Fel") -> int:
-        if not isinstance(other, Fel):
-            raise TypeError(f"expected a field element, got {other!r}")
-        if other.field.k != self.field.k:
-            raise ValueError(f"mixed fields: {self.field!r} and {other.field!r}")
-        return other.bits
-
-    def __add__(self, other: "Fel") -> "Fel":
-        return Fel(self.field, self.bits ^ self._coerce(other))
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "Fel") -> "Fel":
-        return Fel(self.field, self.field.mul(self.bits, self._coerce(other)))
-
-    def inv(self) -> "Fel":
-        return Fel(self.field, self.field.inv(self.bits))
-
-    def __pow__(self, n: int) -> "Fel":
-        return Fel(self.field, self.field.power(self.bits, n))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Fel)
-            and other.field.k == self.field.k
-            and other.bits == self.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.k, self.bits))
-
-    def __repr__(self) -> str:
-        return self.field.pretty(self.bits)
-
-
-def fel_mul(a: Fel, b: Fel) -> Fel:
-    return a * b
-
-
-def fel_inv(a: Fel) -> Fel:
-    return a.inv()
 
 
 # -- packed vectors ----------------------------------------------------------
@@ -275,20 +215,6 @@ def lift_vec(field: Field, mask: int, n: int) -> int:
     return v
 
 
-def proj_vec(field: Field, v: int, n: int) -> int:
-    """Inverse of lift_vec for 0/1 vectors; entries must be 0 or 1."""
-    if field.k == 1:
-        return v
-    m = 0
-    for j in range(n):
-        e = vec_entry(field, v, j)
-        if e == 1:
-            m |= 1 << j
-        elif e:
-            raise ValueError("vector has entries outside GF(2)")
-    return m
-
-
 # -- matrices ----------------------------------------------------------------
 
 
@@ -341,12 +267,6 @@ class FieldMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return vec_entry(self.field, self.rows[i], j)
-
-    def row_list(self, i: int) -> list[int]:
-        return vec_to_list(self.field, self.rows[i], self.ncols)
-
-    def to_lists(self) -> list[list[int]]:
-        return [self.row_list(i) for i in range(self.nrows)]
 
     def col(self, j: int) -> int:
         """Column j as a packed vector of length nrows."""
@@ -436,17 +356,6 @@ class FieldMatrix:
             base = base * base
             n >>= 1
         return r
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix.from_cols(self.field, self.ncols, self.rows)
-
-    def vstack(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same(other)
-        if other.ncols != self.ncols:
-            raise ValueError("dimension mismatch in vstack")
-        return FieldMatrix(
-            self.field, self.nrows + other.nrows, self.ncols, self.rows + other.rows
-        )
 
     # -- elimination --
 

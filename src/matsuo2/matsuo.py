@@ -36,11 +36,6 @@ class NilpotentMatsuoAlgebra:
         self.table = table  # table[i][j]: product of basis i and j as a mask
         self._ad_rows = None
 
-    @property
-    def eta(self) -> int:
-        """The scalar in the point product; fixed to 1 (rescaling removes it)."""
-        return 1
-
     def ad_rows(self, i: int) -> tuple[int, ...]:
         """Rows of the left-multiplication matrix of basis element i."""
         if self._ad_rows is None:
@@ -217,15 +212,6 @@ def predict_point_line(space: fischer.FischerSpace, x: int, line) -> int:
     )
 
 
-def _is_affine_plane(space, pts) -> bool:
-    if len(pts) != 9:
-        return False
-    inside = fischer._lines_inside(space, pts)
-    return len(inside) == 12 and all(
-        sum(1 for u in inside if p in u) == 4 for p in pts
-    )
-
-
 def predict_line_line(space: fischer.FischerSpace, line1, line2) -> int:
     """Predicted product of two line nilpotents, from the geometry alone.
 
@@ -252,7 +238,10 @@ def predict_line_line(space: fischer.FischerSpace, line1, line2) -> int:
             f"lines {t1} and {t2} span a {len(plane)}-point subspace"
         )
     plane = fischer._generated_subspace_capped(space, set(t1) | set(t2), 9)
-    if plane is not None and _is_affine_plane(space, plane):
+    if (
+        plane is not None
+        and fischer._plane_shape(space, plane) is fischer.PlaneType.AFFINE_PLANE
+    ):
         return mask_from_support(plane)
     return (
         predict_point_line(space, t1[0], t2)

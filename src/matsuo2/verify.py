@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import decomp, fischer, matsuo, miyamoto, transposition
-from .gf import Field, FieldMatrix
+from .gf import Field, FieldMatrix, vec_scale
 
 GF2 = matsuo.GF2
 
@@ -46,9 +45,7 @@ class SuiteContext:
 
     def verdict(self, name: str) -> decomp.GradingVerdict:
         if name not in self._verdicts:
-            self._verdicts[name] = decomp.classify_space(
-                self.algebras[name], threads=1
-            )
+            self._verdicts[name] = decomp.classify_space(self.algebras[name])
         return self._verdicts[name]
 
 
@@ -119,7 +116,7 @@ def _bad(detail: str) -> tuple[str, str]:
 
 
 def claim_catalog_point_counts(ctx):
-    got = {name: fischer.catalog(name).n_points for name in fischer.CATALOG_NAMES}
+    got = {name: sp.n_points for name, sp in ctx.spaces.items()}
     if got != EXPECTED_POINTS:
         return _bad(f"point counts {got}")
     return _ok("6, 9, 10, 12, 18, 27, 36")
@@ -264,10 +261,6 @@ def claim_main_biconditional(ctx):
             return _bad(f"{name}: graded {graded}, expected {expected}")
         got.append(f"{name}={'graded' if graded else 'ungraded'}")
     return _ok(" ".join(got))
-
-
-def _component_flags(dec, v):
-    return dec.component_flags(v)
 
 
 def claim_witness_3_3_sym4(ctx):
@@ -527,7 +520,7 @@ def claim_tau_ell_formula(ctx):
             one_plus = 1 ^ lam
             scaled = FieldMatrix(
                 f4, alg.dim, alg.dim,
-                (_scale_row(f4, r, one_plus, alg.dim) for r in ad.rows),
+                (vec_scale(f4, r, one_plus, alg.dim) for r in ad.rows),
             )
             if tau != ident + scaled:
                 return _bad(f"line {t}, lambda {lam}")
@@ -539,12 +532,6 @@ def claim_tau_ell_formula(ctx):
     except ValueError:
         pass
     return _ok("map equals id + (1+lambda) ad on the quadrilateral's lines")
-
-
-def _scale_row(field, row, c, n):
-    from .gf import vec_scale
-
-    return vec_scale(field, row, c, n)
 
 
 def claim_miyamoto_characters(ctx):
@@ -660,24 +647,14 @@ CLAIMS = (
 )
 
 
-def run_suite(hall_data=None, corrupt: bool = False,
-              threads: int | None = None) -> SuiteResult:
+def run_suite(hall_data=None, corrupt: bool = False) -> SuiteResult:
     """Run every claim; results keep the fixed claim order."""
     ctx = SuiteContext(hall_data=hall_data, corrupt=corrupt)
-    if threads is None:
-        threads = decomp.default_threads()
-
-    def run_one(item):
-        claim_id, func = item
+    results = []
+    for claim_id, func in CLAIMS:
         try:
             status, detail = func(ctx)
         except Exception as exc:  # a crashed claim is a failed claim
             status, detail = "fail", f"{type(exc).__name__}: {exc}"
-        return ClaimResult(claim_id, status, detail)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = tuple(ex.map(run_one, CLAIMS))
-    else:
-        results = tuple(run_one(item) for item in CLAIMS)
-    return SuiteResult(results)
+        results.append(ClaimResult(claim_id, status, detail))
+    return SuiteResult(tuple(results))

@@ -47,6 +47,14 @@ def test_space_malformed_file(capsys, tmp_path):
     assert "share two points" in err
 
 
+def test_space_parse_error_exit_code(capsys, tmp_path):
+    bad = tmp_path / "bad.fischer"
+    bad.write_text("fischer 3\nlabel 2\n0 1 2\n")
+    code, _, err = run_cli(capsys, "space", "--from-file", str(bad))
+    assert code == 2
+    assert err == "error: line 2: expected 'label <index> <text>'\n"
+
+
 def test_space_from_gens_su32(capsys, tmp_path):
     gens, seed = preset("su32")
     path = tmp_path / "su32.gens"

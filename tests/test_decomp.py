@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from matsuo2 import decomp, fischer, matsuo
+from matsuo2 import fischer, matsuo
 from matsuo2.decomp import (
     classify_space,
     cq_pair_case,
@@ -191,18 +191,3 @@ def test_cq_pair_case_rejects_equal_quads(spaces):
     q = fischer.cqs_through_line(sp, t)[0]
     with pytest.raises(ValueError):
         cq_pair_case(sp, t, q, q)
-
-
-def test_classify_threads_agree(algebras):
-    a = classify_space(algebras["w_d4"], threads=1)
-    b = classify_space(algebras["w_d4"], threads=4)
-    assert a.to_json_dict() == b.to_json_dict()
-
-
-def test_default_threads_env(monkeypatch):
-    monkeypatch.setenv("MATSUO2_THREADS", "3")
-    assert decomp.default_threads() == 3
-    monkeypatch.setenv("MATSUO2_THREADS", "bogus")
-    assert decomp.default_threads() == 1
-    monkeypatch.delenv("MATSUO2_THREADS")
-    assert decomp.default_threads() == 1

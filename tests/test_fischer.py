@@ -200,6 +200,18 @@ def test_parse_rejects_bad_triple():
         parse_space(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("fischer x\n0 1 2\n", "line 1: bad point count 'x'"),
+    ("fischer 3\nlabel 2\n0 1 2\n", "line 2: expected 'label <index> <text>'"),
+    ("# header next\nfischer 3\nlabel two b\n0 1 2\n", "line 3: bad label index 'two'"),
+    ("fischer 3\n0 1 2\nlabel 3 d\n", "line 3: label index 3 is outside 0..2"),
+], ids=["bad-count", "label-without-text", "bad-label-index", "label-out-of-range"])
+def test_parse_errors_name_the_line(text, message):
+    with pytest.raises(InvalidSpaceError) as exc:
+        parse_space(text)
+    assert str(exc.value) == message
+
+
 def test_writer_emits_sorted_lines(spaces):
     text = space_to_text(spaces["cq"])
     rows = [l for l in text.splitlines() if l and l[0].isdigit()]
