@@ -258,10 +258,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (fischer.InvalidSpaceError, transposition.NotTranspositionClass) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # InvalidSpaceError, NotTranspositionClass too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -382,8 +382,7 @@ def cq_pair_case(space: fischer.FischerSpace, line, quad1, quad2) -> CqPairCase:
                     f"expected line {tuple(sorted(triple))!r} is missing"
                 )
         third = frozenset((a, b, c, d, e, f))
-        shape = fischer._plane_shape(space, third)
-        if shape is not fischer.PlaneType.COMPLETE_QUADRILATERAL:
+        if third not in fischer.cqs_through_line(space, t):
             raise fischer.InvalidSpaceError(
                 f"{sorted(third)!r} is not a third quadrilateral through {t!r}"
             )

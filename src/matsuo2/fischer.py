@@ -6,6 +6,12 @@ connectivity, the 0-2-3 collinearity property, and that any two intersecting
 lines generate either a complete quadrilateral (6 points, 4 lines) or an
 affine plane of order 3 (9 points, 12 lines).  Both checks together
 characterize the spaces this package works on.
+
+Validation records each of these planes once, as a point bitmask listed
+against every line inside it; all plane queries read that index.  A pair of
+intersecting lines that already lies in a recorded plane is not closed
+again: the plane is closed, and any two intersecting lines of a
+quadrilateral or an affine plane generate all of it.
 """
 
 from __future__ import annotations
@@ -40,23 +46,23 @@ class FischerSpace:
 
     __slots__ = (
         "n_points", "labels", "lines", "meta", "collinear",
-        "_wedge", "_line_set", "_lines_through", "_symplectic",
+        "_wedge", "_lines_through", "_planes", "_symplectic",
     )
 
     def __init__(self, n_points, labels, lines, meta, collinear, wedge,
-                 lines_through, symplectic):
+                 lines_through, planes, symplectic):
         self.n_points = n_points
         self.labels = labels
         self.lines = lines
         self.meta = meta
         self.collinear = collinear  # per point: bitmask of collinear points
         self._wedge = wedge
-        self._line_set = frozenset(lines)
         self._lines_through = lines_through
+        self._planes = planes  # per line: point masks of the planes through it
         self._symplectic = symplectic
 
     def is_line(self, triple) -> bool:
-        return tuple(sorted(triple)) in self._line_set
+        return tuple(sorted(triple)) in self._planes
 
     def are_collinear(self, x: int, y: int) -> bool:
         return x != y and bool((self.collinear[x] >> y) & 1)
@@ -71,6 +77,19 @@ class FischerSpace:
 
 def _line_mask(line) -> int:
     return (1 << line[0]) | (1 << line[1]) | (1 << line[2])
+
+
+def _points(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+# points of a plane -> how many of the others each of its points sees
+_PLANE_DEGREE = {6: 4, 9: 8}
 
 
 def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -> FischerSpace:
@@ -148,21 +167,42 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
         tuple(collinear),
         wedge,
         tuple(tuple(ls) for ls in lines_through),
-        symplectic=True,  # provisional; fixed below
+        planes=None,  # both filled below
+        symplectic=None,
     )
     if len(space.labels) != n_points:
         raise InvalidSpaceError("label count differs from point count")
 
-    # every pair of intersecting lines must generate a 6- or 9-point plane
-    all_cq = True
+    # every pair of intersecting lines must generate a 6- or 9-point plane;
+    # a closed set of that size is one when each point sees the right degree
+    masks = [_line_mask(t) for t in norm]
+    planes_of: list[list[int]] = [[] for _ in norm]
     for x in range(n_points):
-        through = space._lines_through[x]
-        for i in range(len(through)):
-            for j in range(i + 1, len(through)):
-                t = plane_type(space, space.lines[through[i]], space.lines[through[j]])
-                if t is not PlaneType.COMPLETE_QUADRILATERAL:
-                    all_cq = False
-    space._symplectic = all_cq
+        through = lines_through[x]
+        for i, li in enumerate(through):
+            for lj in through[i + 1:]:
+                mj = masks[lj]
+                if any(p & mj == mj for p in planes_of[li]):
+                    continue
+                pts = generated_subspace(space, norm[li] + norm[lj])
+                pm = sum(1 << p for p in pts)
+                degree = _PLANE_DEGREE.get(len(pts))
+                if degree is None or any(
+                    (collinear[p] & pm).bit_count() != degree for p in pts
+                ):
+                    raise InvalidSpaceError(
+                        f"lines {norm[li]} and {norm[lj]} generate a {len(pts)}-point "
+                        "subspace that is neither a complete quadrilateral nor an "
+                        "affine plane"
+                    )
+                for p in pts:
+                    for k in lines_through[p]:
+                        if norm[k][0] == p and masks[k] & ~pm == 0:
+                            planes_of[k].append(pm)
+    space._planes = {
+        t: tuple(sorted(ps, key=_points)) for t, ps in zip(norm, planes_of)
+    }
+    space._symplectic = not any(p.bit_count() == 9 for ps in planes_of for p in ps)
     return space
 
 
@@ -178,78 +218,45 @@ def wedge(s: FischerSpace, x: int, y: int) -> int:
 
 def generated_subspace(s: FischerSpace, seed) -> frozenset[int]:
     """Smallest point set containing the seed and closed under wedge."""
-    out = _generated_subspace_capped(s, seed, s.n_points)
-    assert out is not None
-    return out
-
-
-def _generated_subspace_capped(s: FischerSpace, seed, cap: int) -> frozenset[int] | None:
-    """Wedge closure of the seed, or None as soon as it exceeds cap points."""
     pts = set(seed)
     if not pts:
         raise ValueError("seed must be nonempty")
-    if len(pts) > cap:
-        return None
-    grew = True
-    while grew:
-        grew = False
-        for x in list(pts):
-            cm = s.collinear[x]
-            for y in list(pts):
-                if y > x and (cm >> y) & 1:
-                    z = s._wedge[(x, y)]
-                    if z not in pts:
-                        pts.add(z)
-                        grew = True
-                        if len(pts) > cap:
-                            return None
+    todo = list(pts)
+    done: list[int] = []
+    while todo:
+        x = todo.pop()
+        cm = s.collinear[x]
+        for y in done:
+            if (cm >> y) & 1:
+                z = s._wedge[(x, y)]
+                if z not in pts:
+                    pts.add(z)
+                    todo.append(z)
+        done.append(x)
     return frozenset(pts)
 
 
-def _lines_inside(s: FischerSpace, pts: frozenset[int]) -> list[tuple[int, int, int]]:
-    pm = 0
-    for p in pts:
-        pm |= 1 << p
-    return [t for t in s.lines if _line_mask(t) & ~pm == 0]
-
-
-# points of each plane shape -> (its lines, lines through each point, shape)
-_PLANE_SHAPES = {
-    6: (4, 2, PlaneType.COMPLETE_QUADRILATERAL),
-    9: (12, 4, PlaneType.AFFINE_PLANE),
-}
-
-
-def _plane_shape(s: FischerSpace, pts: frozenset[int]) -> PlaneType | None:
-    """The plane shape a point set has in the space, or None if it has neither."""
-    if len(pts) not in _PLANE_SHAPES:
-        return None
-    n_lines, per_point, shape = _PLANE_SHAPES[len(pts)]
-    inside = _lines_inside(s, pts)
-    if len(inside) == n_lines and all(
-        sum(1 for t in inside if p in t) == per_point for p in pts
-    ):
-        return shape
-    return None
+def _planes_through(s: FischerSpace, line) -> tuple[int, ...]:
+    try:
+        return s._planes[tuple(sorted(line))]
+    except KeyError:
+        raise ValueError(f"{line!r} is not a line of the space") from None
 
 
 def plane_type(s: FischerSpace, line1, line2) -> PlaneType:
     """Classify the subspace generated by two distinct intersecting lines."""
     t1, t2 = tuple(sorted(line1)), tuple(sorted(line2))
-    if t1 not in s._line_set or t2 not in s._line_set:
+    if t1 not in s._planes or t2 not in s._planes:
         raise ValueError("both arguments must be lines of the space")
     if t1 == t2:
         raise ValueError("lines must be distinct")
     if not set(t1) & set(t2):
         raise ValueError("lines must intersect")
-    pts = generated_subspace(s, set(t1) | set(t2))
-    shape = _plane_shape(s, pts)
-    if shape is None:
-        raise InvalidSpaceError(
-            f"lines {t1} and {t2} generate a {len(pts)}-point subspace that is "
-            "neither a complete quadrilateral nor an affine plane"
-        )
-    return shape
+    m2 = _line_mask(t2)
+    plane = next(p for p in s._planes[t1] if p & m2 == m2)
+    if plane.bit_count() == 6:
+        return PlaneType.COMPLETE_QUADRILATERAL
+    return PlaneType.AFFINE_PLANE
 
 
 def is_symplectic_type(s: FischerSpace) -> bool:
@@ -264,7 +271,7 @@ def points_p0_p2(s: FischerSpace, line):
     violate the 0-2-3 property and raises.
     """
     t = tuple(sorted(line))
-    if t not in s._line_set:
+    if t not in s._planes:
         raise ValueError(f"{line!r} is not a line of the space")
     lm = _line_mask(t)
     p0, p2, p3 = [], [], []
@@ -287,34 +294,16 @@ def points_p0_p2(s: FischerSpace, line):
 
 def cqs_through_line(s: FischerSpace, line) -> tuple[frozenset[int], ...]:
     """All complete quadrilaterals containing the given line, deterministically ordered."""
-    t = tuple(sorted(line))
-    _, p2, _ = points_p0_p2(s, t)
-    seen = set()
-    out = []
-    for z in p2:
-        plane = generated_subspace(s, set(t) | {z})
-        if len(plane) == 6 and plane not in seen:
-            seen.add(plane)
-            out.append(plane)
-    out.sort(key=lambda pts: tuple(sorted(pts)))
-    return tuple(out)
+    return tuple(
+        frozenset(_points(p)) for p in _planes_through(s, line) if p.bit_count() == 6
+    )
 
 
 def affine_planes_through_line(s: FischerSpace, line) -> tuple[frozenset[int], ...]:
     """All affine planes containing the given line, deterministically ordered."""
-    t = tuple(sorted(line))
-    seen = set()
-    out = []
-    for x in t:
-        for other in s.lines_through(x):
-            if other == t:
-                continue
-            plane = generated_subspace(s, set(t) | set(other))
-            if len(plane) == 9 and plane not in seen:
-                seen.add(plane)
-                out.append(plane)
-    out.sort(key=lambda pts: tuple(sorted(pts)))
-    return tuple(out)
+    return tuple(
+        frozenset(_points(p)) for p in _planes_through(s, line) if p.bit_count() == 9
+    )
 
 
 # -- catalog ------------------------------------------------------------------

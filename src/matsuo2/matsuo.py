@@ -67,7 +67,7 @@ def build(space: fischer.FischerSpace) -> NilpotentMatsuoAlgebra:
         cm = space.collinear[x]
         for y in range(x + 1, n):
             if (cm >> y) & 1:
-                m = (1 << x) | (1 << y) | (1 << space._wedge[(x, y)])
+                m = (1 << x) | (1 << y) | (1 << fischer.wedge(space, x, y))
                 table[x][y] = m
                 table[y][x] = m
     alg = NilpotentMatsuoAlgebra(
@@ -168,48 +168,31 @@ def annihilator(alg: NilpotentMatsuoAlgebra) -> tuple[int, ...]:
 #
 # The product of a point with a line nilpotent, and of two line nilpotents,
 # is determined by the geometry alone.  These predictors recompute the
-# products from collinearity data only, independently of the structure
-# constants, and serve as oracles against multiply().
-
-
-def _line_of(space, x, p):
-    return tuple(sorted((x, p, space._wedge[(x, p)])))
+# products from collinearity, wedges and the plane index only, independently
+# of the structure constants, and serve as oracles against multiply().
 
 
 def predict_point_line(space: fischer.FischerSpace, x: int, line) -> int:
     """Predicted product x * (line nilpotent), from the geometry alone.
 
     Cases: zero when x is on the line or sees none of it; the sum of the two
-    joining lines when x and the line span a quadrilateral; x + line + m with
-    m the parallel line avoiding x when they span an affine plane.
+    joining lines when x sees two of its points (they span a quadrilateral);
+    x + line + m when x sees all three (they span an affine plane), with
+    m = {x^a, x^b, x^c} the parallel line avoiding x.
     """
     t = tuple(sorted(line))
     if not space.is_line(t):
         raise ValueError(f"{line!r} is not a line of the space")
     if x in t:
         return 0
-    lm = mask_from_support(t)
     joiners = [p for p in t if space.are_collinear(x, p)]
     if not joiners:
         return 0
-    plane = fischer.generated_subspace(space, {x, *t})
-    if len(plane) == 6:
-        m, n = (_line_of(space, x, p) for p in joiners)
-        return mask_from_support(m) ^ mask_from_support(n)
-    if len(plane) == 9:
-        inside = fischer._lines_inside(space, plane)
-        parallels = [
-            u for u in inside
-            if u != t and not set(u) & set(t) and x not in u
-        ]
-        if len(parallels) != 1:
-            raise fischer.InvalidSpaceError(
-                f"expected one parallel to {t} avoiding {x}, got {parallels!r}"
-            )
-        return (1 << x) ^ lm ^ mask_from_support(parallels[0])
-    raise fischer.InvalidSpaceError(
-        f"point {x} and line {t} span a {len(plane)}-point subspace"
-    )
+    out = 0
+    for p in joiners:
+        out ^= (1 << p) ^ (1 << fischer.wedge(space, x, p))
+    # two joining lines: x cancels; all three: x + t + {x^a, x^b, x^c}
+    return out if len(joiners) == 2 else out ^ (1 << x)
 
 
 def predict_line_line(space: fischer.FischerSpace, line1, line2) -> int:
@@ -227,22 +210,15 @@ def predict_line_line(space: fischer.FischerSpace, line1, line2) -> int:
     if t1 == t2:
         return 0
     common = set(t1) & set(t2)
-    if common:
-        plane = fischer.generated_subspace(space, set(t1) | set(t2))
-        if len(plane) == 6:
-            return mask_from_support(t1) ^ mask_from_support(t2)
-        if len(plane) == 9:
-            off = plane - set(t1) - set(t2)
-            return mask_from_support(off)
-        raise fischer.InvalidSpaceError(
-            f"lines {t1} and {t2} span a {len(plane)}-point subspace"
-        )
-    plane = fischer._generated_subspace_capped(space, set(t1) | set(t2), 9)
-    if (
-        plane is not None
-        and fischer._plane_shape(space, plane) is fischer.PlaneType.AFFINE_PLANE
-    ):
-        return mask_from_support(plane)
+    cq = fischer.PlaneType.COMPLETE_QUADRILATERAL
+    if common and fischer.plane_type(space, t1, t2) is cq:
+        return mask_from_support(t1) ^ mask_from_support(t2)
+    plane = next(
+        (p for p in fischer.affine_planes_through_line(space, t1) if p.issuperset(t2)),
+        None,
+    )
+    if plane is not None:
+        return mask_from_support(plane - set(t1) - set(t2) if common else plane)
     return (
         predict_point_line(space, t1[0], t2)
         ^ predict_point_line(space, t1[1], t2)

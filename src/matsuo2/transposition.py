@@ -54,6 +54,8 @@ class Permutation:
     @classmethod
     def from_cycles(cls, n: int, text: str) -> "Permutation":
         """Parse disjoint-cycle notation like '(1 2)(3 4)'; 1-based letters."""
+        if not re.fullmatch(r"\s*(\([^()]*\)\s*)*", text):
+            raise ValueError(f"bad cycle notation {text!r}")
         im = list(range(n))
         for cyc in re.findall(r"\(([^()]*)\)", text):
             entries = [int(t) - 1 for t in cyc.split()]
@@ -482,6 +484,13 @@ def _parse_element(model, body: str):
     raise AssertionError(kind)
 
 
+def _parse_int(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: bad {what} {token!r}") from None
+
+
 def parse_gens(text: str):
     """Parse the .gens format; returns (generators, seed)."""
     model = None
@@ -494,23 +503,27 @@ def parse_gens(text: str):
         if model is None:
             parts = stripped.split()
             if parts[0] == "perm" and len(parts) == 2:
-                model = ("perm", int(parts[1]))
+                model = ("perm", _parse_int(parts[1], lineno, "degree"))
             elif parts[0] == "affineperm" and len(parts) in (3, 4):
                 sumzero = len(parts) == 4 and parts[3] == "sumzero"
                 if len(parts) == 4 and not sumzero:
                     raise ValueError(f"line {lineno}: bad affineperm flag {parts[3]!r}")
-                model = ("affineperm", int(parts[1]), int(parts[2]), sumzero)
+                model = ("affineperm", _parse_int(parts[1], lineno, "prime"),
+                         _parse_int(parts[2], lineno, "dimension"), sumzero)
             elif parts[0] == "affinemat-gf4" and len(parts) == 2:
-                if int(parts[1]) != 3:
-                    raise ValueError("affinemat-gf4 only supports dimension 3")
+                if _parse_int(parts[1], lineno, "dimension") != 3:
+                    raise ValueError(f"line {lineno}: affinemat-gf4 only supports dimension 3")
                 model = ("affinemat",)
             else:
                 raise ValueError(f"line {lineno}: bad header {stripped!r}")
             continue
-        if stripped.startswith("seed"):
-            seed = _parse_element(model, stripped[4:].strip())
-            continue
-        gens.append(_parse_element(model, stripped))
+        try:
+            if stripped.startswith("seed"):
+                seed = _parse_element(model, stripped[4:].strip())
+            else:
+                gens.append(_parse_element(model, stripped))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if model is None:
         raise ValueError("missing model header")
     if seed is None:

@@ -281,7 +281,9 @@ def claim_witness_3_3_sym4(ctx):
     v = matsuo.multiply(alg, matsuo.line_nilpotent(alg, t), 1 << z)
     # m: a line of the affine plane parallel to t; match its points to a, b
     plane = planes[0]
-    inside = fischer._lines_inside(sp, plane)
+    inside = sorted(
+        {u for p in plane for u in sp.lines_through(p) if plane.issuperset(u)}
+    )
     m = next(u for u in inside if not set(u) & set(t))
     a2 = m[0]
     la = tuple(sorted((a, a2, fischer.wedge(sp, a, a2))))
@@ -340,9 +342,9 @@ def claim_witness_ag33(ctx):
 
 def claim_witness_su32(ctx):
     cls = ctx.su32_class
-    sp = transposition.fischer_from_class(cls)
-    alg = matsuo.build(sp)
-    if sp.lines != ctx.spaces["su32"].lines:
+    sp = ctx.spaces["su32"]
+    alg = ctx.algebras["su32"]
+    if transposition.fischer_from_class(cls).lines != sp.lines:
         return _bad("class-derived space differs from the catalog space")
     d, e, f = transposition.su32_matrix_involutions()
     ded = d * e * d

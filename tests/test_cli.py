@@ -55,6 +55,14 @@ def test_space_parse_error_exit_code(capsys, tmp_path):
     assert err == "error: line 2: expected 'label <index> <text>'\n"
 
 
+def test_gens_parse_error_exit_code(capsys, tmp_path):
+    bad = tmp_path / "bad.gens"
+    bad.write_text("perm 4\n(1 2\n(2 3)\n(3 4)\nseed (1 2)\n")
+    code, _, err = run_cli(capsys, "space", "--from-gens", str(bad))
+    assert code == 2
+    assert err == "error: line 2: bad cycle notation '(1 2'\n"
+
+
 def test_space_from_gens_su32(capsys, tmp_path):
     gens, seed = preset("su32")
     path = tmp_path / "su32.gens"

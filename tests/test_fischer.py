@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,7 +7,9 @@ from matsuo2 import fischer
 from matsuo2.fischer import (
     InvalidSpaceError,
     PlaneType,
+    affine_planes_through_line,
     catalog,
+    cqs_through_line,
     generated_subspace,
     is_symplectic_type,
     parse_space,
@@ -55,6 +58,30 @@ def test_reject_zero_two_three_violation():
     # point 3 sees exactly one point of line (0, 1, 2)
     with pytest.raises(InvalidSpaceError, match="exactly one point"):
         validate(5, [(0, 1, 2), (0, 3, 4)])
+
+
+def test_reject_fano_plane():
+    # every pair of points is collinear, so 0-2-3 holds, but two lines
+    # generate all 7 points
+    fano = [(i % 7, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+    with pytest.raises(InvalidSpaceError) as exc:
+        validate(7, fano)
+    assert str(exc.value) == (
+        "lines (0, 1, 3) and (0, 2, 6) generate a 7-point subspace that is "
+        "neither a complete quadrilateral nor an affine plane"
+    )
+
+
+def test_reject_nine_points_short_of_an_affine_plane():
+    # closed under wedge, but six of the points see 6 others instead of 8
+    lines = [(0, 1, 2), (0, 3, 6), (0, 4, 8), (0, 5, 7), (1, 3, 8),
+             (1, 4, 7), (2, 4, 6), (2, 5, 8), (3, 4, 5), (6, 7, 8)]
+    with pytest.raises(InvalidSpaceError) as exc:
+        validate(9, lines)
+    assert str(exc.value) == (
+        "lines (0, 1, 2) and (0, 3, 6) generate a 9-point subspace that is "
+        "neither a complete quadrilateral nor an affine plane"
+    )
 
 
 def test_wedge_cq_examples():
@@ -124,6 +151,65 @@ def test_plane_type_rejects_bad_arguments(spaces):
     )
     with pytest.raises(ValueError):
         plane_type(sp, *disjoint)
+
+
+def _reference_planes(sp):
+    """Plane type of each intersecting pair, and the planes through each line,
+    by closing every pair and scanning all lines."""
+    kinds = {}
+    through = {t: {PlaneType.COMPLETE_QUADRILATERAL: set(), PlaneType.AFFINE_PLANE: set()}
+               for t in sp.lines}
+    for l1, l2 in itertools.combinations(sp.lines, 2):
+        if not set(l1) & set(l2):
+            continue
+        pts = generated_subspace(sp, set(l1) | set(l2))
+        inside = [t for t in sp.lines if pts.issuperset(t)]
+        kind = {(6, 4): PlaneType.COMPLETE_QUADRILATERAL,
+                (9, 12): PlaneType.AFFINE_PLANE}[len(pts), len(inside)]
+        kinds[l1, l2] = kind
+        for t in inside:
+            through[t][kind].add(pts)
+    return kinds, through
+
+
+def _relabelled(sp, seed):
+    perm = list(range(sp.n_points))
+    random.Random(seed).shuffle(perm)
+    return validate(sp.n_points, [[perm[p] for p in t] for t in sp.lines]), perm
+
+
+def _assert_index_matches_reference(sp):
+    kinds, through = _reference_planes(sp)
+    for (l1, l2), kind in kinds.items():
+        assert plane_type(sp, l1, l2) is kind
+        assert plane_type(sp, l2, l1) is kind
+    for t in sp.lines:
+        for query, kind in ((cqs_through_line, PlaneType.COMPLETE_QUADRILATERAL),
+                            (affine_planes_through_line, PlaneType.AFFINE_PLANE)):
+            expected = sorted(through[t][kind], key=sorted)
+            assert list(query(sp, t)) == expected
+
+
+@pytest.mark.parametrize("name", fischer.CATALOG_NAMES)
+def test_plane_index_matches_closure_reference(spaces, name):
+    sp = spaces[name]
+    _assert_index_matches_reference(sp)
+    moved, perm = _relabelled(sp, 20231)
+    _assert_index_matches_reference(moved)
+    assert is_symplectic_type(moved) is is_symplectic_type(sp)
+    for t in sp.lines:
+        image = [perm[p] for p in t]
+        for query in (cqs_through_line, affine_planes_through_line):
+            assert set(query(moved, image)) == {
+                frozenset(perm[p] for p in q) for q in query(sp, t)
+            }
+
+
+def test_plane_queries_reject_non_lines(spaces):
+    sp = spaces["cq"]
+    for query in (cqs_through_line, affine_planes_through_line):
+        with pytest.raises(ValueError, match="not a line"):
+            query(sp, (0, 1, 3))
 
 
 EXPECTED = {

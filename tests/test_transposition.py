@@ -173,6 +173,12 @@ def test_parse_gens_errors():
         parse_gens("affineperm 3 2 sumzero\n[1,1 | ()]\nseed [0,0 | ()]\n")
     with pytest.raises(ValueError, match="9 matrix entries"):
         parse_gens("affinemat-gf4 3\n[0,0,0 | 1,0,0]\nseed [0,0,0 | 1,0,0,0,1,0,0,0,1]\n")
+    with pytest.raises(ValueError, match=r"^line 2: bad cycle notation '\(1 2'$"):
+        parse_gens("perm 4\n(1 2\n(2 3)\n(3 4)\nseed (1 2)\n")
+    with pytest.raises(ValueError, match="^line 1: bad degree 'x'$"):
+        parse_gens("perm x\n(1 2)\nseed (1 2)\n")
+    with pytest.raises(ValueError, match="^line 2: bad prime 'p'$"):
+        parse_gens("# comment\naffineperm p 2\n[0,0 | ()]\nseed [0,0 | ()]\n")
 
 
 def test_parse_gens_affinemat():
