@@ -18,6 +18,10 @@ The choice is frozen so that all reports are bit-exact and reproducible.
 Vectors and matrix rows pack their entries k bits apiece into a single int.
 Addition of packed rows is therefore always XOR (characteristic 2), and over
 GF(2) a vector is an ordinary bitmask.
+
+Over GF(2) the map v -> v*B on packed rows is linear for every k, so one
+row-apply routine, `apply_images`, serves every matrix product: bit j*k + b of
+a packed row picks the packed row x^b * B_j from `FieldMatrix.row_images`.
 """
 
 from __future__ import annotations
@@ -185,6 +189,16 @@ def vec_scale(field: Field, v: int, c: int, n: int) -> int:
     return out
 
 
+def apply_images(images, row: int) -> int:
+    """XOR of images[p] over the set bits p of row, walking the low bits."""
+    out = 0
+    while row:
+        low = row & -row
+        out ^= images[low.bit_length() - 1]
+        row ^= low
+    return out
+
+
 def vec_support(v: int) -> list[int]:
     """Indices of the set bits of a GF(2) mask, ascending."""
     out = []
@@ -293,34 +307,39 @@ class FieldMatrix:
             (a ^ b for a, b in zip(self.rows, other.rows)),
         )
 
+    def row_images(self) -> tuple[int, ...]:
+        """For bit j*k + b of a packed row, the packed row x^b * (row j).
+
+        Row i of A*B is `apply_images(B.row_images(), A.rows[i])`.  Each
+        multiply-by-x step works on all lanes of a row at once: the top bit of
+        every lane is cleared, the row shifted by one, and the reduction
+        polynomial added back in exactly the lanes whose top bit was set, so
+        no lane spills into the next.
+        """
+        f = self.field
+        k = f.k
+        if k == 1:
+            return self.rows
+        hi = sum(1 << (j * k + k - 1) for j in range(self.ncols))
+        red = f.modulus & f.mask
+        out = []
+        for r in self.rows:
+            out.append(r)
+            for _ in range(k - 1):
+                h = r & hi
+                r = ((r ^ h) << 1) ^ ((h >> (k - 1)) * red)
+                out.append(r)
+        return tuple(out)
+
     def __mul__(self, other: "FieldMatrix") -> "FieldMatrix":
         self._check_same(other)
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        if self.field.k == 1:
-            rows = []
-            for r in self.rows:
-                acc = 0
-                t = r
-                i = 0
-                while t:
-                    if t & 1:
-                        acc ^= other.rows[i]
-                    t >>= 1
-                    i += 1
-                rows.append(acc)
-            return FieldMatrix(self.field, self.nrows, other.ncols, rows)
-        f = self.field
-        k = f.k
-        rows = []
-        for i in range(self.nrows):
-            acc = 0
-            for t in range(self.ncols):
-                a = self.entry(i, t)
-                if a:
-                    acc ^= vec_scale(f, other.rows[t], a, other.ncols)
-            rows.append(acc)
-        return FieldMatrix(f, self.nrows, other.ncols, rows)
+        images = other.row_images()
+        return FieldMatrix(
+            self.field, self.nrows, other.ncols,
+            [apply_images(images, r) for r in self.rows],
+        )
 
     def matvec(self, v: int) -> int:
         """Apply to a packed column vector of length ncols."""

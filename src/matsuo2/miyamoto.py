@@ -24,10 +24,11 @@ are themselves recomputed from the structure constants.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import decomp, fischer, matsuo
-from .gf import Field, FieldMatrix, lift_matrix, lift_vec
+from .gf import Field, FieldMatrix, apply_images, lift_matrix, lift_vec
 
 GF2 = matsuo.GF2
 
@@ -202,13 +203,25 @@ class MatrixGroup:
 
 
 def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
-    """BFS closure under multiplication; order is frozen by generator order."""
+    """BFS closure under multiplication; order is frozen by generator order.
+
+    Elements are found in the order of a FIFO search that multiplies each
+    dequeued element x on the right by every distinct generator g, sorted by
+    rows; x * g is formed from the row images of g, computed once.
+    """
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
     field = gens[0].field
     degree = gens[0].nrows
     for g in gens:
+        if g.field.k != field.k:
+            raise ValueError("mixed fields among the generators")
+        if (g.nrows, g.ncols) != (degree, degree):
+            raise ValueError(
+                f"dimension mismatch among the generators: {g.nrows}x{g.ncols} "
+                f"with {degree}x{degree}"
+            )
         g.inverse()  # raises NoSolution for a singular generator
     uniq = []
     seen = set()
@@ -216,15 +229,16 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
         if g.rows not in seen:
             seen.add(g.rows)
             uniq.append(g)
+    images = [g.row_images() for g in uniq]
     elements = list(uniq)
-    queue = list(uniq)
+    queue = deque(g.rows for g in uniq)
     while queue:
-        x = queue.pop(0)
-        for g in uniq:
-            y = x * g
-            if y.rows not in seen:
-                seen.add(y.rows)
-                elements.append(y)
+        x = queue.popleft()
+        for img in images:
+            y = tuple([apply_images(img, r) for r in x])
+            if y not in seen:
+                seen.add(y)
+                elements.append(FieldMatrix(field, degree, degree, y))
                 queue.append(y)
                 if len(elements) > cap:
                     raise MiyamotoCheckError(f"group closure exceeds cap {cap}")
@@ -281,14 +295,7 @@ def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
         raise ValueError("supported field degrees are k in {2, 3, 4}")
     field = Field(k)
     expected = (1 << (2 * k)) * ((1 << k) - 1)
-    G = group_closure(
-        [
-            cq_miyamoto_matrix(matsuo.build(fischer.catalog("cq")), field, line, lam)
-            for line in CQ_LINE_ORDER
-            for lam in field.nonzero()
-        ],
-        cap=4 * expected,
-    )
+    G = cq_miyamoto_group(field, cap=4 * expected)
     params = [parse_s_matrix(m) for m in G.elements]
     all_s = all(p is not None for p in params)
     unique = len(set(params)) == len(params)
@@ -358,16 +365,6 @@ def _span(vectors, n) -> list[int]:
     return sorted(out)
 
 
-def _apply_cols(cols, mask: int) -> int:
-    out = 0
-    m = mask
-    while m:
-        low = m & -m
-        out ^= cols[low.bit_length() - 1]
-        m ^= low
-    return out
-
-
 def _is_invertible(cols, n) -> bool:
     return FieldMatrix.from_cols(GF2, n, cols).rank() == n
 
@@ -381,7 +378,7 @@ def _check_partial(mult, structure, cols, upto: int) -> bool:
                 continue  # target involves a basis vector not chosen yet
             if max(i, j) < upto and not (target >> upto):
                 continue  # already checked at an earlier step
-            if mult(cols[i], cols[j]) != _apply_cols(cols, target):
+            if mult(cols[i], cols[j]) != apply_images(cols, target):
                 return False
     return True
 
@@ -553,7 +550,7 @@ def aut_count_full() -> AutFullReport:
                 ok = True
                 for i in range(n):
                     for j in range(i, n):
-                        if mult(cand_cols[i], cand_cols[j]) != _apply_cols(
+                        if mult(cand_cols[i], cand_cols[j]) != apply_images(
                             cand_cols, structure[i][j]
                         ):
                             ok = False

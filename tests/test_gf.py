@@ -199,23 +199,52 @@ def test_inverse_round_trip():
             assert mi * m == FieldMatrix.identity(f, n)
 
 
+def _random_matrix(rng, f, nrows, ncols):
+    return FieldMatrix.from_rows(
+        f, [[rng.randrange(f.order) for _ in range(ncols)] for _ in range(nrows)]
+    )
+
+
 def test_matmul_agrees_with_entrywise_definition():
     rng = random.Random(99)
-    for k in (1, 2, 4):
+    for k in range(1, 9):
         f = Field(k)
-        a = FieldMatrix.from_rows(
-            f, [[rng.randrange(f.order) for _ in range(4)] for _ in range(3)]
-        )
-        b = FieldMatrix.from_rows(
-            f, [[rng.randrange(f.order) for _ in range(2)] for _ in range(4)]
-        )
-        c = a * b
-        for i in range(3):
-            for j in range(2):
-                s = 0
-                for t in range(4):
-                    s ^= f.mul(a.entry(i, t), b.entry(t, j))
-                assert c.entry(i, j) == s
+        cases = [
+            (_random_matrix(rng, f, 3, 4), _random_matrix(rng, f, 4, 2)),
+            (_random_matrix(rng, f, 1, 1), _random_matrix(rng, f, 1, 1)),
+            (_random_matrix(rng, f, 3, 7), _random_matrix(rng, f, 7, 2)),
+            (FieldMatrix.zeros(f, 3, 5), _random_matrix(rng, f, 5, 4)),
+            (_random_matrix(rng, f, 4, 5), FieldMatrix.zeros(f, 5, 3)),
+            (FieldMatrix.identity(f, 5), _random_matrix(rng, f, 5, 6)),
+            (_random_matrix(rng, f, 6, 5), FieldMatrix.identity(f, 5)),
+        ]
+        for a, b in cases:
+            c = a * b
+            assert (c.nrows, c.ncols) == (a.nrows, b.ncols)
+            for i in range(a.nrows):
+                for j in range(b.ncols):
+                    s = 0
+                    for t in range(a.ncols):
+                        s ^= f.mul(a.entry(i, t), b.entry(t, j))
+                    assert c.entry(i, j) == s
+        a = _random_matrix(rng, f, 4, 4)
+        assert a * FieldMatrix.identity(f, 4) == a == FieldMatrix.identity(f, 4) * a
+        assert (a * FieldMatrix.zeros(f, 4, 4)).is_zero()
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_row_images_are_powers_of_x_times_rows(k):
+    rng = random.Random(500 + k)
+    f = Field(k)
+    m = _random_matrix(rng, f, 4, 6)
+    images = m.row_images()
+    assert len(images) == m.nrows * k
+    for j in range(m.nrows):
+        for b in range(k):
+            xb = f.power(2, b)
+            for t in range(m.ncols):
+                got = (images[j * k + b] >> (t * k)) & f.mask
+                assert got == f.mul(xb, m.entry(j, t))
 
 
 def test_dimension_mismatch_errors():

@@ -139,6 +139,55 @@ def test_group_closure_cap():
         group_closure(gens, cap=3)
 
 
+def test_group_closure_rejects_mixed_fields():
+    gens = [s_matrix(GF4, 1, 0, 1), s_matrix(Field(3), 1, 0, 1)]
+    with pytest.raises(ValueError, match="mixed fields"):
+        group_closure(gens)
+
+
+def test_group_closure_rejects_mixed_degrees():
+    gens = [s_matrix(GF4, 1, 0, 1), s_matrix(GF4, 1, 0, 1, reduced=True)]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        group_closure(gens)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        group_closure([FieldMatrix.zeros(GF4, 2, 3)])
+
+
+def _reference_closure(gens):
+    """Plain FIFO closure with x * g, the definition the closure order follows."""
+    uniq = []
+    for g in sorted(gens, key=lambda m: m.rows):
+        if g not in uniq:
+            uniq.append(g)
+    elements = list(uniq)
+    seen = set(uniq)
+    head = 0
+    while head < len(elements):
+        x = elements[head]
+        head += 1
+        for g in uniq:
+            y = x * g
+            if y not in seen:
+                seen.add(y)
+                elements.append(y)
+    return tuple(uniq), tuple(elements)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("reduced", [False, True])
+def test_group_closure_order_matches_reference_bfs(cq_algebra, k, reduced):
+    f = Field(k)
+    alg = matsuo.reduce(cq_algebra) if reduced else cq_algebra
+    gens = [
+        cq_miyamoto_matrix(alg, f, line, lam)
+        for line in CQ_LINE_ORDER
+        for lam in f.nonzero()
+    ]
+    g = group_closure(gens)
+    assert (g.generators, g.elements) == _reference_closure(gens)
+    assert g.elements == miyamoto.cq_miyamoto_group(f, reduced=reduced).elements
+
+
 def test_verify_cq_miyamoto_gf4():
     rep = verify_cq_miyamoto(2)
     assert rep.group_order == 48
