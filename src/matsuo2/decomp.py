@@ -5,7 +5,13 @@ and 1.  Each line therefore splits the algebra into the generalized
 eigenspaces for 0 and 1; the 1-part is always a proper eigenspace, while the
 0-part can be strictly larger than ker(ad) (the affine plane is the standard
 example).  The fusion table records, for each pair of parts, which parts
-their products meet, by exhaustive multiplication of basis pairs.
+their products meet.  It is read from one packed tensor per line: for each
+basis element e_a, the coordinates of e_a * v_j for every basis vector v_j of
+the two parts, as one integer.  XOR-ing these over the set bits of a part's
+basis vector u gives the coordinates of all products u * v_j at once, and
+masks pick out the cells.  Because the product is commutative, the pairs of
+a diagonal cell can be read as a full block: its two halves hold the same
+products.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fischer, matsuo
-from .gf import FieldMatrix, span_equal, vec_support
+from .gf import FieldMatrix, apply_images, span_equal, vec_support
 
 GF2 = matsuo.GF2
 
@@ -121,36 +127,79 @@ class Witness:
 
 def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition,
                  _witness_out: list | None = None) -> FusionTable:
-    """Observed fusion law from all basis-pair products of the two parts.
+    """Observed fusion law from one packed product tensor of the line.
+
+    With n = dim, d0 = len(basis0), C the coordinate matrix and v_j the j-th
+    vector of basis0 + basis1, G[a] holds the coordinates of every product
+    e_a * v_j, bit q*n + j being coordinate q of e_a * v_j.  For a basis
+    vector u of either part, XOR-ing G over the set bits of u gives all the
+    products u * v_j at once; four masks (coordinate rows below or from d0,
+    crossed with the columns of each part) read off the cells.  A diagonal
+    cell reads its whole block rather than the pairs j >= i: the product is
+    commutative (matsuo.build asserts it), so the block is symmetric and
+    both halves hold the same products.
 
     Optionally records the first (lexicographic) 1-part basis pair whose
     product has a nonzero 1-component.
     """
-    parts = (dec.basis0, dec.basis1)
-    ad_cache = {u: matsuo.ad_matrix(alg, u) for u in dec.basis0 + dec.basis1}
-    cells = {}
-    for x, y in ((0, 0), (0, 1), (1, 1)):
-        labels = set()
-        for i, u in enumerate(parts[x]):
-            apply_u = ad_cache[u].matvec
-            js = range(i, len(parts[y])) if x == y else range(len(parts[y]))
-            for j in js:
-                v = parts[y][j]
-                p = apply_u(v)
-                if not p:
-                    continue
-                f0, f1 = dec.component_flags(p)
-                if f0:
-                    labels.add(0)
-                if f1:
-                    labels.add(1)
-                if (
-                    x == 1 and f1
-                    and _witness_out is not None and not _witness_out
-                ):
-                    _, bad = dec.split(p)
-                    _witness_out.append(Witness(u, v, p, bad))
-        cells[(x, y)] = frozenset(labels)
+    n = alg.dim
+    d0 = len(dec.basis0)
+    vs = dec.basis0 + dec.basis1
+    P = FieldMatrix.from_cols(GF2, n, vs).rows  # P[s]: bit j = coordinate s of v_j
+    # S[r]: column r of C, bit q*n set when C[q][r] = 1
+    S = [0] * n
+    for q, row in enumerate(dec.coord_matrix.rows):
+        while row:
+            low = row & -row
+            S[low.bit_length() - 1] |= 1 << (q * n)
+            row ^= low
+    # Row r of ad(e_a) P is a mask below 2^n over j; multiplying it by S[r],
+    # whose set bits lie n apart, places shifted copies in disjoint n-bit
+    # slots, so no carry occurs and integer * is the GF(2) outer product.
+    G = []
+    for a in range(n):
+        g = 0
+        for r, ar in enumerate(alg.ad_rows(a)):
+            if ar:
+                g ^= S[r] * apply_images(P, ar)
+        G.append(g)
+    cols0 = (1 << d0) - 1
+    cols1 = ((1 << n) - 1) ^ cols0
+    rows0 = sum(1 << (q * n) for q in range(d0))
+    rows1 = sum(1 << (q * n) for q in range(d0, n))
+    m00, m01 = rows0 * cols0, rows0 * cols1
+    m10, m11 = rows1 * cols0, rows1 * cols1
+    c00 = c01 = c11 = 0  # bit 0 / bit 1: the cell contains label 0 / 1
+    for u in dec.basis0:
+        g = apply_images(G, u)
+        c00 |= bool(g & m00) | bool(g & m10) << 1
+        c01 |= bool(g & m01) | bool(g & m11) << 1
+    want_witness = _witness_out is not None and not _witness_out
+    for i, u in enumerate(dec.basis1):
+        g = apply_images(G, u)
+        c11 |= bool(g & m01) | bool(g & m11) << 1
+        if want_witness and g & m11:
+            folded = 0
+            h = g >> (d0 * n)
+            while h:
+                folded |= h
+                h >>= n
+            later = folded & cols1 & -(1 << (d0 + i))
+            if later:
+                v = vs[(later & -later).bit_length() - 1]
+                p = matsuo.multiply(alg, u, v)
+                bad = dec.split(p)[1]
+                if not bad:
+                    raise RuntimeError(
+                        "product tensor and multiply disagree on the witness "
+                        f"for line {dec.line!r}"
+                    )
+                _witness_out.append(Witness(u, v, p, bad))
+                want_witness = False
+    cells = {
+        cell: frozenset(label for label in (0, 1) if (bits >> label) & 1)
+        for cell, bits in (((0, 0), c00), ((0, 1), c01), ((1, 1), c11))
+    }
     return FusionTable(cells)
 
 

@@ -243,17 +243,27 @@ def _planes_through(s: FischerSpace, line) -> tuple[int, ...]:
         raise ValueError(f"{line!r} is not a line of the space") from None
 
 
-def plane_type(s: FischerSpace, line1, line2) -> PlaneType:
-    """Classify the subspace generated by two distinct intersecting lines."""
+def plane_mask(s: FischerSpace, line1, line2) -> int:
+    """Point mask of the recorded plane holding two distinct lines, or 0.
+
+    Two distinct lines lie in at most one recorded plane: intersecting lines
+    generate exactly one, and disjoint lines share only an affine plane, which
+    they generate.  So the mask is nonzero for every intersecting pair.
+    """
     t1, t2 = tuple(sorted(line1)), tuple(sorted(line2))
     if t1 not in s._planes or t2 not in s._planes:
         raise ValueError("both arguments must be lines of the space")
     if t1 == t2:
         raise ValueError("lines must be distinct")
-    if not set(t1) & set(t2):
-        raise ValueError("lines must intersect")
     m2 = _line_mask(t2)
-    plane = next(p for p in s._planes[t1] if p & m2 == m2)
+    return next((p for p in s._planes[t1] if p & m2 == m2), 0)
+
+
+def plane_type(s: FischerSpace, line1, line2) -> PlaneType:
+    """Classify the subspace generated by two distinct intersecting lines."""
+    plane = plane_mask(s, line1, line2)
+    if not set(line1) & set(line2):
+        raise ValueError("lines must intersect")
     if plane.bit_count() == 6:
         return PlaneType.COMPLETE_QUADRILATERAL
     return PlaneType.AFFINE_PLANE

@@ -260,6 +260,16 @@ class FieldMatrix:
     def from_cols(cls, field: Field, nrows: int, cols) -> "FieldMatrix":
         cols = list(cols)
         k = field.k
+        if k == 1:
+            rows = [0] * nrows
+            keep = (1 << nrows) - 1
+            for j, c in enumerate(cols):
+                c &= keep
+                while c:
+                    low = c & -c
+                    rows[low.bit_length() - 1] |= 1 << j
+                    c ^= low
+            return cls(field, nrows, len(cols), rows)
         rows = []
         for i in range(nrows):
             r = 0
@@ -430,13 +440,16 @@ class FieldMatrix:
         R, pivots = self.rref()
         f = self.field
         k = f.k
+        mask = f.mask
+        pivot_rows = tuple(zip(R.rows, pivots))
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
         for fc in free:
-            v = 1 << (fc * k)
-            for r, pc in enumerate(pivots):
-                e = R.entry(r, fc)
+            sh = fc * k
+            v = 1 << sh
+            for row, pc in pivot_rows:
+                e = (row >> sh) & mask
                 if e:
                     v |= e << (pc * k)
             basis.append(v)

@@ -209,16 +209,12 @@ def predict_line_line(space: fischer.FischerSpace, line1, line2) -> int:
             raise ValueError(f"{t!r} is not a line of the space")
     if t1 == t2:
         return 0
-    common = set(t1) & set(t2)
-    cq = fischer.PlaneType.COMPLETE_QUADRILATERAL
-    if common and fischer.plane_type(space, t1, t2) is cq:
-        return mask_from_support(t1) ^ mask_from_support(t2)
-    plane = next(
-        (p for p in fischer.affine_planes_through_line(space, t1) if p.issuperset(t2)),
-        None,
-    )
-    if plane is not None:
-        return mask_from_support(plane - set(t1) - set(t2) if common else plane)
+    m1, m2 = mask_from_support(t1), mask_from_support(t2)
+    plane = fischer.plane_mask(space, t1, t2)
+    if plane.bit_count() == 6:
+        return m1 ^ m2
+    if plane:
+        return plane & ~(m1 | m2) if m1 & m2 else plane
     return (
         predict_point_line(space, t1[0], t2)
         ^ predict_point_line(space, t1[1], t2)

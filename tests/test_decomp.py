@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -59,6 +60,63 @@ def test_affine_reduced_semisimple(reduced_algebras):
         assert is_z2_graded(fusion_table(red, d))
 
 
+def _pairwise_fusion(alg, dec):
+    """Cells and first 1-part witness from one product per basis pair."""
+    parts = (dec.basis0, dec.basis1)
+    cells, witness = {}, None
+    for x, y in ((0, 0), (0, 1), (1, 1)):
+        labels = set()
+        for i, u in enumerate(parts[x]):
+            ad_u = matsuo.ad_matrix(alg, u)
+            js = range(i, len(parts[y])) if x == y else range(len(parts[y]))
+            for j in js:
+                v = parts[y][j]
+                p = ad_u.matvec(v)
+                if not p:
+                    continue
+                f0, f1 = dec.component_flags(p)
+                if f0:
+                    labels.add(0)
+                if f1:
+                    labels.add(1)
+                    if x == 1 and witness is None:
+                        witness = (u, v, p, dec.split(p)[1])
+        cells[(x, y)] = frozenset(labels)
+    return cells, witness
+
+
+def _assert_fusion_matches_reference(alg):
+    cells = {}
+    for t in alg.space.lines:
+        dec = decompose_line(alg, t)
+        wit = []
+        table = fusion_table(alg, dec, _witness_out=wit)
+        expected_cells, expected_witness = _pairwise_fusion(alg, dec)
+        assert table.cells == expected_cells, t
+        got = wit[0] if wit else None
+        if expected_witness is None:
+            assert got is None, t
+        else:
+            assert (got.u, got.v, got.product, got.bad_component) == expected_witness, t
+        cells[t] = table.cells
+    return cells
+
+
+@pytest.mark.parametrize("name", fischer.CATALOG_NAMES)
+def test_fusion_table_matches_pairwise_reference(algebras, reduced_algebras, name):
+    full = _assert_fusion_matches_reference(algebras[name])
+    _assert_fusion_matches_reference(reduced_algebras[name])
+    if name not in ("ag33", "su32"):
+        return
+    sp = algebras[name].space
+    perm = list(range(sp.n_points))
+    random.Random(6061).shuffle(perm)
+    moved = fischer.validate(sp.n_points, [[perm[p] for p in t] for t in sp.lines])
+    cells = _assert_fusion_matches_reference(matsuo.build(moved))
+    for t in sp.lines:
+        assert cells[tuple(sorted(perm[p] for p in t))] == full[t]
+
+
 def test_split_reconstructs_vectors(algebras):
     alg = algebras["w_d4"]
     d = decompose_line(alg, alg.space.lines[0])
@@ -98,6 +156,14 @@ def test_witness_recorded_for_failing_lines(algebras):
         p = matsuo.multiply(algebras["3_3_sym4"], w.u, w.v)
         assert p == w.product
         assert d.component_flags(p)[1] is True
+
+
+def test_witness_cross_check_names_the_line(algebras, monkeypatch):
+    alg = algebras["3_3_sym4"]
+    t = next(v.line for v in classify_space(alg).verdicts if not v.z2_graded)
+    monkeypatch.setattr(matsuo, "multiply", lambda alg, u, v: 0)
+    with pytest.raises(RuntimeError, match="disagree.*" + re.escape(repr(t))):
+        line_verdict(alg, t)
 
 
 def test_good_lines_3_3_sym4(algebras):

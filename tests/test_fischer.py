@@ -13,6 +13,7 @@ from matsuo2.fischer import (
     generated_subspace,
     is_symplectic_type,
     parse_space,
+    plane_mask,
     plane_type,
     points_p0_p2,
     space_to_text,
@@ -203,6 +204,35 @@ def test_plane_index_matches_closure_reference(spaces, name):
             assert set(query(moved, image)) == {
                 frozenset(perm[p] for p in q) for q in query(sp, t)
             }
+
+
+@pytest.mark.parametrize("name", fischer.CATALOG_NAMES)
+def test_plane_mask_matches_plane_queries(spaces, name):
+    sp = spaces[name]
+    quads_of = {t: cqs_through_line(sp, t) for t in sp.lines}
+    affine_of = {t: affine_planes_through_line(sp, t) for t in sp.lines}
+    for l1, l2 in itertools.permutations(sp.lines, 2):
+        got = plane_mask(sp, l1, l2)
+        assert got == plane_mask(sp, l2, l1)
+        affine = [p for p in affine_of[l1] if p.issuperset(l2)]
+        if set(l1) & set(l2):
+            kind = plane_type(sp, l1, l2)
+            if kind is PlaneType.COMPLETE_QUADRILATERAL:
+                quads = [q for q in quads_of[l1] if q.issuperset(l2)]
+                assert affine == [] and len(quads) == 1
+                assert got == sum(1 << p for p in quads[0])
+                continue
+            assert kind is PlaneType.AFFINE_PLANE
+        assert len(affine) <= 1
+        assert got == (sum(1 << p for p in affine[0]) if affine else 0)
+
+
+def test_plane_mask_rejects_bad_arguments(spaces):
+    sp = spaces["cq"]
+    with pytest.raises(ValueError, match="must be lines"):
+        plane_mask(sp, (0, 1, 2), (0, 1, 3))
+    with pytest.raises(ValueError, match="distinct"):
+        plane_mask(sp, (0, 1, 2), (2, 1, 0))
 
 
 def test_plane_queries_reject_non_lines(spaces):

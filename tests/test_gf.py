@@ -8,6 +8,7 @@ from matsuo2.gf import (
     NoSolution,
     lift_matrix,
     span_equal,
+    vec_entry,
     vec_from_list,
     vec_to_list,
 )
@@ -245,6 +246,41 @@ def test_row_images_are_powers_of_x_times_rows(k):
             for t in range(m.ncols):
                 got = (images[j * k + b] >> (t * k)) & f.mask
                 assert got == f.mul(xb, m.entry(j, t))
+
+
+def _kernel_reference(m):
+    """Kernel from the rref read entry by entry, canonicalised by a second rref."""
+    f = m.field
+    R, pivots = m.rref()
+    basis = []
+    for fc in range(m.ncols):
+        if fc in pivots:
+            continue
+        v = 1 << (fc * f.k)
+        for r, pc in enumerate(pivots):
+            v |= R.entry(r, fc) << (pc * f.k)
+        basis.append(v)
+    if basis:
+        basis = [r for r in FieldMatrix(f, len(basis), m.ncols, basis).rref()[0].rows if r]
+    return tuple(basis)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_kernel_and_from_cols_match_entrywise_reference(k):
+    rng = random.Random(700 + k)
+    f = Field(k)
+    for nrows, rank, ncols in ((4, 2, 6), (5, 5, 5), (3, 0, 4), (6, 3, 3), (1, 1, 7)):
+        m = _random_matrix(rng, f, nrows, rank) * _random_matrix(rng, f, rank, ncols)
+        assert m.kernel() == _kernel_reference(m)
+        for v in m.kernel():
+            assert m.matvec(v) == 0
+        # columns may carry entries past nrows; from_cols drops them
+        cols = [rng.randrange(f.order ** (nrows + 2)) for _ in range(ncols)]
+        c = FieldMatrix.from_cols(f, nrows, cols)
+        assert (c.nrows, c.ncols) == (nrows, ncols)
+        for i in range(nrows):
+            for j in range(ncols):
+                assert c.entry(i, j) == vec_entry(f, cols[j], i)
 
 
 def test_dimension_mismatch_errors():
