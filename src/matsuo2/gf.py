@@ -258,24 +258,20 @@ class FieldMatrix:
 
     @classmethod
     def from_cols(cls, field: Field, nrows: int, cols) -> "FieldMatrix":
+        # Bit p of a column is bit p % k of its entry in row p // k; walk the
+        # set bits only.
         cols = list(cols)
         k = field.k
-        if k == 1:
-            rows = [0] * nrows
-            keep = (1 << nrows) - 1
-            for j, c in enumerate(cols):
-                c &= keep
-                while c:
-                    low = c & -c
-                    rows[low.bit_length() - 1] |= 1 << j
-                    c ^= low
-            return cls(field, nrows, len(cols), rows)
-        rows = []
-        for i in range(nrows):
-            r = 0
-            for j, c in enumerate(cols):
-                r |= vec_entry(field, c, i) << (j * k)
-            rows.append(r)
+        rows = [0] * nrows
+        keep = (1 << (nrows * k)) - 1
+        for j, c in enumerate(cols):
+            base = j * k
+            c &= keep
+            while c:
+                low = c & -c
+                p = low.bit_length() - 1
+                rows[p // k] |= 1 << (base + p % k)
+                c ^= low
         return cls(field, nrows, len(cols), rows)
 
     @classmethod
