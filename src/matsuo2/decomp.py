@@ -4,13 +4,20 @@ For a line nilpotent the only eigenvalues of its left multiplication are 0
 and 1.  Each line therefore splits the algebra into the generalized
 eigenspaces for 0 and 1; the 1-part is always a proper eigenspace, while the
 0-part can be strictly larger than ker(ad) (the affine plane is the standard
-example).  The fusion table records, for each pair of parts, which parts
-their products meet.  It is read from one packed tensor per line: for each
-basis element e_a, the coordinates of e_a * v_j for every basis vector v_j of
-the two parts, as one integer.  XOR-ing these over the set bits of a part's
-basis vector u gives the coordinates of all products u * v_j at once, and
-masks pick out the cells.  Because the product is commutative, the pairs of
-a diagonal cell can be read as a full block: its two halves hold the same
+example).  No power ad^N (N = dim) is formed: the chain ker(ad), ker(ad^2),
+... stops as soon as its dimension reaches N - dim ker(ad+1).  That is exact,
+because x^N and (x+1)^N are coprime: ker(ad^N) and ker((ad+1)^N) meet only
+in 0, so their dimensions sum to at most N, and they contain ker(ad^k) and
+ker(ad+1); once those two reach N together, every inequality is an equality.
+Semisimple lines need no product at all.
+
+The fusion table records, for each pair of parts, which parts their products
+meet.  It is read from one packed tensor per line: for each basis element
+e_a, the coordinates of e_a * v_j for every basis vector v_j of the two
+parts, as one integer.  XOR-ing these over the set bits of a part's basis
+vector u gives the coordinates of all products u * v_j at once, and masks
+pick out the cells.  Because the product is commutative, the pairs of a
+diagonal cell can be read as a full block: its two halves hold the same
 products.
 """
 
@@ -30,8 +37,8 @@ class LineDecomposition:
 
     line: tuple[int, int, int]
     dim: int
-    basis0: tuple[int, ...]  # basis of ker(ad^N), echelonized
-    basis1: tuple[int, ...]  # basis of ker((ad+1)^N) = proper 1-eigenspace
+    basis0: tuple[int, ...]  # echelon basis of ker(ad^N) = ker(ad^k), k at the stop
+    basis1: tuple[int, ...]  # echelon basis of ker(ad+1) = ker((ad+1)^N)
     eigen0_dim: int
     eigen1_dim: int
     semisimple: bool
@@ -47,15 +54,8 @@ class LineDecomposition:
         """Components of v in the 0-part and the 1-part."""
         c = self.coords(v)
         d0 = len(self.basis0)
-        v0 = 0
-        for i in range(d0):
-            if (c >> i) & 1:
-                v0 ^= self.basis0[i]
-        v1 = 0
-        for i in range(len(self.basis1)):
-            if (c >> (d0 + i)) & 1:
-                v1 ^= self.basis1[i]
-        return v0, v1
+        return (apply_images(self.basis0, c & ((1 << d0) - 1)),
+                apply_images(self.basis1, c >> d0))
 
     def component_flags(self, v: int) -> tuple[bool, bool]:
         """Which parts a vector meets; cheaper than split()."""
@@ -65,26 +65,35 @@ class LineDecomposition:
 
 
 def decompose_line(alg: matsuo.NilpotentMatsuoAlgebra, line) -> LineDecomposition:
-    """Split the algebra along ker(ad^N) and ker((ad+1)^N), N = dim."""
+    """Split the algebra along ker(ad^N) and ker((ad+1)^N), N = dim.
+
+    Neither power is formed.  basis1 = ker(ad+1), and the chain ker(ad),
+    ker(ad^2), ... (FieldMatrix.kernel_chain) is walked until its dimension
+    reaches target = N - len(basis1).  x^N and (x+1)^N are coprime, so
+    ker(ad^N) and ker((ad+1)^N) meet only in 0 and
+    dim ker(ad^N) + dim ker((ad+1)^N) <= N.  Since ker(ad^k) lies in
+    ker(ad^N) and ker(ad+1) in ker((ad+1)^N), reaching target turns every
+    inequality into an equality: ker(ad^k) = ker(ad^N),
+    ker((ad+1)^N) = ker(ad+1), and the two parts fill the algebra.  kernel()
+    returns canonical echelon bases, so both bases are those of the powers.
+
+    If the chain stops growing below target, ker((ad+1)^N) is computed and
+    the errors are raised as a check on the full powers would raise them.
+    """
     ln = matsuo.line_nilpotent(alg, line)
     ad = matsuo.ad_matrix(alg, ln)
     n = alg.dim
-    ident = FieldMatrix.identity(GF2, n)
-    ad1 = ad + ident
-    basis0 = (ad ** n).kernel()
-    basis1_proper = ad1.kernel()
-    basis1 = (ad1 ** n).kernel()
-    if len(basis0) + len(basis1) != n:
-        raise RuntimeError(
-            "unexpected eigenvalue: the generalized 0- and 1-eigenspaces do "
-            f"not exhaust the algebra for line {tuple(line)!r}"
-        )
-    if basis1 != basis1_proper:
-        raise RuntimeError(
-            f"generalized 1-part exceeds the 1-eigenspace for line {tuple(line)!r}"
-        )
-    eigen0 = len(ad.kernel())
-    eigen1 = len(basis1_proper)
+    ad1 = ad + FieldMatrix.identity(GF2, n)
+    basis1 = ad1.kernel()
+    target = n - len(basis1)
+    chain = ad.kernel_chain()
+    basis0 = next(chain)
+    eigen0 = len(basis0)
+    while len(basis0) < target:
+        grown = next(chain, None)
+        if grown is None:
+            raise _split_error(line, ad1, basis0, basis1)
+        basis0 = grown
     P = FieldMatrix.from_cols(GF2, n, basis0 + basis1)
     return LineDecomposition(
         line=tuple(sorted(line)),
@@ -92,9 +101,28 @@ def decompose_line(alg: matsuo.NilpotentMatsuoAlgebra, line) -> LineDecompositio
         basis0=basis0,
         basis1=basis1,
         eigen0_dim=eigen0,
-        eigen1_dim=eigen1,
-        semisimple=(eigen0 + eigen1 == n),
+        eigen1_dim=len(basis1),
+        semisimple=(eigen0 == target),
         coord_matrix=P.inverse(),
+    )
+
+
+def _split_error(line, ad1: FieldMatrix, basis0, basis1) -> RuntimeError:
+    """The error for a kernel chain of ad that stopped below its target.
+
+    basis0 is then ker(ad^N).  The checks run in the order of a decomposition
+    from the full powers: first whether the generalized parts fill the
+    algebra, then whether the generalized 1-part is ker(ad+1).
+    """
+    if len(basis0) + len(ad1.iterated_kernel()) != ad1.ncols:
+        return RuntimeError(
+            "unexpected eigenvalue: the generalized 0- and 1-eigenspaces do "
+            f"not exhaust the algebra for line {tuple(line)!r}"
+        )
+    # The parts fill the algebra and basis0 is short of N - len(basis1), so
+    # ker((ad+1)^N) is larger than ker(ad+1).
+    return RuntimeError(
+        f"generalized 1-part exceeds the 1-eigenspace for line {tuple(line)!r}"
     )
 
 

@@ -26,6 +26,8 @@ a packed row picks the packed row x^b * B_j from `FieldMatrix.row_images`.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 IRREDUCIBLE = {
     1: 0b10,
     2: 0b111,
@@ -455,15 +457,45 @@ class FieldMatrix:
         assert len(basis) + len(pivots) == self.ncols, "rank-nullity violated"
         return tuple(basis)
 
-    def iterated_kernel(self, n: int | None = None) -> tuple[int, ...]:
-        """Basis of ker(M^n); n defaults to ncols, which always stabilizes."""
+    def kernel_chain(self) -> Iterator[tuple[int, ...]]:
+        """Yield the bases of ker(M), ker(M^2), ... while the kernel grows.
+
+        ker(M^k) lies in ker(M^(k+1)), and once two successive kernels are
+        equal every later one is equal too.  So the chain stops at the first
+        k with ker(M^k) = ker(M^(k+1)), or at once when ker(M) is zero (M is
+        invertible) or everything; the last basis yielded is ker(M^j) for
+        every j >= its power, and at most ncols bases are yielded.  Each
+        basis after the first costs one product and one kernel.
+        """
         if self.nrows != self.ncols:
             raise ValueError("iterated kernel needs a square matrix")
+        basis = self.kernel()
+        yield basis
+        power = self
+        while 0 < len(basis) < self.ncols:
+            power = power * self
+            grown = power.kernel()
+            if len(grown) == len(basis):
+                return
+            basis = grown
+            yield basis
+
+    def iterated_kernel(self, n: int | None = None) -> tuple[int, ...]:
+        """Basis of ker(M^n); n defaults to ncols, which always stabilizes.
+
+        Walks kernel_chain and returns once the kernel stops growing or the
+        power reaches n.  Nested kernels of equal dimension are equal, and
+        kernel() returns the canonical echelon basis, so the result is the
+        same tuple as (M ** n).kernel().
+        """
         if n is None:
             n = self.ncols
         if n < 1:
             raise ValueError("power must be >= 1")
-        return (self ** n).kernel()
+        for power, basis in enumerate(self.kernel_chain(), 1):
+            if power == n:
+                break
+        return basis
 
     def solve(self, b: int) -> int:
         """One solution x of M x = b; raises NoSolution if inconsistent."""

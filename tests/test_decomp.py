@@ -6,6 +6,7 @@ import re
 import pytest
 
 from matsuo2 import fischer, matsuo
+from matsuo2.gf import FieldMatrix
 from matsuo2.decomp import (
     classify_space,
     cq_pair_case,
@@ -117,15 +118,115 @@ def test_fusion_table_matches_pairwise_reference(algebras, reduced_algebras, nam
         assert cells[tuple(sorted(perm[p] for p in t))] == full[t]
 
 
-def test_split_reconstructs_vectors(algebras):
-    alg = algebras["w_d4"]
-    d = decompose_line(alg, alg.space.lines[0])
+def _power_decomposition(alg, line):
+    """The decomposition from the full powers ad^N and (ad+1)^N, N = dim."""
+    ad = matsuo.ad_matrix(alg, matsuo.line_nilpotent(alg, line))
+    n = alg.dim
+    ad1 = ad + FieldMatrix.identity(ad.field, n)
+    basis0 = (ad ** n).kernel()
+    basis1 = (ad1 ** n).kernel()
+    assert len(basis0) + len(basis1) == n
+    assert basis1 == ad1.kernel()
+    eigen0, eigen1 = len(ad.kernel()), len(basis1)
+    coords = FieldMatrix.from_cols(ad.field, n, basis0 + basis1).inverse()
+    return basis0, basis1, eigen0, eigen1, eigen0 + eigen1 == n, coords.rows
+
+
+def _decomposition_fields(dec):
+    return (dec.basis0, dec.basis1, dec.eigen0_dim, dec.eigen1_dim,
+            dec.semisimple, dec.coord_matrix.rows)
+
+
+def _assert_decompositions_match_reference(alg):
+    for t in alg.space.lines:
+        dec = decompose_line(alg, t)
+        assert _decomposition_fields(dec) == _power_decomposition(alg, t), t
+
+
+@pytest.mark.parametrize("name", fischer.CATALOG_NAMES)
+def test_decompose_line_matches_power_reference(algebras, reduced_algebras, name):
+    _assert_decompositions_match_reference(algebras[name])
+    _assert_decompositions_match_reference(reduced_algebras[name])
+    if name not in ("ag33", "su32"):
+        return
+    sp = algebras[name].space
+    perm = list(range(sp.n_points))
+    random.Random(7071).shuffle(perm)
+    moved = fischer.validate(sp.n_points, [[perm[p] for p in t] for t in sp.lines])
+    _assert_decompositions_match_reference(matsuo.build(moved))
+
+
+def _crafted_ad(n, block, rest):
+    """block in the top-left corner, rest (0 or 1) on the remaining diagonal."""
+    m = len(block)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(m):
+        rows[i][:m] = block[i]
+    for i in range(m, n):
+        rows[i][i] = rest
+    return FieldMatrix.from_rows(matsuo.GF2, rows)
+
+
+def _patch_ad(monkeypatch, alg, block, rest):
+    ad = _crafted_ad(alg.dim, block, rest)
+    monkeypatch.setattr(matsuo, "ad_matrix", lambda alg, x: ad)
+
+
+def test_decompose_line_rejects_other_eigenvalues(algebras, monkeypatch):
+    alg = algebras["cq"]
+    t = alg.space.lines[0]
+    _patch_ad(monkeypatch, alg, [[0, 1], [1, 1]], 0)  # x^2 + x + 1 companion
+    with pytest.raises(RuntimeError,
+                       match="unexpected eigenvalue.*" + re.escape(repr(t))):
+        decompose_line(alg, t)
+
+
+def test_decompose_line_rejects_a_one_part_jordan_block(algebras, monkeypatch):
+    alg = algebras["cq"]
+    t = alg.space.lines[0]
+    _patch_ad(monkeypatch, alg, [[1, 1], [0, 1]], 0)
+    with pytest.raises(RuntimeError,
+                       match="generalized 1-part exceeds the 1-eigenspace "
+                             "for line " + re.escape(repr(t))):
+        decompose_line(alg, t)
+
+
+def test_decompose_line_walks_a_long_kernel_chain(algebras, monkeypatch):
+    alg = algebras["cq"]
+    t = alg.space.lines[0]
+    _patch_ad(monkeypatch, alg, [[0, 1, 0], [0, 0, 1], [0, 0, 0]], 1)
+    dec = decompose_line(alg, t)
+    assert dec.gen_dims() == (3, alg.dim - 3)
+    assert (dec.eigen0_dim, dec.semisimple) == (1, False)  # needs ad^3
+    assert _decomposition_fields(dec) == _power_decomposition(alg, t)
+
+
+def _split_reference(dec, v):
+    c = dec.coords(v)
+    d0 = len(dec.basis0)
+    v0 = v1 = 0
+    for i, b in enumerate(dec.basis0 + dec.basis1):
+        if (c >> i) & 1:
+            if i < d0:
+                v0 ^= b
+            else:
+                v1 ^= b
+    return v0, v1
+
+
+def test_split_reconstructs_vectors(algebras, reduced_algebras):
     rng = random.Random(5)
-    for _ in range(50):
-        v = rng.randrange(1 << alg.dim)
-        v0, v1 = d.split(v)
-        assert v0 ^ v1 == v
-        assert d.component_flags(v) == (v0 != 0, v1 != 0)
+    for alg in list(algebras.values()) + list(reduced_algebras.values()):
+        for t in alg.space.lines:
+            d = decompose_line(alg, t)
+            for _ in range(4):
+                v = rng.randrange(1 << alg.dim)
+                v0, v1 = d.split(v)
+                assert (v0, v1) == _split_reference(d, v)
+                assert v0 ^ v1 == v
+                assert d.component_flags(v) == (v0 != 0, v1 != 0)
+                assert d.component_flags(v0) == (v0 != 0, False)
+                assert d.component_flags(v1) == (False, v1 != 0)
 
 
 def test_decomposition_exhausts_algebra(algebras):

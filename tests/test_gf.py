@@ -152,6 +152,26 @@ def test_iterated_kernel_monotone_and_stable():
                     B.solve(v)  # ker(M) inside ker(M^n); raises otherwise
 
 
+def test_kernel_chain_grows_until_stable():
+    rng = random.Random(7070)
+    for k in (1, 2):
+        f = Field(k)
+        for _ in range(40):
+            n = rng.randrange(1, 7)
+            rows = [[rng.randrange(f.order) for _ in range(n)] for _ in range(n)]
+            for i in range(n):  # zero some rows on and below the diagonal: longer chains
+                if rng.random() < 0.5:
+                    rows[i][: i + 1] = [0] * (i + 1)
+            m = FieldMatrix.from_rows(f, rows)
+            chain = list(m.kernel_chain())
+            assert len(chain) <= n
+            for p, basis in enumerate(chain, 1):
+                assert basis == (m ** p).kernel()
+            assert all(len(a) < len(b) for a, b in zip(chain, chain[1:]))
+            assert (m ** (len(chain) + 1)).kernel() == chain[-1]
+            assert chain[-1] == (m ** n).kernel()
+
+
 def test_kernel_contains_plain_kernel():
     f = Field(1)
     m = FieldMatrix.from_rows(f, [[1, 1, 0], [0, 0, 0], [0, 1, 1]])
