@@ -125,14 +125,23 @@ def frozen_basis_structure(alg: matsuo.NilpotentMatsuoAlgebra) -> tuple[tuple[in
     )
 
 
+def _cq_miyamoto_matrices(alg: matsuo.NilpotentMatsuoAlgebra, field: Field,
+                          line, lams) -> list[FieldMatrix]:
+    """Miyamoto maps of one quadrilateral line for each lambda, in the frozen basis.
+
+    The line is decomposed, and the basis change inverted, once for all lambdas.
+    """
+    _require_cq(alg)
+    dec = decomp.decompose_line(alg, line)
+    C, Cinv = frozen_basis_change(alg)
+    C, Cinv = lift_matrix(field, C), lift_matrix(field, Cinv)
+    return [Cinv * miyamoto_map(alg, field, dec, lam).matrix * C for lam in lams]
+
+
 def cq_miyamoto_matrix(alg: matsuo.NilpotentMatsuoAlgebra, field: Field,
                       line, lam: int) -> FieldMatrix:
     """Miyamoto map of the quadrilateral, written in the frozen basis."""
-    _require_cq(alg)
-    dec = decomp.decompose_line(alg, line)
-    m = miyamoto_map(alg, field, dec, lam).matrix
-    C, Cinv = frozen_basis_change(alg)
-    return lift_matrix(field, Cinv) * m * lift_matrix(field, C)
+    return _cq_miyamoto_matrices(alg, field, line, (lam,))[0]
 
 
 # -- S-matrices ---------------------------------------------------------------------
@@ -207,7 +216,16 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
 
     Elements are found in the order of a FIFO search that multiplies each
     dequeued element x on the right by every distinct generator g, sorted by
-    rows; x * g is formed from the row images of g, computed once.
+    rows.  All the products x * g come from one XOR walk over the rows of x.
+    A matrix packs into one int of degree^2 k bits, row i at bit i degree k.
+    Slot s, ceil(degree^2 k / 8) bytes wide, belongs to the s-th generator
+    g_s, and `wide[i][p]` holds in slot s the matrix whose only nonzero row,
+    row i, is image p of g_s (`FieldMatrix.row_images`): the share of bit p
+    of row i of x in x * g_s.  So `XOR_i apply_images(wide[i], x_i)` holds
+    x * g_s in every slot s, and its little-endian bytes, cut into slots, are
+    one `bytes` key per generator.  The FIFO order is that of forming x * g_1,
+    x * g_2, ... one at a time, because the keys are read in generator order;
+    rows are unpacked, and a FieldMatrix built, only for a new element.
     """
     gens = list(generators)
     if not gens:
@@ -223,23 +241,44 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
                 f"with {degree}x{degree}"
             )
         g.inverse()  # raises NoSolution for a singular generator
+    row_bits = degree * field.k
+    row_mask = (1 << row_bits) - 1
+    slot = (degree * row_bits + 7) // 8
     uniq = []
     seen = set()
     for g in sorted(gens, key=lambda m: m.rows):
-        if g.rows not in seen:
-            seen.add(g.rows)
+        y = sum(r << (i * row_bits) for i, r in enumerate(g.rows)).to_bytes(slot, "little")
+        if y not in seen:
+            seen.add(y)
             uniq.append(g)
+    if len(uniq) > cap:
+        raise MiyamotoCheckError(f"group closure exceeds cap {cap}")
+    width = slot * len(uniq)
     images = [g.row_images() for g in uniq]
+    wide = [
+        [
+            sum(img[p] << (i * row_bits + s * 8 * slot) for s, img in enumerate(images))
+            for p in range(row_bits)
+        ]
+        for i in range(degree)
+    ]
     elements = list(uniq)
     queue = deque(g.rows for g in uniq)
+    cuts = range(0, width, slot)
     while queue:
         x = queue.popleft()
-        for img in images:
-            y = tuple([apply_images(img, r) for r in x])
+        acc = 0
+        for w, r in zip(wide, x):
+            acc ^= apply_images(w, r)
+        packed = acc.to_bytes(width, "little")
+        for c in cuts:
+            y = packed[c:c + slot]
             if y not in seen:
                 seen.add(y)
-                elements.append(FieldMatrix(field, degree, degree, y))
-                queue.append(y)
+                v = int.from_bytes(y, "little")
+                rows = tuple([(v >> (i * row_bits)) & row_mask for i in range(degree)])
+                elements.append(FieldMatrix(field, degree, degree, rows))
+                queue.append(rows)
                 if len(elements) > cap:
                     raise MiyamotoCheckError(f"group closure exceeds cap {cap}")
     return MatrixGroup(field, degree, tuple(uniq), tuple(elements))
@@ -275,9 +314,9 @@ def cq_miyamoto_group(field: Field, reduced: bool = False,
     if reduced:
         alg = matsuo.reduce(alg)
     gens = [
-        cq_miyamoto_matrix(alg, field, line, lam)
+        m
         for line in CQ_LINE_ORDER
-        for lam in field.nonzero()
+        for m in _cq_miyamoto_matrices(alg, field, line, field.nonzero())
     ]
     return group_closure(gens, cap=cap)
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from matsuo2 import decomp, fischer, matsuo, miyamoto
-from matsuo2.gf import Field, FieldMatrix
+from matsuo2.gf import Field, FieldMatrix, NoSolution
 from matsuo2.miyamoto import (
     CQ_LINE_ORDER,
     MiyamotoCheckError,
@@ -139,6 +139,13 @@ def test_group_closure_cap():
         group_closure(gens, cap=3)
 
 
+def test_group_closure_cap_counts_the_generators():
+    gens = [FieldMatrix.identity(GF2, 6), s_matrix(GF2, 1, 0, 1)]
+    with pytest.raises(MiyamotoCheckError, match="exceeds cap 1"):
+        group_closure(gens, cap=1)
+    assert group_closure(gens, cap=2).size() == 2
+
+
 def test_group_closure_rejects_mixed_fields():
     gens = [s_matrix(GF4, 1, 0, 1), s_matrix(Field(3), 1, 0, 1)]
     with pytest.raises(ValueError, match="mixed fields"):
@@ -173,6 +180,61 @@ def _reference_closure(gens):
     return tuple(uniq), tuple(elements)
 
 
+def _random_invertible(rng, f, n):
+    while True:
+        m = FieldMatrix.from_rows(
+            f, [[rng.randrange(f.order) for _ in range(n)] for _ in range(n)]
+        )
+        try:
+            return m, m.inverse()
+        except NoSolution:
+            pass
+
+
+def _permutation_matrix(f, perm):
+    return FieldMatrix.from_rows(
+        f, [[1 if j == perm[i] else 0 for j in range(len(perm))] for i in range(len(perm))]
+    )
+
+
+def _small_generating_sets(rng, f):
+    """Seeded generating sets of small groups: (degree, generators) pairs."""
+    cases = [(1, [FieldMatrix.from_rows(f, [[rng.randrange(1, f.order)]]) for _ in range(2)])]
+    for n in (2, 3, 5):
+        # a random conjugate of a permutation group, so entries are dense
+        P, Pinv = _random_invertible(rng, f, n)
+        gens = []
+        for _ in range(2):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            gens.append(Pinv * _permutation_matrix(f, perm) * P)
+        gens.append(gens[0])  # a duplicate, dropped by the closure
+        cases.append((n, gens))
+    unitri = [
+        FieldMatrix.from_rows(f, [[1 if i == j else (rng.randrange(f.order) if j > i else 0)
+                                   for j in range(3)] for i in range(3)])
+        for _ in range(3)
+    ]
+    cases.append((3, unitri + [FieldMatrix.identity(f, 3)]))
+    for _, gens in cases:
+        rng.shuffle(gens)
+    return cases
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_group_closure_packed_walk_matches_reference(k):
+    f = Field(k)
+    rng = random.Random(8000 + k)
+    for degree, gens in _small_generating_sets(rng, f):
+        g = group_closure(gens)
+        assert g.degree == degree
+        assert (g.generators, g.elements) == _reference_closure(gens)
+        order = g.size()
+        with pytest.raises(MiyamotoCheckError, match=f"exceeds cap {order - 1}"):
+            group_closure(gens, cap=order - 1)
+        assert group_closure(gens, cap=order).elements == g.elements
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("reduced", [False, True])
 def test_group_closure_order_matches_reference_bfs(cq_algebra, k, reduced):
@@ -200,6 +262,29 @@ def test_verify_cq_miyamoto_gf4():
 def test_verify_cq_miyamoto_gf8():
     rep = verify_cq_miyamoto(3)
     assert rep.group_order == 448
+
+
+def test_verify_cq_miyamoto_gf16():
+    rep = verify_cq_miyamoto(4)
+    assert rep.group_order == rep.expected_order == 3840
+    assert rep.reduced_group_order == 3840
+    assert rep.all_s_matrices and rep.params_unique
+    assert rep.restriction_injective and rep.restriction_onto_reduced
+    assert rep.fixes_s
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_cq_miyamoto_group_gf16_is_every_s_matrix(reduced):
+    f = Field(4)
+    g = miyamoto.cq_miyamoto_group(f, reduced=reduced)
+    expected = {
+        s_matrix(f, a, b, lam, reduced=reduced).rows
+        for a in range(f.order)
+        for b in range(f.order)
+        for lam in f.nonzero()
+    }
+    assert len(g.elements) == len(expected) == 3840
+    assert {m.rows for m in g.elements} == expected
 
 
 def test_verify_cq_miyamoto_rejects_bad_degree():
