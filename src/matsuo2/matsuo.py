@@ -39,19 +39,9 @@ class NilpotentMatsuoAlgebra:
     def ad_rows(self, i: int) -> tuple[int, ...]:
         """Rows of the left-multiplication matrix of basis element i."""
         if self._ad_rows is None:
-            n = self.dim
-            all_rows = []
-            for a in range(n):
-                rows = [0] * n
-                ta = self.table[a]
-                for j in range(n):
-                    m = ta[j]
-                    while m:
-                        low = m & -m
-                        rows[low.bit_length() - 1] |= 1 << j
-                        m ^= low
-                all_rows.append(tuple(rows))
-            self._ad_rows = tuple(all_rows)
+            self._ad_rows = tuple(
+                FieldMatrix.from_cols(GF2, self.dim, t).rows for t in self.table
+            )
         return self._ad_rows[i]
 
     def __repr__(self) -> str:

@@ -17,9 +17,15 @@ with M(alpha,beta) = [[alpha,0,beta],[0,beta,alpha],[0,0,0]], which compose by
 
     S(a,b,l) S(c,d,m) = S(a+lc, b+ld, lm).
 
-The automorphism groups over GF(2) are enumerated exhaustively, pruned only
-by subspace constraints (stabilizing A*A, A*(A*A) and the annihilator) that
-are themselves recomputed from the structure constants.
+The automorphism groups over GF(2) all come from one backtracking search,
+`_aut_search`, which picks the columns of a frozen-basis matrix one at a time
+from a candidate list per column and checks each homomorphism equation as soon
+as the columns it involves are chosen.  The routes differ only in those lists:
+the quotient's columns are pruned by stabilizing A*A and A*(A*A), and the full
+algebra's by the annihilator as well, all recomputed from the structure
+constants; the unconstrained sweep offers every vector; and the block
+cross-check of `aut_count_full` offers one candidate per column, an
+automorphism of the quotient extended by a (kappa, lambda, 1) bottom row.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import decomp, fischer, matsuo
-from .gf import Field, FieldMatrix, apply_images, lift_matrix, lift_vec
+from .gf import Field, FieldMatrix, apply_images, lift_matrix, lift_vec, vec_from_list
 
 GF2 = matsuo.GF2
 
@@ -153,16 +159,10 @@ def s_matrix(field: Field, alpha: int, beta: int, lam: int,
     if lam == 0:
         raise ValueError("lambda must be a unit")
     n = 5 if reduced else 6
-    rows = [[0] * n for _ in range(n)]
-    for i in range(3):
-        rows[i][i] = 1
-    rows[3][0], rows[3][2] = alpha, beta
-    rows[4][1], rows[4][2] = beta, alpha
-    rows[3][3] = lam
-    rows[4][4] = lam
-    if not reduced:
-        rows[5][5] = 1
-    return FieldMatrix.from_rows(field, rows)
+    rows = [1 << (i * field.k) for i in range(n)]  # identity outside rows 3 and 4
+    rows[3] = vec_from_list(field, (alpha, 0, beta, lam))
+    rows[4] = vec_from_list(field, (0, beta, alpha, 0, lam))
+    return FieldMatrix(field, n, n, rows)
 
 
 def s_compose(field: Field, p1, p2) -> tuple[int, int, int]:
@@ -176,20 +176,8 @@ def parse_s_matrix(m: FieldMatrix) -> tuple[int, int, int] | None:
     n = m.nrows
     if n not in (5, 6) or m.ncols != n:
         return None
-    for i in range(3):
-        for j in range(n):
-            if m.entry(i, j) != (1 if i == j else 0):
-                return None
     alpha, beta, lam = m.entry(3, 0), m.entry(3, 2), m.entry(3, 3)
-    if lam == 0:
-        return None
-    row3 = (alpha, 0, beta, lam, 0) + ((0,) if n == 6 else ())
-    row4 = (0, beta, alpha, 0, lam) + ((0,) if n == 6 else ())
-    if tuple(m.entry(3, j) for j in range(n)) != row3:
-        return None
-    if tuple(m.entry(4, j) for j in range(n)) != row4:
-        return None
-    if n == 6 and tuple(m.entry(5, j) for j in range(n)) != (0, 0, 0, 0, 0, 1):
+    if lam == 0 or m.rows != s_matrix(m.field, alpha, beta, lam, reduced=(n == 5)).rows:
         return None
     return (alpha, beta, lam)
 
@@ -404,10 +392,6 @@ def _span(vectors, n) -> list[int]:
     return sorted(out)
 
 
-def _is_invertible(cols, n) -> bool:
-    return FieldMatrix.from_cols(GF2, n, cols).rank() == n
-
-
 def _check_partial(mult, structure, cols, upto: int) -> bool:
     """Verify hom equations whose operands and targets use basis 0..upto."""
     for i in range(upto + 1):
@@ -437,6 +421,41 @@ def _annihilator_span(structure, n):
     return ann  # includes 0; already ascending
 
 
+def _cq_structure(reduced: bool):
+    """Frozen-basis structure constants of the quadrilateral algebra or its quotient."""
+    alg = matsuo.build(fischer.catalog("cq"))
+    if reduced:
+        alg = matsuo.reduce(alg)
+    return frozen_basis_structure(alg)
+
+
+def _aut_search(structure, domains) -> tuple[FieldMatrix, ...]:
+    """Every automorphism whose column j is drawn from domains[j], sorted by rows.
+
+    Columns are chosen one at a time by backtracking; after column m,
+    `_check_partial` tests each homomorphism equation that has just become
+    decidable, so every equation is checked exactly once by the last column.
+    """
+    n = len(structure)
+    mult = _mask_mult(structure)
+    found = []
+
+    def extend(cols):
+        if not _check_partial(mult, structure, cols, len(cols) - 1):
+            return
+        if len(cols) == n:
+            m = FieldMatrix.from_cols(GF2, n, cols)
+            if m.rank() == n:
+                found.append(m)
+            return
+        for c in domains[len(cols)]:
+            extend(cols + [c])
+
+    extend([])
+    found.sort(key=lambda mat: mat.rows)
+    return tuple(found)
+
+
 def aut_enumerate_reduced() -> MatrixGroup:
     """All automorphisms of the 5-dimensional quotient algebra over GF(2).
 
@@ -444,61 +463,24 @@ def aut_enumerate_reduced() -> MatrixGroup:
     the requirement that A*A and A*(A*A) are stabilized; both subspaces are
     recomputed from the structure constants.
     """
-    alg = matsuo.reduce(matsuo.build(fischer.catalog("cq")))
-    structure = frozen_basis_structure(alg)
-    n = alg.dim
-    mult = _mask_mult(structure)
+    structure = _cq_structure(reduced=True)
+    n = len(structure)
     aa, aaa = invariant_subspaces(structure, n)
-    full = list(range(1, 1 << n))
-    domains = [full, full, [v for v in aa if v], [v for v in aaa if v],
-               [v for v in aaa if v]]
-    found = []
-
-    def extend(cols):
-        m = len(cols) - 1
-        if not _check_partial(mult, structure, cols, m):
-            return
-        if len(cols) == n:
-            if _is_invertible(cols, n):
-                found.append(FieldMatrix.from_cols(GF2, n, cols))
-            return
-        for c in domains[len(cols)]:
-            extend(cols + [c])
-
-    for c0 in domains[0]:
-        extend([c0])
-    found.sort(key=lambda mat: mat.rows)
-    return MatrixGroup(GF2, n, (), tuple(found))
+    full = range(1, 1 << n)
+    aa, aaa = aa[1:], aaa[1:]  # the spans ascend from 0
+    return MatrixGroup(GF2, n, (), _aut_search(structure, [full, full, aa, aaa, aaa]))
 
 
 def aut_reduced_unconstrained() -> tuple[FieldMatrix, ...]:
     """Cross-check: sweep all 2^25 candidate matrices with no subspace pruning.
 
-    Equivalent to testing every 5x5 matrix over GF(2); inner loops abort a
-    candidate as soon as one homomorphism equation fails, which does not
-    change the surviving set.
+    Equivalent to testing every 5x5 matrix over GF(2); the search abandons a
+    partial candidate as soon as one homomorphism equation fails, which does
+    not change the surviving set.
     """
-    alg = matsuo.reduce(matsuo.build(fischer.catalog("cq")))
-    structure = frozen_basis_structure(alg)
-    n = alg.dim
-    mult = _mask_mult(structure)
-    full = list(range(1 << n))
-    found = []
-
-    def extend(cols):
-        if not _check_partial(mult, structure, cols, len(cols) - 1):
-            return
-        if len(cols) == n:
-            if _is_invertible(cols, n):
-                found.append(FieldMatrix.from_cols(GF2, n, cols))
-            return
-        for c in full:
-            extend(cols + [c])
-
-    for c0 in full:
-        extend([c0])
-    found.sort(key=lambda mat: mat.rows)
-    return tuple(found)
+    structure = _cq_structure(reduced=True)
+    n = len(structure)
+    return _aut_search(structure, [range(1 << n)] * n)
 
 
 @dataclass(frozen=True)
@@ -518,31 +500,14 @@ def aut_enumerate_full() -> MatrixGroup:
     from the structure constants; every survivor satisfies the full set of
     homomorphism equations.
     """
-    alg = matsuo.build(fischer.catalog("cq"))
-    structure = frozen_basis_structure(alg)
-    n = alg.dim
-    mult = _mask_mult(structure)
+    structure = _cq_structure(reduced=False)
+    n = len(structure)
     aa, aaa = invariant_subspaces(structure, n)
-    ann = [v for v in _annihilator_span(structure, n) if v]
-    full = list(range(1, 1 << n))
-    domains = [full, full, [v for v in aa if v], [v for v in aaa if v],
-               [v for v in aaa if v], ann]
-    found = []
-
-    def extend(cols):
-        if not _check_partial(mult, structure, cols, len(cols) - 1):
-            return
-        if len(cols) == n:
-            if _is_invertible(cols, n):
-                found.append(FieldMatrix.from_cols(GF2, n, cols))
-            return
-        for c in domains[len(cols)]:
-            extend(cols + [c])
-
-    for c0 in domains[0]:
-        extend([c0])
-    found.sort(key=lambda mat: mat.rows)
-    return MatrixGroup(GF2, n, (), tuple(found))
+    full = range(1, 1 << n)
+    aa, aaa, ann = aa[1:], aaa[1:], _annihilator_span(structure, n)[1:]  # drop 0
+    return MatrixGroup(
+        GF2, n, (), _aut_search(structure, [full, full, aa, aaa, aaa, ann])
+    )
 
 
 def _quadratic_identity_holds(m: FieldMatrix) -> bool:
@@ -572,32 +537,15 @@ def aut_count_full() -> AutFullReport:
     """
     full_group = aut_enumerate_full()
     reduced_group = aut_enumerate_reduced()
-    alg = matsuo.build(fischer.catalog("cq"))
-    structure = frozen_basis_structure(alg)
-    n = alg.dim
-    mult = _mask_mult(structure)
-
+    structure = _cq_structure(reduced=False)
+    n = len(structure)
     block_built = []
     for theta in reduced_group.elements:
         for kappa in (0, 1):
             for lam in (0, 1):
-                rows = list(theta.rows) + [0]
                 # bottom row (kappa, lambda, 0, 0, 0, nu) with nu = 1
-                rows[5] = kappa | (lam << 1) | (1 << 5)
-                cand = FieldMatrix(GF2, n, n, rows)
-                cand_cols = [cand.col(j) for j in range(n)]
-                ok = True
-                for i in range(n):
-                    for j in range(i, n):
-                        if mult(cand_cols[i], cand_cols[j]) != apply_images(
-                            cand_cols, structure[i][j]
-                        ):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok and _is_invertible(cand_cols, n):
-                    block_built.append(FieldMatrix(GF2, n, n, rows))
+                cand = FieldMatrix(GF2, n, n, theta.rows + (kappa | (lam << 1) | (1 << 5),))
+                block_built += _aut_search(structure, [[cand.col(j)] for j in range(n)])
     block_built.sort(key=lambda m: m.rows)
 
     agree = tuple(block_built) == full_group.elements

@@ -508,8 +508,13 @@ def parse_gens(text: str):
                 sumzero = len(parts) == 4 and parts[3] == "sumzero"
                 if len(parts) == 4 and not sumzero:
                     raise ValueError(f"line {lineno}: bad affineperm flag {parts[3]!r}")
-                model = ("affineperm", _parse_int(parts[1], lineno, "prime"),
-                         _parse_int(parts[2], lineno, "dimension"), sumzero)
+                p = _parse_int(parts[1], lineno, "prime")
+                if p < 2:
+                    raise ValueError(f"line {lineno}: bad prime {parts[1]!r}")
+                m = _parse_int(parts[2], lineno, "dimension")
+                if m < 1:
+                    raise ValueError(f"line {lineno}: bad dimension {parts[2]!r}")
+                model = ("affineperm", p, m, sumzero)
             elif parts[0] == "affinemat-gf4" and len(parts) == 2:
                 if _parse_int(parts[1], lineno, "dimension") != 3:
                     raise ValueError(f"line {lineno}: affinemat-gf4 only supports dimension 3")

@@ -304,7 +304,7 @@ def claim_witness_3_3_sym4(ctx):
     return _ok(f"line {t}: (a'+b')(line*z) leaks into the 1-part")
 
 
-def _witness_in_one_part_check(alg, line, u, v, require_in_one: bool):
+def _witness_in_one_part_check(alg, line, u, v):
     dec = decomp.decompose_line(alg, line)
     for el in (u, v):
         f0, f1 = dec.component_flags(el)
@@ -314,7 +314,7 @@ def _witness_in_one_part_check(alg, line, u, v, require_in_one: bool):
     f0, f1 = dec.component_flags(p)
     if not f1:
         return _bad("witness product stays inside the generalized 0-part")
-    if require_in_one and f0:
+    if f0:
         return _bad(
             "witness product leaves the 0-part as required, but it has a "
             "nonzero 0-component, so it is not an element of the 1-part"
@@ -334,7 +334,7 @@ def claim_witness_ag33(ctx):
         return _bad(f"{line} is not a line")
     u = (1 << idx(0, 1, 0)) ^ (1 << idx(1, 1, 0))
     v = (1 << idx(1, 0, 1)) ^ (1 << idx(2, 0, 1))
-    bad = _witness_in_one_part_check(alg, line, u, v, require_in_one=True)
+    bad = _witness_in_one_part_check(alg, line, u, v)
     if bad:
         return bad
     return _ok("[0,1,0]+[1,1,0] times [1,0,1]+[2,0,1] lands back in the 1-part")
@@ -357,7 +357,7 @@ def claim_witness_su32(ctx):
         return _bad(f"{line} is not a line")
     u = (1 << cls.index(f)) ^ (1 << cls.index(defed))
     v = (1 << cls.index(pt_f)) ^ (1 << cls.index(pt_defed))
-    bad = _witness_in_one_part_check(alg, line, u, v, require_in_one=True)
+    bad = _witness_in_one_part_check(alg, line, u, v)
     if bad:
         return bad
     return _ok("[0,f]+[0,defed] times [(0,0,w),f]+[(w+1,1,w),defed] lands in the 1-part")
@@ -402,7 +402,7 @@ def claim_witness_hall(ctx):
         return _bad(f"{line} is not a line of the supplied space")
     u = (1 << coords[0, 1, 0, 0]) ^ (1 << coords[1, 1, 0, 0])
     v = (1 << coords[0, 0, 0, 1]) ^ (1 << coords[1, 0, 0, 1])
-    bad = _witness_in_one_part_check(alg, line, u, v, require_in_one=True)
+    bad = _witness_in_one_part_check(alg, line, u, v)
     if bad:
         return bad
     return _ok("witness product lands back in the 1-part")

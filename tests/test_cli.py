@@ -61,6 +61,10 @@ def test_gens_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "space", "--from-gens", str(bad))
     assert code == 2
     assert err == "error: line 2: bad cycle notation '(1 2'\n"
+    bad.write_text("affineperm 0 2\n[1,0 | ()]\nseed [0,0 | ()]\n")
+    code, _, err = run_cli(capsys, "space", "--from-gens", str(bad))
+    assert code == 2
+    assert err == "error: line 1: bad prime '0'\n"
 
 
 def test_space_from_gens_su32(capsys, tmp_path):

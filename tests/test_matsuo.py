@@ -98,6 +98,15 @@ def test_random_squares_vanish(algebras):
             assert multiply(alg, u, u) == 0
 
 
+def test_ad_matrix_applies_left_multiplication(algebras, reduced_algebras):
+    rng = random.Random(17)
+    for alg in list(algebras.values()) + list(reduced_algebras.values()):
+        for _ in range(50):
+            u = rng.randrange(1 << alg.dim)
+            v = rng.randrange(1 << alg.dim)
+            assert ad_matrix(alg, u).matvec(v) == multiply(alg, u, v)
+
+
 def test_ad_point_squares_to_zero(algebras):
     for alg in algebras.values():
         for x in range(alg.dim):

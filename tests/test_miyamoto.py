@@ -7,7 +7,9 @@ from matsuo2.gf import Field, FieldMatrix, NoSolution
 from matsuo2.miyamoto import (
     CQ_LINE_ORDER,
     MiyamotoCheckError,
+    _aut_search,
     aut_count_full,
+    aut_enumerate_full,
     aut_enumerate_reduced,
     aut_reduced_unconstrained,
     cq_miyamoto_matrix,
@@ -320,8 +322,6 @@ def test_aut_full_report():
 
 
 def test_aut_full_group_closed():
-    from matsuo2.miyamoto import aut_enumerate_full
-
     g = aut_enumerate_full()
     members = set(g.elements)
     rng = random.Random(13)
@@ -336,3 +336,83 @@ def test_miyamoto_requires_cq(cq_algebra):
     alg = matsuo.build(fischer.catalog("ag23"))
     with pytest.raises(ValueError, match="quadrilateral"):
         cq_miyamoto_matrix(alg, GF4, alg.space.lines[0], 2)
+
+
+def _is_hom_all_pairs(S, m):
+    """Entrywise check of m(e_i e_j) = m(e_i) m(e_j) over every ordered pair."""
+    n = len(S)
+
+    def times(u, v):
+        acc = 0
+        for i in range(n):
+            for j in range(n):
+                if (u >> i) & 1 and (v >> j) & 1:
+                    acc ^= S[i][j]
+        return acc
+
+    return all(
+        m.matvec(S[i][j]) == times(m.col(i), m.col(j))
+        for i in range(n) for j in range(n)
+    )
+
+
+def test_aut_search_with_singleton_domains_matches_all_pairs_check(cq_algebra):
+    S = frozen_basis_structure(cq_algebra)
+    rng = random.Random(41)
+    auts = aut_enumerate_full().elements
+    cands = [FieldMatrix.zeros(GF2, 6, 6)]
+    need = {True: 100, False: 100}  # invertible, singular
+    while any(need.values()):
+        m = FieldMatrix(GF2, 6, 6, [rng.randrange(64) for _ in range(6)])
+        invertible = m.rank() == 6
+        if need[invertible]:
+            need[invertible] -= 1
+            cands.append(m)
+    for _ in range(100):
+        a = auts[rng.randrange(len(auts))]
+        rows = list(a.rows)
+        rows[rng.randrange(6)] ^= 1 << rng.randrange(6)
+        cands += [a, FieldMatrix(GF2, 6, 6, rows)]
+    for theta in aut_enumerate_reduced().elements:
+        for bottom in range(8):
+            # bottom row (kappa, lambda, 0, 0, 0, nu)
+            last = (bottom & 3) | ((bottom >> 2) << 5)
+            cands.append(FieldMatrix(GF2, 6, 6, theta.rows + (last,)))
+    kept = 0
+    for m in cands:
+        expect = (m,) if _is_hom_all_pairs(S, m) and m.rank() == 6 else ()
+        assert _aut_search(S, [[m.col(j)] for j in range(6)]) == expect
+        kept += bool(expect)
+    assert kept >= 196  # the 96 nu = 1 block candidates and the 100 sampled automorphisms
+
+
+def _parse_s_reference(m):
+    n = m.nrows
+    if n not in (5, 6) or m.ncols != n:
+        return None
+    got = [[m.entry(i, j) for j in range(n)] for i in range(n)]
+    alpha, beta, lam = got[3][0], got[3][2], got[3][3]
+    want = [[int(i == j) for j in range(n)] for i in range(n)]
+    want[3][:5] = [alpha, 0, beta, lam, 0]
+    want[4][:5] = [0, beta, alpha, 0, lam]
+    return (alpha, beta, lam) if lam and got == want else None
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_parse_s_matrix_matches_entrywise_reference(k):
+    f = Field(k)
+    rng = random.Random(700 + k)
+    for m in (FieldMatrix.identity(f, 4), FieldMatrix.identity(f, 7), FieldMatrix.zeros(f, 5, 6)):
+        assert parse_s_matrix(m) is None
+    for n in (5, 6):
+        for _ in range(4):
+            params = (rng.randrange(f.order), rng.randrange(f.order), rng.randrange(1, f.order))
+            m = s_matrix(f, *params, reduced=(n == 5))
+            assert parse_s_matrix(m) == _parse_s_reference(m) == params
+            entries = [[m.entry(i, j) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    bent = [row[:] for row in entries]
+                    bent[i][j] ^= rng.randrange(1, f.order)
+                    p = FieldMatrix.from_rows(f, bent)
+                    assert parse_s_matrix(p) == _parse_s_reference(p)

@@ -179,6 +179,10 @@ def test_parse_gens_errors():
         parse_gens("perm x\n(1 2)\nseed (1 2)\n")
     with pytest.raises(ValueError, match="^line 2: bad prime 'p'$"):
         parse_gens("# comment\naffineperm p 2\n[0,0 | ()]\nseed [0,0 | ()]\n")
+    with pytest.raises(ValueError, match="^line 1: bad prime '0'$"):
+        parse_gens("affineperm 0 2\n[1,0 | ()]\nseed [0,0 | ()]\n")
+    with pytest.raises(ValueError, match="^line 1: bad dimension '-2'$"):
+        parse_gens("affineperm 3 -2\n[1,0 | ()]\nseed [0,0 | ()]\n")
 
 
 def test_parse_gens_affinemat():
