@@ -30,10 +30,7 @@ def _load_space(name_or_path: str) -> fischer.FischerSpace:
     if name_or_path.endswith(".fischer"):
         return fischer.load_space(name_or_path)
     if name_or_path.endswith(".gens"):
-        gens, seed = transposition.load_gens(name_or_path)
-        return transposition.fischer_from_class(
-            transposition.conjugacy_class(gens, seed)
-        )
+        return transposition.load_space(name_or_path)
     raise ValueError(
         f"{name_or_path!r} is neither a catalog name {fischer.CATALOG_NAMES} "
         "nor a .fischer/.gens file"
@@ -65,10 +62,7 @@ def cmd_space(args) -> int:
     elif args.from_file:
         sp = fischer.load_space(args.from_file)
     else:
-        gens, seed = transposition.load_gens(args.from_gens)
-        sp = transposition.fischer_from_class(
-            transposition.conjugacy_class(gens, seed)
-        )
+        sp = transposition.load_space(args.from_gens)
     census = []
     for t in sp.lines:
         p0, p2, p3 = fischer.points_p0_p2(sp, t)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .gf import vec_support
+
 
 class InvalidSpaceError(ValueError):
     """Input fails one of the Fischer space axioms."""
@@ -77,15 +79,6 @@ class FischerSpace:
 
 def _line_mask(line) -> int:
     return (1 << line[0]) | (1 << line[1]) | (1 << line[2])
-
-
-def _points(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 # points of a plane -> how many of the others each of its points sees
@@ -200,7 +193,7 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
                         if norm[k][0] == p and masks[k] & ~pm == 0:
                             planes_of[k].append(pm)
     space._planes = {
-        t: tuple(sorted(ps, key=_points)) for t, ps in zip(norm, planes_of)
+        t: tuple(sorted(ps, key=vec_support)) for t, ps in zip(norm, planes_of)
     }
     space._symplectic = not any(p.bit_count() == 9 for ps in planes_of for p in ps)
     return space
@@ -305,14 +298,14 @@ def points_p0_p2(s: FischerSpace, line):
 def cqs_through_line(s: FischerSpace, line) -> tuple[frozenset[int], ...]:
     """All complete quadrilaterals containing the given line, deterministically ordered."""
     return tuple(
-        frozenset(_points(p)) for p in _planes_through(s, line) if p.bit_count() == 6
+        frozenset(vec_support(p)) for p in _planes_through(s, line) if p.bit_count() == 6
     )
 
 
 def affine_planes_through_line(s: FischerSpace, line) -> tuple[frozenset[int], ...]:
     """All affine planes containing the given line, deterministically ordered."""
     return tuple(
-        frozenset(_points(p)) for p in _planes_through(s, line) if p.bit_count() == 9
+        frozenset(vec_support(p)) for p in _planes_through(s, line) if p.bit_count() == 9
     )
 
 

@@ -204,12 +204,10 @@ def apply_images(images, row: int) -> int:
 def vec_support(v: int) -> list[int]:
     """Indices of the set bits of a GF(2) mask, ascending."""
     out = []
-    j = 0
     while v:
-        if v & 1:
-            out.append(j)
-        v >>= 1
-        j += 1
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
     return out
 
 
@@ -293,9 +291,11 @@ class FieldMatrix:
     def col(self, j: int) -> int:
         """Column j as a packed vector of length nrows."""
         k = self.field.k
+        sh = j * k
+        mask = self.field.mask
         v = 0
-        for i in range(self.nrows):
-            v |= self.entry(i, j) << (i * k)
+        for i, r in enumerate(self.rows):
+            v |= ((r >> sh) & mask) << (i * k)
         return v
 
     # -- arithmetic --

@@ -2,13 +2,16 @@
 
 Three concrete element models are shipped, all sharing the same black-box
 interface (multiply, inverse, equality/hash via a canonical key, printable
-label):
+label) through the GroupElement base class:
 
   Permutation   images on n letters; (p*q)(i) = p(q(i)), i.e. q acts first.
   AffinePerm    pairs [v, s] with v in F_p^m and s a coordinate permutation;
                 [v, s][w, t] = [v.t + w, st] where (v.t)_i = v[t(i)].
   AffineMat     pairs [v, g] with v in GF(4)^3 and g in GL_3(GF(4));
                 [v, g][w, h] = [v.h + w, gh] with v.h a row-vector product.
+                Stored as the 4x4 FieldMatrix [[g, 0], [v, 1]], whose product
+                [[g,0],[v,1]][[h,0],[w,1]] = [[gh,0],[vh+w,1]] is exactly the
+                group law, so products and inverses are FieldMatrix ones.
 
 A distinguished conjugacy class of involutions is enumerated by breadth-first
 closure of a seed under conjugation by the generators; the enumeration order
@@ -21,9 +24,11 @@ from __future__ import annotations
 import re
 
 from . import fischer
-from .gf import Field, FieldMatrix
+from .gf import Field, FieldMatrix, vec_to_list
 
 _GF4 = Field(2)
+_I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_IDENTITY4 = FieldMatrix.identity(_GF4, 4)
 
 DEFAULT_CLASS_CAP = 10_000
 
@@ -35,7 +40,27 @@ class NotTranspositionClass(ValueError):
 # -- element models -----------------------------------------------------------
 
 
-class Permutation:
+class GroupElement:
+    """Equality, hashing and printing shared by the element models.
+
+    A model defines `key()`, a hashable canonical form that starts with the
+    model's name, and `label()`, its printed form; two elements are equal
+    when they are of the same model and have equal keys.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.key() == self.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
+
+    def __repr__(self) -> str:
+        return self.label()
+
+
+class Permutation(GroupElement):
     __slots__ = ("images",)
 
     def __init__(self, images) -> None:
@@ -104,17 +129,8 @@ class Permutation:
             cycles.append("(" + " ".join(str(i + 1) for i in cyc) + ")")
         return "".join(cycles) if cycles else "()"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and other.images == self.images
 
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __repr__(self) -> str:
-        return self.label()
-
-
-class AffinePerm:
+class AffinePerm(GroupElement):
     __slots__ = ("p", "vector", "perm")
 
     def __init__(self, p: int, vector, perm: Permutation) -> None:
@@ -147,9 +163,7 @@ class AffinePerm:
 
     def inverse(self) -> "AffinePerm":
         pi = self.perm.inverse()
-        v = self.vector
-        moved = tuple(v[pi.images[i]] for i in range(len(v)))
-        return AffinePerm(self.p, (-c for c in moved), pi)
+        return AffinePerm(self.p, (-c for c in self._act(pi)), pi)
 
     def key(self):
         return ("affineperm", self.p, self.vector, self.perm.images)
@@ -158,75 +172,55 @@ class AffinePerm:
         vec = ",".join(str(c) for c in self.vector)
         return f"[{vec} | {self.perm.label()}]"
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AffinePerm)
-            and other.p == self.p
-            and other.vector == self.vector
-            and other.perm == self.perm
-        )
 
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __repr__(self) -> str:
-        return self.label()
-
-
-class AffineMat:
+class AffineMat(GroupElement):
     """[v, g] with v a GF(4) row vector of length 3, g an invertible 3x3 matrix.
 
-    Entries are GF(4) bit patterns 0..3 (2 = w, 3 = w+1).
+    Entries are GF(4) bit patterns 0..3 (2 = w, 3 = w+1).  The pair is held as
+    the 4x4 matrix `augmented` = [[g, 0], [v, 1]].
     """
 
-    __slots__ = ("vector", "matrix")
+    __slots__ = ("augmented",)
 
     def __init__(self, vector, matrix) -> None:
-        self.vector = tuple(vector)
-        self.matrix = tuple(tuple(r) for r in matrix)
-        if len(self.vector) != 3 or len(self.matrix) != 3:
+        vector = tuple(vector)
+        matrix = [tuple(r) for r in matrix]
+        if len(vector) != 3 or len(matrix) != 3 or any(len(r) != 3 for r in matrix):
             raise ValueError("AffineMat is fixed at dimension 3")
+        self.augmented = FieldMatrix.from_rows(
+            _GF4, [r + (0,) for r in matrix] + [vector + (1,)]
+        )
+
+    @classmethod
+    def _of(cls, augmented: FieldMatrix) -> "AffineMat":
+        x = object.__new__(cls)
+        x.augmented = augmented
+        return x
 
     @classmethod
     def identity(cls) -> "AffineMat":
-        return cls((0, 0, 0), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        return cls._of(_IDENTITY4)
 
     @classmethod
     def translation(cls, vector) -> "AffineMat":
-        return cls(vector, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        return cls(vector, _I3)
 
-    @staticmethod
-    def _mat_mul(a, b):
-        mul = _GF4.mul
-        return tuple(
-            tuple(
-                mul(a[i][0], b[0][j]) ^ mul(a[i][1], b[1][j]) ^ mul(a[i][2], b[2][j])
-                for j in range(3)
-            )
-            for i in range(3)
-        )
+    @property
+    def vector(self) -> tuple[int, ...]:
+        return tuple(vec_to_list(_GF4, self.augmented.rows[3], 3))
 
-    @staticmethod
-    def _vec_mat(v, b):
-        mul = _GF4.mul
-        return tuple(
-            mul(v[0], b[0][j]) ^ mul(v[1], b[1][j]) ^ mul(v[2], b[2][j])
-            for j in range(3)
-        )
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(vec_to_list(_GF4, r, 3)) for r in self.augmented.rows[:3])
 
     def is_identity(self) -> bool:
-        return self == AffineMat.identity()
+        return self.augmented == _IDENTITY4
 
     def __mul__(self, other: "AffineMat") -> "AffineMat":
-        return AffineMat(
-            tuple(a ^ b for a, b in zip(self._vec_mat(self.vector, other.matrix), other.vector)),
-            self._mat_mul(self.matrix, other.matrix),
-        )
+        return AffineMat._of(self.augmented * other.augmented)
 
     def inverse(self) -> "AffineMat":
-        gi = FieldMatrix.from_rows(_GF4, self.matrix).inverse()
-        gi_rows = tuple(tuple(gi.entry(i, j) for j in range(3)) for i in range(3))
-        return AffineMat(self._vec_mat(self.vector, gi_rows), gi_rows)
+        return AffineMat._of(self.augmented.inverse())
 
     def key(self):
         return ("affinemat", self.vector, self.matrix)
@@ -235,19 +229,6 @@ class AffineMat:
         vec = ",".join(str(c) for c in self.vector)
         mat = ",".join(str(c) for row in self.matrix for c in row)
         return f"[{vec} | {mat}]"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AffineMat)
-            and other.vector == self.vector
-            and other.matrix == self.matrix
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __repr__(self) -> str:
-        return self.label()
 
 
 # -- class enumeration ----------------------------------------------------------
@@ -414,11 +395,7 @@ def preset(name: str):
         ]
         return gens, gens[0]
     if name == "su32":
-        mats = [
-            AffineMat((0, 0, 0), _SU32_D),
-            AffineMat((0, 0, 0), _SU32_E),
-            AffineMat((0, 0, 0), _SU32_F),
-        ]
+        mats = list(su32_matrix_involutions())
         # the matrix involutions alone only reach their own conjugates; the
         # translation part of the affine group is needed to sweep out the
         # full class of 36 points
@@ -436,11 +413,7 @@ def preset(name: str):
 
 def su32_matrix_involutions():
     """The three matrix involutions [0,d], [0,e], [0,f] of the su32 preset."""
-    return (
-        AffineMat((0, 0, 0), _SU32_D),
-        AffineMat((0, 0, 0), _SU32_E),
-        AffineMat((0, 0, 0), _SU32_F),
-    )
+    return tuple(AffineMat((0, 0, 0), g) for g in (_SU32_D, _SU32_E, _SU32_F))
 
 
 # -- .gens file format ------------------------------------------------------------
@@ -541,6 +514,16 @@ def parse_gens(text: str):
 def load_gens(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_gens(fh.read())
+
+
+def load_space(path) -> fischer.FischerSpace:
+    """The Fischer space of the class a .gens file describes.
+
+    The counterpart of `fischer.load_space` for group data: load_gens, then
+    conjugacy_class, then fischer_from_class.
+    """
+    gens, seed = load_gens(path)
+    return fischer_from_class(conjugacy_class(gens, seed))
 
 
 def gens_to_text(generators, seed, sumzero: bool = False) -> str:

@@ -33,7 +33,13 @@ class SuiteContext:
     """Shared immutable artifacts for the claims; built once per run."""
 
     def __init__(self, hall_data=None, corrupt: bool = False) -> None:
-        self.hall_data = hall_data
+        # user data is parsed before any claim runs, so a missing or malformed
+        # file raises here (a usage error) instead of failing a claim
+        self.hall_space = None
+        if hall_data is not None:
+            path = str(hall_data)
+            self.hall_space = (transposition.load_space(path) if path.endswith(".gens")
+                               else fischer.load_space(path))
         self.spaces = {name: fischer.catalog(name) for name in fischer.CATALOG_NAMES}
         gens, seed = transposition.preset("su32")
         self.su32_class = transposition.conjugacy_class(gens, seed)
@@ -379,15 +385,9 @@ def _parse_hall_labels(sp):
 
 
 def claim_witness_hall(ctx):
-    if ctx.hall_data is None:
+    sp = ctx.hall_space
+    if sp is None:
         return ("skipped", "data not provided")
-    path = str(ctx.hall_data)
-    if path.endswith(".gens"):
-        gens, seed = transposition.load_gens(path)
-        cls = transposition.conjugacy_class(gens, seed)
-        sp = transposition.fischer_from_class(cls)
-    else:
-        sp = fischer.load_space(path)
     if sp.n_points != 81:
         return _bad(f"expected 81 points, got {sp.n_points}")
     coords = _parse_hall_labels(sp)

@@ -7,8 +7,6 @@ orders, constrained against unconstrained enumeration).  All tolerances are
 exact; these are finite statements.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from matsuo2 import cli, verify
@@ -72,7 +70,7 @@ def test_criterion_04_grading_biconditional_and_witnesses(ctx, capsys):
         verify.claim_witness_ag33,
         verify.claim_witness_su32,
     )
-    hall = verify.claim_witness_hall(SimpleNamespace(hall_data=None))
+    hall = verify.claim_witness_hall(ctx)
     parts.append(("pass" if hall[0] == "skipped" else "fail",
                   f"hall case reported {hall[0]}: {hall[1]}"))
     ok, parts = _report(capsys, 4, "grading iff symplectic or affine plane; exact"

@@ -76,6 +76,34 @@ def test_space_from_gens_su32(capsys, tmp_path):
     assert json.loads(out)["n_points"] == 36
 
 
+def test_decompose_gens_file_matches_catalog(capsys, tmp_path):
+    gens, seed = preset("su32")
+    path = tmp_path / "su32.gens"
+    path.write_text(gens_to_text(gens, seed))
+    code, from_gens, _ = run_cli(capsys, "decompose", "--space", str(path),
+                                 "--format", "json")
+    assert code == 0
+    code, from_catalog, _ = run_cli(capsys, "decompose", "--space", "su32",
+                                    "--format", "json")
+    assert code == 0
+    assert json.loads(from_gens)["lines"] == json.loads(from_catalog)["lines"]
+
+
+@pytest.mark.parametrize("content", [None, "fischer 4\n0 1 2\n0 1 3\n"],
+                         ids=["missing", "malformed"])
+def test_verify_bad_hall_data_is_a_usage_error(capsys, tmp_path, content):
+    data = tmp_path / "hall.fischer"
+    if content is not None:
+        data.write_text(content)
+    out_path = tmp_path / "R.json"
+    code, out, err = run_cli(capsys, "verify", "--suite", "paper",
+                             "--hall-data", str(data), "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+    assert not out_path.exists()
+
+
 def test_decompose_text(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--space", "cq",
                            "--line", "0,1,2")

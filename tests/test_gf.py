@@ -10,6 +10,7 @@ from matsuo2.gf import (
     span_equal,
     vec_entry,
     vec_from_list,
+    vec_support,
     vec_to_list,
 )
 
@@ -301,6 +302,20 @@ def test_kernel_and_from_cols_match_entrywise_reference(k):
         for i in range(nrows):
             for j in range(ncols):
                 assert c.entry(i, j) == vec_entry(f, cols[j], i)
+        for a in (m, c):
+            for j in range(a.ncols):
+                expect = 0
+                for i in range(a.nrows):
+                    expect |= a.entry(i, j) << (i * k)
+                assert a.col(j) == expect
+
+
+def test_vec_support_lists_set_bits_ascending():
+    rng = random.Random(81)
+    masks = [0, 1, 1 << 80, (1 << 81) - 1]
+    masks += [rng.getrandbits(rng.randrange(1, 82)) for _ in range(300)]
+    for m in masks:
+        assert vec_support(m) == [i for i in range(81) if m >> i & 1]
 
 
 def test_dimension_mismatch_errors():

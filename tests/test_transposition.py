@@ -1,8 +1,15 @@
+import contextlib
+import hashlib
+import io
+import itertools
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
 from matsuo2 import fischer
+from matsuo2.gf import Field
 from matsuo2.transposition import (
     AffineMat,
     AffinePerm,
@@ -139,6 +146,123 @@ def test_affinemat_inverse_and_associativity():
         a, b, c = (els[rng.randrange(len(els))] for _ in range(3))
         assert ((a * b) * c) == (a * (b * c))
         assert (a * a.inverse()).is_identity()
+
+
+_GF4 = Field(2)
+_I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _mat_mul(a, b):
+    return tuple(
+        tuple(_xor(_GF4.mul(a[i][t], b[t][j]) for t in range(3)) for j in range(3))
+        for i in range(3)
+    )
+
+
+def _vec_mat(v, b):
+    return tuple(_xor(_GF4.mul(v[t], b[t][j]) for t in range(3)) for j in range(3))
+
+
+def _xor(values):
+    out = 0
+    for x in values:
+        out ^= x
+    return out
+
+
+def _det(g):
+    # characteristic 2: every sign is +1
+    return _xor(
+        _GF4.mul(_GF4.mul(g[0][p[0]], g[1][p[1]]), g[2][p[2]])
+        for p in itertools.permutations(range(3))
+    )
+
+
+def _random_affinemat(rng):
+    while True:
+        g = tuple(tuple(rng.randrange(4) for _ in range(3)) for _ in range(3))
+        if _det(g):
+            return AffineMat(tuple(rng.randrange(4) for _ in range(3)), g)
+
+
+def test_affinemat_matches_the_entrywise_group_law():
+    rng = random.Random(13)
+    for _ in range(200):
+        x, y = _random_affinemat(rng), _random_affinemat(rng)
+        xy = x * y
+        # [v, g][w, h] = [v.h + w, gh]
+        assert xy.matrix == _mat_mul(x.matrix, y.matrix)
+        assert xy.vector == tuple(
+            a ^ b for a, b in zip(_vec_mat(x.vector, y.matrix), y.vector)
+        )
+        # [v, g]^-1 = [-v.g^-1, g^-1], and -1 = 1 in characteristic 2
+        xi = x.inverse()
+        assert _mat_mul(x.matrix, xi.matrix) == _I3
+        assert xi.vector == _vec_mat(x.vector, xi.matrix)
+
+
+def test_element_equality_hash_and_key_agree():
+    els = []
+    for name in ("sym4", "3_3_sym4", "su32"):
+        els.extend(conjugacy_class(*preset(name)).elements[:8])
+    els += [Permutation.identity(4), AffinePerm.identity(2, 4),
+            AffinePerm.identity(3, 4), AffineMat.identity()]
+    copies = []
+    for e in els:
+        if isinstance(e, Permutation):
+            copies.append(Permutation(e.images))
+        elif isinstance(e, AffinePerm):
+            copies.append(AffinePerm(e.p, e.vector, Permutation(e.perm.images)))
+        else:
+            copies.append(AffineMat(e.vector, e.matrix))
+    for a in els + copies:
+        for b in els + copies:
+            same_key = a.key() == b.key()
+            assert (a == b) == same_key
+            assert (hash(a) == hash(b)) == same_key
+            if type(a) is not type(b):
+                assert a != b
+    assert all(a == b and a is not b for a, b in zip(els, copies))
+
+
+def test_affinemat_rejects_bad_shapes_and_entries():
+    for vector, matrix in (
+        ((0, 0, 0), ((1, 0, 0), (0, 1), (0, 0, 1))),
+        ((0, 0), _I3),
+        ((0, 0, 0), _I3[:2]),
+        ((0, 0, 0), ((4, 0, 0), (0, 1, 0), (0, 0, 1))),
+        ((0, 0, -1), _I3),
+    ):
+        with pytest.raises(ValueError):
+            AffineMat(vector, matrix)
+
+
+# sha256 of the class labels in enumeration order, joined by newlines
+_LABEL_DIGESTS = {
+    "sym4": "69dc7103824fb0bc",
+    "sym5": "1197dcc9b575d824",
+    "3_2_2": "16a48969e2330864",
+    "w_d4": "c9d32135e2daf10d",
+    "3_3_sym4": "56a871686dfec4c3",
+    "su32": "ef14fed0982e88f3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LABEL_DIGESTS))
+def test_preset_class_labels_pinned(name):
+    cls = conjugacy_class(*preset(name))
+    text = "\n".join(e.label() for e in cls.elements)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == _LABEL_DIGESTS[name]
+
+
+def test_transposition_demo_output_pinned():
+    demo = Path(__file__).resolve().parent.parent / "demos" / "02_transposition_groups.py"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(demo), run_name="__main__")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "cf7c7af864a0baf594501614f4917de94c2a5cc7183ec54a3da5032988e8e9dc"
+    )
 
 
 def test_affineperm_inverse_and_associativity():

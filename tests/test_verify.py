@@ -1,7 +1,8 @@
+import itertools
 import json
 from types import SimpleNamespace
 
-from matsuo2 import verify
+from matsuo2 import fischer, verify
 from matsuo2.transposition import gens_to_text, preset
 
 
@@ -11,7 +12,7 @@ def test_claim_ids_unique_and_ordered():
 
 
 def test_hall_claim_skipped_without_data():
-    status, detail = verify.claim_witness_hall(SimpleNamespace(hall_data=None))
+    status, detail = verify.claim_witness_hall(SimpleNamespace(hall_space=None))
     assert status == "skipped"
     assert detail == "data not provided"
 
@@ -20,9 +21,24 @@ def test_hall_claim_rejects_wrong_point_count(tmp_path):
     gens, seed = preset("su32")
     path = tmp_path / "su32.gens"
     path.write_text(gens_to_text(gens, seed))
-    status, detail = verify.claim_witness_hall(SimpleNamespace(hall_data=str(path)))
+    status, detail = verify.claim_witness_hall(verify.SuiteContext(hall_data=str(path)))
     assert status == "fail"
     assert "81" in detail
+
+
+def test_hall_claim_skips_space_without_coordinate_labels(tmp_path):
+    # AG(4,3): the 81 points of F_3^4, lines {x, y, z} with x + y + z = 0
+    pts = list(itertools.product(range(3), repeat=4))
+    index = {p: i for i, p in enumerate(pts)}
+    lines = {
+        tuple(sorted((i, j, index[tuple(-(x + y) % 3 for x, y in zip(p, q))])))
+        for i, p in enumerate(pts) for j, q in enumerate(pts) if i < j
+    }
+    path = tmp_path / "ag43.fischer"
+    fischer.save_space(fischer.validate(81, sorted(lines)), path)
+    status, detail = verify.claim_witness_hall(verify.SuiteContext(hall_data=str(path)))
+    assert status == "skipped"
+    assert detail == "supplied space lacks [p,q,r,s] coordinate labels over F_3"
 
 
 def test_nominal_suite_state():
