@@ -34,11 +34,11 @@ for k in (2, 3):
           f"{rep.restriction_injective and rep.restriction_onto_reduced}")
 
 print("\nautomorphism groups over GF(2):")
-red = miyamoto.aut_enumerate_reduced()
+rep = miyamoto.aut_count_full()
+red = rep.reduced_group
 print(f"  |Aut| of the 5-dim quotient: {red.size()} "
       f"(unconstrained sweep agrees: "
       f"{miyamoto.aut_reduced_unconstrained() == red.elements})")
-rep = miyamoto.aut_count_full()
 print(f"  |Aut| of the 6-dim algebra:  {rep.order} "
       f"(block decomposition exact: {rep.sets_agree}, "
       f"quadratic action identity: {rep.quadratic_identity})")

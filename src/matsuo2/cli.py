@@ -143,9 +143,10 @@ def cmd_decompose(args) -> int:
 def cmd_miyamoto(args) -> int:
     if args.space != "cq":
         print(
-            f"error: Miyamoto groups are computed for the quadrilateral only; "
-            f"{args.space!r} has no integer-graded line decomposition, so all "
-            "its Miyamoto maps over a field of characteristic 2 are trivial",
+            "error: Miyamoto groups are computed for the quadrilateral only, "
+            f"not for {args.space!r}; over a field of characteristic 2, a line "
+            "whose fusion law has a non-empty 1*1 cell has only the trivial "
+            "Miyamoto map, lambda = 1",
             file=sys.stderr,
         )
         return 2
@@ -171,7 +172,7 @@ def cmd_aut(args) -> int:
     rep = miyamoto.aut_count_full()
     ok = rep.sets_agree and rep.quadratic_identity and rep.nu_all_one
     if args.reduced:
-        group = miyamoto.aut_enumerate_reduced()
+        group = rep.reduced_group
         report = {
             "aut_reduced_order": group.size(),
             "line_coefficient_fixed": all(m.entry(2, 2) == 1 for m in group.elements),

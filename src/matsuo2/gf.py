@@ -22,6 +22,8 @@ GF(2) a vector is an ordinary bitmask.
 Over GF(2) the map v -> v*B on packed rows is linear for every k, so one
 row-apply routine, `apply_images`, serves every matrix product: bit j*k + b of
 a packed row picks the packed row x^b * B_j from `FieldMatrix.row_images`.
+The same routine, applied once per set bit of the left factor, is the GF(2)
+bilinear product `bilinear` of a structure-constant table.
 """
 
 from __future__ import annotations
@@ -201,6 +203,17 @@ def apply_images(images, row: int) -> int:
     return out
 
 
+def bilinear(table, u: int, v: int) -> int:
+    """XOR of table[i][j] over the set bits i of u and j of v: the GF(2)
+    bilinear product with structure constants table, one row apply per bit of u."""
+    out = 0
+    while u:
+        low = u & -u
+        out ^= apply_images(table[low.bit_length() - 1], v)
+        u ^= low
+    return out
+
+
 def vec_support(v: int) -> list[int]:
     """Indices of the set bits of a GF(2) mask, ascending."""
     out = []
@@ -328,7 +341,7 @@ class FieldMatrix:
         k = f.k
         if k == 1:
             return self.rows
-        hi = sum(1 << (j * k + k - 1) for j in range(self.ncols))
+        hi = (((1 << (self.ncols * k)) - 1) // f.mask) << (k - 1)  # top bit of every lane
         red = f.modulus & f.mask
         out = []
         for r in self.rows:
@@ -451,11 +464,9 @@ class FieldMatrix:
                 if e:
                     v |= e << (pc * k)
             basis.append(v)
-        if basis:
-            B = FieldMatrix(f, len(basis), self.ncols, basis)
-            basis = [row for row in B.rref()[0].rows if row]
+        basis = echelon_basis(f, basis, self.ncols)
         assert len(basis) + len(pivots) == self.ncols, "rank-nullity violated"
-        return tuple(basis)
+        return basis
 
     def kernel_chain(self) -> Iterator[tuple[int, ...]]:
         """Yield the bases of ker(M), ker(M^2), ... while the kernel grows.
@@ -566,13 +577,18 @@ def lift_matrix(field: Field, m: FieldMatrix) -> FieldMatrix:
     )
 
 
+def echelon_basis(field: Field, vecs, ncols: int) -> tuple[int, ...]:
+    """Reduced row-echelon basis of the span of packed vectors; () for zero.
+
+    It is canonical: two lists span one subspace iff their bases are equal.
+    """
+    vecs = [v for v in vecs if v]
+    if not vecs:
+        return ()
+    R = FieldMatrix(field, len(vecs), ncols, vecs).rref()[0]
+    return tuple(r for r in R.rows if r)
+
+
 def span_equal(field: Field, vecs_a, vecs_b, ncols: int) -> bool:
     """Whether two lists of packed vectors span the same subspace."""
-    def canon(vecs):
-        vecs = [v for v in vecs if v]
-        if not vecs:
-            return ()
-        M = FieldMatrix(field, len(vecs), ncols, vecs)
-        return tuple(r for r in M.rref()[0].rows if r)
-
-    return canon(vecs_a) == canon(vecs_b)
+    return echelon_basis(field, vecs_a, ncols) == echelon_basis(field, vecs_b, ncols)

@@ -18,7 +18,7 @@ Algebra elements are GF(2) coefficient vectors stored as int bitmasks
 from __future__ import annotations
 
 from . import fischer
-from .gf import Field, FieldMatrix, mask_from_support, vec_support
+from .gf import Field, FieldMatrix, bilinear, mask_from_support, vec_support
 
 GF2 = Field(1)
 
@@ -103,19 +103,7 @@ def multiply(alg: NilpotentMatsuoAlgebra, u: int, v: int) -> int:
     """Bilinear extension of the structure constants to arbitrary elements."""
     if u.bit_length() > alg.dim or v.bit_length() > alg.dim:
         raise ValueError("element does not fit the algebra's dimension")
-    acc = 0
-    table = alg.table
-    uu = u
-    while uu:
-        lu = uu & -uu
-        ti = table[lu.bit_length() - 1]
-        vv = v
-        while vv:
-            lv = vv & -vv
-            acc ^= ti[lv.bit_length() - 1]
-            vv ^= lv
-        uu ^= lu
-    return acc
+    return bilinear(alg.table, u, v)
 
 
 def ad_matrix(alg: NilpotentMatsuoAlgebra, u: int) -> FieldMatrix:

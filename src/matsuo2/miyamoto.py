@@ -1,9 +1,10 @@
 """Miyamoto maps over GF(2^k) and the groups they generate for the quadrilateral.
 
-The quadrilateral algebra is the one case here whose fusion law has an empty
-1*1 cell, so each line decomposition upgrades to an integer grading and every
-unit lambda gives an automorphism scaling the 1-part by lambda.  In the frozen
-basis
+Every line of the quadrilateral algebra, full or reduced, has an empty 1*1
+cell in its fusion law, so each line decomposition upgrades to an integer
+grading and every unit lambda gives an automorphism scaling the 1-part by
+lambda.  (The reduced w_a4 and w_d4 algebras share that empty cell; a
+non-empty 1*1 cell, as in ag23, allows only lambda = 1.)  In the frozen basis
 
     B  = (a, b, l, lx, ly, s)      for the 6-dimensional algebra,
     B' = (a, b, l, lx, ly)         for its quotient by <s>,
@@ -19,8 +20,11 @@ with M(alpha,beta) = [[alpha,0,beta],[0,beta,alpha],[0,0,0]], which compose by
 
 The automorphism groups over GF(2) all come from one backtracking search,
 `_aut_search`, which picks the columns of a frozen-basis matrix one at a time
-from a candidate list per column and checks each homomorphism equation as soon
-as the columns it involves are chosen.  The routes differ only in those lists:
+from a candidate list per column.  Each homomorphism equation e_i e_j
+(i <= j) is filed once, under the step max(j, top bit of e_i e_j) at which
+every column it reads is chosen, and after column m the search tests exactly
+the equations filed under m, through `gf.bilinear` on the frozen-basis
+structure constants.  The routes differ only in the candidate lists:
 the quotient's columns are pruned by stabilizing A*A and A*(A*A), and the full
 algebra's by the annihilator as well, all recomputed from the structure
 constants; the unconstrained sweep offers every vector; and the block
@@ -34,7 +38,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import decomp, fischer, matsuo
-from .gf import Field, FieldMatrix, apply_images, lift_matrix, lift_vec, vec_from_list
+from .gf import (Field, FieldMatrix, apply_images, bilinear, echelon_basis, lift_matrix,
+                 lift_vec, vec_from_list)
 
 GF2 = matsuo.GF2
 
@@ -123,11 +128,9 @@ def frozen_basis_change(alg: matsuo.NilpotentMatsuoAlgebra) -> tuple[FieldMatrix
 def frozen_basis_structure(alg: matsuo.NilpotentMatsuoAlgebra) -> tuple[tuple[int, ...], ...]:
     """Structure constants rewritten in the frozen basis (masks per pair)."""
     cols = frozen_basis_columns(alg)
-    _, Cinv = frozen_basis_change(alg)
-    n = alg.dim
+    Cinv = FieldMatrix.from_cols(GF2, alg.dim, cols).inverse()
     return tuple(
-        tuple(Cinv.matvec(matsuo.multiply(alg, cols[i], cols[j])) for j in range(n))
-        for i in range(n)
+        tuple(Cinv.matvec(matsuo.multiply(alg, ci, cj)) for cj in cols) for ci in cols
     )
 
 
@@ -357,68 +360,25 @@ def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
 # -- automorphism groups over GF(2) --------------------------------------------------
 
 
-def _mask_mult(structure):
-    """Bilinear multiplication of basis masks from a structure-constant table."""
-    n = len(structure)
-
-    def mult(u: int, v: int) -> int:
-        acc = 0
-        uu = u
-        while uu:
-            lu = uu & -uu
-            ti = structure[lu.bit_length() - 1]
-            vv = v
-            while vv:
-                lv = vv & -vv
-                acc ^= ti[lv.bit_length() - 1]
-                vv ^= lv
-            uu ^= lu
-        return acc
-
-    return mult
-
-
 def _span(vectors, n) -> list[int]:
     """All elements of the GF(2) span, ascending."""
-    vecs = [v for v in vectors if v]
-    if vecs:
-        M = FieldMatrix(GF2, len(vecs), n, vecs)
-        basis = [r for r in M.rref()[0].rows if r]
-    else:
-        basis = []
     out = [0]
-    for b in basis:
-        out.extend(x ^ b for x in list(out))
+    for b in echelon_basis(GF2, vectors, n):
+        out += [x ^ b for x in out]
     return sorted(out)
-
-
-def _check_partial(mult, structure, cols, upto: int) -> bool:
-    """Verify hom equations whose operands and targets use basis 0..upto."""
-    for i in range(upto + 1):
-        for j in range(i, upto + 1):
-            target = structure[i][j]
-            if target >> (upto + 1):
-                continue  # target involves a basis vector not chosen yet
-            if max(i, j) < upto and not (target >> upto):
-                continue  # already checked at an earlier step
-            if mult(cols[i], cols[j]) != apply_images(cols, target):
-                return False
-    return True
 
 
 def invariant_subspaces(structure, n):
     """Spans of A*A and A*(A*A), recomputed from the structure constants."""
-    mult = _mask_mult(structure)
-    aa_gen = [structure[i][j] for i in range(n) for j in range(n)]
-    aa = _span(aa_gen, n)
-    aaa_gen = [mult(1 << i, w) for i in range(n) for w in aa]
-    return aa, _span(aaa_gen, n)
+    aa = _span([structure[i][j] for i in range(n) for j in range(n)], n)
+    aaa = _span([bilinear(structure, 1 << i, w) for i in range(n) for w in aa], n)
+    return aa, aaa
 
 
 def _annihilator_span(structure, n):
-    mult = _mask_mult(structure)
-    ann = [v for v in range(1 << n) if all(mult(v, 1 << i) == 0 for i in range(n))]
-    return ann  # includes 0; already ascending
+    """{v : e_i v = 0 for every i}: the kernel of the stacked ad matrices, with 0."""
+    rows = [r for t in structure for r in FieldMatrix.from_cols(GF2, n, t).rows]
+    return _span(FieldMatrix(GF2, n * n, n, rows).kernel(), n)
 
 
 def _cq_structure(reduced: bool):
@@ -429,27 +389,48 @@ def _cq_structure(reduced: bool):
     return frozen_basis_structure(alg)
 
 
+def _equation_schedule(structure) -> list[list[tuple[int, int, int]]]:
+    """Each equation (i, j, e_i e_j), i <= j, filed under the last column it reads.
+
+    m(e_i) m(e_j) = m(e_i e_j) reads columns i, j and those of the set bits of
+    e_i e_j, so it is decidable from step max(j, top bit of e_i e_j) on.
+    """
+    n = len(structure)
+    schedule = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            target = structure[i][j]
+            schedule[max(j, target.bit_length() - 1)].append((i, j, target))
+    return schedule
+
+
 def _aut_search(structure, domains) -> tuple[FieldMatrix, ...]:
     """Every automorphism whose column j is drawn from domains[j], sorted by rows.
 
-    Columns are chosen one at a time by backtracking; after column m,
-    `_check_partial` tests each homomorphism equation that has just become
-    decidable, so every equation is checked exactly once by the last column.
+    Columns are chosen one at a time by backtracking; after column m the
+    search tests exactly the equations `_equation_schedule` filed under m,
+    so every equation is checked once, as soon as it is decidable.
     """
     n = len(structure)
-    mult = _mask_mult(structure)
+    schedule = _equation_schedule(structure)
     found = []
 
     def extend(cols):
-        if not _check_partial(mult, structure, cols, len(cols) - 1):
+        m = len(cols)
+        if m == n:
+            mat = FieldMatrix.from_cols(GF2, n, cols)
+            if mat.rank() == n:
+                found.append(mat)
             return
-        if len(cols) == n:
-            m = FieldMatrix.from_cols(GF2, n, cols)
-            if m.rank() == n:
-                found.append(m)
-            return
-        for c in domains[len(cols)]:
-            extend(cols + [c])
+        due = schedule[m]
+        for c in domains[m]:
+            cols.append(c)
+            for i, j, target in due:
+                if bilinear(structure, cols[i], cols[j]) != apply_images(cols, target):
+                    break
+            else:
+                extend(cols)
+            cols.pop()
 
     extend([])
     found.sort(key=lambda mat: mat.rows)
@@ -491,6 +472,7 @@ class AutFullReport:
     sets_agree: bool
     quadratic_identity: bool
     nu_all_one: bool
+    reduced_group: MatrixGroup  # the quotient's Aut, as enumerated
 
 
 def aut_enumerate_full() -> MatrixGroup:
@@ -558,4 +540,5 @@ def aut_count_full() -> AutFullReport:
         sets_agree=agree,
         quadratic_identity=quad,
         nu_all_one=nu_one,
+        reduced_group=reduced_group,
     )

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from . import decomp, fischer, matsuo, miyamoto, transposition
-from .gf import Field, FieldMatrix, vec_scale
+from .gf import Field, FieldMatrix, lift_matrix, vec_scale
 
 GF2 = matsuo.GF2
 
@@ -515,7 +515,7 @@ def claim_tau_ell_formula(ctx):
     alg = ctx.algebras["cq"]
     for t in alg.space.lines:
         dec = decomp.decompose_line(alg, t)
-        ad = miyamoto.lift_matrix(f4, matsuo.ad_matrix(alg, matsuo.line_nilpotent(alg, t)))
+        ad = lift_matrix(f4, matsuo.ad_matrix(alg, matsuo.line_nilpotent(alg, t)))
         ident = FieldMatrix.identity(f4, alg.dim)
         for lam in f4.nonzero():
             tau = miyamoto.miyamoto_map(alg, f4, dec, lam).matrix

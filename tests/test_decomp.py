@@ -40,6 +40,23 @@ def test_cq_fusion_empty_one_one(algebras):
         assert is_z2_graded(table)
 
 
+def test_one_one_cell_census(algebras, reduced_algebras):
+    """The 1*1 cell of every line: empty on cq and on reduced w_a4 and w_d4."""
+    expect = {
+        ("cq", False): {frozenset()},
+        ("cq", True): {frozenset()},
+        ("w_a4", False): {frozenset({0})},
+        ("w_a4", True): {frozenset()},
+        ("w_d4", False): {frozenset({0})},
+        ("w_d4", True): {frozenset()},
+        ("ag23", False): {frozenset({0})},
+        ("ag23", True): {frozenset({0})},
+    }
+    for (name, reduced), cells in expect.items():
+        alg = (reduced_algebras if reduced else algebras)[name]
+        assert {line_verdict(alg, t).fusion.entry(1, 1) for t in alg.space.lines} == cells
+
+
 def test_affine_dims_and_fusion(algebras):
     alg = algebras["ag23"]
     for t in alg.space.lines:

@@ -6,10 +6,13 @@ from matsuo2.gf import (
     Field,
     FieldMatrix,
     NoSolution,
+    bilinear,
+    echelon_basis,
     lift_matrix,
     span_equal,
     vec_entry,
     vec_from_list,
+    vec_scale,
     vec_support,
     vec_to_list,
 )
@@ -258,15 +261,16 @@ def test_matmul_agrees_with_entrywise_definition():
 def test_row_images_are_powers_of_x_times_rows(k):
     rng = random.Random(500 + k)
     f = Field(k)
-    m = _random_matrix(rng, f, 4, 6)
-    images = m.row_images()
-    assert len(images) == m.nrows * k
-    for j in range(m.nrows):
-        for b in range(k):
-            xb = f.power(2, b)
-            for t in range(m.ncols):
-                got = (images[j * k + b] >> (t * k)) & f.mask
-                assert got == f.mul(xb, m.entry(j, t))
+    for ncols in (1, 6, 12):
+        m = _random_matrix(rng, f, 4, ncols)
+        images = m.row_images()
+        assert len(images) == m.nrows * k
+        for j in range(m.nrows):
+            for b in range(k):
+                xb = f.power(2, b)
+                for t in range(m.ncols):
+                    got = (images[j * k + b] >> (t * k)) & f.mask
+                    assert got == f.mul(xb, m.entry(j, t))
 
 
 def _kernel_reference(m):
@@ -361,3 +365,65 @@ def test_lift_matrix_and_span_equal():
     assert lifted.entry(0, 2) == 1
     assert span_equal(f2, [0b011, 0b101], [0b101, 0b110], 3)
     assert not span_equal(f2, [0b001], [0b010], 3)
+
+
+def _bilinear_reference(table, u, v):
+    """XOR of table[i][j] over every pair of set bits, i of u and j of v."""
+    acc = 0
+    for i in range(u.bit_length()):
+        for j in range(v.bit_length()):
+            if (u >> i) & 1 and (v >> j) & 1:
+                acc ^= table[i][j]
+    return acc
+
+
+def test_bilinear_matches_double_loop_on_random_tables():
+    rng = random.Random(71)
+    for n in range(1, 13):
+        table = [[rng.getrandbits(n) for _ in range(n)] for _ in range(n)]
+        pairs = [(0, 0), (0, (1 << n) - 1), ((1 << n) - 1, 0), ((1 << n) - 1, (1 << n) - 1)]
+        pairs += [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(40)]
+        for u, v in pairs:
+            assert bilinear(table, u, v) == _bilinear_reference(table, u, v)
+
+
+def test_bilinear_matches_double_loop_on_catalog_tables(algebras, reduced_algebras):
+    rng = random.Random(72)
+    for alg in list(algebras.values()) + list(reduced_algebras.values()):
+        n = alg.dim
+        for _ in range(20):
+            u, v = rng.getrandbits(n), rng.getrandbits(n)
+            for a, b in ((u, v), (0, v), (u, 0)):
+                assert bilinear(alg.table, a, b) == _bilinear_reference(alg.table, a, b)
+
+
+def _echelon_reference(f, vecs, ncols):
+    """Nonzero rref rows of the matrix whose rows are vecs, read entry by entry."""
+    entries = [vec_to_list(f, v, ncols) for v in vecs]
+    if not entries:
+        return ()
+    R = FieldMatrix.from_rows(f, entries).rref()[0]
+    return tuple(r for r in R.rows if r)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_echelon_basis_matches_rref_reference(k):
+    rng = random.Random(900 + k)
+    f = Field(k)
+    ncols = 5
+    assert echelon_basis(f, [], ncols) == ()
+    assert echelon_basis(f, [0, 0, 0], ncols) == ()
+    for count in range(1, 8):
+        vecs = [rng.getrandbits(ncols * k) for _ in range(count)]
+        vecs.insert(rng.randrange(count + 1), 0)
+        basis = echelon_basis(f, vecs, ncols)
+        assert basis == _echelon_reference(f, vecs, ncols)
+        assert all(basis)
+        # canonical: a random invertible recombination of the rows spans the
+        # same subspace and gives the same basis
+        mixed = list(vecs)
+        for _ in range(10):
+            i, j = rng.sample(range(len(mixed)), 2)
+            mixed[i] ^= vec_scale(f, mixed[j], rng.randrange(f.order), ncols)
+        rng.shuffle(mixed)
+        assert echelon_basis(f, mixed, ncols) == basis

@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from matsuo2 import decomp, fischer, matsuo, miyamoto
-from matsuo2.gf import Field, FieldMatrix, NoSolution
+from matsuo2.gf import Field, FieldMatrix, NoSolution, vec_support
 from matsuo2.miyamoto import (
     CQ_LINE_ORDER,
     MiyamotoCheckError,
+    _annihilator_span,
     _aut_search,
+    _equation_schedule,
     aut_count_full,
     aut_enumerate_full,
     aut_enumerate_reduced,
@@ -319,6 +322,7 @@ def test_aut_full_report():
     assert rep.sets_agree
     assert rep.quadratic_identity
     assert rep.nu_all_one
+    assert rep.reduced_group == aut_enumerate_reduced()
 
 
 def test_aut_full_group_closed():
@@ -338,22 +342,33 @@ def test_miyamoto_requires_cq(cq_algebra):
         cq_miyamoto_matrix(alg, GF4, alg.space.lines[0], 2)
 
 
+def _times(S, u, v):
+    """Product of two masks, pair of set bits by pair of set bits."""
+    n = len(S)
+    acc = 0
+    for i in range(n):
+        for j in range(n):
+            if (u >> i) & 1 and (v >> j) & 1:
+                acc ^= S[i][j]
+    return acc
+
+
 def _is_hom_all_pairs(S, m):
     """Entrywise check of m(e_i e_j) = m(e_i) m(e_j) over every ordered pair."""
     n = len(S)
-
-    def times(u, v):
-        acc = 0
-        for i in range(n):
-            for j in range(n):
-                if (u >> i) & 1 and (v >> j) & 1:
-                    acc ^= S[i][j]
-        return acc
-
     return all(
-        m.matvec(S[i][j]) == times(m.col(i), m.col(j))
+        m.matvec(S[i][j]) == _times(S, m.col(i), m.col(j))
         for i in range(n) for j in range(n)
     )
+
+
+def _random_symmetric_structure(rng, n):
+    """Structure constants with about half the products zero, commutative."""
+    S = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            S[i][j] = S[j][i] = rng.getrandbits(n) if rng.random() < 0.5 else 0
+    return S
 
 
 def test_aut_search_with_singleton_domains_matches_all_pairs_check(cq_algebra):
@@ -384,6 +399,61 @@ def test_aut_search_with_singleton_domains_matches_all_pairs_check(cq_algebra):
         assert _aut_search(S, [[m.col(j)] for j in range(6)]) == expect
         kept += bool(expect)
     assert kept >= 196  # the 96 nu = 1 block candidates and the 100 sampled automorphisms
+
+
+def _schedule_reference(S):
+    """Equations (i, j, e_i e_j), i <= j, keyed by the last column they read."""
+    n = len(S)
+    steps = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            reads = {i, j} | set(vec_support(S[i][j]))
+            steps[max(reads)].append((i, j, S[i][j]))
+    return steps
+
+
+def test_equation_schedule_files_every_equation_once_when_decidable(cq_algebra):
+    rng = random.Random(43)
+    structures = [
+        frozen_basis_structure(cq_algebra),
+        frozen_basis_structure(matsuo.reduce(cq_algebra)),
+    ]
+    structures += [_random_symmetric_structure(rng, n) for n in range(1, 9)]
+    for S in structures:
+        assert _equation_schedule(S) == _schedule_reference(S)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_aut_search_matches_brute_force_on_random_structures(n):
+    rng = random.Random(44 + n)
+    mats = [
+        FieldMatrix(GF2, n, n, rows)
+        for rows in itertools.product(range(1 << n), repeat=n)
+    ]
+    mats = [m for m in mats if m.rank() == n]
+    for _ in range(40):
+        S = _random_symmetric_structure(rng, n)
+        expect = tuple(m for m in mats if _is_hom_all_pairs(S, m))
+        assert _aut_search(S, [range(1 << n)] * n) == expect
+
+
+def _annihilator_sweep(S):
+    """Every v with v * e_i = 0 for all i, by testing all 2^n vectors."""
+    n = len(S)
+    return [v for v in range(1 << n) if all(_times(S, v, 1 << i) == 0 for i in range(n))]
+
+
+def test_annihilator_span_matches_full_sweep(cq_algebra):
+    for alg in (cq_algebra, matsuo.reduce(cq_algebra)):
+        S = frozen_basis_structure(alg)
+        assert _annihilator_span(S, len(S)) == _annihilator_sweep(S)
+    rng = random.Random(45)
+    for n in range(1, 8):
+        S = _random_symmetric_structure(rng, n)
+        for i in rng.sample(range(n), n // 2):  # force a nontrivial annihilator
+            for j in range(n):
+                S[i][j] = S[j][i] = 0
+        assert _annihilator_span(S, n) == _annihilator_sweep(S)
 
 
 def _parse_s_reference(m):
