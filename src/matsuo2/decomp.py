@@ -114,7 +114,8 @@ def _split_error(line, ad1: FieldMatrix, basis0, basis1) -> RuntimeError:
     from the full powers: first whether the generalized parts fill the
     algebra, then whether the generalized 1-part is ker(ad+1).
     """
-    if len(basis0) + len(ad1.iterated_kernel()) != ad1.ncols:
+    *_, basis1_generalized = ad1.kernel_chain()
+    if len(basis0) + len(basis1_generalized) != ad1.ncols:
         return RuntimeError(
             "unexpected eigenvalue: the generalized 0- and 1-eigenspaces do "
             f"not exhaust the algebra for line {tuple(line)!r}"

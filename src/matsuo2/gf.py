@@ -23,7 +23,8 @@ Over GF(2) the map v -> v*B on packed rows is linear for every k, so one
 row-apply routine, `apply_images`, serves every matrix product: bit j*k + b of
 a packed row picks the packed row x^b * B_j from `FieldMatrix.row_images`.
 The same routine, applied once per set bit of the left factor, is the GF(2)
-bilinear product `bilinear` of a structure-constant table.
+bilinear product `bilinear` of a structure-constant table, and of a 0/1 table
+over any GF(2^k) once `lift_table` writes it out per packed bit.
 """
 
 from __future__ import annotations
@@ -242,6 +243,25 @@ def lift_vec(field: Field, mask: int, n: int) -> int:
     return v
 
 
+def lift_table(field: Field, table):
+    """A 0/1 structure-constant table read over GF(2^k), as a GF(2) table on
+    packed bits: entry (i*k + b, j*k + c), the product of x^b e_i and x^c e_j,
+    is the lift of table[i][j] times x^(b+c), an integer product with no
+    carries (one 0/1 entry per k-bit lane, a scalar below 2^k).  Over GF(2)
+    the table is returned as it is.
+    """
+    k = field.k
+    if k == 1:
+        return table
+    n = len(table)
+    powers = [field.power(2, e) for e in range(2 * k - 1)]
+    lifted = [[lift_vec(field, t, n) for t in row] for row in table]
+    return tuple(
+        tuple(lifted[i][j] * powers[b + c] for j in range(n) for c in range(k))
+        for i in range(n) for b in range(k)
+    )
+
+
 # -- matrices ----------------------------------------------------------------
 
 
@@ -363,24 +383,19 @@ class FieldMatrix:
         )
 
     def matvec(self, v: int) -> int:
-        """Apply to a packed column vector of length ncols."""
+        """Apply to a packed column vector of length ncols; for k > 1 this is
+        the product with v taken as an ncols x 1 matrix."""
         f = self.field
         k = f.k
+        out = 0
         if k == 1:
-            out = 0
             for i, r in enumerate(self.rows):
                 if (r & v).bit_count() & 1:
                     out |= 1 << i
             return out
-        out = 0
-        for i in range(self.nrows):
-            acc = 0
-            r = self.rows[i]
-            for j in range(self.ncols):
-                a = (r >> (j * k)) & f.mask
-                if a:
-                    acc ^= f.mul(a, (v >> (j * k)) & f.mask)
-            out |= acc << (i * k)
+        images = FieldMatrix(f, self.ncols, 1, vec_to_list(f, v, self.ncols)).row_images()
+        for i, r in enumerate(self.rows):
+            out |= apply_images(images, r) << (i * k)
         return out
 
     def __pow__(self, n: int) -> "FieldMatrix":
@@ -399,15 +414,16 @@ class FieldMatrix:
 
     # -- elimination --
 
-    def rref(self) -> tuple["FieldMatrix", tuple[int, ...]]:
-        """Reduced row-echelon form and the tuple of pivot columns."""
+    def rref(self, col_order=None) -> tuple["FieldMatrix", tuple[int, ...]]:
+        """Reduced row-echelon form and the pivot columns, in the order
+        col_order (ascending by default) eliminates the columns."""
         f = self.field
         k = f.k
         mask = f.mask
         rows = list(self.rows)
         pivots = []
         r = 0
-        for col in range(self.ncols):
+        for col in range(self.ncols) if col_order is None else col_order:
             sh = col * k
             pivot = None
             for i in range(r, len(rows)):
@@ -443,12 +459,15 @@ class FieldMatrix:
         return len(self.rref()[1])
 
     def kernel(self) -> tuple[int, ...]:
-        """Basis of the right kernel, canonicalized to reduced echelon form.
+        """Basis of the right kernel in (canonical) reduced echelon form.
 
-        Returned as packed vectors of length ncols; empty tuple for injective
-        maps.  Checks rank + nullity == ncols.
+        Eliminating the columns from last to first leaves each pivot row with
+        entries only at its pivot and at free columns below it, so free column
+        c gives e_c plus entries at pivot columns above c.  Returned as packed
+        vectors of length ncols; empty tuple for injective maps.  Checks
+        rank + nullity == ncols.
         """
-        R, pivots = self.rref()
+        R, pivots = self.rref(range(self.ncols - 1, -1, -1))
         f = self.field
         k = f.k
         mask = f.mask
@@ -464,9 +483,8 @@ class FieldMatrix:
                 if e:
                     v |= e << (pc * k)
             basis.append(v)
-        basis = echelon_basis(f, basis, self.ncols)
         assert len(basis) + len(pivots) == self.ncols, "rank-nullity violated"
-        return basis
+        return tuple(basis)
 
     def kernel_chain(self) -> Iterator[tuple[int, ...]]:
         """Yield the bases of ker(M), ker(M^2), ... while the kernel grows.
@@ -490,23 +508,6 @@ class FieldMatrix:
                 return
             basis = grown
             yield basis
-
-    def iterated_kernel(self, n: int | None = None) -> tuple[int, ...]:
-        """Basis of ker(M^n); n defaults to ncols, which always stabilizes.
-
-        Walks kernel_chain and returns once the kernel stops growing or the
-        power reaches n.  Nested kernels of equal dimension are equal, and
-        kernel() returns the canonical echelon basis, so the result is the
-        same tuple as (M ** n).kernel().
-        """
-        if n is None:
-            n = self.ncols
-        if n < 1:
-            raise ValueError("power must be >= 1")
-        for power, basis in enumerate(self.kernel_chain(), 1):
-            if power == n:
-                break
-        return basis
 
     def solve(self, b: int) -> int:
         """One solution x of M x = b; raises NoSolution if inconsistent."""

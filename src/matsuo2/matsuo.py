@@ -200,32 +200,6 @@ def predict_line_line(space: fischer.FischerSpace, line1, line2) -> int:
     )
 
 
-# -- scalar extension -----------------------------------------------------------
-
-
-def multiply_ext(alg: NilpotentMatsuoAlgebra, field: Field, u: int, v: int) -> int:
-    """Product of two packed GF(2^k) coefficient vectors, same structure constants."""
-    k = field.k
-    mask = field.mask
-    acc = 0
-    for i in range(alg.dim):
-        a = (u >> (i * k)) & mask
-        if not a:
-            continue
-        ti = alg.table[i]
-        for j in range(alg.dim):
-            b = (v >> (j * k)) & mask
-            if not b:
-                continue
-            c = field.mul(a, b)
-            m = ti[j]
-            while m:
-                low = m & -m
-                acc ^= c << ((low.bit_length() - 1) * k)
-                m ^= low
-    return acc
-
-
 # -- export ----------------------------------------------------------------------
 
 

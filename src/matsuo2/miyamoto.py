@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from . import decomp, fischer, matsuo
 from .gf import (Field, FieldMatrix, apply_images, bilinear, echelon_basis, lift_matrix,
-                 lift_vec, vec_from_list)
+                 lift_table, vec_from_list)
 
 GF2 = matsuo.GF2
 
@@ -87,12 +87,12 @@ def miyamoto_map(alg: matsuo.NilpotentMatsuoAlgebra, field: Field,
     ]
     D = FieldMatrix(field, n, n, diag_rows)
     M = lift_matrix(field, P) * D * lift_matrix(field, dec.coord_matrix)
+    # M(e_i e_j) = M(e_i) M(e_j), the equation `_aut_search` tests over GF(2)
+    cols = [M.col(j) for j in range(n)]
+    lifted = lift_table(field, alg.table)
     for i in range(n):
-        ci = M.col(i)
         for j in range(i, n):
-            lhs = M.matvec(lift_vec(field, alg.table[i][j], n))
-            rhs = matsuo.multiply_ext(alg, field, ci, M.col(j))
-            if lhs != rhs:
+            if apply_images(cols, alg.table[i][j]) != bilinear(lifted, cols[i], cols[j]):
                 raise ValueError(
                     f"map for line {dec.line} with lambda={lam} is not an "
                     "automorphism; the line decomposition is not graded"

@@ -82,12 +82,17 @@ class Permutation(GroupElement):
         if not re.fullmatch(r"\s*(\([^()]*\)\s*)*", text):
             raise ValueError(f"bad cycle notation {text!r}")
         im = list(range(n))
+        used = set()
         for cyc in re.findall(r"\(([^()]*)\)", text):
             entries = [int(t) - 1 for t in cyc.split()]
             if not entries:
                 continue
             if any(not 0 <= e < n for e in entries) or len(set(entries)) != len(entries):
                 raise ValueError(f"bad cycle {cyc!r} for degree {n}")
+            for e in entries:
+                if e in used:
+                    raise ValueError(f"letter {e + 1} is in two cycles of {text.strip()!r}")
+            used.update(entries)
             for a, b in zip(entries, entries[1:] + entries[:1]):
                 im[a] = b
         return cls(im)
@@ -453,7 +458,10 @@ def _parse_element(model, body: str):
             raise ValueError(f"expected 9 matrix entries, got {len(ent)}")
         if any(not 0 <= c < 4 for c in vec + tuple(ent)):
             raise ValueError("GF(4) bit patterns must be in 0..3")
-        return AffineMat(vec, (ent[0:3], ent[3:6], ent[6:9]))
+        elem = AffineMat(vec, (ent[0:3], ent[3:6], ent[6:9]))
+        if elem.augmented.rank() != 4:
+            raise ValueError("the 3x3 matrix is singular")
+        return elem
     raise AssertionError(kind)
 
 

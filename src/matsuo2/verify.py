@@ -48,11 +48,18 @@ class SuiteContext:
             self.algebras["cq"] = _corrupted(self.algebras["cq"])
         self.reduced = {name: matsuo.reduce(a) for name, a in self.algebras.items()}
         self._verdicts: dict = {}
+        self._aut = None
 
     def verdict(self, name: str) -> decomp.GradingVerdict:
         if name not in self._verdicts:
             self._verdicts[name] = decomp.classify_space(self.algebras[name])
         return self._verdicts[name]
+
+    def aut(self) -> miyamoto.AutFullReport:
+        """The quadrilateral's Aut report; it carries the quotient's group too."""
+        if self._aut is None:
+            self._aut = miyamoto.aut_count_full()
+        return self._aut
 
 
 def _corrupted(alg: matsuo.NilpotentMatsuoAlgebra) -> matsuo.NilpotentMatsuoAlgebra:
@@ -577,7 +584,7 @@ def claim_s_matrix_law(ctx):
 
 
 def claim_aut_reduced(ctx):
-    group = miyamoto.aut_enumerate_reduced()
+    group = ctx.aut().reduced_group
     if group.size() != 24:
         return _bad(f"order {group.size()}")
     if not all(m.entry(2, 2) == 1 for m in group.elements):
@@ -594,7 +601,7 @@ def claim_aut_reduced(ctx):
 
 
 def claim_aut_full(ctx):
-    rep = miyamoto.aut_count_full()
+    rep = ctx.aut()
     if rep.order != 96 or not rep.sets_agree:
         return _bad(f"order {rep.order}, block agreement {rep.sets_agree}")
     if not rep.quadratic_identity or not rep.nu_all_one:

@@ -65,6 +65,14 @@ def test_gens_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "space", "--from-gens", str(bad))
     assert code == 2
     assert err == "error: line 1: bad prime '0'\n"
+    bad.write_text("perm 4\n(1 2)(2 3)\nseed (1 2)\n")
+    code, _, err = run_cli(capsys, "space", "--from-gens", str(bad))
+    assert code == 2
+    assert err == "error: line 2: letter 2 is in two cycles of '(1 2)(2 3)'\n"
+    bad.write_text("affinemat-gf4 3\n[0,0,0 | 1,1,0,1,1,0,0,0,1]\nseed [0,0,0 | 1,0,0,0,1,0,0,0,1]\n")
+    code, _, err = run_cli(capsys, "space", "--from-gens", str(bad))
+    assert code == 2
+    assert err == "error: line 2: the 3x3 matrix is singular\n"
 
 
 def test_space_from_gens_su32(capsys, tmp_path):

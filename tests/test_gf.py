@@ -129,12 +129,18 @@ def test_rank_identity():
             assert FieldMatrix.identity(f, n).rank() == n
 
 
+def _kernel_power(m, n):
+    """Basis of ker(m^n) from kernel_chain, whose last basis holds for every later power."""
+    chain = list(m.kernel_chain())
+    return chain[min(n, len(chain)) - 1]
+
+
 def test_iterated_kernel_jordan_block():
     f = Field(1)
     # nilpotent 2x2 Jordan block: e2 -> e1 -> 0
     m = FieldMatrix.from_rows(f, [[0, 1], [0, 0]])
     assert len(m.kernel()) == 1
-    assert m.iterated_kernel(2) == (0b01, 0b10)
+    assert _kernel_power(m, 2) == (0b01, 0b10)
 
 
 def test_iterated_kernel_monotone_and_stable():
@@ -146,10 +152,10 @@ def test_iterated_kernel_monotone_and_stable():
             m = FieldMatrix.from_rows(
                 f, [[rng.randrange(f.order) for _ in range(n)] for _ in range(n)]
             )
-            dims = [len(m.iterated_kernel(p)) for p in range(1, n + 2)]
+            dims = [len(_kernel_power(m, p)) for p in range(1, n + 2)]
             assert all(d1 <= d2 for d1, d2 in zip(dims, dims[1:]))
             assert dims[-1] == dims[-2]  # stabilized by n = ncols
-            big = m.iterated_kernel()
+            big = _kernel_power(m, n)
             if big:
                 B = FieldMatrix.from_cols(f, n, big)
                 for v in m.kernel():
@@ -180,7 +186,7 @@ def test_kernel_contains_plain_kernel():
     f = Field(1)
     m = FieldMatrix.from_rows(f, [[1, 1, 0], [0, 0, 0], [0, 1, 1]])
     ker = m.kernel()
-    big = m.iterated_kernel()
+    *_, big = m.kernel_chain()
     for v in ker:
         # v must be a combination of the iterated-kernel basis
         B = FieldMatrix.from_cols(f, 3, big)
@@ -274,7 +280,8 @@ def test_row_images_are_powers_of_x_times_rows(k):
 
 
 def _kernel_reference(m):
-    """Kernel from the rref read entry by entry, canonicalised by a second rref."""
+    """Kernel read off the ascending rref entry by entry, then put in reduced
+    echelon form by `echelon_basis`."""
     f = m.field
     R, pivots = m.rref()
     basis = []
@@ -285,9 +292,7 @@ def _kernel_reference(m):
         for r, pc in enumerate(pivots):
             v |= R.entry(r, fc) << (pc * f.k)
         basis.append(v)
-    if basis:
-        basis = [r for r in FieldMatrix(f, len(basis), m.ncols, basis).rref()[0].rows if r]
-    return tuple(basis)
+    return echelon_basis(f, basis, m.ncols)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -312,6 +317,37 @@ def test_kernel_and_from_cols_match_entrywise_reference(k):
                 for i in range(a.nrows):
                     expect |= a.entry(i, j) << (i * k)
                 assert a.col(j) == expect
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_kernel_is_echelon_basis_of_rref_kernel(k):
+    rng = random.Random(1100 + k)
+    f = Field(k)
+    assert FieldMatrix.zeros(f, 2, 0).kernel() == ()
+    for _ in range(150):
+        nrows, ncols = rng.randrange(1, 8), rng.randrange(1, 9)
+        rank = rng.randrange(min(nrows, ncols) + 1)
+        m = FieldMatrix.zeros(f, nrows, ncols)
+        if rank:
+            m = _random_matrix(rng, f, nrows, rank) * _random_matrix(rng, f, rank, ncols)
+        assert m.kernel() == _kernel_reference(m)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_matvec_matches_entrywise_reference(k):
+    rng = random.Random(1200 + k)
+    f = Field(k)
+    for nrows in (0, 1, 5):
+        for ncols in (0, 1, 12):
+            m = FieldMatrix(f, nrows, ncols, [rng.getrandbits(ncols * k) for _ in range(nrows)])
+            for v in (0, rng.getrandbits(ncols * k), rng.getrandbits(ncols * k + 9)):
+                expect = 0
+                for i in range(nrows):
+                    acc = 0
+                    for j in range(ncols):
+                        acc ^= f.mul(m.entry(i, j), vec_entry(f, v, j))
+                    expect |= acc << (i * k)
+                assert m.matvec(v) == expect
 
 
 def test_vec_support_lists_set_bits_ascending():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -98,6 +99,30 @@ def test_nontrivial_scaling_rejected_on_z2_only_space():
     miyamoto_map(alg, GF4, dec, 1)  # identity is always fine
     with pytest.raises(ValueError, match="not an automorphism"):
         miyamoto_map(alg, GF4, dec, 2)
+
+
+# sha256 prefix of the rows of every miyamoto_map matrix of the quadrilateral,
+# over each line of CQ_LINE_ORDER and each unit lambda in turn
+_MIYAMOTO_MAP_DIGESTS = {
+    (2, False): "ccf19c8a132b12d7",
+    (2, True): "e4189dc24cfec1aa",
+    (3, False): "26cd005b256bae2b",
+    (3, True): "ea967a88c844f3d2",
+    (4, False): "e644dfb1581c6ce2",
+    (4, True): "eca13dc1892db668",
+}
+
+
+@pytest.mark.parametrize("k,reduced", sorted(_MIYAMOTO_MAP_DIGESTS))
+def test_miyamoto_map_matrices_pinned(cq_algebra, k, reduced):
+    f = Field(k)
+    alg = matsuo.reduce(cq_algebra) if reduced else cq_algebra
+    h = hashlib.sha256()
+    for line in CQ_LINE_ORDER:
+        dec = decomp.decompose_line(alg, line)
+        for lam in f.nonzero():
+            h.update(repr(miyamoto_map(alg, f, dec, lam).matrix.rows).encode())
+    assert h.hexdigest()[:16] == _MIYAMOTO_MAP_DIGESTS[k, reduced]
 
 
 def test_s_matrix_composition_law():

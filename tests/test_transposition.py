@@ -307,6 +307,11 @@ def test_parse_gens_errors():
         parse_gens("affineperm 0 2\n[1,0 | ()]\nseed [0,0 | ()]\n")
     with pytest.raises(ValueError, match="^line 1: bad dimension '-2'$"):
         parse_gens("affineperm 3 -2\n[1,0 | ()]\nseed [0,0 | ()]\n")
+    with pytest.raises(ValueError, match=r"^line 2: letter 2 is in two cycles of '\(1 2\)\(2 3\)'$"):
+        parse_gens("perm 4\n(1 2)(2 3)\nseed (1 2)\n")
+    with pytest.raises(ValueError, match="^line 3: the 3x3 matrix is singular$"):
+        parse_gens("affinemat-gf4 3\n[0,0,0 | 1,0,0,0,1,0,0,0,1]\n"
+                   "[0,0,0 | 1,2,0,2,3,0,0,0,1]\nseed [0,0,0 | 1,0,0,0,1,0,0,0,1]\n")
 
 
 def test_parse_gens_affinemat():

@@ -2,7 +2,7 @@ import itertools
 import json
 from types import SimpleNamespace
 
-from matsuo2 import fischer, verify
+from matsuo2 import fischer, miyamoto, verify
 from matsuo2.transposition import gens_to_text, preset
 
 
@@ -39,6 +39,23 @@ def test_hall_claim_skips_space_without_coordinate_labels(tmp_path):
     status, detail = verify.claim_witness_hall(verify.SuiteContext(hall_data=str(path)))
     assert status == "skipped"
     assert detail == "supplied space lacks [p,q,r,s] coordinate labels over F_3"
+
+
+def test_aut_claims_share_one_quotient_enumeration(monkeypatch):
+    calls = []
+    enumerate_reduced = miyamoto.aut_enumerate_reduced
+
+    def counted():
+        calls.append(1)
+        return enumerate_reduced()
+
+    monkeypatch.setattr(miyamoto, "aut_enumerate_reduced", counted)
+    ctx = verify.SuiteContext()
+    assert verify.claim_aut_reduced(ctx) == (
+        "pass", "order 24, confirmed by the unconstrained 2^25 sweep")
+    assert verify.claim_aut_full(ctx) == (
+        "pass", "order 96, block shape exact, quadratic identity holds")
+    assert len(calls) == 1
 
 
 def test_nominal_suite_state():
