@@ -19,6 +19,20 @@ vector u gives the coordinates of all products u * v_j at once, and masks
 pick out the cells.  Because the product is commutative, the pairs of a
 diagonal cell can be read as a full block: its two halves hold the same
 products.
+
+A line's verdict is constant on its orbit under the point reflections.  A
+point y gives the permutation sigma_y of the points: x -> x^y for x collinear
+with y, and x -> x otherwise.  In a Fischer space sigma_y is an automorphism
+of the geometry (Fischer, 1971; Cuypers and Hall, 1995), so it permutes the
+algebra basis, preserves the structure constants, and maps the nilpotent of
+a line t to that of sigma_y(t).  Conjugating by this permutation carries
+every kernel of ad, and every product between the parts, from t to
+sigma_y(t): the dimensions, the fusion cells and the graded flag agree.
+orbit_verdicts therefore decides one line per orbit of <sigma_y>; it first
+checks every sigma_y against the whole table instead of assuming the
+theorem.  classify_space stays per line: its witness is the first
+lexicographic pair of an echelon basis, which a permutation of the basis
+does not preserve.
 """
 
 from __future__ import annotations
@@ -26,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fischer, matsuo
-from .gf import FieldMatrix, apply_images, span_equal, vec_support
+from .gf import FieldMatrix, apply_images, mask_from_support, span_equal, vec_support
 
 GF2 = matsuo.GF2
 
@@ -314,6 +328,57 @@ def classify_space(alg: matsuo.NilpotentMatsuoAlgebra) -> GradingVerdict:
         graded=all(v.z2_graded for v in verdicts),
         good_lines=good,
     )
+
+
+def orbit_verdicts(alg: matsuo.NilpotentMatsuoAlgebra):
+    """One line_verdict per line orbit of the point reflections.
+
+    Returns (verdict, orbit_lines) pairs ordered by representative, where the
+    verdict is that of the orbit's first line in line order and orbit_lines
+    lists the orbit in line order.  Every reflection is first checked to
+    preserve every entry of alg.table; a failure raises and names the point
+    and the pair.  Only the full algebra is accepted: the reduced basis drops
+    a point, which a reflection may move.
+    """
+    if alg.reduced:
+        raise ValueError("orbit verdicts are defined on the full algebra")
+    space, table, n = alg.space, alg.table, alg.dim
+    reflections = []
+    for y in range(n):
+        cm = space.collinear[y]
+        images = [fischer.wedge(space, y, x) if (cm >> x) & 1 else x for x in range(n)]
+        moved: dict[int, int] = {}  # image of each distinct entry
+        for i in range(n):
+            row, row_image = table[i], table[images[i]]
+            for j in range(n):
+                m = row[j]
+                if m not in moved:
+                    moved[m] = mask_from_support(images[p] for p in vec_support(m))
+                if row_image[images[j]] != moved[m]:
+                    raise RuntimeError(
+                        f"the reflection in point {y} does not preserve the "
+                        f"structure constants at pair ({i}, {j})"
+                    )
+        reflections.append(images)
+    index = {t: k for k, t in enumerate(space.lines)}
+    seen = [False] * len(space.lines)
+    out = []
+    for start, rep in enumerate(space.lines):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members, todo = [start], [rep]
+        while todo:
+            t = todo.pop()
+            for images in reflections:
+                k = index[tuple(sorted(images[p] for p in t))]
+                if not seen[k]:
+                    seen[k] = True
+                    members.append(k)
+                    todo.append(space.lines[k])
+        out.append((line_verdict(alg, rep),
+                    tuple(space.lines[k] for k in sorted(members))))
+    return tuple(out)
 
 
 # -- structured eigenbasis for symplectic spaces --------------------------------

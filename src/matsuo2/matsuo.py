@@ -161,16 +161,24 @@ def predict_point_line(space: fischer.FischerSpace, x: int, line) -> int:
     t = tuple(sorted(line))
     if not space.is_line(t):
         raise ValueError(f"{line!r} is not a line of the space")
-    if x in t:
-        return 0
-    joiners = [p for p in t if space.are_collinear(x, p)]
-    if not joiners:
-        return 0
+    return _point_line(space, x, mask_from_support(t))
+
+
+def _point_line(space: fischer.FischerSpace, x: int, m: int) -> int:
+    """predict_point_line for a line already checked, given as its point mask m.
+
+    x on the line sees the other two points, whose terms b + c and c + b
+    cancel, so that case needs no test of its own.
+    """
+    joiners = space.collinear[x] & m
     out = 0
-    for p in joiners:
-        out ^= (1 << p) ^ (1 << fischer.wedge(space, x, p))
+    j = joiners
+    while j:
+        low = j & -j
+        out ^= low ^ (1 << fischer.wedge(space, x, low.bit_length() - 1))
+        j ^= low
     # two joining lines: x cancels; all three: x + t + {x^a, x^b, x^c}
-    return out if len(joiners) == 2 else out ^ (1 << x)
+    return out ^ (1 << x) if joiners.bit_count() == 3 else out
 
 
 def predict_line_line(space: fischer.FischerSpace, line1, line2) -> int:
@@ -194,9 +202,9 @@ def predict_line_line(space: fischer.FischerSpace, line1, line2) -> int:
     if plane:
         return plane & ~(m1 | m2) if m1 & m2 else plane
     return (
-        predict_point_line(space, t1[0], t2)
-        ^ predict_point_line(space, t1[1], t2)
-        ^ predict_point_line(space, t1[2], t2)
+        _point_line(space, t1[0], m2)
+        ^ _point_line(space, t1[1], m2)
+        ^ _point_line(space, t1[2], m2)
     )
 
 

@@ -118,6 +118,8 @@ class Permutation(GroupElement):
         return ("perm", self.images)
 
     def label(self) -> str:
+        if sorted(self.images) != list(range(len(self.images))):
+            raise ValueError(f"images {list(self.images)} are not a permutation")
         seen = [False] * len(self.images)
         cycles = []
         for start in range(len(self.images)):

@@ -268,7 +268,8 @@ def claim_affine_reduced(ctx):
 def claim_main_biconditional(ctx):
     got = []
     for name, sp in ctx.spaces.items():
-        graded = ctx.verdict(name).graded
+        orbits = decomp.orbit_verdicts(ctx.algebras[name])
+        graded = all(v.z2_graded for v, _ in orbits)
         expected = fischer.is_symplectic_type(sp) or name == "ag23"
         if graded != expected:
             return _bad(f"{name}: graded {graded}, expected {expected}")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import matsuo2
 from matsuo2 import cli, transposition
 from matsuo2.transposition import gens_to_text, preset
 
@@ -192,3 +197,13 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["decompose"])  # missing required --space
     assert exc.value.code == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(matsuo2.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "matsuo2", "catalog"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "su32" in proc.stdout

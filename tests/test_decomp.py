@@ -14,6 +14,7 @@ from matsuo2.decomp import (
     fusion_table,
     is_z2_graded,
     line_verdict,
+    orbit_verdicts,
     symplectic_structured_basis,
 )
 
@@ -258,6 +259,65 @@ def test_classification_biconditional(spaces, algebras):
         gv = classify_space(algebras[name])
         expected = fischer.is_symplectic_type(spaces[name]) or name == "ag23"
         assert gv.graded is expected
+
+
+def _relabelled(sp, seed):
+    perm = list(range(sp.n_points))
+    random.Random(seed).shuffle(perm)
+    return fischer.validate(sp.n_points, [[perm[p] for p in t] for t in sp.lines])
+
+
+def _summary(v):
+    d = v.decomposition
+    return (d.gen_dims(), (d.eigen0_dim, d.eigen1_dim), v.fusion.cells, v.z2_graded)
+
+
+ORBIT_SIZES = {
+    "cq": [4], "ag23": [3] * 4, "w_a4": [10], "w_d4": [16],
+    "3_3_sym4": [36, 6], "ag33": [9] * 13, "su32": [48] * 4,
+}
+
+
+@pytest.mark.parametrize("name", list(fischer.CATALOG_NAMES) + ["su32~", "ag33~"])
+def test_orbit_verdicts_match_every_line(spaces, algebras, name):
+    if name.endswith("~"):
+        name = name[:-1]
+        alg = matsuo.build(_relabelled(spaces[name], 4242))
+    else:
+        alg = algebras[name]
+    orbits = orbit_verdicts(alg)
+    assert sorted(len(o) for _, o in orbits) == sorted(ORBIT_SIZES[name])
+    assert sorted(t for _, o in orbits for t in o) == list(alg.space.lines)
+    assert [o[0] for _, o in orbits] == sorted(o[0] for _, o in orbits)
+    for v, orbit in orbits:
+        assert v.line == orbit[0] and list(orbit) == sorted(orbit)
+        for t in orbit:
+            assert _summary(line_verdict(alg, t)) == _summary(v)
+
+
+def test_orbit_verdicts_reject_a_table_with_a_wedge_swapped(algebras):
+    alg = algebras["ag23"]
+    sp = alg.space
+    i, j, k = sp.lines[0]
+    other = next(p for p in range(sp.n_points) if p not in (i, j, k))
+    table = [list(r) for r in alg.table]
+    table[i][j] = table[j][i] = (1 << i) | (1 << j) | (1 << other)
+    bad = matsuo.NilpotentMatsuoAlgebra(
+        sp, alg.dim, False, alg.basis_labels, tuple(tuple(r) for r in table))
+    with pytest.raises(RuntimeError, match="point") as exc:
+        orbit_verdicts(bad)
+    y, a, b = map(int, re.search(
+        r"point (\d+) .* pair \((\d+), (\d+)\)", str(exc.value)).groups())
+    # the named reflection, rebuilt here, really moves the named entry wrongly
+    sigma = [fischer.wedge(sp, y, x) if sp.are_collinear(y, x) else x
+             for x in range(sp.n_points)]
+    image = sum(1 << sigma[p] for p in range(sp.n_points) if (table[a][b] >> p) & 1)
+    assert table[sigma[a]][sigma[b]] != image
+
+
+def test_orbit_verdicts_need_the_full_algebra(reduced_algebras):
+    with pytest.raises(ValueError, match="full algebra"):
+        orbit_verdicts(reduced_algebras["cq"])
 
 
 def test_witness_recorded_for_failing_lines(algebras):

@@ -7,6 +7,7 @@ import pytest
 from matsuo2 import fischer, matsuo
 from matsuo2.gf import Field, bilinear, lift_table, mask_from_support
 from matsuo2.matsuo import (
+    _point_line,
     ad_matrix,
     annihilator,
     build,
@@ -205,6 +206,27 @@ def test_predict_against_structure_constants(spaces, algebras):
             assert predict_line_line(sp, t1, t2) == multiply(
                 alg, line_nilpotent(alg, t1), line_nilpotent(alg, t2)
             )
+
+
+def test_mask_point_line_matches_the_checked_predictor(spaces, algebras):
+    for name, sp in spaces.items():
+        alg = algebras[name]
+        for t in sp.lines:
+            m = mask_from_support(t)
+            for x in range(sp.n_points):
+                got = _point_line(sp, x, m)
+                assert got == predict_point_line(sp, x, t)
+                assert got == multiply(alg, 1 << x, m)
+
+
+def test_predictors_reject_a_triple_that_is_not_a_line(spaces):
+    cq = spaces["cq"]
+    assert not cq.is_line((0, 1, 3))
+    with pytest.raises(ValueError, match="not a line"):
+        predict_point_line(cq, 4, (0, 1, 3))
+    for pair in (((0, 1, 3), (0, 1, 2)), ((0, 1, 2), (0, 1, 3))):
+        with pytest.raises(ValueError, match="not a line"):
+            predict_line_line(cq, *pair)
 
 
 def test_predict_line_line_disjoint_affine_gives_all_nine(spaces):

@@ -37,6 +37,12 @@ def test_permutation_cycle_round_trip():
     assert (p * p.inverse()).is_identity()
 
 
+def test_permutation_label_rejects_images_that_are_not_a_permutation():
+    for images in ([1, 2, 1, 3], [0, 2]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(images).label()
+
+
 def test_permutation_composition_applies_right_factor_first():
     p = Permutation.from_cycles(3, "(1 2)")
     q = Permutation.from_cycles(3, "(2 3)")

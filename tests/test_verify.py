@@ -76,6 +76,8 @@ def test_corrupted_structure_constants_fail():
     # the corruption hits the quadrilateral algebra, so its claims must trip
     assert statuses["oracle.point_line"] == "fail" or statuses["oracle.line_line"] == "fail"
     assert statuses["algebra.annihilator"] == "fail"
+    # the reflection check of the orbit verdicts sees the broken table
+    assert statuses["decomp.grading_biconditional"] == "fail"
 
 
 def test_suite_result_serialization():
