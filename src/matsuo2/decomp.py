@@ -360,7 +360,6 @@ def orbit_verdicts(alg: matsuo.NilpotentMatsuoAlgebra):
                         f"structure constants at pair ({i}, {j})"
                     )
         reflections.append(images)
-    index = {t: k for k, t in enumerate(space.lines)}
     seen = [False] * len(space.lines)
     out = []
     for start, rep in enumerate(space.lines):
@@ -371,7 +370,7 @@ def orbit_verdicts(alg: matsuo.NilpotentMatsuoAlgebra):
         while todo:
             t = todo.pop()
             for images in reflections:
-                k = index[tuple(sorted(images[p] for p in t))]
+                k = space.line_id([images[p] for p in t])
                 if not seen[k]:
                     seen[k] = True
                     members.append(k)
@@ -417,7 +416,7 @@ def symplectic_structured_basis(alg: matsuo.NilpotentMatsuoAlgebra,
         raise ValueError("structured basis is defined on the full algebra")
     if not fischer.is_symplectic_type(space):
         raise ValueError("structured basis needs a space of symplectic type")
-    t = tuple(sorted(line))
+    t = space.lines[space.line_id(line)]
     p0, p2, p3 = fischer.points_p0_p2(space, t)
     assert not p3, "symplectic spaces have no point seeing all of a line"
     quads = fischer.cqs_through_line(space, t)

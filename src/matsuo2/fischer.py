@@ -7,11 +7,15 @@ lines generate either a complete quadrilateral (6 points, 4 lines) or an
 affine plane of order 3 (9 points, 12 lines).  Both checks together
 characterize the spaces this package works on.
 
-Validation records each of these planes once, as a point bitmask listed
-against every line inside it; all plane queries read that index.  A pair of
-intersecting lines that already lies in a recorded plane is not closed
-again: the plane is closed, and any two intersecting lines of a
-quadrilateral or an affine plane generate all of it.
+A line's id is its position in `lines`.  `FischerSpace.line_id` is the one
+place that turns a triple, its points in any order, into an id; it raises
+for a triple that is not a line.  Per id the space keeps the line's point
+mask (`line_masks`) and the planes through it: validation records each
+plane once, as a point bitmask listed against every line inside it, and
+`FischerSpace.plane_of(i, j)` is the one lookup of the plane holding two
+lines.  A pair of intersecting lines that already lies in a recorded plane
+is not closed again: the plane is closed, and any two intersecting lines of
+a quadrilateral or an affine plane generate all of it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .gf import vec_support
+from .gf import mask_from_support, vec_support
 
 
 class InvalidSpaceError(ValueError):
@@ -47,8 +51,8 @@ class FischerSpace:
     """
 
     __slots__ = (
-        "n_points", "labels", "lines", "meta", "collinear",
-        "_wedge", "_lines_through", "_planes", "_symplectic",
+        "n_points", "labels", "lines", "line_masks", "meta", "collinear",
+        "_line_ids", "_wedge", "_lines_through", "_planes", "_symplectic",
     )
 
     def __init__(self, n_points, labels, lines, meta, collinear, wedge,
@@ -56,15 +60,33 @@ class FischerSpace:
         self.n_points = n_points
         self.labels = labels
         self.lines = lines
+        self.line_masks = tuple(mask_from_support(t) for t in lines)
         self.meta = meta
         self.collinear = collinear  # per point: bitmask of collinear points
+        self._line_ids = {t: i for i, t in enumerate(lines)}
         self._wedge = wedge
         self._lines_through = lines_through
-        self._planes = planes  # per line: point masks of the planes through it
+        self._planes = planes  # per line id: point masks of the planes through it
         self._symplectic = symplectic
 
+    def line_id(self, line) -> int:
+        """Position in `lines` of a line given by its points in any order."""
+        try:
+            return self._line_ids[tuple(sorted(line))]
+        except KeyError:
+            raise ValueError(f"{line!r} is not a line of the space") from None
+
+    def plane_of(self, i: int, j: int) -> int:
+        """Point mask of the recorded plane holding distinct lines i and j, or 0."""
+        mj = self.line_masks[j]
+        return next((p for p in self._planes[i] if p & mj == mj), 0)
+
     def is_line(self, triple) -> bool:
-        return tuple(sorted(triple)) in self._planes
+        try:
+            self.line_id(triple)
+        except ValueError:
+            return False
+        return True
 
     def are_collinear(self, x: int, y: int) -> bool:
         return x != y and bool((self.collinear[x] >> y) & 1)
@@ -75,10 +97,6 @@ class FischerSpace:
     def __repr__(self) -> str:
         name = self.meta.name if self.meta else "custom"
         return f"FischerSpace({name}: {self.n_points} points, {len(self.lines)} lines)"
-
-
-def _line_mask(line) -> int:
-    return (1 << line[0]) | (1 << line[1]) | (1 << line[2])
 
 
 # points of a plane -> how many of the others each of its points sees
@@ -140,18 +158,6 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
         missing = next(i for i in range(n_points) if not (seen >> i) & 1)
         raise InvalidSpaceError(f"space is disconnected (point {missing} unreachable from 0)")
 
-    # 0-2-3 property: no point sees exactly one point of a line it is not on
-    for t in norm:
-        lm = _line_mask(t)
-        for x in range(n_points):
-            if (lm >> x) & 1:
-                continue
-            c = (collinear[x] & lm).bit_count()
-            if c == 1:
-                raise InvalidSpaceError(
-                    f"point {x} is collinear with exactly one point of line {t}"
-                )
-
     space = FischerSpace(
         n_points,
         tuple(labels) if labels is not None else tuple(str(i) for i in range(n_points)),
@@ -163,12 +169,23 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
         planes=None,  # both filled below
         symplectic=None,
     )
+    masks = space.line_masks
+
+    # 0-2-3 property: no point sees exactly one point of a line it is not on
+    for t, lm in zip(norm, masks):
+        for x in range(n_points):
+            if (lm >> x) & 1:
+                continue
+            c = (collinear[x] & lm).bit_count()
+            if c == 1:
+                raise InvalidSpaceError(
+                    f"point {x} is collinear with exactly one point of line {t}"
+                )
     if len(space.labels) != n_points:
         raise InvalidSpaceError("label count differs from point count")
 
     # every pair of intersecting lines must generate a 6- or 9-point plane;
     # a closed set of that size is one when each point sees the right degree
-    masks = [_line_mask(t) for t in norm]
     planes_of: list[list[int]] = [[] for _ in norm]
     for x in range(n_points):
         through = lines_through[x]
@@ -192,9 +209,7 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
                     for k in lines_through[p]:
                         if norm[k][0] == p and masks[k] & ~pm == 0:
                             planes_of[k].append(pm)
-    space._planes = {
-        t: tuple(sorted(ps, key=vec_support)) for t, ps in zip(norm, planes_of)
-    }
+    space._planes = tuple(tuple(sorted(ps, key=vec_support)) for ps in planes_of)
     space._symplectic = not any(p.bit_count() == 9 for ps in planes_of for p in ps)
     return space
 
@@ -229,13 +244,6 @@ def generated_subspace(s: FischerSpace, seed) -> frozenset[int]:
     return frozenset(pts)
 
 
-def _planes_through(s: FischerSpace, line) -> tuple[int, ...]:
-    try:
-        return s._planes[tuple(sorted(line))]
-    except KeyError:
-        raise ValueError(f"{line!r} is not a line of the space") from None
-
-
 def plane_mask(s: FischerSpace, line1, line2) -> int:
     """Point mask of the recorded plane holding two distinct lines, or 0.
 
@@ -243,13 +251,13 @@ def plane_mask(s: FischerSpace, line1, line2) -> int:
     generate exactly one, and disjoint lines share only an affine plane, which
     they generate.  So the mask is nonzero for every intersecting pair.
     """
-    t1, t2 = tuple(sorted(line1)), tuple(sorted(line2))
-    if t1 not in s._planes or t2 not in s._planes:
-        raise ValueError("both arguments must be lines of the space")
-    if t1 == t2:
+    try:
+        i, j = s.line_id(line1), s.line_id(line2)
+    except ValueError:
+        raise ValueError("both arguments must be lines of the space") from None
+    if i == j:
         raise ValueError("lines must be distinct")
-    m2 = _line_mask(t2)
-    return next((p for p in s._planes[t1] if p & m2 == m2), 0)
+    return s.plane_of(i, j)
 
 
 def plane_type(s: FischerSpace, line1, line2) -> PlaneType:
@@ -273,10 +281,8 @@ def points_p0_p2(s: FischerSpace, line):
     Returns (P0, P2, P3) as sorted tuples; a count of exactly one would
     violate the 0-2-3 property and raises.
     """
-    t = tuple(sorted(line))
-    if t not in s._planes:
-        raise ValueError(f"{line!r} is not a line of the space")
-    lm = _line_mask(t)
+    i = s.line_id(line)
+    t, lm = s.lines[i], s.line_masks[i]
     p0, p2, p3 = [], [], []
     for x in range(s.n_points):
         if (lm >> x) & 1:
@@ -298,14 +304,14 @@ def points_p0_p2(s: FischerSpace, line):
 def cqs_through_line(s: FischerSpace, line) -> tuple[frozenset[int], ...]:
     """All complete quadrilaterals containing the given line, deterministically ordered."""
     return tuple(
-        frozenset(vec_support(p)) for p in _planes_through(s, line) if p.bit_count() == 6
+        frozenset(vec_support(p)) for p in s._planes[s.line_id(line)] if p.bit_count() == 6
     )
 
 
 def affine_planes_through_line(s: FischerSpace, line) -> tuple[frozenset[int], ...]:
     """All affine planes containing the given line, deterministically ordered."""
     return tuple(
-        frozenset(vec_support(p)) for p in _planes_through(s, line) if p.bit_count() == 9
+        frozenset(vec_support(p)) for p in s._planes[s.line_id(line)] if p.bit_count() == 9
     )
 
 

@@ -18,7 +18,7 @@ Algebra elements are GF(2) coefficient vectors stored as int bitmasks
 from __future__ import annotations
 
 from . import fischer
-from .gf import Field, FieldMatrix, bilinear, mask_from_support, vec_support
+from .gf import Field, FieldMatrix, bilinear, vec_support
 
 GF2 = Field(1)
 
@@ -90,13 +90,8 @@ def reduce(alg: NilpotentMatsuoAlgebra) -> NilpotentMatsuoAlgebra:
 
 def line_nilpotent(alg: NilpotentMatsuoAlgebra, line) -> int:
     """The sum of the three points of a line, as an algebra element."""
-    t = tuple(sorted(line))
-    if not alg.space.is_line(t):
-        raise ValueError(f"{line!r} is not a line of the underlying space")
-    m = mask_from_support(t)
-    if alg.reduced:
-        m = _fold(m, alg.space.n_points)
-    return m
+    m = alg.space.line_masks[alg.space.line_id(line)]
+    return _fold(m, alg.space.n_points) if alg.reduced else m
 
 
 def multiply(alg: NilpotentMatsuoAlgebra, u: int, v: int) -> int:
@@ -158,10 +153,7 @@ def predict_point_line(space: fischer.FischerSpace, x: int, line) -> int:
     x + line + m when x sees all three (they span an affine plane), with
     m = {x^a, x^b, x^c} the parallel line avoiding x.
     """
-    t = tuple(sorted(line))
-    if not space.is_line(t):
-        raise ValueError(f"{line!r} is not a line of the space")
-    return _point_line(space, x, mask_from_support(t))
+    return _point_line(space, x, space.line_masks[space.line_id(line)])
 
 
 def _point_line(space: fischer.FischerSpace, x: int, m: int) -> int:
@@ -189,22 +181,20 @@ def predict_line_line(space: fischer.FischerSpace, line1, line2) -> int:
     affine plane.  Disjoint lines spanning an affine plane give the sum of
     its nine points; other disjoint pairs expand point by point.
     """
-    t1, t2 = tuple(sorted(line1)), tuple(sorted(line2))
-    for t in (t1, t2):
-        if not space.is_line(t):
-            raise ValueError(f"{t!r} is not a line of the space")
-    if t1 == t2:
+    i, j = space.line_id(line1), space.line_id(line2)
+    if i == j:
         return 0
-    m1, m2 = mask_from_support(t1), mask_from_support(t2)
-    plane = fischer.plane_mask(space, t1, t2)
+    m1, m2 = space.line_masks[i], space.line_masks[j]
+    plane = space.plane_of(i, j)
     if plane.bit_count() == 6:
         return m1 ^ m2
     if plane:
         return plane & ~(m1 | m2) if m1 & m2 else plane
+    a, b, c = space.lines[i]
     return (
-        _point_line(space, t1[0], m2)
-        ^ _point_line(space, t1[1], m2)
-        ^ _point_line(space, t1[2], m2)
+        _point_line(space, a, m2)
+        ^ _point_line(space, b, m2)
+        ^ _point_line(space, c, m2)
     )
 
 

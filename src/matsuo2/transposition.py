@@ -108,7 +108,12 @@ class Permutation(GroupElement):
         si = self.images
         return Permutation(si[oi[i]] for i in range(len(si)))
 
+    def _check(self) -> None:
+        if sorted(self.images) != list(range(len(self.images))):
+            raise ValueError(f"images {list(self.images)} are not a permutation")
+
     def inverse(self) -> "Permutation":
+        self._check()
         out = [0] * len(self.images)
         for i, v in enumerate(self.images):
             out[v] = i
@@ -118,8 +123,7 @@ class Permutation(GroupElement):
         return ("perm", self.images)
 
     def label(self) -> str:
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"images {list(self.images)} are not a permutation")
+        self._check()
         seen = [False] * len(self.images)
         cycles = []
         for start in range(len(self.images)):
@@ -343,6 +347,9 @@ def fischer_from_class(cls: TranspositionClass,
                 raise NotTranspositionClass(
                     f"ded != ede for collinear pair ({d!r}, {e!r})"
                 )
+            if ded not in cls:
+                raise NotTranspositionClass(f"d*e*d = {ded!r} is not in the class, "
+                                            f"for collinear pair ({d!r}, {e!r})")
             lines.add(tuple(sorted((i, j, cls.index(ded)))))
     labels = [e.label() for e in cls.elements]
     return fischer.validate(n, sorted(lines), labels=labels, meta=meta)

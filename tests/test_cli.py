@@ -117,6 +117,19 @@ def test_verify_bad_hall_data_is_a_usage_error(capsys, tmp_path, content):
     assert not out_path.exists()
 
 
+def test_seed_outside_the_generated_group_is_a_usage_error(capsys, tmp_path):
+    bad = tmp_path / "bad.gens"
+    bad.write_text("perm 4\n(2 3)\n(3 4)\nseed (1 2)\n")
+    for argv in (("space", "--from-gens", str(bad)),
+                 ("decompose", "--space", str(bad)),
+                 ("verify", "--suite", "paper", "--hall-data", str(bad))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: d*e*d = (2 3) is not in the class, for "
+                       "collinear pair ((1 2), (1 3))\n")
+
+
 def test_decompose_text(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--space", "cq",
                            "--line", "0,1,2")

@@ -180,6 +180,9 @@ def _relabelled(sp, seed):
 
 
 def _assert_index_matches_reference(sp):
+    for i, t in enumerate(sp.lines):
+        assert sp.line_masks[i] == sum(1 << p for p in t)
+        assert {sp.line_id(p) for p in itertools.permutations(t)} == {i}
     kinds, through = _reference_planes(sp)
     for (l1, l2), kind in kinds.items():
         assert plane_type(sp, l1, l2) is kind
@@ -211,9 +214,9 @@ def test_plane_mask_matches_plane_queries(spaces, name):
     sp = spaces[name]
     quads_of = {t: cqs_through_line(sp, t) for t in sp.lines}
     affine_of = {t: affine_planes_through_line(sp, t) for t in sp.lines}
-    for l1, l2 in itertools.permutations(sp.lines, 2):
+    for (i, l1), (j, l2) in itertools.permutations(enumerate(sp.lines), 2):
         got = plane_mask(sp, l1, l2)
-        assert got == plane_mask(sp, l2, l1)
+        assert got == plane_mask(sp, l2, l1) == sp.plane_of(i, j)
         affine = [p for p in affine_of[l1] if p.issuperset(l2)]
         if set(l1) & set(l2):
             kind = plane_type(sp, l1, l2)

@@ -43,6 +43,14 @@ def test_permutation_label_rejects_images_that_are_not_a_permutation():
             Permutation(images).label()
 
 
+def test_permutation_inverse_rejects_images_that_are_not_a_permutation():
+    for images in ([1, 2, 1, 3], [0, 2]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(images).inverse()
+    p = Permutation.from_cycles(4, "(1 2 4)")
+    assert (p * p.inverse()).is_identity()
+
+
 def test_permutation_composition_applies_right_factor_first():
     p = Permutation.from_cycles(3, "(1 2)")
     q = Permutation.from_cycles(3, "(2 3)")
@@ -101,6 +109,17 @@ def test_rejects_product_order_above_three():
     r1 = Permutation.from_cycles(5, "(1 3)(4 5)")
     with pytest.raises(NotTranspositionClass):
         conjugacy_class([r0, r1], r0)
+
+
+def test_fischer_from_class_rejects_a_seed_outside_the_group():
+    # conjugating (1 2) by (2 3) and (3 4) gives the class {(1 2), (1 3), (1 4)},
+    # but d*e*d for its collinear pairs, such as (2 3), lies outside it
+    gens = [T(4, 2, 3), T(4, 3, 4)]
+    cls = conjugacy_class(gens, T(4, 1, 2))
+    with pytest.raises(NotTranspositionClass,
+                       match=r"d\*e\*d = \(2 3\) is not in the class, for collinear "
+                             r"pair \(\(1 2\), \(1 3\)\)"):
+        fischer_from_class(cls)
 
 
 def test_class_cap():
