@@ -142,10 +142,21 @@ def _split_error(line, ad1: FieldMatrix, basis0, basis1) -> RuntimeError:
 
 
 @dataclass(frozen=True)
+class Witness:
+    """A pair of 1-part elements whose product leaks back into the 1-part."""
+
+    u: int
+    v: int
+    product: int
+    bad_component: int
+
+
+@dataclass(frozen=True)
 class FusionTable:
     """Minimal observed fusion law on labels {0, 1}; symmetric."""
 
     cells: dict
+    witness: Witness | None = None  # first 1-part pair whose product meets the 1-part
 
     def entry(self, x: int, y: int) -> frozenset:
         return self.cells[(min(x, y), max(x, y))]
@@ -158,18 +169,7 @@ class FusionTable:
         }
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A pair of 1-part elements whose product leaks back into the 1-part."""
-
-    u: int
-    v: int
-    product: int
-    bad_component: int
-
-
-def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition,
-                 _witness_out: list | None = None) -> FusionTable:
+def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition) -> FusionTable:
     """Observed fusion law from one packed product tensor of the line.
 
     With n = dim, d0 = len(basis0), C the coordinate matrix and v_j the j-th
@@ -182,8 +182,8 @@ def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition,
     commutative (matsuo.build asserts it), so the block is symmetric and
     both halves hold the same products.
 
-    Optionally records the first (lexicographic) 1-part basis pair whose
-    product has a nonzero 1-component.
+    The witness is the first (lexicographic) 1-part basis pair whose product
+    has a nonzero 1-component; a graded line has none, at no cost.
     """
     n = alg.dim
     d0 = len(dec.basis0)
@@ -217,11 +217,11 @@ def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition,
         g = apply_images(G, u)
         c00 |= bool(g & m00) | bool(g & m10) << 1
         c01 |= bool(g & m01) | bool(g & m11) << 1
-    want_witness = _witness_out is not None and not _witness_out
+    witness = None
     for i, u in enumerate(dec.basis1):
         g = apply_images(G, u)
         c11 |= bool(g & m01) | bool(g & m11) << 1
-        if want_witness and g & m11:
+        if witness is None and g & m11:
             folded = 0
             h = g >> (d0 * n)
             while h:
@@ -237,13 +237,12 @@ def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition,
                         "product tensor and multiply disagree on the witness "
                         f"for line {dec.line!r}"
                     )
-                _witness_out.append(Witness(u, v, p, bad))
-                want_witness = False
+                witness = Witness(u, v, p, bad)
     cells = {
         cell: frozenset(label for label in (0, 1) if (bits >> label) & 1)
         for cell, bits in (((0, 0), c00), ((0, 1), c01), ((1, 1), c11))
     }
-    return FusionTable(cells)
+    return FusionTable(cells, witness)
 
 
 def is_z2_graded(table: FusionTable) -> bool:
@@ -304,15 +303,13 @@ class GradingVerdict:
 
 def line_verdict(alg: matsuo.NilpotentMatsuoAlgebra, line) -> LineVerdict:
     dec = decompose_line(alg, line)
-    wit: list = []
-    table = fusion_table(alg, dec, _witness_out=wit)
-    graded = is_z2_graded(table)
+    table = fusion_table(alg, dec)
     return LineVerdict(
         line=tuple(sorted(line)),
         decomposition=dec,
         fusion=table,
-        z2_graded=graded,
-        witness=None if graded else (wit[0] if wit else None),
+        z2_graded=is_z2_graded(table),
+        witness=table.witness,
     )
 
 

@@ -124,6 +124,8 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
         for a, b, c in ((x, y, z), (x, z, y), (y, z, x)):
             if (a, b) in pair_line:
                 other = pair_line[(a, b)]
+                if other == t:
+                    raise InvalidSpaceError(f"line {t} is listed twice")
                 raise InvalidSpaceError(
                     f"lines {other} and {t} share two points {a}, {b}"
                 )

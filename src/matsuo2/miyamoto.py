@@ -4,7 +4,11 @@ Every line of the quadrilateral algebra, full or reduced, has an empty 1*1
 cell in its fusion law, so each line decomposition upgrades to an integer
 grading and every unit lambda gives an automorphism scaling the 1-part by
 lambda.  (The reduced w_a4 and w_d4 algebras share that empty cell; a
-non-empty 1*1 cell, as in ag23, allows only lambda = 1.)  In the frozen basis
+non-empty 1*1 cell, as in ag23, allows only lambda = 1.)  In characteristic 2
+that map is x -> x_0 + lambda x_1 = x + (1+lambda) x_1, that is
+tau_{l,lambda} = I + (1+lambda) Pi_1 with Pi_1 the GF(2) projection onto the
+1-part along the 0-part; in any GF(2) basis, line l gives I + (1+lambda) E_l
+with E_l a GF(2) matrix.  In the frozen basis
 
     B  = (a, b, l, lx, ly, s)      for the 6-dimensional algebra,
     B' = (a, b, l, lx, ly)         for its quotient by <s>,
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 from . import decomp, fischer, matsuo
 from .gf import (Field, FieldMatrix, apply_images, bilinear, echelon_basis, lift_matrix,
-                 lift_table, vec_from_list)
+                 lift_table, lift_vec, vec_from_list)
 
 GF2 = matsuo.GF2
 
@@ -53,40 +57,36 @@ class MiyamotoCheckError(RuntimeError):
 
 
 def _require_cq(alg: matsuo.NilpotentMatsuoAlgebra) -> None:
-    if alg.space.n_points != 6 or alg.space.lines != ((0, 1, 2), (0, 4, 5), (1, 3, 5), (2, 3, 4)):
+    cq = fischer.catalog("cq")
+    if (alg.space.n_points, alg.space.lines) != (cq.n_points, cq.lines):
         raise ValueError(
             "this operation is specific to the complete quadrilateral "
             "(catalog space 'cq')"
         )
 
 
+def _cq_algebra(reduced: bool) -> matsuo.NilpotentMatsuoAlgebra:
+    """The quadrilateral algebra, or its quotient by <s>."""
+    alg = matsuo.build(fischer.catalog("cq"))
+    return matsuo.reduce(alg) if reduced else alg
+
+
 # -- Miyamoto maps -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MiyamotoMap:
-    """An automorphism acting as identity on the 0-part, lambda on the 1-part."""
-
-    line: tuple[int, int, int]
-    lam: int
-    field: Field
-    matrix: FieldMatrix  # in the algebra's point basis
-
-
 def miyamoto_map(alg: matsuo.NilpotentMatsuoAlgebra, field: Field,
-                 dec: decomp.LineDecomposition, lam: int) -> MiyamotoMap:
-    """Build the map for one line and verify it is an algebra automorphism."""
+                 dec: decomp.LineDecomposition, lam: int) -> FieldMatrix:
+    """I + (1+lambda) Pi_1 in the point basis, checked to be an automorphism.
+
+    Column j of Pi_1 is the 1-part of e_j.  A lifted row of Pi_1 holds 0 or 1
+    per k-bit lane, so its integer product with 1+lambda has no carries.
+    """
     if lam == 0:
         raise ValueError("lambda must be a unit")
     n = alg.dim
-    P = FieldMatrix.from_cols(GF2, n, dec.basis0 + dec.basis1)
-    d0 = len(dec.basis0)
-    k = field.k
-    diag_rows = [
-        (1 if i < d0 else lam) << (i * k) for i in range(n)
-    ]
-    D = FieldMatrix(field, n, n, diag_rows)
-    M = lift_matrix(field, P) * D * lift_matrix(field, dec.coord_matrix)
+    pi1 = FieldMatrix.from_cols(GF2, n, (dec.split(1 << j)[1] for j in range(n)))
+    M = FieldMatrix(field, n, n, ((1 << (i * field.k)) ^ lift_vec(field, r, n) * (1 ^ lam)
+                                  for i, r in enumerate(pi1.rows)))
     # M(e_i e_j) = M(e_i) M(e_j), the equation `_aut_search` tests over GF(2)
     cols = [M.col(j) for j in range(n)]
     lifted = lift_table(field, alg.table)
@@ -97,7 +97,7 @@ def miyamoto_map(alg: matsuo.NilpotentMatsuoAlgebra, field: Field,
                     f"map for line {dec.line} with lambda={lam} is not an "
                     "automorphism; the line decomposition is not graded"
                 )
-    return MiyamotoMap(line=dec.line, lam=lam, field=field, matrix=M)
+    return M
 
 
 # -- the frozen quadrilateral basis -------------------------------------------------
@@ -144,7 +144,7 @@ def _cq_miyamoto_matrices(alg: matsuo.NilpotentMatsuoAlgebra, field: Field,
     dec = decomp.decompose_line(alg, line)
     C, Cinv = frozen_basis_change(alg)
     C, Cinv = lift_matrix(field, C), lift_matrix(field, Cinv)
-    return [Cinv * miyamoto_map(alg, field, dec, lam).matrix * C for lam in lams]
+    return [Cinv * miyamoto_map(alg, field, dec, lam) * C for lam in lams]
 
 
 def cq_miyamoto_matrix(alg: matsuo.NilpotentMatsuoAlgebra, field: Field,
@@ -301,9 +301,7 @@ def _drop_last(m: FieldMatrix) -> FieldMatrix:
 def cq_miyamoto_group(field: Field, reduced: bool = False,
                       cap: int = 1_000_000) -> MatrixGroup:
     """Closure of all Miyamoto maps of the quadrilateral over the given field."""
-    alg = matsuo.build(fischer.catalog("cq"))
-    if reduced:
-        alg = matsuo.reduce(alg)
+    alg = _cq_algebra(reduced)
     gens = [
         m
         for line in CQ_LINE_ORDER
@@ -383,10 +381,7 @@ def _annihilator_span(structure, n):
 
 def _cq_structure(reduced: bool):
     """Frozen-basis structure constants of the quadrilateral algebra or its quotient."""
-    alg = matsuo.build(fischer.catalog("cq"))
-    if reduced:
-        alg = matsuo.reduce(alg)
-    return frozen_basis_structure(alg)
+    return frozen_basis_structure(_cq_algebra(reduced))
 
 
 def _equation_schedule(structure) -> list[list[tuple[int, int, int]]]:

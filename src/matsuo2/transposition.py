@@ -321,11 +321,12 @@ def conjugacy_class(generators, seed, cap: int = DEFAULT_CLASS_CAP) -> Transposi
     table = [[1] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            o = product_order(ordered[i], ordered[j], cap=4)
-            if o > 3:
+            try:
+                o = product_order(ordered[i], ordered[j], cap=3)
+            except NotTranspositionClass:
                 raise NotTranspositionClass(
-                    f"product order {o} > 3 for pair ({ordered[i]!r}, {ordered[j]!r})"
-                )
+                    f"product order > 3 for pair ({ordered[i]!r}, {ordered[j]!r})"
+                ) from None
             table[i][j] = table[j][i] = o
     return TranspositionClass(generators, seed, ordered,
                               tuple(tuple(r) for r in table))

@@ -108,11 +108,10 @@ def _assert_fusion_matches_reference(alg):
     cells = {}
     for t in alg.space.lines:
         dec = decompose_line(alg, t)
-        wit = []
-        table = fusion_table(alg, dec, _witness_out=wit)
+        table = fusion_table(alg, dec)
         expected_cells, expected_witness = _pairwise_fusion(alg, dec)
         assert table.cells == expected_cells, t
-        got = wit[0] if wit else None
+        got = table.witness
         if expected_witness is None:
             assert got is None, t
         else:

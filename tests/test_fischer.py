@@ -40,6 +40,11 @@ def test_reject_two_shared_points():
         validate(4, [(0, 1, 2), (0, 1, 3)])
 
 
+def test_reject_a_line_listed_twice():
+    with pytest.raises(InvalidSpaceError, match=r"line \(0, 1, 2\) is listed twice"):
+        validate(3, [(0, 1, 2), (2, 1, 0)])
+
+
 def test_reject_duplicate_point_in_line():
     with pytest.raises(InvalidSpaceError, match="3 distinct points"):
         validate(3, [(0, 1, 1)])

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from matsuo2 import decomp, fischer, matsuo, miyamoto
-from matsuo2.gf import Field, FieldMatrix, NoSolution, vec_support
+from matsuo2.gf import Field, FieldMatrix, NoSolution, lift_matrix, vec_support
 from matsuo2.miyamoto import (
     CQ_LINE_ORDER,
     MiyamotoCheckError,
@@ -64,7 +64,7 @@ def test_miyamoto_maps_have_s_form_over_gf4(cq_algebra):
 def test_miyamoto_fixes_line_and_moves_off_points(cq_algebra):
     dec = decomp.decompose_line(cq_algebra, (0, 1, 2))
     lam = 2
-    tau = miyamoto_map(cq_algebra, GF4, dec, lam).matrix
+    tau = miyamoto_map(cq_algebra, GF4, dec, lam)
     for p in (0, 1, 2):
         assert tau.col(p) == 1 << (p * 2)  # a, b, c fixed
     ell = matsuo.line_nilpotent(cq_algebra, (0, 1, 2))
@@ -79,15 +79,13 @@ def test_miyamoto_fixes_line_and_moves_off_points(cq_algebra):
 
 def test_lambda_one_is_identity(cq_algebra):
     dec = decomp.decompose_line(cq_algebra, (0, 1, 2))
-    m = miyamoto_map(cq_algebra, GF2, dec, 1)
-    assert m.matrix == FieldMatrix.identity(GF2, 6)
-    m4 = miyamoto_map(cq_algebra, GF4, dec, 1)
-    assert m4.matrix == FieldMatrix.identity(GF4, 6)
+    assert miyamoto_map(cq_algebra, GF2, dec, 1) == FieldMatrix.identity(GF2, 6)
+    assert miyamoto_map(cq_algebra, GF4, dec, 1) == FieldMatrix.identity(GF4, 6)
 
 
 def test_characters_compose_per_line(cq_algebra):
     dec = decomp.decompose_line(cq_algebra, (1, 3, 5))
-    maps = {lam: miyamoto_map(cq_algebra, GF4, dec, lam).matrix for lam in GF4.nonzero()}
+    maps = {lam: miyamoto_map(cq_algebra, GF4, dec, lam) for lam in GF4.nonzero()}
     for lam in GF4.nonzero():
         for mu in GF4.nonzero():
             assert maps[lam] * maps[mu] == maps[GF4.mul(lam, mu)]
@@ -121,8 +119,36 @@ def test_miyamoto_map_matrices_pinned(cq_algebra, k, reduced):
     for line in CQ_LINE_ORDER:
         dec = decomp.decompose_line(alg, line)
         for lam in f.nonzero():
-            h.update(repr(miyamoto_map(alg, f, dec, lam).matrix.rows).encode())
+            h.update(repr(miyamoto_map(alg, f, dec, lam).rows).encode())
     assert h.hexdigest()[:16] == _MIYAMOTO_MAP_DIGESTS[k, reduced]
+
+
+def _eigenbasis_map(field, dec, lam):
+    """Reference: P D P^-1, P the eigenbasis and D = diag(1, .., 1, lam, .., lam)."""
+    n = dec.dim
+    P = FieldMatrix.from_cols(GF2, n, dec.basis0 + dec.basis1)
+    d0 = len(dec.basis0)
+    D = FieldMatrix(field, n, n, ((1 if i < d0 else lam) << (i * field.k) for i in range(n)))
+    return lift_matrix(field, P) * D * lift_matrix(field, dec.coord_matrix)
+
+
+def test_miyamoto_map_matches_eigenbasis_reference(cq_algebra):
+    rng = random.Random(1515)
+    cases = []
+    for k in range(1, 9):
+        f = Field(k)
+        units = list(f.nonzero())[1:]
+        lams = [1] + rng.sample(units, min(6, len(units)))
+        cases += [(alg, f, lams) for alg in (cq_algebra, matsuo.reduce(cq_algebra))]
+    w_a4 = matsuo.reduce(matsuo.build(fischer.catalog("w_a4")))
+    cases += [(w_a4, Field(k), list(Field(k).nonzero())) for k in (2, 3)]
+    for alg, f, lams in cases:
+        for line in alg.space.lines:
+            dec = decomp.decompose_line(alg, line)
+            for lam in lams:
+                assert miyamoto_map(alg, f, dec, lam) == _eigenbasis_map(f, dec, lam), (
+                    alg.reduced, f.k, line, lam
+                )
 
 
 def test_s_matrix_composition_law():
