@@ -27,23 +27,28 @@ The automorphism groups over GF(2) all come from one backtracking search,
 from a candidate list per column.  Each homomorphism equation e_i e_j
 (i <= j) is filed once, under the step max(j, top bit of e_i e_j) at which
 every column it reads is chosen, and after column m the search tests exactly
-the equations filed under m, through `gf.bilinear` on the frozen-basis
-structure constants.  The routes differ only in the candidate lists:
-the quotient's columns are pruned by stabilizing A*A and A*(A*A), and the full
-algebra's by the annihilator as well, all recomputed from the structure
-constants; the unconstrained sweep offers every vector; and the block
-cross-check of `aut_count_full` offers one candidate per column, an
-automorphism of the quotient extended by a (kappa, lambda, 1) bottom row.
+the equations filed under m.  It reads the products instead of forming them:
+the ad rows e_i v (all v) come from the frozen-basis structure constants by
+linearity, the product row c v of a candidate column c is the XOR of the ad
+rows over the bits of c, built once per call when c is first chosen, and
+m(e_i) m(e_j) is entry m(e_j) of the row of m(e_i).  The routes differ only
+in the candidate lists: the quotient's columns are pruned by stabilizing A*A
+and A*(A*A), and the full algebra's by the annihilator as well, all
+recomputed from the structure constants; the unconstrained sweep offers every
+vector; and the block cross-check of `aut_count_full` offers one candidate
+per column, an automorphism of the quotient extended by a (kappa, lambda, 1)
+bottom row.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from dataclasses import dataclass
 
 from . import decomp, fischer, matsuo
 from .gf import (Field, FieldMatrix, apply_images, bilinear, echelon_basis, lift_matrix,
-                 lift_table, lift_vec, vec_from_list)
+                 lift_table, lift_vec, vec_from_list, vec_support)
 
 GF2 = matsuo.GF2
 
@@ -213,10 +218,13 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
     g_s, and `wide[i][p]` holds in slot s the matrix whose only nonzero row,
     row i, is image p of g_s (`FieldMatrix.row_images`): the share of bit p
     of row i of x in x * g_s.  So `XOR_i apply_images(wide[i], x_i)` holds
-    x * g_s in every slot s, and its little-endian bytes, cut into slots, are
-    one `bytes` key per generator.  The FIFO order is that of forming x * g_1,
-    x * g_2, ... one at a time, because the keys are read in generator order;
-    rows are unpacked, and a FieldMatrix built, only for a new element.
+    x * g_s in every slot s, and its little-endian bytes, cut into slots by
+    one `struct` unpack, are one `bytes` key per generator.  Past the first
+    layers almost every product is known, so one `seen.issuperset(keys)`
+    test per dequeued element skips it when none is new; otherwise the keys
+    are read in generator order, so the FIFO order is that of forming
+    x * g_1, x * g_2, ... one at a time.  Rows are unpacked, and a
+    FieldMatrix built, only for a new element.
     """
     gens = list(generators)
     if not gens:
@@ -255,15 +263,16 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
     ]
     elements = list(uniq)
     queue = deque(g.rows for g in uniq)
-    cuts = range(0, width, slot)
+    cut = struct.Struct(f"{slot}s" * len(uniq)).unpack
     while queue:
         x = queue.popleft()
         acc = 0
         for w, r in zip(wide, x):
             acc ^= apply_images(w, r)
-        packed = acc.to_bytes(width, "little")
-        for c in cuts:
-            y = packed[c:c + slot]
+        keys = cut(acc.to_bytes(width, "little"))
+        if seen.issuperset(keys):
+            continue
+        for y in keys:
             if y not in seen:
                 seen.add(y)
                 v = int.from_bytes(y, "little")
@@ -399,18 +408,42 @@ def _equation_schedule(structure) -> list[list[tuple[int, int, int]]]:
     return schedule
 
 
+def _ad_rows(structure) -> list[list[int]]:
+    """ad[i][v] = e_i v for every v < 2^n, by linearity: one XOR per entry."""
+    ad = []
+    for images in structure:
+        row = [0]
+        for img in images:
+            row += [x ^ img for x in row]
+        ad.append(row)
+    return ad
+
+
+def _product_row(ad, c: int) -> list[int]:
+    """c v for every v < 2^n: the XOR of the rows ad[i] over the set bits i of c."""
+    row = [0] * len(ad[0])
+    for i in vec_support(c):
+        row = [x ^ y for x, y in zip(row, ad[i])]
+    return row
+
+
 def _aut_search(structure, domains) -> tuple[FieldMatrix, ...]:
     """Every automorphism whose column j is drawn from domains[j], sorted by rows.
 
     Columns are chosen one at a time by backtracking; after column m the
     search tests exactly the equations `_equation_schedule` filed under m,
-    so every equation is checked once, as soon as it is decidable.
+    so every equation is checked once, as soon as it is decidable.  Products
+    are read, not formed: when a candidate c is first chosen, its product
+    row c v (all v) is built from the ad rows of the structure constants and
+    kept for the rest of the call, so m(e_i) m(e_j) is rows[i][cols[j]].
     """
     n = len(structure)
     schedule = _equation_schedule(structure)
+    ad = _ad_rows(structure)
+    product_rows = [None] * (1 << n)
     found = []
 
-    def extend(cols):
+    def extend(cols, rows):
         m = len(cols)
         if m == n:
             mat = FieldMatrix.from_cols(GF2, n, cols)
@@ -419,15 +452,20 @@ def _aut_search(structure, domains) -> tuple[FieldMatrix, ...]:
             return
         due = schedule[m]
         for c in domains[m]:
+            row = product_rows[c]
+            if row is None:
+                row = product_rows[c] = _product_row(ad, c)
             cols.append(c)
+            rows.append(row)
             for i, j, target in due:
-                if bilinear(structure, cols[i], cols[j]) != apply_images(cols, target):
+                if rows[i][cols[j]] != apply_images(cols, target):
                     break
             else:
-                extend(cols)
+                extend(cols, rows)
             cols.pop()
+            rows.pop()
 
-    extend([])
+    extend([], [])
     found.sort(key=lambda mat: mat.rows)
     return tuple(found)
 

@@ -7,6 +7,8 @@ orders, constrained against unconstrained enumeration).  All tolerances are
 exact; these are finite statements.
 """
 
+import hashlib
+
 import pytest
 
 from matsuo2 import cli, verify
@@ -129,12 +131,17 @@ def test_criterion_09_structural_invariants(ctx, capsys):
     assert ok, parts
 
 
+# sha256 of the paper suite's JSON report; a changed byte in any claim's output moves it
+_PAPER_REPORT_SHA256 = "360db761007df71fddb91f42e36bb41bdb2e43991e6131cc1d4483c9e30e0f50"
+
+
 def test_criterion_10_determinism(tmp_path, capsys):
     out1 = tmp_path / "run1.json"
     out2 = tmp_path / "run2.json"
     cli.main(["verify", "--suite", "paper", "--out", str(out1)])
     cli.main(["verify", "--suite", "paper", "--out", str(out2)])
     same = out1.read_bytes() == out2.read_bytes()
+    assert hashlib.sha256(out1.read_bytes()).hexdigest() == _PAPER_REPORT_SHA256
     status = [("pass" if same else "fail", "JSON reports differ between runs")]
     ok, parts = _report(capsys, 10, "verification suite JSON is byte-identical across"
                             " runs", status if not same else [("pass", "")])

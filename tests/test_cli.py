@@ -174,15 +174,18 @@ def test_decompose_unknown_space(capsys):
     assert "catalog" in err
 
 
-def test_miyamoto_report(capsys):
-    code, out, _ = run_cli(capsys, "miyamoto", "--field", "2")
+@pytest.mark.parametrize("field,order", [(2, 48), (3, 448), (4, 3840)])
+@pytest.mark.parametrize("reduced", [False, True])
+def test_miyamoto_report(capsys, field, order, reduced):
+    argv = ["miyamoto", "--field", str(field)] + (["--reduced"] if reduced else [])
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     report = json.loads(out)
     assert report == {
         "aut_full_order": 96,
         "aut_reduced_order": 24,
-        "field_k": 2,
-        "group_order": 48,
+        "field_k": field,
+        "group_order": order,
         "is_all_s_matrices": True,
         "restriction_injective": True,
     }

@@ -5,13 +5,15 @@ import random
 import pytest
 
 from matsuo2 import decomp, fischer, matsuo, miyamoto
-from matsuo2.gf import Field, FieldMatrix, NoSolution, lift_matrix, vec_support
+from matsuo2.gf import Field, FieldMatrix, NoSolution, bilinear, lift_matrix, vec_support
 from matsuo2.miyamoto import (
     CQ_LINE_ORDER,
     MiyamotoCheckError,
+    _ad_rows,
     _annihilator_span,
     _aut_search,
     _equation_schedule,
+    _product_row,
     aut_count_full,
     aut_enumerate_full,
     aut_enumerate_reduced,
@@ -306,6 +308,21 @@ def test_group_closure_order_matches_reference_bfs(cq_algebra, k, reduced):
     assert g.elements == miyamoto.cq_miyamoto_group(f, reduced=reduced).elements
 
 
+# sha256 prefix of the rows of every element of the GF(16) quadrilateral
+# Miyamoto group, in closure order; the reference-BFS comparison stops at k = 3
+_CLOSURE_ORDER_DIGESTS = {
+    False: "766bf161c26520e0",
+    True: "aa064bded8f59034",
+}
+
+
+@pytest.mark.parametrize("reduced", sorted(_CLOSURE_ORDER_DIGESTS))
+def test_cq_miyamoto_group_gf16_order_pinned(reduced):
+    g = miyamoto.cq_miyamoto_group(Field(4), reduced=reduced)
+    h = hashlib.sha256(repr(tuple(m.rows for m in g.elements)).encode())
+    assert h.hexdigest()[:16] == _CLOSURE_ORDER_DIGESTS[reduced]
+
+
 def test_verify_cq_miyamoto_gf4():
     rep = verify_cq_miyamoto(2)
     assert rep.group_order == 48
@@ -472,6 +489,21 @@ def test_equation_schedule_files_every_equation_once_when_decidable(cq_algebra):
     structures += [_random_symmetric_structure(rng, n) for n in range(1, 9)]
     for S in structures:
         assert _equation_schedule(S) == _schedule_reference(S)
+
+
+def test_product_rows_match_bilinear(cq_algebra):
+    rng = random.Random(46)
+    structures = [
+        frozen_basis_structure(cq_algebra),
+        frozen_basis_structure(matsuo.reduce(cq_algebra)),
+    ]
+    structures += [_random_symmetric_structure(rng, n) for n in range(1, 7)]
+    for S in structures:
+        n = len(S)
+        ad = _ad_rows(S)
+        for c in range(1 << n):
+            row = _product_row(ad, c)
+            assert row == [bilinear(S, c, v) for v in range(1 << n)]
 
 
 @pytest.mark.parametrize("n", [2, 3])
