@@ -54,6 +54,7 @@ from .decomp import (
     decompose_line,
     fusion_table,
     is_z2_graded,
+    strong_law,
     symplectic_structured_basis,
 )
 from .miyamoto import (

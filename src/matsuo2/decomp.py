@@ -253,6 +253,18 @@ def is_z2_graded(table: FusionTable) -> bool:
     )
 
 
+def strong_law(table: FusionTable) -> bool:
+    """Z/2Z-graded with an empty 1*1 cell: A0 A0 <= A0, A0 A1 <= A1, A1 A1 = 0.
+
+    Equivalently, tau(x) = x_0 + lambda x_1 is an automorphism for one, and so
+    for every, lambda not in {0, 1} of every GF(2^k), k >= 2: the parts of
+    tau(x) tau(y) = x_0 y_0 + lambda (x_0 y_1 + x_1 y_0) + lambda^2 x_1 y_1 and
+    tau(xy) = (xy)_0 + lambda (xy)_1 differ by (A0 A0)_1, (A0 A1)_0 and A1 A1
+    times 1+lambda, (1+lambda)^2 or lambda (1+lambda), never 0.
+    """
+    return is_z2_graded(table) and not table.entry(1, 1)
+
+
 @dataclass(frozen=True)
 class LineVerdict:
     line: tuple[int, int, int]

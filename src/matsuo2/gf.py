@@ -23,8 +23,7 @@ Over GF(2) the map v -> v*B on packed rows is linear for every k, so one
 row-apply routine, `apply_images`, serves every matrix product: bit j*k + b of
 a packed row picks the packed row x^b * B_j from `FieldMatrix.row_images`.
 The same routine, applied once per set bit of the left factor, is the GF(2)
-bilinear product `bilinear` of a structure-constant table, and of a 0/1 table
-over any GF(2^k) once `lift_table` writes it out per packed bit.
+bilinear product `bilinear` of a structure-constant table.
 """
 
 from __future__ import annotations
@@ -241,25 +240,6 @@ def lift_vec(field: Field, mask: int, n: int) -> int:
         if (mask >> j) & 1:
             v |= 1 << (j * field.k)
     return v
-
-
-def lift_table(field: Field, table):
-    """A 0/1 structure-constant table read over GF(2^k), as a GF(2) table on
-    packed bits: entry (i*k + b, j*k + c), the product of x^b e_i and x^c e_j,
-    is the lift of table[i][j] times x^(b+c), an integer product with no
-    carries (one 0/1 entry per k-bit lane, a scalar below 2^k).  Over GF(2)
-    the table is returned as it is.
-    """
-    k = field.k
-    if k == 1:
-        return table
-    n = len(table)
-    powers = [field.power(2, e) for e in range(2 * k - 1)]
-    lifted = [[lift_vec(field, t, n) for t in row] for row in table]
-    return tuple(
-        tuple(lifted[i][j] * powers[b + c] for j in range(n) for c in range(k))
-        for i in range(n) for b in range(k)
-    )
 
 
 # -- matrices ----------------------------------------------------------------

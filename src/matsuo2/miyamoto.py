@@ -1,14 +1,15 @@
 """Miyamoto maps over GF(2^k) and the groups they generate for the quadrilateral.
 
-Every line of the quadrilateral algebra, full or reduced, has an empty 1*1
-cell in its fusion law, so each line decomposition upgrades to an integer
-grading and every unit lambda gives an automorphism scaling the 1-part by
-lambda.  (The reduced w_a4 and w_d4 algebras share that empty cell; a
-non-empty 1*1 cell, as in ag23, allows only lambda = 1.)  In characteristic 2
-that map is x -> x_0 + lambda x_1 = x + (1+lambda) x_1, that is
-tau_{l,lambda} = I + (1+lambda) Pi_1 with Pi_1 the GF(2) projection onto the
-1-part along the 0-part; in any GF(2) basis, line l gives I + (1+lambda) E_l
-with E_l a GF(2) matrix.  In the frozen basis
+A line's Miyamoto map for the unit lambda is x -> x_0 + lambda x_1 =
+x + (1+lambda) x_1, that is tau_{l,lambda} = I + (1+lambda) Pi_1 with Pi_1
+the GF(2) projection onto the 1-part along the 0-part.  For lambda not in
+{0, 1} it is an automorphism iff the line has the strong law
+(`decomp.strong_law`), so `miyamoto_map` reads one GF(2) fusion table and
+forms no product over GF(2^k).  In the catalog every line of cq, full or
+reduced, has it, the small case of Sym(4) in the paper, and so does every
+line of the reduced w_a4 and w_d4, quotients of full algebras with
+1*1 = {0}; no line of any other catalog algebra, full or reduced, has it
+(tests/test_miyamoto.py).  In the frozen basis
 
     B  = (a, b, l, lx, ly, s)      for the 6-dimensional algebra,
     B' = (a, b, l, lx, ly)         for its quotient by <s>,
@@ -45,10 +46,11 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import decomp, fischer, matsuo
 from .gf import (Field, FieldMatrix, apply_images, bilinear, echelon_basis, lift_matrix,
-                 lift_table, lift_vec, vec_from_list, vec_support)
+                 lift_vec, vec_from_list, vec_support)
 
 GF2 = matsuo.GF2
 
@@ -81,28 +83,23 @@ def _cq_algebra(reduced: bool) -> matsuo.NilpotentMatsuoAlgebra:
 
 def miyamoto_map(alg: matsuo.NilpotentMatsuoAlgebra, field: Field,
                  dec: decomp.LineDecomposition, lam: int) -> FieldMatrix:
-    """I + (1+lambda) Pi_1 in the point basis, checked to be an automorphism.
+    """I + (1+lambda) Pi_1 in the point basis, refused for lambda != 1 unless
+    the line's GF(2) fusion table has the strong law.
 
     Column j of Pi_1 is the 1-part of e_j.  A lifted row of Pi_1 holds 0 or 1
     per k-bit lane, so its integer product with 1+lambda has no carries.
     """
     if lam == 0:
         raise ValueError("lambda must be a unit")
+    if lam != 1 and not decomp.strong_law(decomp.fusion_table(alg, dec)):
+        raise ValueError(
+            f"map for line {dec.line} with lambda={lam} is not an "
+            "automorphism; the line decomposition is not graded"
+        )
     n = alg.dim
     pi1 = FieldMatrix.from_cols(GF2, n, (dec.split(1 << j)[1] for j in range(n)))
-    M = FieldMatrix(field, n, n, ((1 << (i * field.k)) ^ lift_vec(field, r, n) * (1 ^ lam)
-                                  for i, r in enumerate(pi1.rows)))
-    # M(e_i e_j) = M(e_i) M(e_j), the equation `_aut_search` tests over GF(2)
-    cols = [M.col(j) for j in range(n)]
-    lifted = lift_table(field, alg.table)
-    for i in range(n):
-        for j in range(i, n):
-            if apply_images(cols, alg.table[i][j]) != bilinear(lifted, cols[i], cols[j]):
-                raise ValueError(
-                    f"map for line {dec.line} with lambda={lam} is not an "
-                    "automorphism; the line decomposition is not graded"
-                )
-    return M
+    return FieldMatrix(field, n, n, ((1 << (i * field.k)) ^ lift_vec(field, r, n) * (1 ^ lam)
+                                     for i, r in enumerate(pi1.rows)))
 
 
 # -- the frozen quadrilateral basis -------------------------------------------------
@@ -203,8 +200,12 @@ class MatrixGroup:
     def size(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.elements)
+
     def __contains__(self, m: FieldMatrix) -> bool:
-        return m in set(self.elements)
+        return m in self._members
 
 
 def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:

@@ -516,8 +516,8 @@ def claim_miyamoto_gf2_trivial(ctx):
 
 
 def claim_tau_ell_formula(ctx):
-    # only the quadrilateral's empty 1*1 cell permits nontrivial scalings;
-    # on merely Z/2Z-graded spaces the unit must square to 1, i.e. be 1
+    # nontrivial scalings need the strong law (cq, reduced w_a4 and w_d4);
+    # the full w_a4 has 1*1 = {0}, so only lambda = 1 passes there
     f4 = Field(2)
     alg = ctx.algebras["cq"]
     for t in alg.space.lines:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import matsuo2
-from matsuo2 import cli, transposition
+from matsuo2 import cli, fischer, transposition
 from matsuo2.transposition import gens_to_text, preset
 
 
@@ -196,6 +196,31 @@ def test_miyamoto_refuses_other_spaces(capsys):
                            "--space", "ag23")
     assert code == 2
     assert "trivial" in err
+
+
+def test_miyamoto_unknown_space_is_located(capsys):
+    code, _, err = run_cli(capsys, "miyamoto", "--field", "2", "--space", "nosuch")
+    assert code == 2
+    assert "neither a catalog name" in err
+
+
+@pytest.mark.parametrize("space", ["w_a4", "w_d4"])
+def test_miyamoto_refuses_reduced_strong_law_spaces_other_than_cq(capsys, space):
+    # every line of the reduced algebra has an empty 1*1 cell; only the
+    # quadrilateral's group is computed
+    code, _, err = run_cli(capsys, "miyamoto", "--field", "2", "--space", space,
+                           "--reduced")
+    assert code == 2
+    assert "non-empty" not in err
+    assert "quadrilateral" in err
+
+
+def test_miyamoto_space_given_as_fischer_file(capsys, tmp_path):
+    path = tmp_path / "cq.fischer"
+    path.write_text(fischer.space_to_text(fischer.catalog("cq")), encoding="utf-8")
+    expected = run_cli(capsys, "miyamoto", "--field", "2", "--space", "cq")
+    assert run_cli(capsys, "miyamoto", "--field", "2", "--space", str(path)) == expected
+    assert expected[0] == 0
 
 
 def test_aut_reports(capsys):

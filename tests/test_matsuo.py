@@ -5,7 +5,7 @@ import random
 import pytest
 
 from matsuo2 import fischer, matsuo
-from matsuo2.gf import Field, bilinear, lift_table, mask_from_support
+from matsuo2.gf import Field, bilinear, lift_vec, mask_from_support
 from matsuo2.matsuo import (
     _point_line,
     ad_matrix,
@@ -257,6 +257,26 @@ def _multiply_ext_reference(alg, field, u, v):
                 acc ^= c << ((low.bit_length() - 1) * k)
                 m ^= low
     return acc
+
+
+def lift_table(field: Field, table):
+    """A 0/1 structure-constant table read over GF(2^k), as a GF(2) table on
+    packed bits: entry (i*k + b, j*k + c), the product of x^b e_i and x^c e_j,
+    is the lift of table[i][j] times x^(b+c), an integer product with no
+    carries (one 0/1 entry per k-bit lane, a scalar below 2^k).  Over GF(2)
+    the table is returned as it is.  `gf.bilinear` on this table is the
+    algebra product over GF(2^k), the oracle of tests/test_miyamoto.py.
+    """
+    k = field.k
+    if k == 1:
+        return table
+    n = len(table)
+    powers = [field.power(2, e) for e in range(2 * k - 1)]
+    lifted = [[lift_vec(field, t, n) for t in row] for row in table]
+    return tuple(
+        tuple(lifted[i][j] * powers[b + c] for j in range(n) for c in range(k))
+        for i in range(n) for b in range(k)
+    )
 
 
 def test_lifted_product_gf4_scaling(algebras):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from matsuo2 import decomp, fischer, matsuo, miyamoto
-from matsuo2.gf import Field, FieldMatrix, NoSolution, bilinear, lift_matrix, vec_support
+from matsuo2.gf import (Field, FieldMatrix, NoSolution, apply_images, bilinear, lift_matrix,
+                        vec_support)
 from matsuo2.miyamoto import (
     CQ_LINE_ORDER,
     MiyamotoCheckError,
@@ -27,6 +28,7 @@ from matsuo2.miyamoto import (
     s_matrix,
     verify_cq_miyamoto,
 )
+from test_matsuo import lift_table
 
 GF2 = Field(1)
 GF4 = Field(2)
@@ -151,6 +153,67 @@ def test_miyamoto_map_matches_eigenbasis_reference(cq_algebra):
                 assert miyamoto_map(alg, f, dec, lam) == _eigenbasis_map(f, dec, lam), (
                     alg.reduced, f.k, line, lam
                 )
+
+
+def _per_pair_check_fails(alg, lifted, M) -> bool:
+    """Whether M(e_i e_j) != M(e_i) M(e_j) for some i <= j: the automorphism
+    check of M over GF(2^k), each product read from the lifted table."""
+    n = alg.dim
+    cols = [M.col(j) for j in range(n)]
+    return any(
+        apply_images(cols, alg.table[i][j]) != bilinear(lifted, cols[i], cols[j])
+        for i in range(n) for j in range(i, n)
+    )
+
+
+def _assert_map_raises_iff_check_fails(alg, field, lams):
+    lifted = lift_table(field, alg.table)
+    for line in alg.space.lines:
+        dec = decomp.decompose_line(alg, line)
+        for lam in lams:
+            fails = _per_pair_check_fails(alg, lifted, _eigenbasis_map(field, dec, lam))
+            case = (alg.space.meta.name, alg.reduced, field.k, line, lam)
+            try:
+                miyamoto_map(alg, field, dec, lam)
+            except ValueError as exc:
+                assert fails, case
+                assert str(exc) == (
+                    f"map for line {dec.line} with lambda={lam} is not an "
+                    "automorphism; the line decomposition is not graded"
+                )
+            else:
+                assert not fails, case
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("name", fischer.CATALOG_NAMES)
+def test_miyamoto_map_raises_iff_per_pair_check_fails(algebras, reduced_algebras,
+                                                      name, reduced):
+    alg = (reduced_algebras if reduced else algebras)[name]
+    for k in (2, 3):
+        _assert_map_raises_iff_check_fails(alg, Field(k), Field(k).nonzero())
+
+
+def test_miyamoto_map_raises_iff_per_pair_check_fails_k4_to_8(algebras, reduced_algebras):
+    rng = random.Random(1717)
+    for k in range(4, 9):
+        f = Field(k)
+        lams = rng.sample(range(2, f.order), 4)
+        for alg in (algebras["cq"], reduced_algebras["cq"], reduced_algebras["w_a4"]):
+            _assert_map_raises_iff_check_fails(alg, f, lams)
+
+
+def test_strong_law_census(algebras, reduced_algebras):
+    """The lines with the strong law are every line of cq, full and reduced,
+    and of the reduced w_a4 and w_d4; no line of any other catalog algebra."""
+    expected = {("cq", False), ("cq", True), ("w_a4", True), ("w_d4", True)}
+    for reduced, algs in ((False, algebras), (True, reduced_algebras)):
+        for name, alg in algs.items():
+            laws = {
+                decomp.strong_law(decomp.fusion_table(alg, decomp.decompose_line(alg, t)))
+                for t in alg.space.lines
+            }
+            assert laws == {(name, reduced) in expected}, (name, reduced)
 
 
 def test_s_matrix_composition_law():
@@ -358,6 +421,17 @@ def test_cq_miyamoto_group_gf16_is_every_s_matrix(reduced):
     }
     assert len(g.elements) == len(expected) == 3840
     assert {m.rows for m in g.elements} == expected
+
+
+def test_matrix_group_membership_gf16():
+    f = Field(4)
+    g = miyamoto.cq_miyamoto_group(f)
+    assert all(m in g for m in g.elements)
+    ident = FieldMatrix.identity(f, 6)
+    assert ident in g
+    rows = list(ident.rows)
+    rows[0] ^= 1 << f.k  # entry (0, 1) becomes 1
+    assert FieldMatrix(f, 6, 6, rows) not in g
 
 
 def test_verify_cq_miyamoto_rejects_bad_degree():
