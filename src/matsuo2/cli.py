@@ -138,20 +138,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_miyamoto(args) -> int:
-    sp = _load_space(args.space)
-    alg = matsuo.build(sp)
+    alg = matsuo.build(_load_space(args.space))
     if args.reduced:
         alg = matsuo.reduce(alg)
-    for t in sp.lines:
-        table = decomp.fusion_table(alg, decomp.decompose_line(alg, t))
-        if not decomp.strong_law(table):
-            raise ValueError(
-                f"line {t} of {args.space!r} lacks the strong law (Z/2Z-graded "
-                "with an empty 1*1 cell): its fusion cells are "
-                f"{json.dumps(table.to_json_dict())}; over a field of characteristic "
-                "2 its only Miyamoto map is the trivial one, lambda = 1"
-            )
-    miyamoto._require_cq(alg)  # every line has the strong law
+    miyamoto.require_miyamoto_space(alg)
     try:
         rep = miyamoto.verify_cq_miyamoto(args.field)
     except miyamoto.MiyamotoCheckError as exc:

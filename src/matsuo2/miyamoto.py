@@ -43,10 +43,10 @@ bottom row.
 
 from __future__ import annotations
 
+import json
 import struct
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import decomp, fischer, matsuo
 from .gf import (Field, FieldMatrix, apply_images, bilinear, echelon_basis, lift_matrix,
@@ -70,6 +70,20 @@ def _require_cq(alg: matsuo.NilpotentMatsuoAlgebra) -> None:
             "this operation is specific to the complete quadrilateral "
             "(catalog space 'cq')"
         )
+
+
+def require_miyamoto_space(alg: matsuo.NilpotentMatsuoAlgebra) -> None:
+    """Refuse an algebra at its first line without the strong law (its only
+    Miyamoto map is lambda = 1), then any algebra but the quadrilateral's."""
+    for t in alg.space.lines:
+        table = decomp.fusion_table(alg, decomp.decompose_line(alg, t))
+        if not decomp.strong_law(table):
+            raise ValueError(
+                f"line {t} lacks the strong law (Z/2Z-graded with an empty 1*1 cell): its "
+                f"fusion cells are {json.dumps(table.to_json_dict())}; over a field of "
+                "characteristic 2 its only Miyamoto map is the trivial one, lambda = 1"
+            )
+    _require_cq(alg)
 
 
 def _cq_algebra(reduced: bool) -> matsuo.NilpotentMatsuoAlgebra:
@@ -200,12 +214,8 @@ class MatrixGroup:
     def size(self) -> int:
         return len(self.elements)
 
-    @cached_property
-    def _members(self) -> frozenset:
-        return frozenset(self.elements)
-
     def __contains__(self, m: FieldMatrix) -> bool:
-        return m in self._members
+        return m in set(self.elements)
 
 
 def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from matsuo2 import fischer, matsuo
-from matsuo2.gf import Field, bilinear, lift_vec, mask_from_support
+from matsuo2.gf import Field, bilinear, mask_from_support
 from matsuo2.matsuo import (
     _point_line,
     ad_matrix,
@@ -259,27 +259,7 @@ def _multiply_ext_reference(alg, field, u, v):
     return acc
 
 
-def lift_table(field: Field, table):
-    """A 0/1 structure-constant table read over GF(2^k), as a GF(2) table on
-    packed bits: entry (i*k + b, j*k + c), the product of x^b e_i and x^c e_j,
-    is the lift of table[i][j] times x^(b+c), an integer product with no
-    carries (one 0/1 entry per k-bit lane, a scalar below 2^k).  Over GF(2)
-    the table is returned as it is.  `gf.bilinear` on this table is the
-    algebra product over GF(2^k), the oracle of tests/test_miyamoto.py.
-    """
-    k = field.k
-    if k == 1:
-        return table
-    n = len(table)
-    powers = [field.power(2, e) for e in range(2 * k - 1)]
-    lifted = [[lift_vec(field, t, n) for t in row] for row in table]
-    return tuple(
-        tuple(lifted[i][j] * powers[b + c] for j in range(n) for c in range(k))
-        for i in range(n) for b in range(k)
-    )
-
-
-def test_lifted_product_gf4_scaling(algebras):
+def test_lifted_product_gf4_scaling(algebras, lift_table):
     alg = algebras["cq"]
     f4 = Field(2)
     w = 2
@@ -295,7 +275,7 @@ def test_lifted_product_gf4_scaling(algebras):
     assert prod == expect
 
 
-def test_lifted_product_matches_gf2(algebras):
+def test_lifted_product_matches_gf2(algebras, lift_table):
     alg = algebras["w_a4"]
     assert lift_table(matsuo.GF2, alg.table) is alg.table
     rng = random.Random(3)
@@ -306,7 +286,8 @@ def test_lifted_product_matches_gf2(algebras):
 
 
 @pytest.mark.parametrize("k", range(1, 9))
-def test_lifted_product_matches_entrywise_reference(k, algebras, reduced_algebras):
+def test_lifted_product_matches_entrywise_reference(k, algebras, reduced_algebras,
+                                                    lift_table):
     rng = random.Random(1300 + k)
     f = Field(k)
     for alg in list(algebras.values()) + list(reduced_algebras.values()):
