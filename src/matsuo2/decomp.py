@@ -13,12 +13,17 @@ Semisimple lines need no product at all.
 
 The fusion table records, for each pair of parts, which parts their products
 meet.  It is read from one packed tensor per line: for each basis element
-e_a, the coordinates of e_a * v_j for every basis vector v_j of the two
-parts, as one integer.  XOR-ing these over the set bits of a part's basis
-vector u gives the coordinates of all products u * v_j at once, and masks
-pick out the cells.  Because the product is commutative, the pairs of a
-diagonal cell can be read as a full block: its two halves hold the same
-products.
+e_a, one integer with an n-bit slot per basis vector v_j of the two parts,
+holding the coordinates of e_a * v_j.  The tensor is built from the
+structure constants, not from ad(e_a): the constants take few distinct
+values (in the full algebra, one per line of the space: the mask of its
+three points), so each distinct constant is put into coordinates once per
+line decomposed, and one carry-free integer product copies it into the
+slots of every v_j that has the matching coordinate.  XOR-ing the tensor
+over the set bits of a part's basis vector u gives the coordinates of all
+products u * v_j at once, and masks pick out the cells.  Because the
+product is commutative, the pairs of a diagonal cell can be read as a full
+block: its two halves hold the same products.
 
 A line's verdict is constant on its orbit under the point reflections.  A
 point y gives the permutation sigma_y of the points: x -> x^y for x collinear
@@ -174,44 +179,50 @@ def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition) -> 
 
     With n = dim, d0 = len(basis0), C the coordinate matrix and v_j the j-th
     vector of basis0 + basis1, G[a] holds the coordinates of every product
-    e_a * v_j, bit q*n + j being coordinate q of e_a * v_j.  For a basis
-    vector u of either part, XOR-ing G over the set bits of u gives all the
-    products u * v_j at once; four masks (coordinate rows below or from d0,
-    crossed with the columns of each part) read off the cells.  A diagonal
-    cell reads its whole block rather than the pairs j >= i: the product is
-    commutative (matsuo.build asserts it), so the block is symmetric and
-    both halves hold the same products.
+    e_a * v_j, laid out column-major: slot j (bits j*n to j*n + n - 1) holds
+    C (e_a * v_j).  It is built from the structure constants, not from
+    ad(e_a): e_a * v_j is the XOR of m = table[a][b] over the coordinates b
+    of v_j, so G[a] is the XOR of R[b] * coords[m], where R[b] has bit j*n
+    set for each v_j with coordinate b and coords[m] = C m is computed once
+    per distinct constant m.  The set bits of R[b] lie n apart and
+    coords[m] < 2^n, so the integer product places disjoint copies and
+    cannot carry.  For a basis vector u of either part, XOR-ing G over the
+    set bits of u gives all the products u * v_j at once; four masks (the
+    slots of each part crossed with the coordinate lanes below or from d0)
+    read off the cells.  A diagonal cell reads its whole block rather than
+    the pairs j >= i: the product is commutative (matsuo.build asserts it),
+    so the block is symmetric and both halves hold the same products.
 
     The witness is the first (lexicographic) 1-part basis pair whose product
-    has a nonzero 1-component; a graded line has none, at no cost.
+    has a nonzero 1-component, read as the lowest 1-lane bit in the slots
+    from d0 + i on; a graded line has none, at no cost.
     """
     n = alg.dim
     d0 = len(dec.basis0)
     vs = dec.basis0 + dec.basis1
-    P = FieldMatrix.from_cols(GF2, n, vs).rows  # P[s]: bit j = coordinate s of v_j
-    # S[r]: column r of C, bit q*n set when C[q][r] = 1
-    S = [0] * n
-    for q, row in enumerate(dec.coord_matrix.rows):
-        while row:
-            low = row & -row
-            S[low.bit_length() - 1] |= 1 << (q * n)
-            row ^= low
-    # Row r of ad(e_a) P is a mask below 2^n over j; multiplying it by S[r],
-    # whose set bits lie n apart, places shifted copies in disjoint n-bit
-    # slots, so no carry occurs and integer * is the GF(2) outer product.
+    R = [0] * n
+    for j, v in enumerate(vs):
+        for b in vec_support(v):
+            R[b] |= 1 << (j * n)
+    # Ccols[r]: column r of C, bit q being C[q][r]
+    Ccols = FieldMatrix.from_cols(GF2, n, dec.coord_matrix.rows).rows
+    coords: dict[int, int] = {}
     G = []
     for a in range(n):
         g = 0
-        for r, ar in enumerate(alg.ad_rows(a)):
-            if ar:
-                g ^= S[r] * apply_images(P, ar)
+        for b, m in enumerate(alg.table[a]):
+            if m:
+                c = coords.get(m)
+                if c is None:
+                    c = coords[m] = apply_images(Ccols, m)
+                g ^= R[b] * c
         G.append(g)
-    cols0 = (1 << d0) - 1
-    cols1 = ((1 << n) - 1) ^ cols0
-    rows0 = sum(1 << (q * n) for q in range(d0))
-    rows1 = sum(1 << (q * n) for q in range(d0, n))
-    m00, m01 = rows0 * cols0, rows0 * cols1
-    m10, m11 = rows1 * cols0, rows1 * cols1
+    lane0 = (1 << d0) - 1
+    lane1 = ((1 << n) - 1) ^ lane0
+    slots0 = sum(1 << (j * n) for j in range(d0))
+    slots1 = sum(1 << (j * n) for j in range(d0, n))
+    m00, m01 = slots0 * lane0, slots1 * lane0
+    m10, m11 = slots0 * lane1, slots1 * lane1
     c00 = c01 = c11 = 0  # bit 0 / bit 1: the cell contains label 0 / 1
     for u in dec.basis0:
         g = apply_images(G, u)
@@ -222,14 +233,9 @@ def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition) -> 
         g = apply_images(G, u)
         c11 |= bool(g & m01) | bool(g & m11) << 1
         if witness is None and g & m11:
-            folded = 0
-            h = g >> (d0 * n)
-            while h:
-                folded |= h
-                h >>= n
-            later = folded & cols1 & -(1 << (d0 + i))
+            later = g & m11 & -(1 << ((d0 + i) * n))
             if later:
-                v = vs[(later & -later).bit_length() - 1]
+                v = vs[((later & -later).bit_length() - 1) // n]
                 p = matsuo.multiply(alg, u, v)
                 bad = dec.split(p)[1]
                 if not bad:

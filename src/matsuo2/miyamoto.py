@@ -108,7 +108,8 @@ def miyamoto_map(alg: matsuo.NilpotentMatsuoAlgebra, field: Field,
     if lam != 1 and not decomp.strong_law(decomp.fusion_table(alg, dec)):
         raise ValueError(
             f"map for line {dec.line} with lambda={lam} is not an "
-            "automorphism; the line decomposition is not graded"
+            "automorphism; the line lacks the strong law (Z/2Z-graded with an "
+            "empty 1*1 cell)"
         )
     n = alg.dim
     pi1 = FieldMatrix.from_cols(GF2, n, (dec.split(1 << j)[1] for j in range(n)))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 
 from . import fischer
-from .gf import Field, FieldMatrix, vec_to_list
+from .gf import Field, FieldMatrix
 
 _GF4 = Field(2)
 _I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -184,6 +184,11 @@ class AffinePerm(GroupElement):
         return f"[{vec} | {self.perm.label()}]"
 
 
+def _gf4_entries(row: int) -> tuple[int, int, int]:
+    """The first three GF(4) entries of a packed row, read from its 2-bit lanes."""
+    return (row & 3, row >> 2 & 3, row >> 4 & 3)
+
+
 class AffineMat(GroupElement):
     """[v, g] with v a GF(4) row vector of length 3, g an invertible 3x3 matrix.
 
@@ -218,11 +223,11 @@ class AffineMat(GroupElement):
 
     @property
     def vector(self) -> tuple[int, ...]:
-        return tuple(vec_to_list(_GF4, self.augmented.rows[3], 3))
+        return _gf4_entries(self.augmented.rows[3])
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(vec_to_list(_GF4, r, 3)) for r in self.augmented.rows[:3])
+        return tuple(_gf4_entries(r) for r in self.augmented.rows[:3])
 
     def is_identity(self) -> bool:
         return self.augmented == _IDENTITY4

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -333,6 +334,22 @@ def test_witness_recorded_for_failing_lines(algebras):
         p = matsuo.multiply(algebras["3_3_sym4"], w.u, w.v)
         assert p == w.product
         assert d.component_flags(p)[1] is True
+
+
+# sha256 of [name, reduced, [line_verdict(alg, t).to_json_dict() for each line]]
+# over the catalog, full then reduced, as compact JSON with sorted keys: every
+# cell and every witness of the 786 line verdicts
+_CATALOG_VERDICTS_SHA256 = "1d30d5ada5c715dea1efecccb446637e9360f2584436ec62e14c96581807c31f"
+
+
+def test_catalog_verdicts_pinned(algebras, reduced_algebras):
+    out = []
+    for name in fischer.CATALOG_NAMES:
+        for alg in (algebras[name], reduced_algebras[name]):
+            out.append([name, alg.reduced,
+                        [line_verdict(alg, t).to_json_dict() for t in alg.space.lines]])
+    blob = json.dumps(out, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == _CATALOG_VERDICTS_SHA256
 
 
 def test_witness_cross_check_names_the_line(algebras, monkeypatch):

@@ -177,7 +177,8 @@ def _assert_map_raises_iff_check_fails(lifted, alg, field, lams):
                 assert fails, case
                 assert str(exc) == (
                     f"map for line {dec.line} with lambda={lam} is not an "
-                    "automorphism; the line decomposition is not graded"
+                    "automorphism; the line lacks the strong law (Z/2Z-graded "
+                    "with an empty 1*1 cell)"
                 )
             else:
                 assert not fails, case

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from matsuo2 import fischer
-from matsuo2.gf import Field
+from matsuo2.gf import Field, vec_to_list
 from matsuo2.transposition import (
     AffineMat,
     AffinePerm,
@@ -246,6 +246,21 @@ def test_element_equality_hash_and_key_agree():
             if type(a) is not type(b):
                 assert a != b
     assert all(a == b and a is not b for a, b in zip(els, copies))
+
+
+def test_affinemat_key_matches_the_entrywise_decode():
+    # key() reads the 2-bit lanes of the augmented rows; vec_to_list decodes
+    # each GF(4) entry on its own
+    elements = conjugacy_class(*preset("su32")).elements
+    assert len(elements) == 36
+    for e in elements:
+        assert isinstance(e, AffineMat)
+        rows = e.augmented.rows
+        assert e.key() == (
+            "affinemat",
+            tuple(vec_to_list(_GF4, rows[3], 3)),
+            tuple(tuple(vec_to_list(_GF4, r, 3)) for r in rows[:3]),
+        )
 
 
 def test_affinemat_rejects_bad_shapes_and_entries():
