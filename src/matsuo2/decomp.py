@@ -194,8 +194,8 @@ def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition) -> 
     so the block is symmetric and both halves hold the same products.
 
     The witness is the first (lexicographic) 1-part basis pair whose product
-    has a nonzero 1-component, read as the lowest 1-lane bit in the slots
-    from d0 + i on; a graded line has none, at no cost.
+    has a nonzero 1-component, read as the lowest 1-lane bit in the 1-part
+    slots of the first u that has one; a graded line has none, at no cost.
     """
     n = alg.dim
     d0 = len(dec.basis0)
@@ -229,21 +229,22 @@ def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition) -> 
         c00 |= bool(g & m00) | bool(g & m10) << 1
         c01 |= bool(g & m01) | bool(g & m11) << 1
     witness = None
-    for i, u in enumerate(dec.basis1):
+    for u in dec.basis1:
         g = apply_images(G, u)
-        c11 |= bool(g & m01) | bool(g & m11) << 1
-        if witness is None and g & m11:
-            later = g & m11 & -(1 << ((d0 + i) * n))
-            if later:
-                v = vs[((later & -later).bit_length() - 1) // n]
-                p = matsuo.multiply(alg, u, v)
-                bad = dec.split(p)[1]
-                if not bad:
-                    raise RuntimeError(
-                        "product tensor and multiply disagree on the witness "
-                        f"for line {dec.line!r}"
-                    )
-                witness = Witness(u, v, p, bad)
+        hit = g & m11
+        c11 |= bool(g & m01) | bool(hit) << 1
+        if witness is None and hit:
+            # no set slot lies at or below u's own: u u = 0, and by commutativity
+            # an earlier u' with u' u in the 1-part would have been taken
+            v = vs[((hit & -hit).bit_length() - 1) // n]
+            p = matsuo.multiply(alg, u, v)
+            bad = dec.split(p)[1]
+            if not bad:
+                raise RuntimeError(
+                    "product tensor and multiply disagree on the witness "
+                    f"for line {dec.line!r}"
+                )
+            witness = Witness(u, v, p, bad)
     cells = {
         cell: frozenset(label for label in (0, 1) if (bits >> label) & 1)
         for cell, bits in (((0, 0), c00), ((0, 1), c01), ((1, 1), c11))

@@ -418,7 +418,7 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         raise InvalidSpaceError(f"line {lineno}: bad {what} {token!r}") from None
 
 
-def parse_space(text: str, meta: SpaceMeta | None = None) -> FischerSpace:
+def parse_space(text: str) -> FischerSpace:
     n_points = None
     labels: dict[int, str] = {}
     lines = []
@@ -455,9 +455,9 @@ def parse_space(text: str, meta: SpaceMeta | None = None) -> FischerSpace:
     if n_points is None:
         raise InvalidSpaceError("missing 'fischer <n_points>' header")
     label_list = [labels.get(i, str(i)) for i in range(n_points)]
-    return validate(n_points, lines, labels=label_list, meta=meta)
+    return validate(n_points, lines, labels=label_list)
 
 
-def load_space(path, meta: SpaceMeta | None = None) -> FischerSpace:
+def load_space(path) -> FischerSpace:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_space(fh.read(), meta=meta)
+        return parse_space(fh.read())

@@ -4,12 +4,14 @@ A line's Miyamoto map for the unit lambda is x -> x_0 + lambda x_1 =
 x + (1+lambda) x_1, that is tau_{l,lambda} = I + (1+lambda) Pi_1 with Pi_1
 the GF(2) projection onto the 1-part along the 0-part.  For lambda not in
 {0, 1} it is an automorphism iff the line has the strong law
-(`decomp.strong_law`), so `miyamoto_map` reads one GF(2) fusion table and
-forms no product over GF(2^k).  In the catalog every line of cq, full or
-reduced, has it, the small case of Sym(4) in the paper, and so does every
-line of the reduced w_a4 and w_d4, quotients of full algebras with
-1*1 = {0}; no line of any other catalog algebra, full or reduced, has it
-(tests/test_miyamoto.py).  In the frozen basis
+(`decomp.strong_law`).  Both facts belong to the line, not to lambda, so
+`miyamoto_map` takes the line's `decomp.LineVerdict`, computed once per line
+for every lambda: the strong law from its GF(2) fusion table, Pi_1 from its
+decomposition.  It forms no product over GF(2^k).  In the catalog the
+strong law holds on every line of cq, full or reduced, the small case of
+Sym(4) in the paper, and on every line of the reduced w_a4 and w_d4,
+quotients of full algebras with 1*1 = {0}; it holds on no line of any other
+catalog algebra, full or reduced (tests/test_miyamoto.py).  In the frozen basis
 
     B  = (a, b, l, lx, ly, s)      for the 6-dimensional algebra,
     B' = (a, b, l, lx, ly)         for its quotient by <s>,
@@ -64,8 +66,7 @@ class MiyamotoCheckError(RuntimeError):
 
 
 def _require_cq(alg: matsuo.NilpotentMatsuoAlgebra) -> None:
-    cq = fischer.catalog("cq")
-    if (alg.space.n_points, alg.space.lines) != (cq.n_points, cq.lines):
+    if (alg.space.n_points, alg.space.lines) != (6, tuple(sorted(CQ_LINE_ORDER))):
         raise ValueError(
             "this operation is specific to the complete quadrilateral "
             "(catalog space 'cq')"
@@ -76,7 +77,7 @@ def require_miyamoto_space(alg: matsuo.NilpotentMatsuoAlgebra) -> None:
     """Refuse an algebra at its first line without the strong law (its only
     Miyamoto map is lambda = 1), then any algebra but the quadrilateral's."""
     for t in alg.space.lines:
-        table = decomp.fusion_table(alg, decomp.decompose_line(alg, t))
+        table = decomp.line_verdict(alg, t).fusion
         if not decomp.strong_law(table):
             raise ValueError(
                 f"line {t} lacks the strong law (Z/2Z-graded with an empty 1*1 cell): its "
@@ -95,23 +96,24 @@ def _cq_algebra(reduced: bool) -> matsuo.NilpotentMatsuoAlgebra:
 # -- Miyamoto maps -----------------------------------------------------------------
 
 
-def miyamoto_map(alg: matsuo.NilpotentMatsuoAlgebra, field: Field,
-                 dec: decomp.LineDecomposition, lam: int) -> FieldMatrix:
+def miyamoto_map(verdict: decomp.LineVerdict, field: Field, lam: int) -> FieldMatrix:
     """I + (1+lambda) Pi_1 in the point basis, refused for lambda != 1 unless
-    the line's GF(2) fusion table has the strong law.
+    the line's GF(2) fusion table (`verdict.fusion`) has the strong law.
 
-    Column j of Pi_1 is the 1-part of e_j.  A lifted row of Pi_1 holds 0 or 1
-    per k-bit lane, so its integer product with 1+lambda has no carries.
+    Column j of Pi_1 is the 1-part of e_j along `verdict.decomposition`.  A
+    lifted row of Pi_1 holds 0 or 1 per k-bit lane, so its integer product
+    with 1+lambda has no carries.
     """
     if lam == 0:
         raise ValueError("lambda must be a unit")
-    if lam != 1 and not decomp.strong_law(decomp.fusion_table(alg, dec)):
+    dec = verdict.decomposition
+    if lam != 1 and not decomp.strong_law(verdict.fusion):
         raise ValueError(
             f"map for line {dec.line} with lambda={lam} is not an "
             "automorphism; the line lacks the strong law (Z/2Z-graded with an "
             "empty 1*1 cell)"
         )
-    n = alg.dim
+    n = dec.dim
     pi1 = FieldMatrix.from_cols(GF2, n, (dec.split(1 << j)[1] for j in range(n)))
     return FieldMatrix(field, n, n, ((1 << (i * field.k)) ^ lift_vec(field, r, n) * (1 ^ lam)
                                      for i, r in enumerate(pi1.rows)))
@@ -136,12 +138,6 @@ def frozen_basis_columns(alg: matsuo.NilpotentMatsuoAlgebra) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def frozen_basis_change(alg: matsuo.NilpotentMatsuoAlgebra) -> tuple[FieldMatrix, FieldMatrix]:
-    """(C, C^-1) with the frozen basis as the columns of C, over GF(2)."""
-    C = FieldMatrix.from_cols(GF2, alg.dim, frozen_basis_columns(alg))
-    return C, C.inverse()
-
-
 def frozen_basis_structure(alg: matsuo.NilpotentMatsuoAlgebra) -> tuple[tuple[int, ...], ...]:
     """Structure constants rewritten in the frozen basis (masks per pair)."""
     cols = frozen_basis_columns(alg)
@@ -152,22 +148,25 @@ def frozen_basis_structure(alg: matsuo.NilpotentMatsuoAlgebra) -> tuple[tuple[in
 
 
 def _cq_miyamoto_matrices(alg: matsuo.NilpotentMatsuoAlgebra, field: Field,
-                          line, lams) -> list[FieldMatrix]:
-    """Miyamoto maps of one quadrilateral line for each lambda, in the frozen basis.
+                          lines, lams) -> list[FieldMatrix]:
+    """Miyamoto maps of the quadrilateral in the frozen basis, in (line, lambda) order.
 
-    The line is decomposed, and the basis change inverted, once for all lambdas.
+    The basis change is inverted once per call, and each line's verdict is
+    computed once for all lambdas.
     """
-    _require_cq(alg)
-    dec = decomp.decompose_line(alg, line)
-    C, Cinv = frozen_basis_change(alg)
-    C, Cinv = lift_matrix(field, C), lift_matrix(field, Cinv)
-    return [Cinv * miyamoto_map(alg, field, dec, lam) * C for lam in lams]
+    C = FieldMatrix.from_cols(GF2, alg.dim, frozen_basis_columns(alg))
+    C, Cinv = lift_matrix(field, C), lift_matrix(field, C.inverse())
+    maps = []
+    for line in lines:
+        verdict = decomp.line_verdict(alg, line)
+        maps += [Cinv * miyamoto_map(verdict, field, lam) * C for lam in lams]
+    return maps
 
 
 def cq_miyamoto_matrix(alg: matsuo.NilpotentMatsuoAlgebra, field: Field,
                       line, lam: int) -> FieldMatrix:
     """Miyamoto map of the quadrilateral, written in the frozen basis."""
-    return _cq_miyamoto_matrices(alg, field, line, (lam,))[0]
+    return _cq_miyamoto_matrices(alg, field, (line,), (lam,))[0]
 
 
 # -- S-matrices ---------------------------------------------------------------------
@@ -319,16 +318,12 @@ def _drop_last(m: FieldMatrix) -> FieldMatrix:
                        tuple(r & keep for r in m.rows[:-1]))
 
 
-def cq_miyamoto_group(field: Field, reduced: bool = False,
-                      cap: int = 1_000_000) -> MatrixGroup:
-    """Closure of all Miyamoto maps of the quadrilateral over the given field."""
-    alg = _cq_algebra(reduced)
-    gens = [
-        m
-        for line in CQ_LINE_ORDER
-        for m in _cq_miyamoto_matrices(alg, field, line, field.nonzero())
-    ]
-    return group_closure(gens, cap=cap)
+def cq_miyamoto_group(field: Field, reduced: bool = False) -> MatrixGroup:
+    """Closure of all Miyamoto maps of the quadrilateral over the given field,
+    capped at four times its order 2^(2k) (2^k - 1)."""
+    k = field.k
+    gens = _cq_miyamoto_matrices(_cq_algebra(reduced), field, CQ_LINE_ORDER, field.nonzero())
+    return group_closure(gens, cap=4 * (1 << (2 * k)) * ((1 << k) - 1))
 
 
 def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
@@ -344,14 +339,14 @@ def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
         raise ValueError("supported field degrees are k in {2, 3, 4}")
     field = Field(k)
     expected = (1 << (2 * k)) * ((1 << k) - 1)
-    G = cq_miyamoto_group(field, cap=4 * expected)
+    G = cq_miyamoto_group(field)
     params = [parse_s_matrix(m) for m in G.elements]
     all_s = all(p is not None for p in params)
     unique = len(set(params)) == len(params)
     s_vec = 1 << (5 * field.k)
     fixes_s = all(m.col(5) == s_vec for m in G.elements)
 
-    Gr = cq_miyamoto_group(field, reduced=True, cap=4 * expected)
+    Gr = cq_miyamoto_group(field, reduced=True)
     restricted = [_drop_last(m) for m in G.elements]
     restriction_injective = len({m.rows for m in restricted}) == len(G.elements)
     onto = {m.rows for m in restricted} == {m.rows for m in Gr.elements}
@@ -482,19 +477,34 @@ def _aut_search(structure, domains) -> tuple[FieldMatrix, ...]:
     return tuple(found)
 
 
-def aut_enumerate_reduced() -> MatrixGroup:
-    """All automorphisms of the 5-dimensional quotient algebra over GF(2).
+def _aut_enumerate(reduced: bool) -> MatrixGroup:
+    """All automorphisms over GF(2) of the quotient algebra (5-dimensional) or
+    the full one (6-dimensional).
 
     Exhausts candidate images column by column in the frozen basis, pruned by
-    the requirement that A*A and A*(A*A) are stabilized; both subspaces are
-    recomputed from the structure constants.
+    the requirement that A*A and A*(A*A), and for the full algebra the
+    annihilator, are stabilized; all are recomputed from the structure
+    constants, and every survivor satisfies the full set of homomorphism
+    equations.
     """
-    structure = _cq_structure(reduced=True)
+    structure = _cq_structure(reduced)
     n = len(structure)
     aa, aaa = invariant_subspaces(structure, n)
     full = range(1, 1 << n)
-    aa, aaa = aa[1:], aaa[1:]  # the spans ascend from 0
-    return MatrixGroup(GF2, n, (), _aut_search(structure, [full, full, aa, aaa, aaa]))
+    domains = [full, full, aa[1:], aaa[1:], aaa[1:]]  # the spans ascend from 0
+    if not reduced:
+        domains.append(_annihilator_span(structure, n)[1:])
+    return MatrixGroup(GF2, n, (), _aut_search(structure, domains))
+
+
+def aut_enumerate_reduced() -> MatrixGroup:
+    """All automorphisms of the 5-dimensional quotient algebra over GF(2)."""
+    return _aut_enumerate(reduced=True)
+
+
+def aut_enumerate_full() -> MatrixGroup:
+    """All automorphisms of the 6-dimensional algebra over GF(2)."""
+    return _aut_enumerate(reduced=False)
 
 
 def aut_reduced_unconstrained() -> tuple[FieldMatrix, ...]:
@@ -518,23 +528,6 @@ class AutFullReport:
     quadratic_identity: bool
     nu_all_one: bool
     reduced_group: MatrixGroup  # the quotient's Aut, as enumerated
-
-
-def aut_enumerate_full() -> MatrixGroup:
-    """All automorphisms of the 6-dimensional algebra over GF(2).
-
-    Candidates stabilize A*A, A*(A*A) and the annihilator, all recomputed
-    from the structure constants; every survivor satisfies the full set of
-    homomorphism equations.
-    """
-    structure = _cq_structure(reduced=False)
-    n = len(structure)
-    aa, aaa = invariant_subspaces(structure, n)
-    full = range(1, 1 << n)
-    aa, aaa, ann = aa[1:], aaa[1:], _annihilator_span(structure, n)[1:]  # drop 0
-    return MatrixGroup(
-        GF2, n, (), _aut_search(structure, [full, full, aa, aaa, aaa, ann])
-    )
 
 
 def _quadratic_identity_holds(m: FieldMatrix) -> bool:

@@ -32,7 +32,7 @@ EXPECTED_SYMPLECTIC = {
 class SuiteContext:
     """Shared immutable artifacts for the claims; built once per run."""
 
-    def __init__(self, hall_data=None, corrupt: bool = False) -> None:
+    def __init__(self, hall_data=None) -> None:
         # user data is parsed before any claim runs, so a missing or malformed
         # file raises here (a usage error) instead of failing a claim
         self.hall_space = None
@@ -44,8 +44,6 @@ class SuiteContext:
         gens, seed = transposition.preset("su32")
         self.su32_class = transposition.conjugacy_class(gens, seed)
         self.algebras = {name: matsuo.build(sp) for name, sp in self.spaces.items()}
-        if corrupt:
-            self.algebras["cq"] = _corrupted(self.algebras["cq"])
         self.reduced = {name: matsuo.reduce(a) for name, a in self.algebras.items()}
         self._verdicts: dict = {}
         self._aut = None
@@ -60,17 +58,6 @@ class SuiteContext:
         if self._aut is None:
             self._aut = miyamoto.aut_count_full()
         return self._aut
-
-
-def _corrupted(alg: matsuo.NilpotentMatsuoAlgebra) -> matsuo.NilpotentMatsuoAlgebra:
-    """Test fixture: flip one structure constant, keeping commutativity."""
-    table = [list(r) for r in alg.table]
-    table[0][1] ^= 1 << (alg.dim - 1)
-    table[1][0] = table[0][1]
-    return matsuo.NilpotentMatsuoAlgebra(
-        alg.space, alg.dim, alg.reduced, alg.basis_labels,
-        tuple(tuple(r) for r in table),
-    )
 
 
 @dataclass(frozen=True)
@@ -507,11 +494,9 @@ def claim_miyamoto_gf8(ctx):
 
 
 def claim_miyamoto_gf2_trivial(ctx):
-    alg = ctx.algebras["cq"]
-    for t in alg.space.lines:
-        dec = decomp.decompose_line(alg, t)
-        if miyamoto.miyamoto_map(alg, GF2, dec, 1) != FieldMatrix.identity(GF2, alg.dim):
-            return _bad(f"map for line {t} is not the identity")
+    for v in ctx.verdict("cq").verdicts:
+        if miyamoto.miyamoto_map(v, GF2, 1) != FieldMatrix.identity(GF2, v.decomposition.dim):
+            return _bad(f"map for line {v.line} is not the identity")
     return _ok("over GF(2) the only unit gives the identity map")
 
 
@@ -520,12 +505,12 @@ def claim_tau_ell_formula(ctx):
     # the full w_a4 has 1*1 = {0}, so only lambda = 1 passes there
     f4 = Field(2)
     alg = ctx.algebras["cq"]
-    for t in alg.space.lines:
-        dec = decomp.decompose_line(alg, t)
+    for v in ctx.verdict("cq").verdicts:
+        t = v.line
         ad = lift_matrix(f4, matsuo.ad_matrix(alg, matsuo.line_nilpotent(alg, t)))
         ident = FieldMatrix.identity(f4, alg.dim)
         for lam in f4.nonzero():
-            tau = miyamoto.miyamoto_map(alg, f4, dec, lam)
+            tau = miyamoto.miyamoto_map(v, f4, lam)
             one_plus = 1 ^ lam
             scaled = FieldMatrix(
                 f4, alg.dim, alg.dim,
@@ -534,9 +519,9 @@ def claim_tau_ell_formula(ctx):
             if tau != ident + scaled:
                 return _bad(f"line {t}, lambda {lam}")
     w_alg = ctx.algebras["w_a4"]
-    w_dec = decomp.decompose_line(w_alg, w_alg.space.lines[0])
+    w_verdict = decomp.line_verdict(w_alg, w_alg.space.lines[0])
     try:
-        miyamoto.miyamoto_map(w_alg, f4, w_dec, 2)
+        miyamoto.miyamoto_map(w_verdict, f4, 2)
         return _bad("a nontrivial unit scaling passed on a non-integer-graded space")
     except ValueError:
         pass
@@ -545,10 +530,8 @@ def claim_tau_ell_formula(ctx):
 
 def claim_miyamoto_characters(ctx):
     f8 = Field(3)
-    alg = ctx.algebras["cq"]
-    t = alg.space.lines[0]
-    dec = decomp.decompose_line(alg, t)
-    maps = {lam: miyamoto.miyamoto_map(alg, f8, dec, lam) for lam in f8.nonzero()}
+    v = ctx.verdict("cq").verdicts[0]
+    maps = {lam: miyamoto.miyamoto_map(v, f8, lam) for lam in f8.nonzero()}
     for lam in f8.nonzero():
         for mu in f8.nonzero():
             if maps[lam] * maps[mu] != maps[f8.mul(lam, mu)]:
@@ -656,9 +639,9 @@ CLAIMS = (
 )
 
 
-def run_suite(hall_data=None, corrupt: bool = False) -> SuiteResult:
+def run_suite(hall_data=None) -> SuiteResult:
     """Run every claim; results keep the fixed claim order."""
-    ctx = SuiteContext(hall_data=hall_data, corrupt=corrupt)
+    ctx = SuiteContext(hall_data=hall_data)
     results = []
     for claim_id, func in CLAIMS:
         try:

@@ -65,9 +65,9 @@ def test_miyamoto_maps_have_s_form_over_gf4(cq_algebra):
 
 
 def test_miyamoto_fixes_line_and_moves_off_points(cq_algebra):
-    dec = decomp.decompose_line(cq_algebra, (0, 1, 2))
+    verdict = decomp.line_verdict(cq_algebra, (0, 1, 2))
     lam = 2
-    tau = miyamoto_map(cq_algebra, GF4, dec, lam)
+    tau = miyamoto_map(verdict, GF4, lam)
     for p in (0, 1, 2):
         assert tau.col(p) == 1 << (p * 2)  # a, b, c fixed
     ell = matsuo.line_nilpotent(cq_algebra, (0, 1, 2))
@@ -81,14 +81,14 @@ def test_miyamoto_fixes_line_and_moves_off_points(cq_algebra):
 
 
 def test_lambda_one_is_identity(cq_algebra):
-    dec = decomp.decompose_line(cq_algebra, (0, 1, 2))
-    assert miyamoto_map(cq_algebra, GF2, dec, 1) == FieldMatrix.identity(GF2, 6)
-    assert miyamoto_map(cq_algebra, GF4, dec, 1) == FieldMatrix.identity(GF4, 6)
+    verdict = decomp.line_verdict(cq_algebra, (0, 1, 2))
+    assert miyamoto_map(verdict, GF2, 1) == FieldMatrix.identity(GF2, 6)
+    assert miyamoto_map(verdict, GF4, 1) == FieldMatrix.identity(GF4, 6)
 
 
 def test_characters_compose_per_line(cq_algebra):
-    dec = decomp.decompose_line(cq_algebra, (1, 3, 5))
-    maps = {lam: miyamoto_map(cq_algebra, GF4, dec, lam) for lam in GF4.nonzero()}
+    verdict = decomp.line_verdict(cq_algebra, (1, 3, 5))
+    maps = {lam: miyamoto_map(verdict, GF4, lam) for lam in GF4.nonzero()}
     for lam in GF4.nonzero():
         for mu in GF4.nonzero():
             assert maps[lam] * maps[mu] == maps[GF4.mul(lam, mu)]
@@ -96,10 +96,10 @@ def test_characters_compose_per_line(cq_algebra):
 
 def test_nontrivial_scaling_rejected_on_z2_only_space():
     alg = matsuo.build(fischer.catalog("w_a4"))
-    dec = decomp.decompose_line(alg, alg.space.lines[0])
-    miyamoto_map(alg, GF4, dec, 1)  # identity is always fine
+    verdict = decomp.line_verdict(alg, alg.space.lines[0])
+    miyamoto_map(verdict, GF4, 1)  # identity is always fine
     with pytest.raises(ValueError, match="not an automorphism"):
-        miyamoto_map(alg, GF4, dec, 2)
+        miyamoto_map(verdict, GF4, 2)
 
 
 # sha256 prefix of the rows of every miyamoto_map matrix of the quadrilateral,
@@ -120,9 +120,9 @@ def test_miyamoto_map_matrices_pinned(cq_algebra, k, reduced):
     alg = matsuo.reduce(cq_algebra) if reduced else cq_algebra
     h = hashlib.sha256()
     for line in CQ_LINE_ORDER:
-        dec = decomp.decompose_line(alg, line)
+        verdict = decomp.line_verdict(alg, line)
         for lam in f.nonzero():
-            h.update(repr(miyamoto_map(alg, f, dec, lam).rows).encode())
+            h.update(repr(miyamoto_map(verdict, f, lam).rows).encode())
     assert h.hexdigest()[:16] == _MIYAMOTO_MAP_DIGESTS[k, reduced]
 
 
@@ -147,9 +147,10 @@ def test_miyamoto_map_matches_eigenbasis_reference(cq_algebra):
     cases += [(w_a4, Field(k), list(Field(k).nonzero())) for k in (2, 3)]
     for alg, f, lams in cases:
         for line in alg.space.lines:
-            dec = decomp.decompose_line(alg, line)
+            verdict = decomp.line_verdict(alg, line)
             for lam in lams:
-                assert miyamoto_map(alg, f, dec, lam) == _eigenbasis_map(f, dec, lam), (
+                assert miyamoto_map(verdict, f, lam) == _eigenbasis_map(
+                    f, verdict.decomposition, lam), (
                     alg.reduced, f.k, line, lam
                 )
 
@@ -167,12 +168,13 @@ def _per_pair_check_fails(alg, lifted, M) -> bool:
 
 def _assert_map_raises_iff_check_fails(lifted, alg, field, lams):
     for line in alg.space.lines:
-        dec = decomp.decompose_line(alg, line)
+        verdict = decomp.line_verdict(alg, line)
+        dec = verdict.decomposition
         for lam in lams:
             fails = _per_pair_check_fails(alg, lifted, _eigenbasis_map(field, dec, lam))
             case = (alg.space.meta.name, alg.reduced, field.k, line, lam)
             try:
-                miyamoto_map(alg, field, dec, lam)
+                miyamoto_map(verdict, field, lam)
             except ValueError as exc:
                 assert fails, case
                 assert str(exc) == (
@@ -394,6 +396,32 @@ def test_cq_miyamoto_group_gf16_order_pinned(reduced):
     g = miyamoto.cq_miyamoto_group(Field(4), reduced=reduced)
     h = hashlib.sha256(repr(tuple(m.rows for m in g.elements)).encode())
     assert h.hexdigest()[:16] == _CLOSURE_ORDER_DIGESTS[reduced]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("reduced", [False, True])
+def test_cq_miyamoto_group_decides_each_line_once(monkeypatch, k, reduced):
+    """One fusion table per quadrilateral line for all lambdas, and one
+    validated catalog space for the whole group."""
+    calls = {"fusion_table": 0, "validate": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(decomp, "fusion_table")
+    count(fischer, "validate")
+    miyamoto.cq_miyamoto_group(Field(k), reduced)
+    assert calls == {"fusion_table": 4, "validate": 1}
+
+
+def test_cq_line_order_is_the_catalog_lines():
+    assert sorted(CQ_LINE_ORDER) == list(fischer.catalog("cq").lines)
 
 
 def test_verify_cq_miyamoto_gf4():

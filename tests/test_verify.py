@@ -2,7 +2,7 @@ import itertools
 import json
 from types import SimpleNamespace
 
-from matsuo2 import fischer, miyamoto, verify
+from matsuo2 import fischer, matsuo, miyamoto, verify
 from matsuo2.transposition import gens_to_text, preset
 
 
@@ -69,8 +69,22 @@ def test_nominal_suite_state():
     assert result.counts() == (30, 1, 1)
 
 
-def test_corrupted_structure_constants_fail():
-    result = verify.run_suite(corrupt=True)
+def test_corrupted_structure_constants_fail(monkeypatch):
+    init = verify.SuiteContext.__init__
+
+    def corrupted_init(self, *args, **kwargs):
+        # flip one structure constant of the quadrilateral, keeping commutativity
+        init(self, *args, **kwargs)
+        alg = self.algebras["cq"]
+        table = [list(r) for r in alg.table]
+        table[0][1] ^= 1 << (alg.dim - 1)
+        table[1][0] = table[0][1]
+        self.algebras["cq"] = matsuo.NilpotentMatsuoAlgebra(
+            alg.space, alg.dim, alg.reduced, alg.basis_labels, tuple(map(tuple, table)))
+        self.reduced["cq"] = matsuo.reduce(self.algebras["cq"])
+
+    monkeypatch.setattr(verify.SuiteContext, "__init__", corrupted_init)
+    result = verify.run_suite()
     statuses = {r.claim_id: r.status for r in result.results}
     assert result.exit_code == 1
     # the corruption hits the quadrilateral algebra, so its claims must trip
