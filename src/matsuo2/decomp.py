@@ -9,7 +9,8 @@ example).  No power ad^N (N = dim) is formed: the chain ker(ad), ker(ad^2),
 because x^N and (x+1)^N are coprime: ker(ad^N) and ker((ad+1)^N) meet only
 in 0, so their dimensions sum to at most N, and they contain ker(ad^k) and
 ker(ad+1); once those two reach N together, every inequality is an equality.
-Semisimple lines need no product at all.
+Semisimple lines need no product at all.  Coordinates in the two bases are
+read by the columns of C = P^-1 (P has the bases as columns): rows of (P^T)^-1.
 
 The fusion table records, for each pair of parts, which parts their products
 meet.  It is read from one packed tensor per line: for each basis element
@@ -61,13 +62,13 @@ class LineDecomposition:
     eigen0_dim: int
     eigen1_dim: int
     semisimple: bool
-    coord_matrix: FieldMatrix  # inverse of [basis0 | basis1] as columns
+    coord_cols: tuple[int, ...]  # columns of C = P^-1, P = [basis0 | basis1] as columns
 
     def gen_dims(self) -> tuple[int, int]:
         return (len(self.basis0), len(self.basis1))
 
     def coords(self, v: int) -> int:
-        return self.coord_matrix.matvec(v)
+        return apply_images(self.coord_cols, v)
 
     def split(self, v: int) -> tuple[int, int]:
         """Components of v in the 0-part and the 1-part."""
@@ -113,7 +114,6 @@ def decompose_line(alg: matsuo.NilpotentMatsuoAlgebra, line) -> LineDecompositio
         if grown is None:
             raise _split_error(line, ad1, basis0, basis1)
         basis0 = grown
-    P = FieldMatrix.from_cols(GF2, n, basis0 + basis1)
     return LineDecomposition(
         line=tuple(sorted(line)),
         dim=n,
@@ -122,7 +122,7 @@ def decompose_line(alg: matsuo.NilpotentMatsuoAlgebra, line) -> LineDecompositio
         eigen0_dim=eigen0,
         eigen1_dim=len(basis1),
         semisimple=(eigen0 == target),
-        coord_matrix=P.inverse(),
+        coord_cols=FieldMatrix(GF2, n, n, basis0 + basis1).inverse().rows,
     )
 
 
@@ -177,14 +177,15 @@ class FusionTable:
 def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition) -> FusionTable:
     """Observed fusion law from one packed product tensor of the line.
 
-    With n = dim, d0 = len(basis0), C the coordinate matrix and v_j the j-th
-    vector of basis0 + basis1, G[a] holds the coordinates of every product
-    e_a * v_j, laid out column-major: slot j (bits j*n to j*n + n - 1) holds
-    C (e_a * v_j).  It is built from the structure constants, not from
-    ad(e_a): e_a * v_j is the XOR of m = table[a][b] over the coordinates b
-    of v_j, so G[a] is the XOR of R[b] * coords[m], where R[b] has bit j*n
-    set for each v_j with coordinate b and coords[m] = C m is computed once
-    per distinct constant m.  The set bits of R[b] lie n apart and
+    With n = dim, d0 = len(basis0), C the coordinate map (its columns are
+    dec.coord_cols) and v_j the j-th vector of basis0 + basis1, G[a] holds
+    the coordinates of every product e_a * v_j, laid out column-major: slot
+    j (bits j*n to j*n + n - 1) holds C (e_a * v_j).  It is built from the
+    structure constants, not from ad(e_a): e_a * v_j is the XOR of
+    m = table[a][b] over the coordinates b of v_j, so G[a] is the XOR of
+    R[b] * coords[m], where R[b] has bit j*n set for each v_j with
+    coordinate b and coords[m] = C m is computed once per distinct
+    constant m.  The set bits of R[b] lie n apart and
     coords[m] < 2^n, so the integer product places disjoint copies and
     cannot carry.  For a basis vector u of either part, XOR-ing G over the
     set bits of u gives all the products u * v_j at once; four masks (the
@@ -204,8 +205,6 @@ def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition) -> 
     for j, v in enumerate(vs):
         for b in vec_support(v):
             R[b] |= 1 << (j * n)
-    # Ccols[r]: column r of C, bit q being C[q][r]
-    Ccols = FieldMatrix.from_cols(GF2, n, dec.coord_matrix.rows).rows
     coords: dict[int, int] = {}
     G = []
     for a in range(n):
@@ -214,7 +213,7 @@ def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition) -> 
             if m:
                 c = coords.get(m)
                 if c is None:
-                    c = coords[m] = apply_images(Ccols, m)
+                    c = coords[m] = apply_images(dec.coord_cols, m)
                 g ^= R[b] * c
         G.append(g)
     lane0 = (1 << d0) - 1

@@ -141,9 +141,10 @@ def frozen_basis_columns(alg: matsuo.NilpotentMatsuoAlgebra) -> tuple[int, ...]:
 def frozen_basis_structure(alg: matsuo.NilpotentMatsuoAlgebra) -> tuple[tuple[int, ...], ...]:
     """Structure constants rewritten in the frozen basis (masks per pair)."""
     cols = frozen_basis_columns(alg)
-    Cinv = FieldMatrix.from_cols(GF2, alg.dim, cols).inverse()
+    Cinv_cols = FieldMatrix(GF2, alg.dim, alg.dim, cols).inverse().rows  # C^-1 by columns
     return tuple(
-        tuple(Cinv.matvec(matsuo.multiply(alg, ci, cj)) for cj in cols) for ci in cols
+        tuple(apply_images(Cinv_cols, matsuo.multiply(alg, ci, cj)) for cj in cols)
+        for ci in cols
     )
 
 
@@ -477,9 +478,10 @@ def _aut_search(structure, domains) -> tuple[FieldMatrix, ...]:
     return tuple(found)
 
 
-def _aut_enumerate(reduced: bool) -> MatrixGroup:
-    """All automorphisms over GF(2) of the quotient algebra (5-dimensional) or
-    the full one (6-dimensional).
+def _aut_enumerate(structure) -> MatrixGroup:
+    """All automorphisms over GF(2) of the algebra with these frozen-basis
+    structure constants: the quotient's (5-dimensional) or the full one's
+    (6-dimensional), told apart by the dimension.
 
     Exhausts candidate images column by column in the frozen basis, pruned by
     the requirement that A*A and A*(A*A), and for the full algebra the
@@ -487,24 +489,23 @@ def _aut_enumerate(reduced: bool) -> MatrixGroup:
     constants, and every survivor satisfies the full set of homomorphism
     equations.
     """
-    structure = _cq_structure(reduced)
     n = len(structure)
     aa, aaa = invariant_subspaces(structure, n)
     full = range(1, 1 << n)
     domains = [full, full, aa[1:], aaa[1:], aaa[1:]]  # the spans ascend from 0
-    if not reduced:
+    if n == 6:
         domains.append(_annihilator_span(structure, n)[1:])
     return MatrixGroup(GF2, n, (), _aut_search(structure, domains))
 
 
 def aut_enumerate_reduced() -> MatrixGroup:
     """All automorphisms of the 5-dimensional quotient algebra over GF(2)."""
-    return _aut_enumerate(reduced=True)
+    return _aut_enumerate(_cq_structure(reduced=True))
 
 
 def aut_enumerate_full() -> MatrixGroup:
     """All automorphisms of the 6-dimensional algebra over GF(2)."""
-    return _aut_enumerate(reduced=False)
+    return _aut_enumerate(_cq_structure(reduced=False))
 
 
 def aut_reduced_unconstrained() -> tuple[FieldMatrix, ...]:
@@ -555,10 +556,10 @@ def aut_count_full() -> AutFullReport:
     automorphisms of the quotient extended by the (kappa, lambda, nu) bottom
     row; the two routes must agree exactly.
     """
-    full_group = aut_enumerate_full()
-    reduced_group = aut_enumerate_reduced()
     structure = _cq_structure(reduced=False)
     n = len(structure)
+    full_group = _aut_enumerate(structure)
+    reduced_group = aut_enumerate_reduced()
     block_built = []
     for theta in reduced_group.elements:
         for kappa in (0, 1):

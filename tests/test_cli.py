@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -150,6 +151,25 @@ def test_decompose_json_schema(capsys):
     assert entry["eigen_dims"] == [4, 4]
     assert entry["semisimple"] is False
     assert set(entry["fusion"]) == {"00", "01", "11"}
+
+
+# sha256 of the `decompose --space X --format json` stdout of each catalog space
+DECOMPOSE_JSON_SHA256 = {
+    "cq": "732784a11502b08f8137cd651e8fc72fe0664268e6e83258e6d2409c8090d973",
+    "ag23": "893fc841d2c0e52170a8355836b1815babed2b746530a09ed18108a2e02c7b3e",
+    "w_a4": "2a49c83da18db6aa1759db52965425d294cdc173a8263656ea58e4c1e117bd56",
+    "w_d4": "c49af548f7aa6c07c63d8a72116acdea824d86f00f0045ba70f4a9baec6ec804",
+    "3_3_sym4": "e4bcc2b6753da3454c0b05f1f69cc6b2d4e4cb490857d2da5374786a99b8d3f6",
+    "ag33": "7cf3c29775dcc4271b8abd636d5ddf3654aee32ec5e71e9851bbc1508fa0aeff",
+    "su32": "97ec61b55a0f42db547d1573901beae796fa36938e5375fe5054e86e7d65f11b",
+}
+
+
+@pytest.mark.parametrize("name", fischer.CATALOG_NAMES)
+def test_decompose_json_bytes_pinned(capsys, name):
+    code, out, _ = run_cli(capsys, "decompose", "--space", name, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_JSON_SHA256[name]
 
 
 def test_decompose_reduced(capsys):

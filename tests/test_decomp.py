@@ -147,12 +147,30 @@ def _power_decomposition(alg, line):
     assert basis1 == ad1.kernel()
     eigen0, eigen1 = len(ad.kernel()), len(basis1)
     coords = FieldMatrix.from_cols(ad.field, n, basis0 + basis1).inverse()
-    return basis0, basis1, eigen0, eigen1, eigen0 + eigen1 == n, coords.rows
+    coord_cols = FieldMatrix.from_cols(ad.field, n, coords.rows).rows  # transposed
+    return basis0, basis1, eigen0, eigen1, eigen0 + eigen1 == n, coord_cols
 
 
 def _decomposition_fields(dec):
     return (dec.basis0, dec.basis1, dec.eigen0_dim, dec.eigen1_dim,
-            dec.semisimple, dec.coord_matrix.rows)
+            dec.semisimple, dec.coord_cols)
+
+
+def test_lines_read_coordinates_by_columns(algebras, reduced_algebras, monkeypatch):
+    # C is kept by its columns: no line transposes a matrix or applies one
+    algs = [*algebras.values(), *reduced_algebras.values()]
+    for alg in algs:
+        alg.ad_rows(0)  # the algebra's own ad rows come from from_cols, once
+    calls = []
+    from_cols, matvec = FieldMatrix.from_cols, FieldMatrix.matvec
+    monkeypatch.setattr(FieldMatrix, "from_cols",
+                        staticmethod(lambda *a: calls.append("from_cols") or from_cols(*a)))
+    monkeypatch.setattr(FieldMatrix, "matvec",
+                        lambda m, v: calls.append("matvec") or matvec(m, v))
+    for alg in algs:
+        for t in alg.space.lines:
+            fusion_table(alg, decompose_line(alg, t))
+    assert calls == []
 
 
 def _assert_decompositions_match_reference(alg):

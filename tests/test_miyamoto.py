@@ -132,7 +132,8 @@ def _eigenbasis_map(field, dec, lam):
     P = FieldMatrix.from_cols(GF2, n, dec.basis0 + dec.basis1)
     d0 = len(dec.basis0)
     D = FieldMatrix(field, n, n, ((1 if i < d0 else lam) << (i * field.k) for i in range(n)))
-    return lift_matrix(field, P) * D * lift_matrix(field, dec.coord_matrix)
+    C = FieldMatrix.from_cols(GF2, n, dec.coord_cols)
+    return lift_matrix(field, P) * D * lift_matrix(field, C)
 
 
 def test_miyamoto_map_matches_eigenbasis_reference(cq_algebra):
@@ -504,6 +505,19 @@ def test_aut_full_report():
     assert rep.quadratic_identity
     assert rep.nu_all_one
     assert rep.reduced_group == aut_enumerate_reduced()
+
+
+def test_aut_count_full_builds_each_frozen_structure_once(monkeypatch):
+    # one structure for the full algebra, read by both routes, and one for the quotient
+    dims, validated = [], []
+    structure_of, validate = miyamoto.frozen_basis_structure, fischer.validate
+    monkeypatch.setattr(miyamoto, "frozen_basis_structure",
+                        lambda alg: dims.append(alg.dim) or structure_of(alg))
+    monkeypatch.setattr(fischer, "validate",
+                        lambda *a, **k: validated.append(a[0]) or validate(*a, **k))
+    assert aut_count_full().sets_agree
+    assert sorted(dims) == [5, 6]
+    assert validated == [6, 6]
 
 
 def test_aut_full_group_closed():

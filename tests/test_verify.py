@@ -1,8 +1,11 @@
 import itertools
 import json
+import random
 from types import SimpleNamespace
 
-from matsuo2 import fischer, matsuo, miyamoto, verify
+import pytest
+
+from matsuo2 import fischer, matsuo, miyamoto, transposition, verify
 from matsuo2.transposition import gens_to_text, preset
 
 
@@ -39,6 +42,90 @@ def test_hall_claim_skips_space_without_coordinate_labels(tmp_path):
     status, detail = verify.claim_witness_hall(verify.SuiteContext(hall_data=str(path)))
     assert status == "skipped"
     assert detail == "supplied space lacks [p,q,r,s] coordinate labels over F_3"
+
+
+def _hall_space(seed=None):
+    """Hall's 81-point triple system on F_3^4, points labelled [p,q,r,s]:
+    lines {x, y, x o y} with x o y = -x - y + (0, 0, 0, (x3 - y3)(x1 y2 - x2 y1)).
+    A seed numbers the points in a shuffled order."""
+    pts = list(itertools.product(range(3), repeat=4))
+    order = list(range(len(pts)))
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    index = dict(zip(pts, order))
+
+    def op(x, y):
+        twist = (x[2] - y[2]) * (x[0] * y[1] - x[1] * y[0])
+        return tuple((-a - b) % 3 for a, b in zip(x[:3], y[:3])) + ((twist - x[3] - y[3]) % 3,)
+
+    lines = {tuple(sorted((index[x], index[y], index[op(x, y)])))
+             for i, x in enumerate(pts) for y in pts[i + 1:]}
+    labels = [None] * len(pts)
+    for p, i in index.items():
+        labels[i] = "[" + ",".join(str(c) for c in p) + "]"
+    return fischer.validate(len(pts), sorted(lines), labels=labels)
+
+
+@pytest.mark.parametrize("seed", [None, 2718], ids=["generated", "relabelled"])
+def test_hall_claim_passes_on_halls_space(tmp_path, seed):
+    path = tmp_path / "hall.fischer"
+    fischer.save_space(_hall_space(seed), path)
+    ctx = SimpleNamespace(hall_space=fischer.load_space(str(path)))
+    assert verify.claim_witness_hall(ctx) == ("pass", "witness product lands back in the 1-part")
+
+
+def _su32_ctx(sp):
+    return SimpleNamespace(spaces={"su32": sp}, algebras={"su32": matsuo.build(sp)})
+
+
+def test_su32_witness_reads_points_by_label(spaces):
+    sp = spaces["su32"]
+    expected = verify.claim_witness_su32(_su32_ctx(sp))
+    assert expected[0] == "fail"  # the documented su32 discrepancy
+    perm = list(range(sp.n_points))
+    random.Random(3636).shuffle(perm)
+    labels = [None] * sp.n_points
+    for i, lab in enumerate(sp.labels):
+        labels[perm[i]] = lab
+    moved = fischer.validate(sp.n_points, [[perm[p] for p in t] for t in sp.lines],
+                             labels=labels, meta=sp.meta)
+    assert verify.claim_witness_su32(_su32_ctx(moved)) == expected
+
+
+def test_su32_witness_fails_without_one_label_per_point(spaces):
+    sp = spaces["su32"]
+    labels = list(sp.labels)
+    labels[1] = labels[0]
+    twin = fischer.validate(sp.n_points, sp.lines, labels=labels, meta=sp.meta)
+    assert verify.claim_witness_su32(_su32_ctx(twin)) == (
+        "fail", "36 points carry 35 distinct labels")
+    labels = list(sp.labels)
+    d = transposition.su32_matrix_involutions()[0]
+    labels[labels.index(d.label())] = "d"  # the witness line's first point goes unnamed
+    unnamed = fischer.validate(sp.n_points, sp.lines, labels=labels, meta=sp.meta)
+    with pytest.raises(KeyError):  # run_suite turns the crash into a failed claim
+        verify.claim_witness_su32(_su32_ctx(unnamed))
+
+
+def test_suite_enumerates_each_class_once(monkeypatch):
+    sizes, built, validated = [], [], []
+    enumerate_class = transposition.conjugacy_class
+    from_class, validate = transposition.fischer_from_class, fischer.validate
+
+    def counted_class(*args, **kwargs):
+        cls = enumerate_class(*args, **kwargs)
+        sizes.append(cls.size())
+        return cls
+
+    monkeypatch.setattr(transposition, "conjugacy_class", counted_class)
+    monkeypatch.setattr(transposition, "fischer_from_class",
+                        lambda *a, **k: built.append(1) or from_class(*a, **k))
+    monkeypatch.setattr(fischer, "validate",
+                        lambda *a, **k: validated.append(a[0]) or validate(*a, **k))
+    verify.run_suite()
+    assert sorted(sizes) == [10, 12, 18, 36]  # w_a4, w_d4, 3_3_sym4, su32: once each
+    assert len(built) == 4
+    assert len(validated) == 14
 
 
 def test_aut_claims_share_one_quotient_enumeration(monkeypatch):
