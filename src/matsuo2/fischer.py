@@ -53,6 +53,7 @@ class FischerSpace:
     __slots__ = (
         "n_points", "labels", "lines", "line_masks", "meta", "collinear",
         "_line_ids", "_wedge", "_lines_through", "_planes", "_symplectic",
+        "_point_line_rows",
     )
 
     def __init__(self, n_points, labels, lines, meta, collinear, wedge,
@@ -68,9 +69,16 @@ class FischerSpace:
         self._lines_through = lines_through
         self._planes = planes  # per line id: point masks of the planes through it
         self._symplectic = symplectic
+        # per line id: the products of every point with the line nilpotent,
+        # filled by the matsuo predictors when they first ask for that line
+        self._point_line_rows = {}
 
     def line_id(self, line) -> int:
         """Position in `lines` of a line given by its points in any order."""
+        if isinstance(line, tuple):
+            i = self._line_ids.get(line)
+            if i is not None:
+                return i
         try:
             return self._line_ids[tuple(sorted(line))]
         except KeyError:

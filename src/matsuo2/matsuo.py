@@ -142,7 +142,10 @@ def annihilator(alg: NilpotentMatsuoAlgebra) -> tuple[int, ...]:
 # The product of a point with a line nilpotent, and of two line nilpotents,
 # is determined by the geometry alone.  These predictors recompute the
 # products from collinearity, wedges and the plane index only, independently
-# of the structure constants, and serve as oracles against multiply().
+# of the structure constants, and serve as oracles against multiply().  A
+# line's row, the products of every point with its nilpotent, is computed by
+# _point_line from that same geometry the first time a predictor asks for the
+# line, and cached on the space.
 
 
 def predict_point_line(space: fischer.FischerSpace, x: int, line) -> int:
@@ -151,9 +154,22 @@ def predict_point_line(space: fischer.FischerSpace, x: int, line) -> int:
     Cases: zero when x is on the line or sees none of it; the sum of the two
     joining lines when x sees two of its points (they span a quadrilateral);
     x + line + m when x sees all three (they span an affine plane), with
-    m = {x^a, x^b, x^c} the parallel line avoiding x.
+    m = {x^a, x^b, x^c} the parallel line avoiding x.  Read from the
+    line's cached row.
     """
-    return _point_line(space, x, space.line_masks[space.line_id(line)])
+    if not 0 <= x < space.n_points:
+        raise ValueError(f"point {x} is outside 0..{space.n_points - 1}")
+    return _point_line_row(space, space.line_id(line))[x]
+
+
+def _point_line_row(space: fischer.FischerSpace, j: int) -> tuple[int, ...]:
+    """x * (nilpotent of line j) for every point x, computed on first request."""
+    row = space._point_line_rows.get(j)
+    if row is None:
+        m = space.line_masks[j]
+        row = tuple(_point_line(space, x, m) for x in range(space.n_points))
+        space._point_line_rows[j] = row
+    return row
 
 
 def _point_line(space: fischer.FischerSpace, x: int, m: int) -> int:
@@ -179,7 +195,8 @@ def predict_line_line(space: fischer.FischerSpace, line1, line2) -> int:
     Equal lines give zero.  Intersecting lines give the sum of the two
     nilpotents in a quadrilateral, or the four points off both lines in an
     affine plane.  Disjoint lines spanning an affine plane give the sum of
-    its nine points; other disjoint pairs expand point by point.
+    its nine points; other disjoint pairs expand point by point, reading the
+    cached row of the second line.
     """
     i, j = space.line_id(line1), space.line_id(line2)
     if i == j:
@@ -191,11 +208,8 @@ def predict_line_line(space: fischer.FischerSpace, line1, line2) -> int:
     if plane:
         return plane & ~(m1 | m2) if m1 & m2 else plane
     a, b, c = space.lines[i]
-    return (
-        _point_line(space, a, m2)
-        ^ _point_line(space, b, m2)
-        ^ _point_line(space, c, m2)
-    )
+    row = _point_line_row(space, j)
+    return row[a] ^ row[b] ^ row[c]
 
 
 # -- export ----------------------------------------------------------------------

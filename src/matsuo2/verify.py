@@ -142,9 +142,10 @@ def claim_oracle_point_line(ctx):
     total = 0
     for name, sp in ctx.spaces.items():
         alg = ctx.algebras[name]
+        nil = {t: matsuo.line_nilpotent(alg, t) for t in sp.lines}
         for x in range(sp.n_points):
             for t in sp.lines:
-                got = matsuo.multiply(alg, 1 << x, matsuo.line_nilpotent(alg, t))
+                got = matsuo.multiply(alg, 1 << x, nil[t])
                 if got != matsuo.predict_point_line(sp, x, t):
                     return _bad(f"{name}: point {x}, line {t}")
                 total += 1

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from matsuo2 import fischer, matsuo
@@ -42,3 +45,30 @@ def _lift_table(field: Field, table):
 @pytest.fixture(scope="session")
 def lift_table():
     return _lift_table
+
+
+def _hall_space(seed=None):
+    """Hall's 81-point triple system on F_3^4, points labelled [p,q,r,s]:
+    lines {x, y, x o y} with x o y = -x - y + (0, 0, 0, (x3 - y3)(x1 y2 - x2 y1)).
+    A seed numbers the points in a shuffled order."""
+    pts = list(itertools.product(range(3), repeat=4))
+    order = list(range(len(pts)))
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    index = dict(zip(pts, order))
+
+    def op(x, y):
+        twist = (x[2] - y[2]) * (x[0] * y[1] - x[1] * y[0])
+        return tuple((-a - b) % 3 for a, b in zip(x[:3], y[:3])) + ((twist - x[3] - y[3]) % 3,)
+
+    lines = {tuple(sorted((index[x], index[y], index[op(x, y)])))
+             for i, x in enumerate(pts) for y in pts[i + 1:]}
+    labels = [None] * len(pts)
+    for p, i in index.items():
+        labels[i] = "[" + ",".join(str(c) for c in p) + "]"
+    return fischer.validate(len(pts), sorted(lines), labels=labels)
+
+
+@pytest.fixture(scope="session")
+def hall_space():
+    return _hall_space

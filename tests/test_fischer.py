@@ -178,6 +178,21 @@ def _reference_planes(sp):
     return kinds, through
 
 
+def test_line_id_resolves_any_spelling_of_a_line(spaces):
+    for sp in spaces.values():
+        for i, t in enumerate(sp.lines):
+            assert sp.line_id(t) == i
+            assert sp.line_id(list(t)) == i
+            assert sp.line_id(t[::-1]) == i
+            assert {sp.line_id(p) for p in itertools.permutations(t)} == {i}
+    cq = spaces["cq"]
+    for bad, text in (((0, 1, 3), "(0, 1, 3)"), ((3, 1, 0), "(3, 1, 0)"),
+                      ([0, 1, 3], "[0, 1, 3]")):
+        with pytest.raises(ValueError) as info:
+            cq.line_id(bad)
+        assert str(info.value) == f"{text} is not a line of the space"
+
+
 def _relabelled(sp, seed):
     perm = list(range(sp.n_points))
     random.Random(seed).shuffle(perm)

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from matsuo2 import fischer, matsuo
-from matsuo2.gf import Field, bilinear, mask_from_support
+from matsuo2 import decomp, fischer, matsuo
+from matsuo2.gf import Field, bilinear, mask_from_support, vec_support
 from matsuo2.matsuo import (
-    _point_line,
+    _fold,
+    _point_line_row,
     ad_matrix,
     annihilator,
     build,
@@ -208,15 +209,63 @@ def test_predict_against_structure_constants(spaces, algebras):
             )
 
 
-def test_mask_point_line_matches_the_checked_predictor(spaces, algebras):
-    for name, sp in spaces.items():
-        alg = algebras[name]
-        for t in sp.lines:
-            m = mask_from_support(t)
-            for x in range(sp.n_points):
-                got = _point_line(sp, x, m)
-                assert got == predict_point_line(sp, x, t)
-                assert got == multiply(alg, 1 << x, m)
+def _product_by_definition(sp, x, mask):
+    """x times the sum of the points of mask, one point y at a time:
+    x*y = e_x + e_y + e_{x^y} when x and y are collinear, else 0."""
+    out = 0
+    for y in vec_support(mask):
+        if (sp.collinear[x] >> y) & 1:
+            out ^= (1 << x) ^ (1 << y) ^ (1 << fischer.wedge(sp, x, y))
+    return out
+
+
+def test_point_line_rows_match_the_definition(spaces, hall_space):
+    for sp in [*spaces.values(), hall_space()]:
+        n = sp.n_points
+        for j, m in enumerate(sp.line_masks):
+            row = _point_line_row(sp, j)
+            assert len(row) == n
+            folded = _fold(m, n)
+            for x in range(n):
+                assert row[x] == _product_by_definition(sp, x, m)
+                # the reduced nilpotent differs from m by s, which annihilates
+                assert _fold(row[x], n) == _fold(_product_by_definition(sp, x, folded), n)
+
+
+@pytest.mark.parametrize("name", fischer.CATALOG_NAMES)
+def test_rows_are_built_only_when_a_predictor_asks(name):
+    sp = fischer.catalog(name)
+    assert sp._point_line_rows == {}
+    decomp.classify_space(build(sp))
+    assert sp._point_line_rows == {}
+    again = fischer.validate(sp.n_points, sp.lines)
+    assert again._point_line_rows == {}
+    last = len(sp.lines) - 1
+    predict_point_line(sp, 0, sp.lines[last])
+    assert set(sp._point_line_rows) == {last}
+    assert again._point_line_rows == {}
+
+
+def _relabelled(sp, seed):
+    perm = list(range(sp.n_points))
+    random.Random(seed).shuffle(perm)
+    return fischer.validate(sp.n_points, [[perm[p] for p in t] for t in sp.lines]), perm
+
+
+@pytest.mark.parametrize("name", fischer.CATALOG_NAMES)
+def test_predictors_commute_with_relabelling(spaces, name):
+    sp = spaces[name]
+    moved, perm = _relabelled(sp, 8128)
+
+    def image(mask):
+        return sum(1 << perm[p] for p in vec_support(mask))
+
+    lines = {t: [perm[p] for p in t] for t in sp.lines}
+    for t, u in lines.items():
+        for x in range(sp.n_points):
+            assert predict_point_line(moved, perm[x], u) == image(predict_point_line(sp, x, t))
+    for (t1, u1), (t2, u2) in itertools.product(lines.items(), repeat=2):
+        assert predict_line_line(moved, u1, u2) == image(predict_line_line(sp, t1, t2))
 
 
 def test_predictors_reject_a_triple_that_is_not_a_line(spaces):
@@ -227,6 +276,12 @@ def test_predictors_reject_a_triple_that_is_not_a_line(spaces):
     for pair in (((0, 1, 3), (0, 1, 2)), ((0, 1, 2), (0, 1, 3))):
         with pytest.raises(ValueError, match="not a line"):
             predict_line_line(cq, *pair)
+
+
+@pytest.mark.parametrize("x", [-1, 6])
+def test_predict_point_line_rejects_a_point_outside_the_space(spaces, x):
+    with pytest.raises(ValueError, match=r"^point -?\d is outside 0\.\.5$"):
+        predict_point_line(spaces["cq"], x, (0, 1, 2))
 
 
 def test_predict_line_line_disjoint_affine_gives_all_nine(spaces):

@@ -44,32 +44,10 @@ def test_hall_claim_skips_space_without_coordinate_labels(tmp_path):
     assert detail == "supplied space lacks [p,q,r,s] coordinate labels over F_3"
 
 
-def _hall_space(seed=None):
-    """Hall's 81-point triple system on F_3^4, points labelled [p,q,r,s]:
-    lines {x, y, x o y} with x o y = -x - y + (0, 0, 0, (x3 - y3)(x1 y2 - x2 y1)).
-    A seed numbers the points in a shuffled order."""
-    pts = list(itertools.product(range(3), repeat=4))
-    order = list(range(len(pts)))
-    if seed is not None:
-        random.Random(seed).shuffle(order)
-    index = dict(zip(pts, order))
-
-    def op(x, y):
-        twist = (x[2] - y[2]) * (x[0] * y[1] - x[1] * y[0])
-        return tuple((-a - b) % 3 for a, b in zip(x[:3], y[:3])) + ((twist - x[3] - y[3]) % 3,)
-
-    lines = {tuple(sorted((index[x], index[y], index[op(x, y)])))
-             for i, x in enumerate(pts) for y in pts[i + 1:]}
-    labels = [None] * len(pts)
-    for p, i in index.items():
-        labels[i] = "[" + ",".join(str(c) for c in p) + "]"
-    return fischer.validate(len(pts), sorted(lines), labels=labels)
-
-
 @pytest.mark.parametrize("seed", [None, 2718], ids=["generated", "relabelled"])
-def test_hall_claim_passes_on_halls_space(tmp_path, seed):
+def test_hall_claim_passes_on_halls_space(tmp_path, hall_space, seed):
     path = tmp_path / "hall.fischer"
-    fischer.save_space(_hall_space(seed), path)
+    fischer.save_space(hall_space(seed), path)
     ctx = SimpleNamespace(hall_space=fischer.load_space(str(path)))
     assert verify.claim_witness_hall(ctx) == ("pass", "witness product lands back in the 1-part")
 
