@@ -12,6 +12,18 @@ def spaces():
     return {name: fischer.catalog(name) for name in fischer.CATALOG_NAMES}
 
 
+def _relabelled(sp, seed):
+    """The space with its points renumbered by a seeded permutation, and the permutation."""
+    perm = list(range(sp.n_points))
+    random.Random(seed).shuffle(perm)
+    return fischer.validate(sp.n_points, [[perm[p] for p in t] for t in sp.lines]), perm
+
+
+@pytest.fixture(scope="session")
+def relabelled():
+    return _relabelled
+
+
 @pytest.fixture(scope="session")
 def algebras(spaces):
     return {name: matsuo.build(sp) for name, sp in spaces.items()}

@@ -279,12 +279,6 @@ def test_classification_biconditional(spaces, algebras):
         assert gv.graded is expected
 
 
-def _relabelled(sp, seed):
-    perm = list(range(sp.n_points))
-    random.Random(seed).shuffle(perm)
-    return fischer.validate(sp.n_points, [[perm[p] for p in t] for t in sp.lines])
-
-
 def _summary(v):
     d = v.decomposition
     return (d.gen_dims(), (d.eigen0_dim, d.eigen1_dim), v.fusion.cells, v.z2_graded)
@@ -297,10 +291,10 @@ ORBIT_SIZES = {
 
 
 @pytest.mark.parametrize("name", list(fischer.CATALOG_NAMES) + ["su32~", "ag33~"])
-def test_orbit_verdicts_match_every_line(spaces, algebras, name):
+def test_orbit_verdicts_match_every_line(spaces, algebras, relabelled, name):
     if name.endswith("~"):
         name = name[:-1]
-        alg = matsuo.build(_relabelled(spaces[name], 4242))
+        alg = matsuo.build(relabelled(spaces[name], 4242)[0])
     else:
         alg = algebras[name]
     orbits = orbit_verdicts(alg)

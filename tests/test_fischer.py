@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -178,13 +177,7 @@ def _reference_planes(sp):
     return kinds, through
 
 
-def test_line_id_resolves_any_spelling_of_a_line(spaces):
-    for sp in spaces.values():
-        for i, t in enumerate(sp.lines):
-            assert sp.line_id(t) == i
-            assert sp.line_id(list(t)) == i
-            assert sp.line_id(t[::-1]) == i
-            assert {sp.line_id(p) for p in itertools.permutations(t)} == {i}
+def test_line_id_rejects_a_non_line_as_tuple_or_list(spaces):
     cq = spaces["cq"]
     for bad, text in (((0, 1, 3), "(0, 1, 3)"), ((3, 1, 0), "(3, 1, 0)"),
                       ([0, 1, 3], "[0, 1, 3]")):
@@ -193,16 +186,11 @@ def test_line_id_resolves_any_spelling_of_a_line(spaces):
         assert str(info.value) == f"{text} is not a line of the space"
 
 
-def _relabelled(sp, seed):
-    perm = list(range(sp.n_points))
-    random.Random(seed).shuffle(perm)
-    return validate(sp.n_points, [[perm[p] for p in t] for t in sp.lines]), perm
-
-
 def _assert_index_matches_reference(sp):
     for i, t in enumerate(sp.lines):
         assert sp.line_masks[i] == sum(1 << p for p in t)
-        assert {sp.line_id(p) for p in itertools.permutations(t)} == {i}
+        spellings = [s for p in itertools.permutations(t) for s in (p, list(p))]
+        assert {sp.line_id(s) for s in spellings} == {i}
     kinds, through = _reference_planes(sp)
     for (l1, l2), kind in kinds.items():
         assert plane_type(sp, l1, l2) is kind
@@ -215,10 +203,10 @@ def _assert_index_matches_reference(sp):
 
 
 @pytest.mark.parametrize("name", fischer.CATALOG_NAMES)
-def test_plane_index_matches_closure_reference(spaces, name):
+def test_plane_index_matches_closure_reference(spaces, relabelled, name):
     sp = spaces[name]
     _assert_index_matches_reference(sp)
-    moved, perm = _relabelled(sp, 20231)
+    moved, perm = relabelled(sp, 20231)
     _assert_index_matches_reference(moved)
     assert is_symplectic_type(moved) is is_symplectic_type(sp)
     for t in sp.lines:

@@ -246,16 +246,10 @@ def test_rows_are_built_only_when_a_predictor_asks(name):
     assert again._point_line_rows == {}
 
 
-def _relabelled(sp, seed):
-    perm = list(range(sp.n_points))
-    random.Random(seed).shuffle(perm)
-    return fischer.validate(sp.n_points, [[perm[p] for p in t] for t in sp.lines]), perm
-
-
 @pytest.mark.parametrize("name", fischer.CATALOG_NAMES)
-def test_predictors_commute_with_relabelling(spaces, name):
+def test_predictors_commute_with_relabelling(spaces, relabelled, name):
     sp = spaces[name]
-    moved, perm = _relabelled(sp, 8128)
+    moved, perm = relabelled(sp, 8128)
 
     def image(mask):
         return sum(1 << perm[p] for p in vec_support(mask))
