@@ -1,7 +1,8 @@
 """Fischer spaces and nilpotent Matsuo algebras over fields of characteristic 2.
 
 The package builds finite Fischer spaces (from geometry, from 3-transposition
-group data, or from files), constructs their nilpotent Matsuo algebras over
+group data, or from files; `load_space` resolves a catalog name, a `.fischer`
+file or a `.gens` file), constructs their nilpotent Matsuo algebras over
 GF(2), decomposes them along line nilpotents, computes fusion laws and
 Z/2Z-grading verdicts, and for the complete quadrilateral computes Miyamoto
 groups over GF(2^k) and full automorphism groups by exhaustive enumeration.
@@ -30,7 +31,6 @@ from .transposition import (
     TranspositionClass,
     conjugacy_class,
     fischer_from_class,
-    load_gens,
     preset,
     product_order,
 )

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import decomp, fischer, matsuo, miyamoto, transposition, verify
+from . import decomp, fischer, matsuo, miyamoto, verify
 
 
 def _emit_json(obj, out_path=None) -> None:
@@ -22,19 +22,6 @@ def _emit_json(obj, out_path=None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _load_space(name_or_path: str) -> fischer.FischerSpace:
-    if name_or_path in fischer.CATALOG_NAMES:
-        return fischer.catalog(name_or_path)
-    if name_or_path.endswith(".fischer"):
-        return fischer.load_space(name_or_path)
-    if name_or_path.endswith(".gens"):
-        return transposition.load_space(name_or_path)
-    raise ValueError(
-        f"{name_or_path!r} is neither a catalog name {fischer.CATALOG_NAMES} "
-        "nor a .fischer/.gens file"
-    )
 
 
 def cmd_catalog(args) -> int:
@@ -52,17 +39,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_space(args) -> int:
-    sources = [s for s in (args.from_catalog, args.from_file, args.from_gens) if s]
-    if len(sources) != 1:
-        print("error: give exactly one of --from-catalog, --from-file, --from-gens",
-              file=sys.stderr)
-        return 2
-    if args.from_catalog:
-        sp = fischer.catalog(args.from_catalog)
-    elif args.from_file:
-        sp = fischer.load_space(args.from_file)
-    else:
-        sp = transposition.load_space(args.from_gens)
+    sp = fischer.load_space(args.space)
     census = []
     for t in sp.lines:
         p0, p2, p3 = fischer.points_p0_p2(sp, t)
@@ -110,7 +87,7 @@ def _fusion_text(v: decomp.LineVerdict) -> str:
 
 
 def cmd_decompose(args) -> int:
-    sp = _load_space(args.space)
+    sp = fischer.load_space(args.space)
     alg = matsuo.build(sp)
     if args.reduced:
         alg = matsuo.reduce(alg)
@@ -138,7 +115,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_miyamoto(args) -> int:
-    alg = matsuo.build(_load_space(args.space))
+    alg = matsuo.build(fischer.load_space(args.space))
     if args.reduced:
         alg = matsuo.reduce(alg)
     miyamoto.require_miyamoto_space(alg)
@@ -198,9 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("catalog", help="list the built-in spaces")
 
     ps = sub.add_parser("space", help="validate and summarize a space")
-    ps.add_argument("--from-catalog", metavar="NAME")
-    ps.add_argument("--from-file", metavar="F.fischer")
-    ps.add_argument("--from-gens", metavar="F.gens")
+    ps.add_argument("--space", required=True,
+                    help="catalog name or .fischer/.gens path")
     ps.add_argument("--out", metavar="REPORT.json")
 
     pd = sub.add_parser("decompose", help="per-line decompositions and fusion laws")

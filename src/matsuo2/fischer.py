@@ -21,6 +21,7 @@ a quadrilateral or an affine plane generate all of it.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from .gf import mask_from_support, vec_support
@@ -463,9 +464,48 @@ def parse_space(text: str) -> FischerSpace:
     if n_points is None:
         raise InvalidSpaceError("missing 'fischer <n_points>' header")
     label_list = [labels.get(i, str(i)) for i in range(n_points)]
-    return validate(n_points, lines, labels=label_list)
+    try:
+        return validate(n_points, lines, labels=label_list)
+    except InvalidSpaceError as exc:
+        lineno = _last_listing(text, str(exc))
+        if lineno is None:
+            raise
+        raise InvalidSpaceError(f"line {lineno}: {exc}") from None
 
 
-def load_space(path) -> FischerSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_space(fh.read())
+def _last_listing(text: str, message: str) -> int | None:
+    """File line of the last listed line that a validation message names.
+
+    Runs only after validation fails, so a valid file pays nothing for it.
+    """
+    named = {tuple(sorted(map(int, t)))
+             for t in re.findall(r"\((-?\d+), (-?\d+), (-?\d+)\)", message)}
+    found = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split("#", 1)[0].split()
+        if len(parts) == 3 and parts[0] != "label" and tuple(sorted(map(int, parts))) in named:
+            found = lineno
+    return found
+
+
+def load_space(source) -> FischerSpace:
+    """The space a catalog name, a .fischer file or a .gens file describes.
+
+    `source` is a str or a Path.  A .gens file goes through its class:
+    parse_gens, then conjugacy_class, then fischer_from_class.
+    """
+    name = str(source)
+    if name in CATALOG_NAMES:
+        return catalog(name)
+    if name.endswith(".fischer"):
+        with open(name, "r", encoding="utf-8") as fh:
+            return parse_space(fh.read())
+    if name.endswith(".gens"):
+        from . import transposition
+
+        with open(name, "r", encoding="utf-8") as fh:
+            gens, seed = transposition.parse_gens(fh.read())
+        return transposition.fischer_from_class(transposition.conjugacy_class(gens, seed))
+    raise ValueError(
+        f"{name!r} is neither a catalog name {CATALOG_NAMES} nor a .fischer/.gens file"
+    )

@@ -534,21 +534,6 @@ def parse_gens(text: str):
     return gens, seed
 
 
-def load_gens(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_gens(fh.read())
-
-
-def load_space(path) -> fischer.FischerSpace:
-    """The Fischer space of the class a .gens file describes.
-
-    The counterpart of `fischer.load_space` for group data: load_gens, then
-    conjugacy_class, then fischer_from_class.
-    """
-    gens, seed = load_gens(path)
-    return fischer_from_class(conjugacy_class(gens, seed))
-
-
 def gens_to_text(generators, seed, sumzero: bool = False) -> str:
     """Serialize generator data in the .gens format."""
     first = generators[0]

@@ -37,9 +37,7 @@ class SuiteContext:
         # file raises here (a usage error) instead of failing a claim
         self.hall_space = None
         if hall_data is not None:
-            path = str(hall_data)
-            self.hall_space = (transposition.load_space(path) if path.endswith(".gens")
-                               else fischer.load_space(path))
+            self.hall_space = fischer.load_space(hall_data)
         self.spaces = {name: fischer.catalog(name) for name in fischer.CATALOG_NAMES}
         self.algebras = {name: matsuo.build(sp) for name, sp in self.spaces.items()}
         self.reduced = {name: matsuo.reduce(a) for name, a in self.algebras.items()}
@@ -322,18 +320,29 @@ def _witness_in_one_part_check(alg, line, u, v):
     return None
 
 
+def _points_by_label(sp):
+    """The point of each label and None, or None and a failed result when
+    the labels are not one per point."""
+    index = {label: i for i, label in enumerate(sp.labels)}
+    if len(index) != sp.n_points:
+        return None, _bad(f"{sp.n_points} points carry {len(index)} distinct labels")
+    return index, None
+
+
 def claim_witness_ag33(ctx):
     sp = ctx.spaces["ag33"]
     alg = ctx.algebras["ag33"]
-    def idx(p, q, r):
-        return 9 * p + 3 * q + r
-    if sp.labels[idx(2, 0, 1)] != "[2,0,1]":
+    index, bad = _points_by_label(sp)
+    if bad:
+        return bad
+    try:
+        line = tuple(sorted(index[x] for x in ("[0,0,0]", "[1,0,0]", "[2,0,0]")))
+        u = (1 << index["[0,1,0]"]) ^ (1 << index["[1,1,0]"])
+        v = (1 << index["[1,0,1]"]) ^ (1 << index["[2,0,1]"])
+    except KeyError:
         return _bad("coordinate labeling of the affine 3-space is off")
-    line = (idx(0, 0, 0), idx(1, 0, 0), idx(2, 0, 0))
     if not sp.is_line(line):
         return _bad(f"{line} is not a line")
-    u = (1 << idx(0, 1, 0)) ^ (1 << idx(1, 1, 0))
-    v = (1 << idx(1, 0, 1)) ^ (1 << idx(2, 0, 1))
     bad = _witness_in_one_part_check(alg, line, u, v)
     if bad:
         return bad
@@ -344,9 +353,9 @@ def claim_witness_su32(ctx):
     sp = ctx.spaces["su32"]
     alg = ctx.algebras["su32"]
     # the catalog labels point i with the label of class element i
-    index = {label: i for i, label in enumerate(sp.labels)}
-    if len(index) != sp.n_points:
-        return _bad(f"{sp.n_points} points carry {len(index)} distinct labels")
+    index, bad = _points_by_label(sp)
+    if bad:
+        return bad
     d, e, f = transposition.su32_matrix_involutions()
     ded = d * e * d
     defed = d * e * f * e * d
@@ -364,39 +373,27 @@ def claim_witness_su32(ctx):
     return _ok("[0,f]+[0,defed] times [(0,0,w),f]+[(w+1,1,w),defed] lands in the 1-part")
 
 
-def _parse_hall_labels(sp):
-    coords = {}
-    for i, lab in enumerate(sp.labels):
-        body = lab.strip()
-        if body.startswith("[") and body.endswith("]"):
-            body = body[1:-1]
-        parts = [p.strip() for p in body.replace(",", " ").split()]
-        if len(parts) == 1 and len(parts[0]) == 4 and parts[0].isdigit():
-            parts = list(parts[0])
-        if len(parts) != 4 or not all(p in ("0", "1", "2") for p in parts):
-            return None
-        coords[tuple(int(p) for p in parts)] = i
-    return coords if len(coords) == sp.n_points else None
-
-
 def claim_witness_hall(ctx):
     sp = ctx.hall_space
     if sp is None:
         return ("skipped", "data not provided")
     if sp.n_points != 81:
         return _bad(f"expected 81 points, got {sp.n_points}")
-    coords = _parse_hall_labels(sp)
-    if coords is None:
+    index, bad = _points_by_label(sp)
+    if bad:
+        return bad
+    try:
+        line = tuple(sorted(index[x] for x in ("[0,0,0,0]", "[1,0,0,0]", "[2,0,0,0]")))
+        u = (1 << index["[0,1,0,0]"]) ^ (1 << index["[1,1,0,0]"])
+        v = (1 << index["[0,0,0,1]"]) ^ (1 << index["[1,0,0,1]"])
+    except KeyError:
         return (
             "skipped",
             "supplied space lacks [p,q,r,s] coordinate labels over F_3",
         )
-    alg = matsuo.build(sp)
-    line = tuple(sorted((coords[0, 0, 0, 0], coords[1, 0, 0, 0], coords[2, 0, 0, 0])))
     if not sp.is_line(line):
         return _bad(f"{line} is not a line of the supplied space")
-    u = (1 << coords[0, 1, 0, 0]) ^ (1 << coords[1, 1, 0, 0])
-    v = (1 << coords[0, 0, 0, 1]) ^ (1 << coords[1, 0, 0, 1])
+    alg = matsuo.build(sp)
     bad = _witness_in_one_part_check(alg, line, u, v)
     if bad:
         return bad

@@ -13,10 +13,15 @@ def spaces():
 
 
 def _relabelled(sp, seed):
-    """The space with its points renumbered by a seeded permutation, and the permutation."""
+    """The space with its points renumbered by a seeded permutation, each
+    label carried along to its point's new number, and the permutation."""
     perm = list(range(sp.n_points))
     random.Random(seed).shuffle(perm)
-    return fischer.validate(sp.n_points, [[perm[p] for p in t] for t in sp.lines]), perm
+    labels = [None] * sp.n_points
+    for i, lab in enumerate(sp.labels):
+        labels[perm[i]] = lab
+    return fischer.validate(sp.n_points, [[perm[p] for p in t] for t in sp.lines],
+                            labels=labels), perm
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,7 @@ def test_catalog_table(capsys):
 
 def test_space_from_catalog(capsys, tmp_path):
     out_path = tmp_path / "report.json"
-    code, _, _ = run_cli(capsys, "space", "--from-catalog", "w_a4",
+    code, _, _ = run_cli(capsys, "space", "--space", "w_a4",
                          "--out", str(out_path))
     assert code == 0
     report = json.loads(out_path.read_text())
@@ -39,24 +39,79 @@ def test_space_from_catalog(capsys, tmp_path):
     assert report["line_census"][0]["p2"] == 6
 
 
-def test_space_source_exclusive(capsys):
-    code, _, err = run_cli(capsys, "space")
-    assert code == 2
-    assert "exactly one" in err
+def test_space_needs_a_source(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["space"])
+    assert exc.value.code == 2
+    assert "--space" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["nosuch", "hall.txt"])
+def test_unknown_source_is_a_usage_error_everywhere(capsys, tmp_path, source):
+    path = tmp_path / source
+    path.write_text("fischer 6\n0 1 2\n0 4 5\n1 3 5\n2 3 4\n")
+    message = (f"error: {str(path)!r} is neither a catalog name "
+               f"{fischer.CATALOG_NAMES} nor a .fischer/.gens file\n")
+    for argv in (("space", "--space", str(path)),
+                 ("decompose", "--space", str(path)),
+                 ("verify", "--suite", "paper", "--hall-data", str(path))):
+        assert run_cli(capsys, *argv) == (2, "", message)
+
+
+def test_load_space_takes_a_str_or_a_path(tmp_path):
+    expected = fischer.space_to_text(fischer.catalog("w_d4"))
+    fischer_path = tmp_path / "w_d4.fischer"
+    fischer_path.write_text(expected)
+    gens_path = tmp_path / "w_d4.gens"
+    gens_path.write_text(gens_to_text(*preset("w_d4")))
+    for source in ("w_d4", Path("w_d4"), fischer_path, str(fischer_path),
+                   gens_path, str(gens_path)):
+        assert fischer.space_to_text(fischer.load_space(source)) == expected, source
+
+
+# sha256 of the `space --space X` stdout, for each catalog name and for the
+# .gens text of each preset
+SPACE_JSON_SHA256 = {
+    "cq": "fffe29a07fa407db55b6b6dbbcfc45fdfdd347795e2cb97dfeed1cc4d62c8dee",
+    "ag23": "24d127b598c5b241014f2b0bbc61caa4fb8a6ded612585fbc6719ca0df3425be",
+    "w_a4": "29f0583b06e189417a3462dd4906aa7081cb6a4a84f39a16e55af5b8ca973a7e",
+    "w_d4": "970fcef038d58f4dcf529f18b51437192a4d88436edeb36accd5a4fef19fd94f",
+    "3_3_sym4": "68b60e776179a561a6353b4a428d76eb53167990f089dcb8cd2af765ede6385f",
+    "ag33": "be8adc0430b969cbc769644450f3d73cdd4b8fe05910248d4793467b1eaa4d9f",
+    "su32": "f3039820b7431b8c5b609286a6e93705ed02543c0177fe71e609303942708192",
+    "sym4.gens": "11f5baf4d3482db409595d5afc56ae3628d337b44e33fc440bcca159bd39af66",
+    "sym5.gens": "894e61423ed53f80e7ca8043e673eccdad230fdfee99647145e1cbca42edadd2",
+    "3_2_2.gens": "e3f5de75393b3b2a66a1e3f8df2e463540b8d90c89705661fbff38bf1e03e9be",
+    "w_d4.gens": "a4e64906fe77067ea65b4696aaea8a605a7a73572c49c15384d9f4bba55f3a10",
+    "3_3_sym4.gens": "f13262f07faa5f14d70fff289402c77b43bda32715053bc9fcf6f7d33a65c531",
+    "su32.gens": "2711fc4c1bf601d12b0972193424b989a8debe8990a2562c817d235e6d8942d9",
+}
+
+
+@pytest.mark.parametrize("source", SPACE_JSON_SHA256)
+def test_space_json_bytes_pinned(capsys, tmp_path, source):
+    arg = source
+    if source.endswith(".gens"):
+        path = tmp_path / source
+        path.write_text(gens_to_text(*preset(source[:-len(".gens")])))
+        arg = str(path)
+    code, out, _ = run_cli(capsys, "space", "--space", arg)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SPACE_JSON_SHA256[source]
 
 
 def test_space_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.fischer"
     bad.write_text("fischer 4\n0 1 2\n0 1 3\n")
-    code, _, err = run_cli(capsys, "space", "--from-file", str(bad))
+    code, _, err = run_cli(capsys, "space", "--space", str(bad))
     assert code == 2
-    assert "share two points" in err
+    assert err == "error: line 3: lines (0, 1, 2) and (0, 1, 3) share two points 0, 1\n"
 
 
 def test_space_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.fischer"
     bad.write_text("fischer 3\nlabel 2\n0 1 2\n")
-    code, _, err = run_cli(capsys, "space", "--from-file", str(bad))
+    code, _, err = run_cli(capsys, "space", "--space", str(bad))
     assert code == 2
     assert err == "error: line 2: expected 'label <index> <text>'\n"
 
@@ -64,19 +119,19 @@ def test_space_parse_error_exit_code(capsys, tmp_path):
 def test_gens_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.gens"
     bad.write_text("perm 4\n(1 2\n(2 3)\n(3 4)\nseed (1 2)\n")
-    code, _, err = run_cli(capsys, "space", "--from-gens", str(bad))
+    code, _, err = run_cli(capsys, "space", "--space", str(bad))
     assert code == 2
     assert err == "error: line 2: bad cycle notation '(1 2'\n"
     bad.write_text("affineperm 0 2\n[1,0 | ()]\nseed [0,0 | ()]\n")
-    code, _, err = run_cli(capsys, "space", "--from-gens", str(bad))
+    code, _, err = run_cli(capsys, "space", "--space", str(bad))
     assert code == 2
     assert err == "error: line 1: bad prime '0'\n"
     bad.write_text("perm 4\n(1 2)(2 3)\nseed (1 2)\n")
-    code, _, err = run_cli(capsys, "space", "--from-gens", str(bad))
+    code, _, err = run_cli(capsys, "space", "--space", str(bad))
     assert code == 2
     assert err == "error: line 2: letter 2 is in two cycles of '(1 2)(2 3)'\n"
     bad.write_text("affinemat-gf4 3\n[0,0,0 | 1,1,0,1,1,0,0,0,1]\nseed [0,0,0 | 1,0,0,0,1,0,0,0,1]\n")
-    code, _, err = run_cli(capsys, "space", "--from-gens", str(bad))
+    code, _, err = run_cli(capsys, "space", "--space", str(bad))
     assert code == 2
     assert err == "error: line 2: the 3x3 matrix is singular\n"
 
@@ -85,7 +140,7 @@ def test_space_from_gens_su32(capsys, tmp_path):
     gens, seed = preset("su32")
     path = tmp_path / "su32.gens"
     path.write_text(gens_to_text(gens, seed))
-    code, out, _ = run_cli(capsys, "space", "--from-gens", str(path))
+    code, out, _ = run_cli(capsys, "space", "--space", str(path))
     assert code == 0
     assert json.loads(out)["n_points"] == 36
 
@@ -121,7 +176,7 @@ def test_verify_bad_hall_data_is_a_usage_error(capsys, tmp_path, content):
 def test_seed_outside_the_generated_group_is_a_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.gens"
     bad.write_text("perm 4\n(2 3)\n(3 4)\nseed (1 2)\n")
-    for argv in (("space", "--from-gens", str(bad)),
+    for argv in (("space", "--space", str(bad)),
                  ("decompose", "--space", str(bad)),
                  ("verify", "--suite", "paper", "--hall-data", str(bad))):
         code, out, err = run_cli(capsys, *argv)

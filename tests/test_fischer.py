@@ -332,7 +332,21 @@ def test_parse_rejects_bad_triple():
     ("fischer 3\nlabel 2\n0 1 2\n", "line 2: expected 'label <index> <text>'"),
     ("# header next\nfischer 3\nlabel two b\n0 1 2\n", "line 3: bad label index 'two'"),
     ("fischer 3\n0 1 2\nlabel 3 d\n", "line 3: label index 3 is outside 0..2"),
-], ids=["bad-count", "label-without-text", "bad-label-index", "label-out-of-range"])
+    # axiom failures found by validate name the last listed line they mention
+    ("fischer 4\n0 1 2\n0 1 3\n",
+     "line 3: lines (0, 1, 2) and (0, 1, 3) share two points 0, 1"),
+    ("fischer 3\nlabel 0 a\n0 1 2\n2 1 0\n", "line 4: line (0, 1, 2) is listed twice"),
+    ("fischer 3\n0 1 1\n", "line 2: line (0, 1, 1) does not have 3 distinct points"),
+    ("fischer 3\n\n0 1 5  # far\n", "line 3: line (0, 1, 5) has a point outside 0..2"),
+    ("fischer 5\n0 3 4\n# next\n0 1 2\n",
+     "line 4: point 3 is collinear with exactly one point of line (0, 1, 2)"),
+    ("fischer 7\n" + "".join(f"{i % 7} {(i + 1) % 7} {(i + 3) % 7}\n" for i in range(7)),
+     "line 8: lines (0, 1, 3) and (0, 2, 6) generate a 7-point subspace that is "
+     "neither a complete quadrilateral nor an affine plane"),
+    ("fischer 6\n0 1 2\n3 4 5\n", "space is disconnected (point 3 unreachable from 0)"),
+], ids=["bad-count", "label-without-text", "bad-label-index", "label-out-of-range",
+        "two-shared-points", "listed-twice", "repeated-point", "point-out-of-range",
+        "zero-two-three", "fano-plane", "disconnected-names-no-line"])
 def test_parse_errors_name_the_line(text, message):
     with pytest.raises(InvalidSpaceError) as exc:
         parse_space(text)

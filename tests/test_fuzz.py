@@ -61,7 +61,7 @@ def _small_header(text):
     return True
 
 
-def _fuzz(capsys, tmp_path, sources, suffix, option, seed):
+def _fuzz(capsys, tmp_path, sources, suffix, seed):
     rng = random.Random(seed)
     path = tmp_path / f"case{suffix}"
     seen = set()
@@ -71,7 +71,7 @@ def _fuzz(capsys, tmp_path, sources, suffix, option, seed):
             continue
         seen.add(text)
         path.write_text(text)
-        code = cli.main(["space", option, str(path)])
+        code = cli.main(["space", "--space", str(path)])
         err = capsys.readouterr().err
         assert code in (0, 2), text
         assert (code == 2) == err.startswith("error: "), text
@@ -79,10 +79,10 @@ def _fuzz(capsys, tmp_path, sources, suffix, option, seed):
 
 def test_fuzzed_fischer_files_exit_0_or_2(spaces, capsys, tmp_path):
     sources = [fischer.space_to_text(sp) for sp in spaces.values() if sp.n_points <= 12]
-    _fuzz(capsys, tmp_path, sources, ".fischer", "--from-file", 2026)
+    _fuzz(capsys, tmp_path, sources, ".fischer", 2026)
 
 
 def test_fuzzed_gens_files_exit_0_or_2(capsys, tmp_path):
     sources = [transposition.gens_to_text(*transposition.preset(name))
                for name in transposition.PRESET_NAMES]
-    _fuzz(capsys, tmp_path, sources, ".gens", "--from-gens", 2027)
+    _fuzz(capsys, tmp_path, sources, ".gens", 2027)

@@ -52,6 +52,35 @@ def test_hall_claim_passes_on_halls_space(tmp_path, hall_space, seed):
     assert verify.claim_witness_hall(ctx) == ("pass", "witness product lands back in the 1-part")
 
 
+def _hall_ctx_with_labels(hall_space, relabel):
+    sp = hall_space()
+    return SimpleNamespace(hall_space=fischer.validate(
+        sp.n_points, sp.lines, labels=relabel(list(sp.labels))))
+
+
+def test_hall_claim_skips_labels_written_without_brackets(hall_space):
+    ctx = _hall_ctx_with_labels(hall_space, lambda labels: [
+        lab.strip("[]").replace(",", "") for lab in labels])  # [0,1,2,0] -> 0120
+    assert verify.claim_witness_hall(ctx) == (
+        "skipped", "supplied space lacks [p,q,r,s] coordinate labels over F_3")
+
+
+def test_hall_claim_fails_without_one_label_per_point(hall_space):
+    ctx = _hall_ctx_with_labels(hall_space, lambda labels: [labels[0]] + labels[:-1])
+    assert verify.claim_witness_hall(ctx) == ("fail", "81 points carry 80 distinct labels")
+
+
+def test_ag33_witness_reads_points_by_label(spaces, relabelled):
+    def ctx(sp):
+        return SimpleNamespace(spaces={"ag33": sp}, algebras={"ag33": matsuo.build(sp)})
+
+    expected = verify.claim_witness_ag33(ctx(spaces["ag33"]))
+    assert expected == (
+        "pass", "[0,1,0]+[1,1,0] times [1,0,1]+[2,0,1] lands back in the 1-part")
+    moved, _ = relabelled(spaces["ag33"], 3333)
+    assert verify.claim_witness_ag33(ctx(moved)) == expected
+
+
 def _su32_ctx(sp):
     return SimpleNamespace(spaces={"su32": sp}, algebras={"su32": matsuo.build(sp)})
 
