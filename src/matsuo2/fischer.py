@@ -5,7 +5,10 @@ lexicographic order.  Validation enforces the partial-linear-space axioms,
 connectivity, the 0-2-3 collinearity property, and that any two intersecting
 lines generate either a complete quadrilateral (6 points, 4 lines) or an
 affine plane of order 3 (9 points, 12 lines).  Both checks together
-characterize the spaces this package works on.
+characterize the spaces this package works on.  Validation reads the lines
+once, into the wedge table, each point's collinearity mask and the lines
+through each point; the 0-2-3 check and `points_p0_p2` read the masks of a
+line's three points, with no loop over the points.
 
 A line's id is its position in `lines`.  `FischerSpace.line_id` is the one
 place that turns a triple, its points in any order, into an id; it raises
@@ -112,8 +115,19 @@ class FischerSpace:
 _PLANE_DEGREE = {6: 4, 9: 8}
 
 
+def _check_point_count(n_points: int, n_lines: int) -> None:
+    """Reject a point count that n_lines lines of 3 points cannot cover."""
+    if n_points > max(1, 3 * n_lines):
+        raise InvalidSpaceError(
+            f"point count {n_points} exceeds 3 times the number of lines ({n_lines})"
+        )
+
+
 def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -> FischerSpace:
-    """Check the axioms and build the collinearity and wedge tables."""
+    """Check the axioms and build the tables, from one pass over the sorted lines.
+
+    A point count the lines cannot cover fails before any per-point table exists.
+    """
     if n_points < 1:
         raise InvalidSpaceError("a space needs at least one point")
     norm = []
@@ -125,32 +139,24 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
             raise InvalidSpaceError(f"line {raw!r} has a point outside 0..{n_points - 1}")
         norm.append(t)
     norm.sort()
+    _check_point_count(n_points, len(norm))
 
     wedge: dict[tuple[int, int], int] = {}
-    pair_line: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for t in norm:
+    collinear = [0] * n_points
+    lines_through: list[list[int]] = [[] for _ in range(n_points)]
+    for i, t in enumerate(norm):
         x, y, z = t
         for a, b, c in ((x, y, z), (x, z, y), (y, z, x)):
-            if (a, b) in pair_line:
-                other = pair_line[(a, b)]
+            if (a, b) in wedge:
+                other = tuple(sorted((a, b, wedge[(a, b)])))
                 if other == t:
                     raise InvalidSpaceError(f"line {t} is listed twice")
                 raise InvalidSpaceError(
                     f"lines {other} and {t} share two points {a}, {b}"
                 )
-            pair_line[(a, b)] = t
-            wedge[(a, b)] = c
-            wedge[(b, a)] = c
-
-    collinear = [0] * n_points
-    for (a, b) in pair_line:
-        collinear[a] |= 1 << b
-        collinear[b] |= 1 << a
-
-    lines_through: list[list[int]] = [[] for _ in range(n_points)]
-    for i, t in enumerate(norm):
-        for p in t:
-            lines_through[p].append(i)
+            wedge[(a, b)] = wedge[(b, a)] = c
+            collinear[c] |= (1 << a) | (1 << b)
+            lines_through[c].append(i)
 
     # connectivity under collinearity
     seen = 1
@@ -182,28 +188,29 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
     )
     masks = space.line_masks
 
-    # 0-2-3 property: no point sees exactly one point of a line it is not on
-    for t, lm in zip(norm, masks):
-        for x in range(n_points):
-            if (lm >> x) & 1:
-                continue
-            c = (collinear[x] & lm).bit_count()
-            if c == 1:
-                raise InvalidSpaceError(
-                    f"point {x} is collinear with exactly one point of line {t}"
-                )
+    # 0-2-3 property: no point sees exactly one point of a line; a point on
+    # the line sees the other two, so only points off it can be odd ones out
+    for t in norm:
+        ca, cb, cc = (collinear[p] for p in t)
+        one = (ca ^ cb ^ cc) & ~(ca & cb & cc)
+        if one:
+            x = (one & -one).bit_length() - 1
+            raise InvalidSpaceError(
+                f"point {x} is collinear with exactly one point of line {t}"
+            )
     if len(space.labels) != n_points:
         raise InvalidSpaceError("label count differs from point count")
 
     # every pair of intersecting lines must generate a 6- or 9-point plane;
-    # a closed set of that size is one when each point sees the right degree
+    # a closed set of that size is one when each point sees the right degree.
+    # shared[k] masks the line ids that lie in a recorded plane with line k.
     planes_of: list[list[int]] = [[] for _ in norm]
+    shared = [0] * len(norm)
     for x in range(n_points):
         through = lines_through[x]
         for i, li in enumerate(through):
             for lj in through[i + 1:]:
-                mj = masks[lj]
-                if any(p & mj == mj for p in planes_of[li]):
+                if (shared[li] >> lj) & 1:
                     continue
                 pts = generated_subspace(space, norm[li] + norm[lj])
                 pm = sum(1 << p for p in pts)
@@ -216,10 +223,12 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
                         "subspace that is neither a complete quadrilateral nor an "
                         "affine plane"
                     )
-                for p in pts:
-                    for k in lines_through[p]:
-                        if norm[k][0] == p and masks[k] & ~pm == 0:
-                            planes_of[k].append(pm)
+                inside = [k for p in pts for k in lines_through[p]
+                          if norm[k][0] == p and masks[k] & ~pm == 0]
+                inside_mask = sum(1 << k for k in inside)
+                for k in inside:
+                    planes_of[k].append(pm)
+                    shared[k] |= inside_mask
     space._planes = tuple(tuple(sorted(ps, key=vec_support)) for ps in planes_of)
     space._symplectic = not any(p.bit_count() == 9 for ps in planes_of for p in ps)
     return space
@@ -289,27 +298,17 @@ def is_symplectic_type(s: FischerSpace) -> bool:
 def points_p0_p2(s: FischerSpace, line):
     """Partition the points off a line by how many of its points they see.
 
-    Returns (P0, P2, P3) as sorted tuples; a count of exactly one would
-    violate the 0-2-3 property and raises.
+    Returns (P0, P2, P3) as sorted tuples.  P3 sees all three points; among
+    the points off the line that see an even number of them, P0 sees none
+    and P2 the rest.  The 0-2-3 property, checked by `validate`, leaves no
+    other count.
     """
     i = s.line_id(line)
-    t, lm = s.lines[i], s.line_masks[i]
-    p0, p2, p3 = [], [], []
-    for x in range(s.n_points):
-        if (lm >> x) & 1:
-            continue
-        c = (s.collinear[x] & lm).bit_count()
-        if c == 0:
-            p0.append(x)
-        elif c == 2:
-            p2.append(x)
-        elif c == 3:
-            p3.append(x)
-        else:
-            raise InvalidSpaceError(
-                f"point {x} is collinear with exactly one point of line {t}"
-            )
-    return tuple(p0), tuple(p2), tuple(p3)
+    ca, cb, cc = (s.collinear[p] for p in s.lines[i])
+    even = ~(ca ^ cb ^ cc) & ~s.line_masks[i] & ((1 << s.n_points) - 1)
+    seen = ca | cb | cc
+    return (tuple(vec_support(even & ~seen)), tuple(vec_support(even & seen)),
+            tuple(vec_support(ca & cb & cc)))
 
 
 def cqs_through_line(s: FischerSpace, line) -> tuple[frozenset[int], ...]:
@@ -463,6 +462,7 @@ def parse_space(text: str) -> FischerSpace:
             raise InvalidSpaceError(f"line {lineno}: bad point index in {parts}") from None
     if n_points is None:
         raise InvalidSpaceError("missing 'fischer <n_points>' header")
+    _check_point_count(n_points, len(lines))
     label_list = [labels.get(i, str(i)) for i in range(n_points)]
     try:
         return validate(n_points, lines, labels=label_list)

@@ -50,16 +50,14 @@ class NilpotentMatsuoAlgebra:
 
 
 def build(space: fischer.FischerSpace) -> NilpotentMatsuoAlgebra:
-    """Populate structure constants from the space's wedge table."""
+    """Populate structure constants from the space's lines: two distinct points
+    of a line multiply to x + y + x^y, its mask, so a line fills six entries.
+    """
     n = space.n_points
     table = [[0] * n for _ in range(n)]
-    for x in range(n):
-        cm = space.collinear[x]
-        for y in range(x + 1, n):
-            if (cm >> y) & 1:
-                m = (1 << x) | (1 << y) | (1 << fischer.wedge(space, x, y))
-                table[x][y] = m
-                table[y][x] = m
+    for (x, y, z), m in zip(space.lines, space.line_masks):
+        table[x][y] = table[y][x] = table[x][z] = m
+        table[z][x] = table[y][z] = table[z][y] = m
     alg = NilpotentMatsuoAlgebra(
         space, n, False, space.labels, tuple(tuple(r) for r in table)
     )

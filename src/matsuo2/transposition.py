@@ -264,16 +264,18 @@ def product_order(d, e, cap: int = 12) -> int:
 
 
 class TranspositionClass:
-    """An enumerated conjugacy class of 3-transpositions with its order table."""
+    """An enumerated conjugacy class of 3-transpositions.  For members d, e
+    at i < j with o(de) = 3, `thirds[(i, j)]` is d*e*d, the third point of their line.
+    """
 
-    __slots__ = ("generators", "seed", "elements", "_index", "order_table")
+    __slots__ = ("generators", "seed", "elements", "_index", "thirds")
 
-    def __init__(self, generators, seed, elements, order_table) -> None:
+    def __init__(self, generators, seed, elements, thirds) -> None:
         self.generators = tuple(generators)
         self.seed = seed
         self.elements = tuple(elements)
         self._index = {e.key(): i for i, e in enumerate(self.elements)}
-        self.order_table = order_table
+        self.thirds = thirds
 
     def size(self) -> int:
         return len(self.elements)
@@ -285,7 +287,10 @@ class TranspositionClass:
         return element.key() in self._index
 
     def order(self, i: int, j: int) -> int:
-        return self.order_table[i][j]
+        """Order of the product of members i and j: 1, 2 or 3."""
+        if i == j:
+            return 1
+        return 3 if (min(i, j), max(i, j)) in self.thirds else 2
 
     def __repr__(self) -> str:
         return f"TranspositionClass({len(self.elements)} involutions)"
@@ -296,7 +301,9 @@ def conjugacy_class(generators, seed, cap: int = DEFAULT_CLASS_CAP) -> Transposi
 
     Enumeration order is frozen: layer by layer, each layer sorted by the
     elements' canonical keys.  Every member must be an involution and every
-    pair must have product order at most 3.
+    pair must have product order at most 3.  For involutions d != e that is
+    one test of ded = d*e*d: ded = e when o(de) = 2, ded = ede when
+    o(de) = 3, and neither otherwise.
     """
     if seed.is_identity() or not (seed * seed).is_identity():
         raise NotTranspositionClass("seed must be an involution")
@@ -322,43 +329,33 @@ def conjugacy_class(generators, seed, cap: int = DEFAULT_CLASS_CAP) -> Transposi
         if not (x * x).is_identity():
             raise NotTranspositionClass(f"class member {x!r} is not an involution")
 
-    n = len(ordered)
-    table = [[1] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            try:
-                o = product_order(ordered[i], ordered[j], cap=3)
-            except NotTranspositionClass:
-                raise NotTranspositionClass(
-                    f"product order > 3 for pair ({ordered[i]!r}, {ordered[j]!r})"
-                ) from None
-            table[i][j] = table[j][i] = o
-    return TranspositionClass(generators, seed, ordered,
-                              tuple(tuple(r) for r in table))
+    thirds = {}
+    for i, d in enumerate(ordered):
+        for j in range(i + 1, len(ordered)):
+            e = ordered[j]
+            de = d * e
+            ded = de * d
+            if ded == e:
+                continue
+            if ded != e * de:
+                raise NotTranspositionClass(f"product order > 3 for pair ({d!r}, {e!r})")
+            thirds[(i, j)] = ded
+    return TranspositionClass(generators, seed, ordered, thirds)
 
 
 def fischer_from_class(cls: TranspositionClass,
                        meta: fischer.SpaceMeta | None = None) -> fischer.FischerSpace:
     """Points are the class members; {d, e, ded} is a line when o(de) = 3."""
-    n = cls.size()
     lines = set()
-    for i in range(n):
-        d = cls.elements[i]
-        for j in range(i + 1, n):
-            if cls.order(i, j) != 3:
-                continue
-            e = cls.elements[j]
-            ded = d * e * d
-            if ded.key() != (e * d * e).key():
-                raise NotTranspositionClass(
-                    f"ded != ede for collinear pair ({d!r}, {e!r})"
-                )
-            if ded not in cls:
-                raise NotTranspositionClass(f"d*e*d = {ded!r} is not in the class, "
-                                            f"for collinear pair ({d!r}, {e!r})")
-            lines.add(tuple(sorted((i, j, cls.index(ded)))))
+    for (i, j), ded in cls.thirds.items():
+        if ded not in cls:
+            raise NotTranspositionClass(
+                f"d*e*d = {ded!r} is not in the class, for collinear pair "
+                f"({cls.elements[i]!r}, {cls.elements[j]!r})"
+            )
+        lines.add(tuple(sorted((i, j, cls.index(ded)))))
     labels = [e.label() for e in cls.elements]
-    return fischer.validate(n, sorted(lines), labels=labels, meta=meta)
+    return fischer.validate(cls.size(), sorted(lines), labels=labels, meta=meta)
 
 
 # -- presets --------------------------------------------------------------------

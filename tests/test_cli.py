@@ -108,6 +108,13 @@ def test_space_malformed_file(capsys, tmp_path):
     assert err == "error: line 3: lines (0, 1, 2) and (0, 1, 3) share two points 0, 1\n"
 
 
+def test_space_rejects_a_point_count_the_lines_cannot_cover(capsys, tmp_path):
+    big = tmp_path / "big.fischer"
+    big.write_text("fischer 1000000\n0 1 2\n")
+    assert run_cli(capsys, "space", "--space", str(big)) == (
+        2, "", "error: point count 1000000 exceeds 3 times the number of lines (1)\n")
+
+
 def test_space_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.fischer"
     bad.write_text("fischer 3\nlabel 2\n0 1 2\n")

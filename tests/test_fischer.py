@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -60,9 +62,32 @@ def test_reject_disconnected():
 
 
 def test_reject_zero_two_three_violation():
-    # point 3 sees exactly one point of line (0, 1, 2)
-    with pytest.raises(InvalidSpaceError, match="exactly one point"):
+    # points 3 and 4 each see exactly one point of line (0, 1, 2); the
+    # message names the lower
+    with pytest.raises(InvalidSpaceError) as exc:
         validate(5, [(0, 1, 2), (0, 3, 4)])
+    assert str(exc.value) == "point 3 is collinear with exactly one point of line (0, 1, 2)"
+
+
+def test_reject_a_point_count_the_lines_cannot_cover():
+    message = "point count 100000000 exceeds 3 times the number of lines (1)"
+    for check in (lambda: validate(10**8, [(0, 1, 2)]),
+                  lambda: parse_space("fischer 100000000\n0 1 2\n")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSpaceError) as exc:
+                check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == message
+        assert peak < 1 << 20
+    for n_points, lines in ((2, []), (4, [(0, 1, 2)]), (7, CQ_LINES[:2])):
+        with pytest.raises(InvalidSpaceError) as exc:
+            validate(n_points, lines)
+        assert str(exc.value) == (
+            f"point count {n_points} exceeds 3 times the number of lines ({len(lines)})")
+    assert validate(1, []).n_points == 1
 
 
 def test_reject_fano_plane():
@@ -304,6 +329,46 @@ def test_points_p0_p2_w_a4(spaces):
     p0, p2, _ = points_p0_p2(sp, t)
     assert len(p0) == 1 and sp.labels[p0[0]] == "(4 5)"
     assert len(p2) == 6
+
+
+def _assert_p0_p2_p3_match_counts(sp):
+    for t, mask in zip(sp.lines, sp.line_masks):
+        parts = ([], [], [], [])
+        for x in range(sp.n_points):
+            if not (mask >> x) & 1:
+                parts[(sp.collinear[x] & mask).bit_count()].append(x)
+        assert parts[1] == []
+        assert points_p0_p2(sp, t) == (tuple(parts[0]), tuple(parts[2]), tuple(parts[3]))
+
+
+@pytest.mark.parametrize("name", fischer.CATALOG_NAMES)
+def test_points_p0_p2_match_per_point_counts(spaces, relabelled, name):
+    _assert_p0_p2_p3_match_counts(spaces[name])
+    _assert_p0_p2_p3_match_counts(relabelled(spaces[name], 4242)[0])
+
+
+def test_points_p0_p2_match_per_point_counts_on_hall(hall_space):
+    _assert_p0_p2_p3_match_counts(hall_space(7))
+
+
+def test_plane_index_on_hall(hall_space):
+    sp = hall_space()
+    planes = set()
+    for t in sp.lines:
+        assert cqs_through_line(sp, t) == ()
+        through = affine_planes_through_line(sp, t)
+        assert len(through) == 13
+        planes.update(through)
+    assert len(sp.lines) == 1080 and len(planes) == 1170
+    for plane in planes:
+        assert len(plane) == 9
+        assert sum(plane.issuperset(t) for t in sp.lines) == 12
+    rng = random.Random(1960)
+    for _ in range(500):
+        i, j = rng.sample(range(len(sp.lines)), 2)
+        pts = generated_subspace(sp, sp.lines[i] + sp.lines[j])
+        expected = sum(1 << p for p in pts) if len(pts) <= 9 else 0
+        assert sp.plane_of(i, j) == sp.plane_of(j, i) == expected
 
 
 def test_file_round_trip(tmp_path, spaces):

@@ -36,6 +36,17 @@ def test_single_line_algebra():
         assert multiply(alg, 1 << i, 1 << i) == 0
 
 
+def test_build_matches_the_wedge_definition(spaces, hall_space):
+    for sp in [*spaces.values(), hall_space(3)]:
+        table = build(sp).table
+        for x in range(sp.n_points):
+            for y in range(sp.n_points):
+                expected = 0
+                if sp.are_collinear(x, y):
+                    expected = (1 << x) | (1 << y) | (1 << fischer.wedge(sp, x, y))
+                assert table[x][y] == expected
+
+
 def test_ag23_dimension(algebras):
     assert algebras["ag23"].dim == 9
 

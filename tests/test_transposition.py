@@ -8,6 +8,7 @@ import pytest
 from matsuo2 import fischer
 from matsuo2.gf import Field, vec_to_list
 from matsuo2.transposition import (
+    PRESET_NAMES,
     AffineMat,
     AffinePerm,
     NotTranspositionClass,
@@ -83,6 +84,21 @@ def test_class_members_are_involutions_with_small_orders():
         for j in range(n):
             assert cls.order(i, j) in (1, 2, 3)
             assert cls.order(i, j) == cls.order(j, i)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_lines_and_orders_match_product_order(name):
+    cls = conjugacy_class(*preset(name))
+    sp = fischer_from_class(cls)
+    n = cls.size()
+    for i, d in enumerate(cls.elements):
+        for j, e in enumerate(cls.elements):
+            o = product_order(d, e)
+            assert cls.order(i, j) == o
+            if i != j:
+                triple = {i, j, cls.index(d * e * d)}
+                assert (len(triple) == 3 and sp.is_line(triple)) == (o == 3)
+    assert 3 * len(sp.lines) == sum(cls.order(i, j) == 3 for i in range(n) for j in range(i))
 
 
 def test_class_closed_under_generator_conjugation():
