@@ -22,8 +22,14 @@ GF(2) a vector is an ordinary bitmask.
 Over GF(2) the map v -> v*B on packed rows is linear for every k, so one
 row-apply routine, `apply_images`, serves every matrix product: bit j*k + b of
 a packed row picks the packed row x^b * B_j from `FieldMatrix.row_images`.
-The same routine, applied once per set bit of the left factor, is the GF(2)
-bilinear product `bilinear` of a structure-constant table.
+The GF(2) bilinear product `bilinear` of a structure-constant table reads the
+support of its right factor once and, for each set bit i of the left factor,
+XORs row i of the table over that support; it makes no `apply_images` call.
+
+Over GF(2), `FieldMatrix.rref` pivots on bits: each row is reduced by the
+pivot bits it holds, with one back-substitution at the end.  The column loop,
+which finds a pivot column by column and scales rows entry by entry, serves
+only k > 1.
 """
 
 from __future__ import annotations
@@ -205,11 +211,15 @@ def apply_images(images, row: int) -> int:
 
 def bilinear(table, u: int, v: int) -> int:
     """XOR of table[i][j] over the set bits i of u and j of v: the GF(2)
-    bilinear product with structure constants table, one row apply per bit of u."""
+    bilinear product with structure constants table.  The support of v is
+    read once and walked for every set bit of u."""
+    js = vec_support(v)
     out = 0
     while u:
         low = u & -u
-        out ^= apply_images(table[low.bit_length() - 1], v)
+        row = table[low.bit_length() - 1]
+        for j in js:
+            out ^= row[j]
         u ^= low
     return out
 
@@ -243,6 +253,40 @@ def lift_vec(field: Field, mask: int, n: int) -> int:
 
 
 # -- matrices ----------------------------------------------------------------
+
+
+def _rref_gf2(rows, ncols: int, reverse: bool) -> tuple[list[int], tuple[int, ...]]:
+    """The nonzero rows of the GF(2) RREF of rows, in pivot order, and the
+    pivots; a row's pivot is its lowest set bit, or its highest when reverse."""
+    prow = [0] * ncols  # prow[c]: the row whose pivot is column c
+    pmask = 0
+    found = []
+    for i, x in enumerate(rows):
+        if x >> ncols:
+            raise ValueError(f"row {i} has a bit at or above ncols={ncols}")
+        hit = x & pmask
+        while hit:
+            x ^= prow[(hit.bit_length() if reverse else (hit & -hit).bit_length()) - 1]
+            hit = x & pmask
+        if x:
+            c = (x.bit_length() if reverse else (x & -x).bit_length()) - 1
+            prow[c] = x
+            pmask |= 1 << c
+            found.append(c)
+    # Each row holds no pivot bit older than its own, and the newer rows are
+    # already clear of every pivot but their own when it is reached.
+    newer = 0
+    for c in reversed(found):
+        x = prow[c]
+        hit = x & newer
+        while hit:
+            low = hit & -hit
+            x ^= prow[low.bit_length() - 1]
+            hit ^= low
+        prow[c] = x
+        newer |= 1 << c
+    pivots = tuple(sorted(found, reverse=reverse))
+    return [prow[c] for c in pivots], pivots
 
 
 class FieldMatrix:
@@ -394,16 +438,30 @@ class FieldMatrix:
 
     # -- elimination --
 
-    def rref(self, col_order=None) -> tuple["FieldMatrix", tuple[int, ...]]:
-        """Reduced row-echelon form and the pivot columns, in the order
-        col_order (ascending by default) eliminates the columns."""
+    def rref(self, reverse: bool = False) -> tuple["FieldMatrix", tuple[int, ...]]:
+        """Reduced row-echelon form and the pivot columns, eliminating the
+        columns in ascending order, or in descending order when reverse.
+
+        Over GF(2) a row's pivot is its lowest set bit (its highest when
+        reverse).  Each row is reduced by the pivot bits it holds and, if
+        anything is left, becomes a pivot row; one newest-first pass then
+        clears the later pivots from the earlier rows.  The pivot rows come
+        out in pivot order, followed by zero rows.  The RREF of a row space
+        is unique for a given column order, so this is the form the column
+        loop used for k > 1 would give.  A GF(2) row with a bit at or above
+        ncols is a ValueError.
+        """
         f = self.field
+        if f.k == 1:
+            rows, pivots = _rref_gf2(self.rows, self.ncols, reverse)
+            rows += [0] * (self.nrows - len(rows))
+            return FieldMatrix(f, self.nrows, self.ncols, rows), pivots
         k = f.k
         mask = f.mask
         rows = list(self.rows)
         pivots = []
         r = 0
-        for col in range(self.ncols) if col_order is None else col_order:
+        for col in range(self.ncols - 1, -1, -1) if reverse else range(self.ncols):
             sh = col * k
             pivot = None
             for i in range(r, len(rows)):
@@ -413,22 +471,16 @@ class FieldMatrix:
             if pivot is None:
                 continue
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            if k == 1:
-                prow = rows[r]
-                for i in range(len(rows)):
-                    if i != r and ((rows[i] >> sh) & 1):
-                        rows[i] ^= prow
-            else:
-                p = (rows[r] >> sh) & mask
-                if p != 1:
-                    rows[r] = vec_scale(f, rows[r], f.inv(p), self.ncols)
-                prow = rows[r]
-                for i in range(len(rows)):
-                    if i == r:
-                        continue
-                    e = (rows[i] >> sh) & mask
-                    if e:
-                        rows[i] ^= vec_scale(f, prow, e, self.ncols)
+            p = (rows[r] >> sh) & mask
+            if p != 1:
+                rows[r] = vec_scale(f, rows[r], f.inv(p), self.ncols)
+            prow = rows[r]
+            for i in range(len(rows)):
+                if i == r:
+                    continue
+                e = (rows[i] >> sh) & mask
+                if e:
+                    rows[i] ^= vec_scale(f, prow, e, self.ncols)
             pivots.append(col)
             r += 1
             if r == len(rows):
@@ -441,29 +493,42 @@ class FieldMatrix:
     def kernel(self) -> tuple[int, ...]:
         """Basis of the right kernel in (canonical) reduced echelon form.
 
-        Eliminating the columns from last to first leaves each pivot row with
-        entries only at its pivot and at free columns below it, so free column
-        c gives e_c plus entries at pivot columns above c.  Returned as packed
+        `rref(reverse=True)` eliminates the columns from last to first, which
+        leaves each pivot row with entries only at its pivot and at free
+        columns below it, so free column c gives e_c plus entries at pivot
+        columns above c.  Over GF(2) the free-column vectors are filled by
+        one walk over the set bits of each pivot row.  Returned as packed
         vectors of length ncols; empty tuple for injective maps.  Checks
         rank + nullity == ncols.
         """
-        R, pivots = self.rref(range(self.ncols - 1, -1, -1))
+        R, pivots = self.rref(reverse=True)
         f = self.field
         k = f.k
-        mask = f.mask
-        pivot_rows = tuple(zip(R.rows, pivots))
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            sh = fc * k
-            v = 1 << sh
-            for row, pc in pivot_rows:
-                e = (row >> sh) & mask
-                if e:
-                    v |= e << (pc * k)
-            basis.append(v)
-        assert len(basis) + len(pivots) == self.ncols, "rank-nullity violated"
+        n = self.ncols
+        free = vec_support(((1 << n) - 1) ^ mask_from_support(pivots))
+        if k == 1:
+            vecs = [1 << c for c in range(n)]
+            for row, pc in zip(R.rows, pivots):
+                bit = 1 << pc
+                rest = row ^ bit
+                while rest:
+                    low = rest & -rest
+                    vecs[low.bit_length() - 1] |= bit
+                    rest ^= low
+            basis = [vecs[c] for c in free]
+        else:
+            mask = f.mask
+            pivot_rows = tuple(zip(R.rows, pivots))
+            basis = []
+            for fc in free:
+                sh = fc * k
+                v = 1 << sh
+                for row, pc in pivot_rows:
+                    e = (row >> sh) & mask
+                    if e:
+                        v |= e << (pc * k)
+                basis.append(v)
+        assert len(basis) + len(pivots) == n, "rank-nullity violated"
         return tuple(basis)
 
     def kernel_chain(self) -> Iterator[tuple[int, ...]]:

@@ -49,6 +49,7 @@ import json
 import struct
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import decomp, fischer, matsuo
 from .gf import (Field, FieldMatrix, apply_images, bilinear, echelon_basis, lift_matrix,
@@ -215,8 +216,14 @@ class MatrixGroup:
     def size(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _members(self) -> frozenset[FieldMatrix]:
+        # Built on the first membership test and kept in the instance dict;
+        # it is not a dataclass field, so equality and hashing ignore it.
+        return frozenset(self.elements)
+
     def __contains__(self, m: FieldMatrix) -> bool:
-        return m in set(self.elements)
+        return m in self._members
 
 
 def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:

@@ -241,6 +241,13 @@ class AffineMat(GroupElement):
     def key(self):
         return ("affinemat", self.vector, self.matrix)
 
+    def __eq__(self, other) -> bool:
+        # The augmented matrix determines the key, so comparing it is the same
+        # test without decoding the GF(4) entries; hashing still uses key().
+        return type(other) is type(self) and other.augmented == self.augmented
+
+    __hash__ = GroupElement.__hash__
+
     def label(self) -> str:
         vec = ",".join(str(c) for c in self.vector)
         mat = ",".join(str(c) for row in self.matrix for c in row)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from matsuo2 import fischer, matsuo
 from matsuo2.gf import (
     Field,
     FieldMatrix,
@@ -279,20 +280,125 @@ def test_row_images_are_powers_of_x_times_rows(k):
                     assert got == f.mul(xb, m.entry(j, t))
 
 
-def _kernel_reference(m):
-    """Kernel read off the ascending rref entry by entry, then put in reduced
-    echelon form by `echelon_basis`."""
+def _rref_textbook(m, reverse=False):
+    """Gauss-Jordan elimination on entry lists read with `vec_entry`, column
+    by column in ascending order (descending when reverse): find the first
+    row at or below the next pivot slot with a nonzero entry, swap it up,
+    scale it to 1 and clear the column in every other row.  Independent of
+    `FieldMatrix.rref`; returns the rows as packed vectors and the pivots."""
     f = m.field
-    R, pivots = m.rref()
+    rows = [[vec_entry(f, r, j) for j in range(m.ncols)] for r in m.rows]
+    pivots = []
+    for c in range(m.ncols - 1, -1, -1) if reverse else range(m.ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = f.inv(rows[r][c])
+        if inv != 1:
+            rows[r] = [f.mul(inv, e) for e in rows[r]]
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            e = row[c]
+            if i != r and e:
+                if e == 1:
+                    rows[i] = [a ^ b for a, b in zip(row, prow)]
+                else:
+                    rows[i] = [a ^ f.mul(e, b) for a, b in zip(row, prow)]
+        pivots.append(c)
+    return [vec_from_list(f, row) for row in rows], tuple(pivots)
+
+
+def _echelon_textbook(f, vecs, ncols):
+    """Nonzero rows of the textbook RREF of the matrix whose rows are vecs."""
+    rows, _ = _rref_textbook(FieldMatrix(f, len(vecs), ncols, vecs))
+    return tuple(r for r in rows if r)
+
+
+def _kernel_reference(m, rref=None):
+    """The textbook null-space basis, read off the ascending textbook RREF
+    (free column c gives e_c minus its entries at the pivot columns), then
+    put in reduced echelon form by the textbook elimination."""
+    f = m.field
+    rows, pivots = rref or _rref_textbook(m)
     basis = []
     for fc in range(m.ncols):
         if fc in pivots:
             continue
         v = 1 << (fc * f.k)
         for r, pc in enumerate(pivots):
-            v |= R.entry(r, fc) << (pc * f.k)
+            v |= vec_entry(f, rows[r], fc) << (pc * f.k)
         basis.append(v)
-    return echelon_basis(f, basis, m.ncols)
+    return _echelon_textbook(f, basis, m.ncols)
+
+
+def _check_against_textbook(m):
+    """rref, rref(reverse=True), kernel, rank, echelon_basis and inverse of m
+    against the textbook elimination."""
+    f = m.field
+    n = m.ncols
+    rows, pivots = _rref_textbook(m)
+    R, got = m.rref()
+    assert (R.nrows, R.ncols) == (m.nrows, n)
+    assert (list(R.rows), got) == (rows, pivots)
+    R, got = m.rref(reverse=True)
+    assert (list(R.rows), got) == _rref_textbook(m, reverse=True)
+    kernel = m.kernel()
+    assert kernel == _kernel_reference(m, (rows, pivots))
+    assert all(m.matvec(v) == 0 for v in kernel)
+    assert m.rank() == len(pivots) == n - len(kernel)
+    assert echelon_basis(f, m.rows, n) == tuple(r for r in rows if r)
+    if m.nrows != n:
+        return
+    if len(pivots) < n:
+        with pytest.raises(NoSolution):
+            m.inverse()
+        return
+    # M is invertible: its inverse is the right half of the RREF of [M | I]
+    aug = FieldMatrix(f, n, 2 * n, [r | (1 << ((n + i) * f.k)) for i, r in enumerate(m.rows)])
+    assert m.inverse().rows == tuple(r >> (n * f.k) for r in _rref_textbook(aug)[0])
+
+
+def test_gf2_elimination_matches_textbook_on_seeded_shapes():
+    rng = random.Random(2402)
+    f = Field(1)
+    # (nrows, ncols, rank); rank None is a uniformly random matrix
+    shapes = [(0, 0, 0), (0, 7, 0), (5, 0, 0), (1, 1, 0), (1, 1, 1), (6, 6, 0),
+              (4, 81, 4), (3, 81, 2), (81, 5, 5), (81, 4, 3), (9, 9, 9), (9, 9, 5),
+              (30, 30, 30), (30, 30, 17), (81, 81, 81), (81, 81, 60), (40, 81, None),
+              (81, 40, None), (64, 64, None), (20, 81, 0)]
+    for nrows, ncols, rank in shapes:
+        for _ in range(3):
+            if rank is None:
+                m = FieldMatrix(f, nrows, ncols, [rng.getrandbits(ncols) for _ in range(nrows)])
+            elif rank == 0:
+                m = FieldMatrix.zeros(f, nrows, ncols)
+            else:
+                while True:  # a product of full-rank factors, so of rank exactly rank
+                    a = FieldMatrix(f, nrows, rank, [rng.getrandbits(rank) for _ in range(nrows)])
+                    b = FieldMatrix(f, rank, ncols, [rng.getrandbits(ncols) for _ in range(rank)])
+                    if len(_rref_textbook(a)[1]) == len(_rref_textbook(b)[1]) == rank:
+                        break
+                m = a * b
+            _check_against_textbook(m)
+
+
+@pytest.mark.parametrize("name", fischer.CATALOG_NAMES)
+def test_gf2_elimination_matches_textbook_on_ad_operators(name, algebras, reduced_algebras):
+    for alg in (algebras[name], reduced_algebras[name]):
+        one = FieldMatrix.identity(Field(1), alg.dim)
+        for line in alg.space.lines:
+            ad = matsuo.ad_matrix(alg, matsuo.line_nilpotent(alg, line))
+            _check_against_textbook(ad)
+            _check_against_textbook(ad + one)
+
+
+def test_gf2_rref_rejects_a_bit_at_or_above_ncols():
+    m = FieldMatrix(Field(1), 3, 4, [0b0011, 0b10100, 0b1000])
+    for call in (m.rref, lambda: m.rref(reverse=True), m.kernel, m.rank):
+        with pytest.raises(ValueError, match=r"^row 1 has a bit at or above ncols=4$"):
+            call()
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -433,15 +539,6 @@ def test_bilinear_matches_double_loop_on_catalog_tables(algebras, reduced_algebr
                 assert bilinear(alg.table, a, b) == _bilinear_reference(alg.table, a, b)
 
 
-def _echelon_reference(f, vecs, ncols):
-    """Nonzero rref rows of the matrix whose rows are vecs, read entry by entry."""
-    entries = [vec_to_list(f, v, ncols) for v in vecs]
-    if not entries:
-        return ()
-    R = FieldMatrix.from_rows(f, entries).rref()[0]
-    return tuple(r for r in R.rows if r)
-
-
 @pytest.mark.parametrize("k", range(1, 9))
 def test_echelon_basis_matches_rref_reference(k):
     rng = random.Random(900 + k)
@@ -453,7 +550,7 @@ def test_echelon_basis_matches_rref_reference(k):
         vecs = [rng.getrandbits(ncols * k) for _ in range(count)]
         vecs.insert(rng.randrange(count + 1), 0)
         basis = echelon_basis(f, vecs, ncols)
-        assert basis == _echelon_reference(f, vecs, ncols)
+        assert basis == _echelon_textbook(f, vecs, ncols)
         assert all(basis)
         # canonical: a random invertible recombination of the rows spans the
         # same subspace and gives the same basis

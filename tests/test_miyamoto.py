@@ -463,15 +463,34 @@ def test_cq_miyamoto_group_gf16_is_every_s_matrix(reduced):
 
 
 def test_matrix_group_membership_gf16():
+    # the group verify_cq_miyamoto(4) checks: every one of its 3840 elements
+    # is a member, and a matrix off it by one entry is not
     f = Field(4)
     g = miyamoto.cq_miyamoto_group(f)
-    # each test hashes the whole group, so a seeded sample of the 3840 elements
-    assert all(m in g for m in random.Random(1718).sample(g.elements, 32))
+    assert len(g.elements) == 3840
+    assert all(m in g for m in g.elements)
     ident = FieldMatrix.identity(f, 6)
     assert ident in g
     rows = list(ident.rows)
     rows[0] ^= 1 << f.k  # entry (0, 1) becomes 1
     assert FieldMatrix(f, 6, 6, rows) not in g
+    for m in g.elements[::97]:
+        rows = list(m.rows)
+        rows[0] ^= 1 << (5 * f.k)  # entry (0, 5); column 5 of every element is e_5
+        assert FieldMatrix(f, 6, 6, rows) not in g
+
+
+def test_matrix_group_membership_builds_the_member_set_once():
+    g = miyamoto.group_closure([miyamoto.s_matrix(Field(2), 1, 0, 1)])
+    assert "_members" not in vars(g)
+    assert g.elements[0] in g
+    members = vars(g)["_members"]
+    assert g.elements[-1] in g
+    assert FieldMatrix.zeros(Field(2), 6, 6) not in g
+    assert vars(g)["_members"] is members
+    # the member set is no dataclass field: equality and hashing ignore it
+    twin = miyamoto.MatrixGroup(g.field, g.degree, g.generators, g.elements)
+    assert twin == g and hash(twin) == hash(g)
 
 
 def test_verify_cq_miyamoto_rejects_bad_degree():

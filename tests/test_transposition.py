@@ -264,6 +264,29 @@ def test_element_equality_hash_and_key_agree():
     assert all(a == b and a is not b for a, b in zip(els, copies))
 
 
+def test_affinemat_equality_and_hash_agree_on_su32_products():
+    # __eq__ compares the augmented matrices and __hash__ hashes key(); on
+    # the su32 class and all its pairwise products the two must agree
+    elements = list(conjugacy_class(*preset("su32")).elements)
+    pool = elements + [a * b for a in elements for b in elements]
+    by_key = {}
+    for x in pool:
+        by_key.setdefault(x.key(), []).append(x)
+    assert len(by_key) < len(pool)  # some products coincide
+    for group in by_key.values():
+        a = group[0]
+        for b in group:
+            assert a == b and hash(a) == hash(b)
+            assert AffineMat(b.vector, b.matrix) == a
+    # distinct keys are distinct augmented matrices, so unequal elements
+    assert len({g[0].augmented for g in by_key.values()}) == len(by_key)
+    reps = [g[0] for g in by_key.values()]
+    for a, b in zip(reps, reps[1:] + reps[:1]):
+        assert a != b
+    assert len(set(pool)) == len(by_key)
+    assert all(x != x.key() and x != x.augmented for x in elements[:3])
+
+
 def test_affinemat_key_matches_the_entrywise_decode():
     # key() reads the 2-bit lanes of the augmented rows; vec_to_list decodes
     # each GF(4) entry on its own
