@@ -15,16 +15,19 @@ read by the columns of C = P^-1 (P has the bases as columns): rows of (P^T)^-1.
 The fusion table records, for each pair of parts, which parts their products
 meet.  It is read from one packed tensor per line: for each basis element
 e_a, one integer with an n-bit slot per basis vector v_j of the two parts,
-holding the coordinates of e_a * v_j.  The tensor is built from the
-structure constants, not from ad(e_a): the constants take few distinct
-values (in the full algebra, one per line of the space: the mask of its
-three points), so each distinct constant is put into coordinates once per
-line decomposed, and one carry-free integer product copies it into the
-slots of every v_j that has the matching coordinate.  XOR-ing the tensor
-over the set bits of a part's basis vector u gives the coordinates of all
-products u * v_j at once, and masks pick out the cells.  Because the
-product is commutative, the pairs of a diagonal cell can be read as a full
-block: its two halves hold the same products.
+holding the coordinates of e_a * v_j.  The tensor is built in one pass over
+the lines of the space, not from ad(e_a) or the table of structure
+constants: two distinct points of a line L = {x, y, z} multiply to its mask
+m_L, so e_x * v is the sum of (v_y + v_z) m_L over the lines through x.
+Each line's mask is put into coordinates once per line decomposed, as the
+XOR of three columns of the coordinate map, and three carry-free integer
+products add it to the rows of x, y and z.  In the quotient by the
+all-points sum, the dropped point has no coordinate of its own, and its
+column is the XOR of the kept ones.  XOR-ing the tensor over the set bits
+of a part's basis vector u gives the coordinates of all products u * v_j at
+once, and masks pick out the cells.  Because the product is commutative,
+the pairs of a diagonal cell can be read as a full block: its two halves
+hold the same products.
 
 A line's verdict is constant on its orbit under the point reflections.  A
 point y gives the permutation sigma_y of the points: x -> x^y for x collinear
@@ -181,41 +184,55 @@ def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition) -> 
     dec.coord_cols) and v_j the j-th vector of basis0 + basis1, G[a] holds
     the coordinates of every product e_a * v_j, laid out column-major: slot
     j (bits j*n to j*n + n - 1) holds C (e_a * v_j).  It is built from the
-    structure constants, not from ad(e_a): e_a * v_j is the XOR of
-    m = table[a][b] over the coordinates b of v_j, so G[a] is the XOR of
-    R[b] * coords[m], where R[b] has bit j*n set for each v_j with
-    coordinate b and coords[m] = C m is computed once per distinct
-    constant m.  The set bits of R[b] lie n apart and
-    coords[m] < 2^n, so the integer product places disjoint copies and
-    cannot carry.  For a basis vector u of either part, XOR-ing G over the
-    set bits of u gives all the products u * v_j at once; four masks (the
-    slots of each part crossed with the coordinate lanes below or from d0)
-    read off the cells.  A diagonal cell reads its whole block rather than
-    the pairs j >= i: the product is commutative (matsuo.build asserts it),
-    so the block is symmetric and both halves hold the same products.
+    lines of the space in one pass, not from alg.table: two distinct points
+    of a line L = {x, y, z} multiply to its mask m_L, so
+    e_x * v = sum over the lines L through x of (v_y + v_z) m_L.  With R[b]
+    holding bit j*n for each v_j with coordinate b, and c_L = C m_L =
+    K[x] ^ K[y] ^ K[z] for the columns K of C, each line adds
+    (R[y] ^ R[z]) * c_L to G[x], and likewise to G[y] and G[z].  The set
+    bits of R[b] lie n apart and c_L < 2^n, so the integer product places
+    disjoint copies and cannot carry, and it distributes over the XOR.  In
+    the quotient (alg.reduced) the dropped point N - 1 has no coordinate, so
+    R[N - 1] = 0 and no part vector reads its row G[N - 1]; its image is the
+    sum of the kept points, so its column of C is the XOR of theirs.
+
+    For a basis vector u of either part, XOR-ing G over the set bits of u
+    gives all the products u * v_j at once; four masks (the slots of each
+    part crossed with the coordinate lanes below or from d0) read off the
+    cells.  A diagonal cell reads its whole block rather than the pairs
+    j >= i: the product is commutative (matsuo.build asserts it), so the
+    block is symmetric and both halves hold the same products.
 
     The witness is the first (lexicographic) 1-part basis pair whose product
     has a nonzero 1-component, read as the lowest 1-lane bit in the 1-part
     slots of the first u that has one; a graded line has none, at no cost.
+
+    alg.table comes only from matsuo.build and matsuo.reduce, and both fill
+    it from these same lines, so the tensor reads the lines instead.  The
+    decomposition still reads the table, and so do the pairwise oracle of
+    the tests and the matsuo.multiply cross-check of the witness.
     """
     n = alg.dim
     d0 = len(dec.basis0)
     vs = dec.basis0 + dec.basis1
-    R = [0] * n
+    space = alg.space
+    R = [0] * space.n_points  # a dropped point has no coordinate: its slot stays 0
     for j, v in enumerate(vs):
         for b in vec_support(v):
             R[b] |= 1 << (j * n)
-    coords: dict[int, int] = {}
-    G = []
-    for a in range(n):
-        g = 0
-        for b, m in enumerate(alg.table[a]):
-            if m:
-                c = coords.get(m)
-                if c is None:
-                    c = coords[m] = apply_images(dec.coord_cols, m)
-                g ^= R[b] * c
-        G.append(g)
+    K = list(dec.coord_cols)
+    if alg.reduced:
+        dropped = 0  # the dropped point is the sum of the kept ones
+        for k in K:
+            dropped ^= k
+        K.append(dropped)
+    G = [0] * space.n_points
+    for x, y, z in space.lines:
+        c = K[x] ^ K[y] ^ K[z]
+        rx, ry, rz = R[x], R[y], R[z]
+        G[x] ^= (ry ^ rz) * c
+        G[y] ^= (rx ^ rz) * c
+        G[z] ^= (rx ^ ry) * c
     lane0 = (1 << d0) - 1
     lane1 = ((1 << n) - 1) ^ lane0
     slots0 = sum(1 << (j * n) for j in range(d0))

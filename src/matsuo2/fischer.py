@@ -186,7 +186,7 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
         planes=None,  # both filled below
         symplectic=None,
     )
-    masks = space.line_masks
+    line_ids = space._line_ids
 
     # 0-2-3 property: no point sees exactly one point of a line; a point on
     # the line sees the other two, so only points off it can be odd ones out
@@ -203,8 +203,11 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
 
     # every pair of intersecting lines must generate a 6- or 9-point plane;
     # a closed set of that size is one when each point sees the right degree.
-    # shared[k] masks the line ids that lie in a recorded plane with line k.
+    # shared[k] masks the line ids that lie in a recorded plane with line k;
+    # planes_of[k] lists the planes through line k, ordered at the end by the
+    # sorted points that key_of keeps for each plane.
     planes_of: list[list[int]] = [[] for _ in norm]
+    key_of: dict[int, list[int]] = {}
     shared = [0] * len(norm)
     for x in range(n_points):
         through = lines_through[x]
@@ -223,13 +226,17 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
                         "subspace that is neither a complete quadrilateral nor an "
                         "affine plane"
                     )
-                inside = [k for p in pts for k in lines_through[p]
-                          if norm[k][0] == p and masks[k] & ~pm == 0]
+                # a line inside the plane is found once, from its two lowest points
+                key = sorted(pts)
+                inside = [line_ids[(p, q, wedge[(p, q)])]
+                          for h, p in enumerate(key) for q in key[h + 1:]
+                          if (collinear[p] >> q) & 1 and wedge[(p, q)] > q]
                 inside_mask = sum(1 << k for k in inside)
+                key_of[pm] = key
                 for k in inside:
                     planes_of[k].append(pm)
                     shared[k] |= inside_mask
-    space._planes = tuple(tuple(sorted(ps, key=vec_support)) for ps in planes_of)
+    space._planes = tuple(tuple(sorted(ps, key=key_of.__getitem__)) for ps in planes_of)
     space._symplectic = not any(p.bit_count() == 9 for ps in planes_of for p in ps)
     return space
 

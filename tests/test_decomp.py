@@ -173,6 +173,36 @@ def test_lines_read_coordinates_by_columns(algebras, reduced_algebras, monkeypat
     assert calls == []
 
 
+def test_fusion_tensor_reads_the_lines_not_the_table(algebras, reduced_algebras,
+                                                     monkeypatch):
+    # only the witness cross-check, through matsuo.multiply, reads alg.table
+    state = {"in_multiply": False, "stray_reads": 0}
+
+    class WatchedTable(tuple):
+        def __getitem__(self, i):
+            state["stray_reads"] += not state["in_multiply"]
+            return tuple.__getitem__(self, i)
+
+    multiply = matsuo.multiply
+
+    def watched_multiply(alg, u, v):
+        state["in_multiply"] = True
+        try:
+            return multiply(alg, u, v)
+        finally:
+            state["in_multiply"] = False
+
+    monkeypatch.setattr(matsuo, "multiply", watched_multiply)
+    for name in ("ag23", "3_3_sym4"):
+        for alg in (algebras[name], reduced_algebras[name]):
+            watched = matsuo.NilpotentMatsuoAlgebra(
+                alg.space, alg.dim, alg.reduced, alg.basis_labels, WatchedTable(alg.table))
+            for t in alg.space.lines:
+                dec = decompose_line(alg, t)
+                assert fusion_table(watched, dec) == fusion_table(alg, dec), t
+    assert state["stray_reads"] == 0
+
+
 def _assert_decompositions_match_reference(alg):
     for t in alg.space.lines:
         dec = decompose_line(alg, t)
@@ -362,6 +392,26 @@ def test_catalog_verdicts_pinned(algebras, reduced_algebras):
                         [line_verdict(alg, t).to_json_dict() for t in alg.space.lines]])
     blob = json.dumps(out, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == _CATALOG_VERDICTS_SHA256
+
+
+# the same digest over Hall's 81-point space, full then reduced: the witness
+# line {[0,0,0,0], [1,0,0,0], [2,0,0,0]} and 8 seeded lines; the pairwise
+# reference is too slow at n = 81, so this pins the tensor and its witness there
+_HALL_VERDICTS_SHA256 = "3a42dc8d47061b8ba5b7b3e108299acbae163b134926727b8591f2040d10ca2b"
+
+
+def test_hall_verdicts_pinned(hall_space):
+    sp = hall_space()
+    index = {label: i for i, label in enumerate(sp.labels)}
+    witness = tuple(sorted(index[x] for x in ("[0,0,0,0]", "[1,0,0,0]", "[2,0,0,0]")))
+    lines = [witness] + random.Random(8181).sample(
+        [t for t in sp.lines if t != witness], 8)
+    full = matsuo.build(sp)
+    out = [[alg.reduced, [line_verdict(alg, t).to_json_dict() for t in lines]]
+           for alg in (full, matsuo.reduce(full))]
+    assert all(v["witness"] is not None for _, vs in out for v in vs)
+    blob = json.dumps(out, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == _HALL_VERDICTS_SHA256
 
 
 def test_witness_cross_check_names_the_line(algebras, monkeypatch):

@@ -363,6 +363,14 @@ def test_plane_index_on_hall(hall_space):
     for plane in planes:
         assert len(plane) == 9
         assert sum(plane.issuperset(t) for t in sp.lines) == 12
+    containing = {t: [] for t in sp.lines}
+    for plane in planes:
+        for t in sp.lines:
+            if plane.issuperset(t):
+                containing[t].append(plane)
+    for t in sp.lines:
+        # ordered by their sorted points, as on the catalog spaces
+        assert list(affine_planes_through_line(sp, t)) == sorted(containing[t], key=sorted)
     rng = random.Random(1960)
     for _ in range(500):
         i, j = rng.sample(range(len(sp.lines)), 2)
