@@ -158,7 +158,7 @@ def cmd_aut(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    result = verify.run_suite(hall_data=args.hall_data)
+    result = verify.run_suite(args.suite)
     print(result.format_text())
     if args.out:
         _emit_json(result.to_json_dict(), args.out)
@@ -199,9 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--out", metavar="REPORT.json")
 
     pv = sub.add_parser("verify", help="run the claim verification suite")
-    pv.add_argument("--suite", choices=("paper",), required=True)
-    pv.add_argument("--hall-data", metavar="FILE",
-                    help=".fischer or .gens data for the 81-point space")
+    pv.add_argument("--suite", choices=tuple(verify.SUITES), required=True)
     pv.add_argument("--out", metavar="REPORT.json")
 
     return p

@@ -24,6 +24,7 @@ a quadrilateral or an affine plane generate all of it.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -355,33 +356,36 @@ def _build_cq() -> FischerSpace:
     return validate(6, _CQ_LINES, labels=_CQ_LABELS, meta=_CATALOG_META["cq"])
 
 
-def _affine_space_lines(dim: int) -> tuple[list[tuple[int, ...]], list[str]]:
-    """Points of F_3^dim with lines {p, q, -p-q}; index is base-3 big-endian."""
-    n = 3 ** dim
-    def unrank(i):
-        digits = []
-        for _ in range(dim):
-            digits.append(i % 3)
-            i //= 3
-        return tuple(reversed(digits))
-    def rank(v):
-        i = 0
-        for d in v:
-            i = 3 * i + d
-        return i
-    pts = [unrank(i) for i in range(n)]
-    lines = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            third = tuple((-a - b) % 3 for a, b in zip(pts[i], pts[j]))
-            lines.add(tuple(sorted((i, j, rank(third)))))
-    labels = ["[" + ",".join(str(d) for d in v) + "]" for v in pts]
-    return sorted(lines), labels
+def _f3_space(dim: int, hall: bool = False) -> tuple[list[tuple[int, int, int]], list[str]]:
+    """Lines and labels on F_3^dim, indexed base-3 big-endian.  The third
+    point of the line through x and y is -x - y, plus Hall's twist
+    (x3 - y3)(x1 y2 - x2 y1) in the last coordinate when `hall` is set.  Each
+    line is listed once, from its two lowest points, so the list is sorted."""
+    pts = list(itertools.product(range(3), repeat=dim))
+    lines = []
+    for i, x in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            y = pts[j]
+            k = 0
+            for a, b in zip(x, y):
+                k = 3 * k + (-a - b) % 3
+            if hall:  # the last coordinate is the lowest base-3 digit of k
+                k += (k + (x[2] - y[2]) * (x[0] * y[1] - x[1] * y[0])) % 3 - k % 3
+            if k > j:
+                lines.append((i, j, k))
+    return lines, ["[" + ",".join(map(str, v)) + "]" for v in pts]
 
 
 def _build_ag(dim: int, name: str) -> FischerSpace:
-    lines, labels = _affine_space_lines(dim)
+    lines, labels = _f3_space(dim)
     return validate(3 ** dim, lines, labels=labels, meta=_CATALOG_META[name])
+
+
+def hall81() -> FischerSpace:
+    """Hall's 81-point triple system (M. Hall Jr., 1960) on F_3^4, labelled
+    [p,q,r,s].  No catalog group builds it, so it is not in CATALOG_NAMES."""
+    lines, labels = _f3_space(4, hall=True)
+    return validate(81, lines, labels=labels)
 
 
 def catalog(name: str) -> FischerSpace:

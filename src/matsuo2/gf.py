@@ -528,7 +528,6 @@ class FieldMatrix:
                     if e:
                         v |= e << (pc * k)
                 basis.append(v)
-        assert len(basis) + len(pivots) == n, "rank-nullity violated"
         return tuple(basis)
 
     def kernel_chain(self) -> Iterator[tuple[int, ...]]:

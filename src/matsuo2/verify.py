@@ -1,11 +1,12 @@
-"""The claim verification suite behind `matsuo2 verify --suite paper`.
+"""The claim verification suites behind `matsuo2 verify --suite NAME`.
 
-Each claim is an independent check of one finite statement about the catalog
-spaces and their algebras: point counts, the combinatorial product oracles,
-the decomposition dimensions and fusion laws, the grading biconditional with
-its explicit counterexample witnesses, the quadrilateral dichotomy, and the
-Miyamoto/automorphism group structure.  Claims report pass/fail/skipped; the
-suite is deterministic, so its JSON report is byte-identical across runs.
+Each claim is an independent check of one finite statement.  The `paper`
+suite covers the catalog spaces and their algebras: point counts, the
+combinatorial product oracles, the decomposition dimensions and fusion laws,
+the grading biconditional with its explicit counterexample witnesses, the
+quadrilateral dichotomy, and the Miyamoto/automorphism group structure.  The
+`families` suite covers spaces outside the catalog: Hall's 81-point space.
+Each suite is deterministic, so its JSON report is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -30,14 +31,9 @@ EXPECTED_SYMPLECTIC = {
 
 
 class SuiteContext:
-    """Shared immutable artifacts for the claims; built once per run."""
+    """Shared immutable artifacts for the paper claims; built once per run."""
 
-    def __init__(self, hall_data=None) -> None:
-        # user data is parsed before any claim runs, so a missing or malformed
-        # file raises here (a usage error) instead of failing a claim
-        self.hall_space = None
-        if hall_data is not None:
-            self.hall_space = fischer.load_space(hall_data)
+    def __init__(self) -> None:
         self.spaces = {name: fischer.catalog(name) for name in fischer.CATALOG_NAMES}
         self.algebras = {name: matsuo.build(sp) for name, sp in self.spaces.items()}
         self.reduced = {name: matsuo.reduce(a) for name, a in self.algebras.items()}
@@ -56,6 +52,13 @@ class SuiteContext:
         return self._aut
 
 
+class FamiliesContext:
+    """The spaces of the families claims, built from their formulas."""
+
+    def __init__(self) -> None:
+        self.hall_space = fischer.hall81()
+
+
 @dataclass(frozen=True)
 class ClaimResult:
     claim_id: str
@@ -65,6 +68,7 @@ class ClaimResult:
 
 @dataclass(frozen=True)
 class SuiteResult:
+    suite: str
     results: tuple[ClaimResult, ...]
 
     def counts(self) -> tuple[int, int, int]:
@@ -80,7 +84,7 @@ class SuiteResult:
     def to_json_dict(self) -> dict:
         n_pass, n_fail, n_skipped = self.counts()
         return {
-            "suite": "paper",
+            "suite": self.suite,
             "n_pass": n_pass,
             "n_fail": n_fail,
             "n_skipped": n_skipped,
@@ -329,24 +333,30 @@ def _points_by_label(sp):
     return index, None
 
 
-def claim_witness_ag33(ctx):
-    sp = ctx.spaces["ag33"]
-    alg = ctx.algebras["ag33"]
+def _labelled_witness(sp, alg, line, u, v, unlabelled, passed):
+    """Check a witness named by point labels: a line's three points and the
+    two points of each of u and v.  A missing label fails with `unlabelled`."""
     index, bad = _points_by_label(sp)
     if bad:
         return bad
     try:
-        line = tuple(sorted(index[x] for x in ("[0,0,0]", "[1,0,0]", "[2,0,0]")))
-        u = (1 << index["[0,1,0]"]) ^ (1 << index["[1,1,0]"])
-        v = (1 << index["[1,0,1]"]) ^ (1 << index["[2,0,1]"])
+        line = tuple(sorted(index[x] for x in line))
+        u, v = ((1 << index[a]) ^ (1 << index[b]) for a, b in (u, v))
     except KeyError:
-        return _bad("coordinate labeling of the affine 3-space is off")
+        return _bad(unlabelled)
     if not sp.is_line(line):
         return _bad(f"{line} is not a line")
-    bad = _witness_in_one_part_check(alg, line, u, v)
-    if bad:
-        return bad
-    return _ok("[0,1,0]+[1,1,0] times [1,0,1]+[2,0,1] lands back in the 1-part")
+    return _witness_in_one_part_check(alg, line, u, v) or _ok(passed)
+
+
+def claim_witness_ag33(ctx):
+    return _labelled_witness(
+        ctx.spaces["ag33"], ctx.algebras["ag33"],
+        ("[0,0,0]", "[1,0,0]", "[2,0,0]"),
+        ("[0,1,0]", "[1,1,0]"), ("[1,0,1]", "[2,0,1]"),
+        "coordinate labeling of the affine 3-space is off",
+        "[0,1,0]+[1,1,0] times [1,0,1]+[2,0,1] lands back in the 1-part",
+    )
 
 
 def claim_witness_su32(ctx):
@@ -375,29 +385,13 @@ def claim_witness_su32(ctx):
 
 def claim_witness_hall(ctx):
     sp = ctx.hall_space
-    if sp is None:
-        return ("skipped", "data not provided")
-    if sp.n_points != 81:
-        return _bad(f"expected 81 points, got {sp.n_points}")
-    index, bad = _points_by_label(sp)
-    if bad:
-        return bad
-    try:
-        line = tuple(sorted(index[x] for x in ("[0,0,0,0]", "[1,0,0,0]", "[2,0,0,0]")))
-        u = (1 << index["[0,1,0,0]"]) ^ (1 << index["[1,1,0,0]"])
-        v = (1 << index["[0,0,0,1]"]) ^ (1 << index["[1,0,0,1]"])
-    except KeyError:
-        return (
-            "skipped",
-            "supplied space lacks [p,q,r,s] coordinate labels over F_3",
-        )
-    if not sp.is_line(line):
-        return _bad(f"{line} is not a line of the supplied space")
-    alg = matsuo.build(sp)
-    bad = _witness_in_one_part_check(alg, line, u, v)
-    if bad:
-        return bad
-    return _ok("witness product lands back in the 1-part")
+    return _labelled_witness(
+        sp, matsuo.build(sp),
+        ("[0,0,0,0]", "[1,0,0,0]", "[2,0,0,0]"),
+        ("[0,1,0,0]", "[1,1,0,0]"), ("[0,0,0,1]", "[1,0,0,1]"),
+        "space lacks [p,q,r,s] coordinate labels over F_3",
+        "witness product lands back in the 1-part",
+    )
 
 
 def claim_good_lines_3_3_sym4(ctx):
@@ -619,7 +613,6 @@ CLAIMS = (
     ("decomp.witness_3_3_sym4", claim_witness_3_3_sym4),
     ("decomp.witness_ag33", claim_witness_ag33),
     ("decomp.witness_su32", claim_witness_su32),
-    ("decomp.witness_hall", claim_witness_hall),
     ("decomp.good_lines_3_3_sym4", claim_good_lines_3_3_sym4),
     ("fischer.p0_wedge_closure", claim_p0_wedge_closure),
     ("fischer.converse_p0", claim_converse_p0),
@@ -636,14 +629,27 @@ CLAIMS = (
 )
 
 
-def run_suite(hall_data=None) -> SuiteResult:
-    """Run every claim; results keep the fixed claim order."""
-    ctx = SuiteContext(hall_data=hall_data)
+FAMILY_CLAIMS = (
+    ("decomp.witness_hall", claim_witness_hall),
+)
+
+
+# suite name -> its context and claims; CLAIMS is read when the suite runs,
+# so a patched CLAIMS (the benchmark's tracer installs one) is what runs
+SUITES = {
+    "paper": lambda: (SuiteContext(), CLAIMS),
+    "families": lambda: (FamiliesContext(), FAMILY_CLAIMS),
+}
+
+
+def run_suite(suite: str = "paper") -> SuiteResult:
+    """Run every claim of one suite; results keep the fixed claim order."""
+    ctx, claims = SUITES[suite]()
     results = []
-    for claim_id, func in CLAIMS:
+    for claim_id, func in claims:
         try:
             status, detail = func(ctx)
         except Exception as exc:  # a crashed claim is a failed claim
             status, detail = "fail", f"{type(exc).__name__}: {exc}"
         results.append(ClaimResult(claim_id, status, detail))
-    return SuiteResult(tuple(results))
+    return SuiteResult(suite, tuple(results))

@@ -72,9 +72,7 @@ def test_criterion_04_grading_biconditional_and_witnesses(ctx, capsys):
         verify.claim_witness_ag33,
         verify.claim_witness_su32,
     )
-    hall = verify.claim_witness_hall(ctx)
-    parts.append(("pass" if hall[0] == "skipped" else "fail",
-                  f"hall case reported {hall[0]}: {hall[1]}"))
+    parts.append(verify.claim_witness_hall(verify.FamiliesContext()))
     ok, parts = _report(capsys, 4, "grading iff symplectic or affine plane; exact"
                            " witnesses reproduce the failures", parts)
     assert ok, parts
@@ -131,18 +129,22 @@ def test_criterion_09_structural_invariants(ctx, capsys):
     assert ok, parts
 
 
-# sha256 of the paper suite's JSON report; a changed byte in any claim's output moves it
-_PAPER_REPORT_SHA256 = "360db761007df71fddb91f42e36bb41bdb2e43991e6131cc1d4483c9e30e0f50"
+# sha256 of each suite's JSON report; a changed byte in any claim's output moves it
+_REPORT_SHA256 = {
+    "paper": "a535745c8901061aa65d72293924d9ccc92e75c1de9945b29fd7437e7944ecc8",
+    "families": "b45e077e0c26db8a16cdc19e1898faed8fe50b429f4025e8f723bc24b1f92856",
+}
 
 
 def test_criterion_10_determinism(tmp_path, capsys):
-    out1 = tmp_path / "run1.json"
-    out2 = tmp_path / "run2.json"
-    cli.main(["verify", "--suite", "paper", "--out", str(out1)])
-    cli.main(["verify", "--suite", "paper", "--out", str(out2)])
-    same = out1.read_bytes() == out2.read_bytes()
-    assert hashlib.sha256(out1.read_bytes()).hexdigest() == _PAPER_REPORT_SHA256
-    status = [("pass" if same else "fail", "JSON reports differ between runs")]
+    parts = []
+    for suite, sha256 in _REPORT_SHA256.items():
+        out1, out2 = tmp_path / f"{suite}1.json", tmp_path / f"{suite}2.json"
+        for out in (out1, out2):
+            cli.main(["verify", "--suite", suite, "--out", str(out)])
+        assert hashlib.sha256(out1.read_bytes()).hexdigest() == sha256, suite
+        same = out1.read_bytes() == out2.read_bytes()
+        parts.append(("pass" if same else "fail", f"{suite}: JSON reports differ between runs"))
     ok, parts = _report(capsys, 10, "verification suite JSON is byte-identical across"
-                            " runs", status if not same else [("pass", "")])
+                            " runs", parts)
     assert ok, parts

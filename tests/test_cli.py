@@ -53,8 +53,7 @@ def test_unknown_source_is_a_usage_error_everywhere(capsys, tmp_path, source):
     message = (f"error: {str(path)!r} is neither a catalog name "
                f"{fischer.CATALOG_NAMES} nor a .fischer/.gens file\n")
     for argv in (("space", "--space", str(path)),
-                 ("decompose", "--space", str(path)),
-                 ("verify", "--suite", "paper", "--hall-data", str(path))):
+                 ("decompose", "--space", str(path))):
         assert run_cli(capsys, *argv) == (2, "", message)
 
 
@@ -165,27 +164,20 @@ def test_decompose_gens_file_matches_catalog(capsys, tmp_path):
     assert json.loads(from_gens)["lines"] == json.loads(from_catalog)["lines"]
 
 
-@pytest.mark.parametrize("content", [None, "fischer 4\n0 1 2\n0 1 3\n"],
-                         ids=["missing", "malformed"])
-def test_verify_bad_hall_data_is_a_usage_error(capsys, tmp_path, content):
-    data = tmp_path / "hall.fischer"
-    if content is not None:
-        data.write_text(content)
-    out_path = tmp_path / "R.json"
-    code, out, err = run_cli(capsys, "verify", "--suite", "paper",
-                             "--hall-data", str(data), "--out", str(out_path))
-    assert code == 2
-    assert err.startswith("error: ")
-    assert out == ""
-    assert not out_path.exists()
+def test_unknown_suite_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "nosuch"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nosuch'" in err
+    assert "'paper'" in err and "'families'" in err
 
 
 def test_seed_outside_the_generated_group_is_a_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.gens"
     bad.write_text("perm 4\n(2 3)\n(3 4)\nseed (1 2)\n")
     for argv in (("space", "--space", str(bad)),
-                 ("decompose", "--space", str(bad)),
-                 ("verify", "--suite", "paper", "--hall-data", str(bad))):
+                 ("decompose", "--space", str(bad))):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""

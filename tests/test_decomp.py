@@ -378,6 +378,16 @@ def test_witness_recorded_for_failing_lines(algebras):
         assert d.component_flags(p)[1] is True
 
 
+def test_su32_line_0_2_6_has_a_pair_whose_product_stays_in_the_one_part(algebras):
+    # README, "Known discrepancy": not every pair on the su32 witness line
+    # keeps a 0-component in its product
+    u, v = (1 << 1) ^ (1 << 7), (1 << 14) ^ (1 << 29) ^ (1 << 30) ^ (1 << 31)
+    p = matsuo.multiply(algebras["su32"], u, v)
+    d = decompose_line(algebras["su32"], (0, 2, 6))
+    assert [d.component_flags(x) for x in (u, v, p)] == [(False, True)] * 3
+    assert p.bit_count() == 8
+
+
 # sha256 of [name, reduced, [line_verdict(alg, t).to_json_dict() for each line]]
 # over the catalog, full then reduced, as compact JSON with sorted keys: every
 # cell and every witness of the 786 line verdicts

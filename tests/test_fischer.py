@@ -347,6 +347,23 @@ def test_points_p0_p2_match_per_point_counts(spaces, relabelled, name):
     _assert_p0_p2_p3_match_counts(relabelled(spaces[name], 4242)[0])
 
 
+def test_hall81_lines_follow_halls_rule_on_the_labels():
+    sp = fischer.hall81()
+    coords = [tuple(map(int, lab.strip("[]").split(","))) for lab in sp.labels]
+    assert sorted(coords) == list(itertools.product(range(3), repeat=4))
+    point = {c: i for i, c in enumerate(coords)}
+    lines = set()
+    for x, y in itertools.combinations(coords, 2):
+        # Hall's rule, written out apart from the library
+        z = [(-a - b) % 3 for a, b in zip(x, y)]
+        z[3] = (z[3] + (x[2] - y[2]) * (x[0] * y[1] - x[1] * y[0])) % 3
+        line = tuple(sorted({point[x], point[y], point[tuple(z)]}))
+        assert len(line) == 3 and sp.is_line(line)
+        lines.add(line)
+    assert (sp.n_points, len(sp.lines)) == (81, 1080) and set(sp.lines) == lines
+    assert is_symplectic_type(sp) is False
+
+
 def test_points_p0_p2_match_per_point_counts_on_hall(hall_space):
     _assert_p0_p2_p3_match_counts(hall_space(7))
 

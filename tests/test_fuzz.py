@@ -6,10 +6,13 @@ space or of a preset.  A case whose header declares a number above 12 is
 skipped, so every case stays small.  The command must exit 0 or 2, never 1,
 and an exit 2 prints an `error:` line.  `cli.main` turns only ValueError
 (and OSError) into exit 2, so any other exception from a reader escapes and
-fails the case.
+fails the case.  A `.fischer` message that names a parenthesized triple
+must start with `error: line N: `, where file line N lists one of the
+triples it names.
 """
 
 import random
+import re
 
 from matsuo2 import cli, fischer, transposition
 
@@ -75,6 +78,12 @@ def _fuzz(capsys, tmp_path, sources, suffix, seed):
         err = capsys.readouterr().err
         assert code in (0, 2), text
         assert (code == 2) == err.startswith("error: "), text
+        named = [sorted(map(int, t)) for t in re.findall(r"\((-?\d+), (-?\d+), (-?\d+)\)", err)]
+        if suffix == ".fischer" and named:
+            located = re.match(r"error: line (\d+): ", err)
+            assert located, err
+            listed = text.splitlines()[int(located[1]) - 1].split("#")[0].split()
+            assert sorted(map(int, listed)) in named, err
 
 
 def test_fuzzed_fischer_files_exit_0_or_2(spaces, capsys, tmp_path):

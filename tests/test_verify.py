@@ -1,12 +1,9 @@
-import itertools
 import json
-import random
 from types import SimpleNamespace
 
 import pytest
 
 from matsuo2 import fischer, matsuo, miyamoto, transposition, verify
-from matsuo2.transposition import gens_to_text, preset
 
 
 def test_claim_ids_unique_and_ordered():
@@ -14,41 +11,9 @@ def test_claim_ids_unique_and_ordered():
     assert len(ids) == len(set(ids))
 
 
-def test_hall_claim_skipped_without_data():
-    status, detail = verify.claim_witness_hall(SimpleNamespace(hall_space=None))
-    assert status == "skipped"
-    assert detail == "data not provided"
-
-
-def test_hall_claim_rejects_wrong_point_count(tmp_path):
-    gens, seed = preset("su32")
-    path = tmp_path / "su32.gens"
-    path.write_text(gens_to_text(gens, seed))
-    status, detail = verify.claim_witness_hall(verify.SuiteContext(hall_data=str(path)))
-    assert status == "fail"
-    assert "81" in detail
-
-
-def test_hall_claim_skips_space_without_coordinate_labels(tmp_path):
-    # AG(4,3): the 81 points of F_3^4, lines {x, y, z} with x + y + z = 0
-    pts = list(itertools.product(range(3), repeat=4))
-    index = {p: i for i, p in enumerate(pts)}
-    lines = {
-        tuple(sorted((i, j, index[tuple(-(x + y) % 3 for x, y in zip(p, q))])))
-        for i, p in enumerate(pts) for j, q in enumerate(pts) if i < j
-    }
-    path = tmp_path / "ag43.fischer"
-    fischer.save_space(fischer.validate(81, sorted(lines)), path)
-    status, detail = verify.claim_witness_hall(verify.SuiteContext(hall_data=str(path)))
-    assert status == "skipped"
-    assert detail == "supplied space lacks [p,q,r,s] coordinate labels over F_3"
-
-
 @pytest.mark.parametrize("seed", [None, 2718], ids=["generated", "relabelled"])
-def test_hall_claim_passes_on_halls_space(tmp_path, hall_space, seed):
-    path = tmp_path / "hall.fischer"
-    fischer.save_space(hall_space(seed), path)
-    ctx = SimpleNamespace(hall_space=fischer.load_space(str(path)))
+def test_hall_claim_passes_on_halls_space(hall_space, seed):
+    ctx = SimpleNamespace(hall_space=hall_space(seed))
     assert verify.claim_witness_hall(ctx) == ("pass", "witness product lands back in the 1-part")
 
 
@@ -59,10 +24,11 @@ def _hall_ctx_with_labels(hall_space, relabel):
 
 
 def test_hall_claim_skips_labels_written_without_brackets(hall_space):
+    # a witness label the space lacks fails the claim, as for ag33; no skip is left
     ctx = _hall_ctx_with_labels(hall_space, lambda labels: [
         lab.strip("[]").replace(",", "") for lab in labels])  # [0,1,2,0] -> 0120
     assert verify.claim_witness_hall(ctx) == (
-        "skipped", "supplied space lacks [p,q,r,s] coordinate labels over F_3")
+        "fail", "space lacks [p,q,r,s] coordinate labels over F_3")
 
 
 def test_hall_claim_fails_without_one_label_per_point(hall_space):
@@ -85,17 +51,10 @@ def _su32_ctx(sp):
     return SimpleNamespace(spaces={"su32": sp}, algebras={"su32": matsuo.build(sp)})
 
 
-def test_su32_witness_reads_points_by_label(spaces):
-    sp = spaces["su32"]
-    expected = verify.claim_witness_su32(_su32_ctx(sp))
+def test_su32_witness_reads_points_by_label(spaces, relabelled):
+    expected = verify.claim_witness_su32(_su32_ctx(spaces["su32"]))
     assert expected[0] == "fail"  # the documented su32 discrepancy
-    perm = list(range(sp.n_points))
-    random.Random(3636).shuffle(perm)
-    labels = [None] * sp.n_points
-    for i, lab in enumerate(sp.labels):
-        labels[perm[i]] = lab
-    moved = fischer.validate(sp.n_points, [[perm[p] for p in t] for t in sp.lines],
-                             labels=labels, meta=sp.meta)
+    moved, _ = relabelled(spaces["su32"], 3636)
     assert verify.claim_witness_su32(_su32_ctx(moved)) == expected
 
 
@@ -157,10 +116,18 @@ def test_nominal_suite_state():
     result = verify.run_suite()
     statuses = {r.claim_id: r.status for r in result.results}
     assert statuses.pop("decomp.witness_su32") == "fail"
-    assert statuses.pop("decomp.witness_hall") == "skipped"
+    assert "decomp.witness_hall" not in statuses  # it runs in the families suite
     assert set(statuses.values()) == {"pass"}
     assert result.exit_code == 1
-    assert result.counts() == (30, 1, 1)
+    assert result.counts() == (30, 1, 0)
+
+
+def test_families_suite_decides_the_hall_witness():
+    result = verify.run_suite("families")
+    assert result.results == (verify.ClaimResult(
+        "decomp.witness_hall", "pass", "witness product lands back in the 1-part"),)
+    assert result.exit_code == 0
+    assert result.to_json_dict()["suite"] == "families"
 
 
 def test_corrupted_structure_constants_fail(monkeypatch):
@@ -189,7 +156,7 @@ def test_corrupted_structure_constants_fail(monkeypatch):
 
 
 def test_suite_result_serialization():
-    result = verify.SuiteResult((
+    result = verify.SuiteResult("paper", (
         verify.ClaimResult("x.a", "pass", "fine"),
         verify.ClaimResult("x.b", "skipped", "nope"),
     ))
