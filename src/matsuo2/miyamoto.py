@@ -30,12 +30,18 @@ The automorphism groups over GF(2) all come from one backtracking search,
 from a candidate list per column.  Each homomorphism equation e_i e_j
 (i <= j) is filed once, under the step max(j, top bit of e_i e_j) at which
 every column it reads is chosen, and after column m the search tests exactly
-the equations filed under m.  It reads the products instead of forming them:
-the ad rows e_i v (all v) come from the frozen-basis structure constants by
-linearity, the product row c v of a candidate column c is the XOR of the ad
-rows over the bits of c, built once per call when c is first chosen, and
-m(e_i) m(e_j) is entry m(e_j) of the row of m(e_i).  The routes differ only
-in the candidate lists: the quotient's columns are pruned by stabilizing A*A
+the equations filed under m.  An equation filed under m whose factors both
+lie in earlier columns (j < m) is there because bit m is the top bit of
+e_i e_j, so it forces column m: m(e_m) = m(e_i) m(e_j) + m(e_i e_j - e_m).
+The search tries only that value, if its candidate list holds it; in the
+frozen basis this forces columns 2 and 4.  It reads the products instead of
+forming them: the ad rows e_i v (all v) come from the frozen-basis structure
+constants by linearity, the product row c v of a candidate column c is the
+XOR of the ad rows over the bits of c, built when c is first chosen, and
+m(e_i) m(e_j) is entry m(e_j) of the row of m(e_i).  Schedule, forcing
+equations, ad rows and product rows are built once per structure
+(`_AutSearch`), however many searches read them.  The routes differ only in
+the candidate lists: the quotient's columns are pruned by stabilizing A*A
 and A*(A*A), and the full algebra's by the annihilator as well, all
 recomputed from the structure constants; the unconstrained sweep offers every
 vector; and the block cross-check of `aut_count_full` offers one candidate
@@ -193,12 +199,21 @@ def s_compose(field: Field, p1, p2) -> tuple[int, int, int]:
 
 
 def parse_s_matrix(m: FieldMatrix) -> tuple[int, int, int] | None:
-    """Recover (alpha, beta, lambda) if the matrix has the S block shape."""
+    """Recover (alpha, beta, lambda) if the matrix has the S block shape.
+
+    Compares the packed rows with those of S(alpha, beta, lambda), built by
+    shifts from the lanes of row 3: no entry is read and no matrix built.
+    """
     n = m.nrows
     if n not in (5, 6) or m.ncols != n:
         return None
-    alpha, beta, lam = m.entry(3, 0), m.entry(3, 2), m.entry(3, 3)
-    if lam == 0 or m.rows != s_matrix(m.field, alpha, beta, lam, reduced=(n == 5)).rows:
+    k, mask = m.field.k, m.field.mask
+    row3 = m.rows[3]
+    alpha, beta, lam = row3 & mask, (row3 >> (2 * k)) & mask, (row3 >> (3 * k)) & mask
+    rows = [1 << (i * k) for i in range(n)]
+    rows[3] = alpha | (beta << (2 * k)) | (lam << (3 * k))
+    rows[4] = (beta << k) | (alpha << (2 * k)) | (lam << (4 * k))
+    if lam == 0 or m.rows != tuple(rows):
         return None
     return (alpha, beta, lam)
 
@@ -319,13 +334,6 @@ class CqMiyamotoReport:
     reduced_group_order: int
 
 
-def _drop_last(m: FieldMatrix) -> FieldMatrix:
-    k = m.field.k
-    keep = (1 << ((m.ncols - 1) * k)) - 1
-    return FieldMatrix(m.field, m.nrows - 1, m.ncols - 1,
-                       tuple(r & keep for r in m.rows[:-1]))
-
-
 def cq_miyamoto_group(field: Field, reduced: bool = False) -> MatrixGroup:
     """Closure of all Miyamoto maps of the quadrilateral over the given field,
     capped at four times its order 2^(2k) (2^k - 1)."""
@@ -351,13 +359,17 @@ def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
     params = [parse_s_matrix(m) for m in G.elements]
     all_s = all(p is not None for p in params)
     unique = len(set(params)) == len(params)
-    s_vec = 1 << (5 * field.k)
-    fixes_s = all(m.col(5) == s_vec for m in G.elements)
+    # column 5 is lane 5 of every row: e_5 means (0, 0, 0, 0, 0, 1) in it
+    lane5 = field.mask << (5 * k)
+    s_col = (0,) * 5 + (1 << (5 * k),)
+    fixes_s = all(tuple(r & lane5 for r in m.rows) == s_col for m in G.elements)
 
     Gr = cq_miyamoto_group(field, reduced=True)
-    restricted = [_drop_last(m) for m in G.elements]
-    restriction_injective = len({m.rows for m in restricted}) == len(G.elements)
-    onto = {m.rows for m in restricted} == {m.rows for m in Gr.elements}
+    # the restriction to the quotient drops row 5 and lane 5 of the others
+    keep = (1 << (5 * k)) - 1
+    restricted = {tuple(r & keep for r in m.rows[:5]) for m in G.elements}
+    restriction_injective = len(restricted) == len(G.elements)
+    onto = restricted == {m.rows for m in Gr.elements}
 
     report = CqMiyamotoReport(
         field_k=k,
@@ -442,53 +454,88 @@ def _product_row(ad, c: int) -> list[int]:
     return row
 
 
-def _aut_search(structure, domains) -> tuple[FieldMatrix, ...]:
-    """Every automorphism whose column j is drawn from domains[j], sorted by rows.
+class _AutSearch:
+    """The automorphism search of one frozen-basis structure, set up once.
+
+    The schedule, the forcing equations and the ad rows are built here, and
+    the product row of a candidate column is built when the candidate is
+    first chosen and kept for every later search of the same structure.
+    Calling the search with one candidate list per column returns every
+    automorphism whose column j is drawn from domains[j], sorted by rows.
 
     Columns are chosen one at a time by backtracking; after column m the
     search tests exactly the equations `_equation_schedule` filed under m,
-    so every equation is checked once, as soon as it is decidable.  Products
-    are read, not formed: when a candidate c is first chosen, its product
-    row c v (all v) is built from the ad rows of the structure constants and
-    kept for the rest of the call, so m(e_i) m(e_j) is rows[i][cols[j]].
+    so every equation is checked once, as soon as it is decidable.  An
+    equation (i, j, e_i e_j) filed under m with j < m is filed there because
+    bit m is the top bit of e_i e_j, so it forces column m:
+    m(e_m) = m(e_i) m(e_j) + m(e_i e_j - e_m), read from columns already
+    chosen.  At such a forced column the search tries that one value, if it
+    lies in domains[m], instead of every candidate; it still tests every
+    equation due at m.  Products are read, not formed: m(e_i) m(e_j) is
+    entry m(e_j) of the product row of m(e_i).
     """
-    n = len(structure)
-    schedule = _equation_schedule(structure)
-    ad = _ad_rows(structure)
-    product_rows = [None] * (1 << n)
-    found = []
 
-    def extend(cols, rows):
-        m = len(cols)
-        if m == n:
-            mat = FieldMatrix.from_cols(GF2, n, cols)
-            if mat.rank() == n:
-                found.append(mat)
-            return
-        due = schedule[m]
-        for c in domains[m]:
-            row = product_rows[c]
-            if row is None:
-                row = product_rows[c] = _product_row(ad, c)
-            cols.append(c)
-            rows.append(row)
-            for i, j, target in due:
-                if rows[i][cols[j]] != apply_images(cols, target):
-                    break
-            else:
-                extend(cols, rows)
-            cols.pop()
-            rows.pop()
+    def __init__(self, structure) -> None:
+        self.n = len(structure)
+        self.structure = structure
+        self.schedule = _equation_schedule(structure)
+        # per step, the first equation that forces its column as (i, j, e_i e_j - e_m)
+        self.forcing = [
+            next(((i, j, target ^ (1 << m)) for i, j, target in due if j < m), None)
+            for m, due in enumerate(self.schedule)
+        ]
+        self.ad = _ad_rows(structure)
+        self.product_rows = [None] * (1 << self.n)
 
-    extend([], [])
-    found.sort(key=lambda mat: mat.rows)
-    return tuple(found)
+    def __call__(self, domains) -> tuple[FieldMatrix, ...]:
+        n, schedule, forcing = self.n, self.schedule, self.forcing
+        ad, product_rows = self.ad, self.product_rows
+        found = []
+
+        def extend(cols, rows):
+            m = len(cols)
+            if m == n:
+                mat = FieldMatrix.from_cols(GF2, n, cols)
+                if mat.rank() == n:
+                    found.append(mat)
+                return
+            due = schedule[m]
+            candidates = domains[m]
+            if forcing[m] is not None:
+                i, j, rest = forcing[m]
+                c = rows[i][cols[j]] ^ apply_images(cols, rest)
+                candidates = (c,) if c in candidates else ()
+            for c in candidates:
+                row = product_rows[c]
+                if row is None:
+                    row = product_rows[c] = _product_row(ad, c)
+                cols.append(c)
+                rows.append(row)
+                for i, j, target in due:
+                    if rows[i][cols[j]] != apply_images(cols, target):
+                        break
+                else:
+                    extend(cols, rows)
+                cols.pop()
+                rows.pop()
+
+        extend([], [])
+        found.sort(key=lambda mat: mat.rows)
+        return tuple(found)
 
 
-def _aut_enumerate(structure) -> MatrixGroup:
-    """All automorphisms over GF(2) of the algebra with these frozen-basis
-    structure constants: the quotient's (5-dimensional) or the full one's
-    (6-dimensional), told apart by the dimension.
+def _aut_search(structure, domains) -> tuple[FieldMatrix, ...]:
+    """Every automorphism whose column j is drawn from domains[j], sorted by
+    rows: one `_AutSearch` of the structure, called once.  A column that an
+    equation forces is tried at its forced value alone, and not at all when
+    domains[j] lacks it; the result is that of trying every candidate."""
+    return _AutSearch(structure)(domains)
+
+
+def _aut_enumerate(search: _AutSearch) -> MatrixGroup:
+    """All automorphisms over GF(2) of the algebra whose frozen-basis
+    structure constants the search holds: the quotient's (5-dimensional) or
+    the full one's (6-dimensional), told apart by the dimension.
 
     Exhausts candidate images column by column in the frozen basis, pruned by
     the requirement that A*A and A*(A*A), and for the full algebra the
@@ -496,31 +543,33 @@ def _aut_enumerate(structure) -> MatrixGroup:
     constants, and every survivor satisfies the full set of homomorphism
     equations.
     """
-    n = len(structure)
+    structure, n = search.structure, search.n
     aa, aaa = invariant_subspaces(structure, n)
     full = range(1, 1 << n)
     domains = [full, full, aa[1:], aaa[1:], aaa[1:]]  # the spans ascend from 0
     if n == 6:
         domains.append(_annihilator_span(structure, n)[1:])
-    return MatrixGroup(GF2, n, (), _aut_search(structure, domains))
+    return MatrixGroup(GF2, n, (), search(domains))
 
 
 def aut_enumerate_reduced() -> MatrixGroup:
     """All automorphisms of the 5-dimensional quotient algebra over GF(2)."""
-    return _aut_enumerate(_cq_structure(reduced=True))
+    return _aut_enumerate(_AutSearch(_cq_structure(reduced=True)))
 
 
 def aut_enumerate_full() -> MatrixGroup:
     """All automorphisms of the 6-dimensional algebra over GF(2)."""
-    return _aut_enumerate(_cq_structure(reduced=False))
+    return _aut_enumerate(_AutSearch(_cq_structure(reduced=False)))
 
 
 def aut_reduced_unconstrained() -> tuple[FieldMatrix, ...]:
     """Cross-check: sweep all 2^25 candidate matrices with no subspace pruning.
 
-    Equivalent to testing every 5x5 matrix over GF(2); the search abandons a
-    partial candidate as soon as one homomorphism equation fails, which does
-    not change the surviving set.
+    Equivalent to testing every 5x5 matrix over GF(2), though not every one
+    is tried: the search abandons a partial candidate as soon as one
+    homomorphism equation fails, and at the forced columns 2 and 4 it tries
+    only the value the earlier columns force.  Neither changes the surviving
+    set.
     """
     structure = _cq_structure(reduced=True)
     n = len(structure)
@@ -561,19 +610,22 @@ def aut_count_full() -> AutFullReport:
 
     The constrained enumeration is compared against candidates built from
     automorphisms of the quotient extended by the (kappa, lambda, nu) bottom
-    row; the two routes must agree exactly.
+    row; the two routes must agree exactly.  One search of the full structure
+    serves the enumeration and all 96 block checks, and the quotient's
+    structure comes from the same algebra.
     """
-    structure = _cq_structure(reduced=False)
-    n = len(structure)
-    full_group = _aut_enumerate(structure)
-    reduced_group = aut_enumerate_reduced()
+    alg = _cq_algebra(reduced=False)
+    search = _AutSearch(frozen_basis_structure(alg))
+    n = search.n
+    full_group = _aut_enumerate(search)
+    reduced_group = _aut_enumerate(_AutSearch(frozen_basis_structure(matsuo.reduce(alg))))
     block_built = []
     for theta in reduced_group.elements:
         for kappa in (0, 1):
             for lam in (0, 1):
                 # bottom row (kappa, lambda, 0, 0, 0, nu) with nu = 1
                 cand = FieldMatrix(GF2, n, n, theta.rows + (kappa | (lam << 1) | (1 << 5),))
-                block_built += _aut_search(structure, [[cand.col(j)] for j in range(n)])
+                block_built += search([[cand.col(j)] for j in range(n)])
     block_built.sort(key=lambda m: m.rows)
 
     agree = tuple(block_built) == full_group.elements

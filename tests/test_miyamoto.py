@@ -10,6 +10,7 @@ from matsuo2.gf import (Field, FieldMatrix, NoSolution, apply_images, bilinear, 
 from matsuo2.miyamoto import (
     CQ_LINE_ORDER,
     MiyamotoCheckError,
+    _AutSearch,
     _ad_rows,
     _annihilator_span,
     _aut_search,
@@ -498,6 +499,42 @@ def test_verify_cq_miyamoto_rejects_bad_degree():
         verify_cq_miyamoto(5)
 
 
+def _add_entry(m, i, j, value):
+    rows = list(m.rows)
+    rows[i] ^= value << (j * m.field.k)
+    return FieldMatrix(m.field, m.nrows, m.ncols, rows)
+
+
+# Each corruption of the closure elements falsifies one structural flag and
+# leaves the other two standing.
+_GROUP_CORRUPTIONS = {
+    # one full element gets entry (0, 5), above the diagonal in column 5
+    "fixes_s": lambda els, reduced: (
+        els if reduced else els[:7] + [_add_entry(els[7], 0, 5, 1)] + els[8:]),
+    # the reduced group loses one element
+    "restriction_onto_reduced": lambda els, reduced: els[:-1] if reduced else els,
+    # one full element gains a twin that differs from it only in row 5
+    "restriction_injective": lambda els, reduced: (
+        els if reduced else els + [_add_entry(els[7], 5, 0, 1)]),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_GROUP_CORRUPTIONS))
+def test_verify_cq_miyamoto_refuses_a_corrupted_group(monkeypatch, flag):
+    build = miyamoto.cq_miyamoto_group
+
+    def corrupted(field, reduced=False):
+        g = build(field, reduced)
+        els = _GROUP_CORRUPTIONS[flag](list(g.elements), reduced)
+        return miyamoto.MatrixGroup(g.field, g.degree, g.generators, tuple(els))
+
+    monkeypatch.setattr(miyamoto, "cq_miyamoto_group", corrupted)
+    with pytest.raises(MiyamotoCheckError) as err:
+        verify_cq_miyamoto(2)
+    for name in _GROUP_CORRUPTIONS:
+        assert f"{name}={name != flag}" in str(err.value)
+
+
 def test_aut_reduced_group():
     g = aut_enumerate_reduced()
     assert g.size() == 24
@@ -527,7 +564,8 @@ def test_aut_full_report():
 
 
 def test_aut_count_full_builds_each_frozen_structure_once(monkeypatch):
-    # one structure for the full algebra, read by both routes, and one for the quotient
+    # one structure for the full algebra, read by both routes, and one for the
+    # quotient, reduced from the same validated cq
     dims, validated = [], []
     structure_of, validate = miyamoto.frozen_basis_structure, fischer.validate
     monkeypatch.setattr(miyamoto, "frozen_basis_structure",
@@ -536,7 +574,7 @@ def test_aut_count_full_builds_each_frozen_structure_once(monkeypatch):
                         lambda *a, **k: validated.append(a[0]) or validate(*a, **k))
     assert aut_count_full().sets_agree
     assert sorted(dims) == [5, 6]
-    assert validated == [6, 6]
+    assert validated == [6]
 
 
 def test_aut_full_group_closed():
@@ -664,6 +702,44 @@ def test_aut_search_matches_brute_force_on_random_structures(n):
         S = _random_symmetric_structure(rng, n)
         expect = tuple(m for m in mats if _is_hom_all_pairs(S, m))
         assert _aut_search(S, [range(1 << n)] * n) == expect
+
+
+class _Domain(list):
+    """A candidate list that counts the membership tests it answers False."""
+
+    misses = 0
+
+    def __contains__(self, c):
+        found = super().__contains__(c)
+        _Domain.misses += not found
+        return found
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_aut_search_matches_brute_force_on_random_sub_domains(n):
+    rng = random.Random(47 + n)
+    mats = [
+        FieldMatrix(GF2, n, n, rows)
+        for rows in itertools.product(range(1 << n), repeat=n)
+    ]
+    mats = [m for m in mats if m.rank() == n]
+    _Domain.misses = 0
+    for _ in range(60):
+        S = _random_symmetric_structure(rng, n)
+        domains = [sorted(rng.sample(range(1 << n), rng.randint(1, 1 << n))) for _ in range(n)]
+        expect = tuple(
+            m for m in mats
+            if all(m.col(j) in domains[j] for j in range(n)) and _is_hom_all_pairs(S, m)
+        )
+        assert _aut_search(S, [_Domain(d) for d in domains]) == expect
+    # some forced column's value lay outside its domain, leaving nothing to try
+    assert _Domain.misses > 0
+
+
+def test_frozen_cq_basis_forces_columns_2_and_4(cq_algebra):
+    for alg in (cq_algebra, matsuo.reduce(cq_algebra)):
+        forcing = _AutSearch(frozen_basis_structure(alg)).forcing
+        assert [m for m, f in enumerate(forcing) if f is not None] == [2, 4]
 
 
 def _annihilator_sweep(S):

@@ -91,24 +91,24 @@ def test_suite_enumerates_each_class_once(monkeypatch):
     verify.run_suite()
     assert sorted(sizes) == [10, 12, 18, 36]  # w_a4, w_d4, 3_3_sym4, su32: once each
     assert len(built) == 4
-    assert len(validated) == 14
+    assert len(validated) == 13
 
 
 def test_aut_claims_share_one_quotient_enumeration(monkeypatch):
-    calls = []
-    enumerate_reduced = miyamoto.aut_enumerate_reduced
+    dims = []
+    enumerate_group = miyamoto._aut_enumerate
 
-    def counted():
-        calls.append(1)
-        return enumerate_reduced()
+    def counted(search):
+        dims.append(search.n)
+        return enumerate_group(search)
 
-    monkeypatch.setattr(miyamoto, "aut_enumerate_reduced", counted)
+    monkeypatch.setattr(miyamoto, "_aut_enumerate", counted)
     ctx = verify.SuiteContext()
     assert verify.claim_aut_reduced(ctx) == (
         "pass", "order 24, confirmed by the unconstrained 2^25 sweep")
     assert verify.claim_aut_full(ctx) == (
         "pass", "order 96, block shape exact, quadratic identity holds")
-    assert len(calls) == 1
+    assert sorted(dims) == [5, 6]  # one enumeration of the quotient, one of the full algebra
 
 
 def test_nominal_suite_state():
