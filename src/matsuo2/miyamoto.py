@@ -26,7 +26,7 @@ with M(alpha,beta) = [[alpha,0,beta],[0,beta,alpha],[0,0,0]], which compose by
     S(a,b,l) S(c,d,m) = S(a+lc, b+ld, lm).
 
 The automorphism groups over GF(2) all come from one backtracking search,
-`_aut_search`, which picks the columns of a frozen-basis matrix one at a time
+`_AutSearch`, which picks the columns of a frozen-basis matrix one at a time
 from a candidate list per column.  Each homomorphism equation e_i e_j
 (i <= j) is filed once, under the step max(j, top bit of e_i e_j) at which
 every column it reads is chosen, and after column m the search tests exactly
@@ -38,14 +38,14 @@ frozen basis this forces columns 2 and 4.  It reads the products instead of
 forming them: the ad rows e_i v (all v) come from the frozen-basis structure
 constants by linearity, the product row c v of a candidate column c is the
 XOR of the ad rows over the bits of c, built when c is first chosen, and
-m(e_i) m(e_j) is entry m(e_j) of the row of m(e_i).  Schedule, forcing
-equations, ad rows and product rows are built once per structure
-(`_AutSearch`), however many searches read them.  The routes differ only in
-the candidate lists: the quotient's columns are pruned by stabilizing A*A
-and A*(A*A), and the full algebra's by the annihilator as well, all
-recomputed from the structure constants; the unconstrained sweep offers every
-vector; and the block cross-check of `aut_count_full` offers one candidate
-per column, an automorphism of the quotient extended by a (kappa, lambda, 1)
+m(e_i) m(e_j) is entry m(e_j) of the row of m(e_i).  The schedule, the
+forcing equations, the ad rows and the product rows are built once per
+structure, however many searches read them.  The routes differ only in the
+candidate lists: the quotient's columns are pruned by stabilizing A*A and
+A*(A*A), and the full algebra's by the annihilator as well, all recomputed
+from the structure constants; the unconstrained sweep offers every vector;
+and the block cross-check of `aut_count_full` offers one candidate per
+column, an automorphism of the quotient extended by a (kappa, lambda, 1)
 bottom row.
 """
 
@@ -202,7 +202,7 @@ def parse_s_matrix(m: FieldMatrix) -> tuple[int, int, int] | None:
     """Recover (alpha, beta, lambda) if the matrix has the S block shape.
 
     Compares the packed rows with those of S(alpha, beta, lambda), built by
-    shifts from the lanes of row 3: no entry is read and no matrix built.
+    shifts from the lanes of row 3, with no `entry` call and no matrix built.
     """
     n = m.nrows
     if n not in (5, 6) or m.ncols != n:
@@ -348,8 +348,10 @@ def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
     Verifies that every closure element is a uniquely parameterized S-matrix,
     that the order is 2^(2k) (2^k - 1), that restriction to the quotient
     algebra is injective and lands onto its Miyamoto group, and that every
-    element fixes the annihilator generator s.  Raises MiyamotoCheckError if
-    any check fails.
+    element fixes the annihilator generator s.  Every check reads the packed
+    rows of the closure elements, masked where it needs part of a row, and
+    builds no matrix per element.  Raises MiyamotoCheckError if any check
+    fails.
     """
     if k not in (2, 3, 4):
         raise ValueError("supported field degrees are k in {2, 3, 4}")
@@ -470,9 +472,10 @@ class _AutSearch:
     bit m is the top bit of e_i e_j, so it forces column m:
     m(e_m) = m(e_i) m(e_j) + m(e_i e_j - e_m), read from columns already
     chosen.  At such a forced column the search tries that one value, if it
-    lies in domains[m], instead of every candidate; it still tests every
-    equation due at m.  Products are read, not formed: m(e_i) m(e_j) is
-    entry m(e_j) of the product row of m(e_i).
+    lies in domains[m], and nothing otherwise, instead of every candidate.
+    It still tests every equation due at m and sorts what it finds, so the
+    result is that of trying every candidate.  Products are read, not
+    formed: m(e_i) m(e_j) is entry m(e_j) of the product row of m(e_i).
     """
 
     def __init__(self, structure) -> None:
@@ -524,14 +527,6 @@ class _AutSearch:
         return tuple(found)
 
 
-def _aut_search(structure, domains) -> tuple[FieldMatrix, ...]:
-    """Every automorphism whose column j is drawn from domains[j], sorted by
-    rows: one `_AutSearch` of the structure, called once.  A column that an
-    equation forces is tried at its forced value alone, and not at all when
-    domains[j] lacks it; the result is that of trying every candidate."""
-    return _AutSearch(structure)(domains)
-
-
 def _aut_enumerate(search: _AutSearch) -> MatrixGroup:
     """All automorphisms over GF(2) of the algebra whose frozen-basis
     structure constants the search holds: the quotient's (5-dimensional) or
@@ -573,7 +568,7 @@ def aut_reduced_unconstrained() -> tuple[FieldMatrix, ...]:
     """
     structure = _cq_structure(reduced=True)
     n = len(structure)
-    return _aut_search(structure, [range(1 << n)] * n)
+    return _AutSearch(structure)([range(1 << n)] * n)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from matsuo2.miyamoto import (
     _AutSearch,
     _ad_rows,
     _annihilator_span,
-    _aut_search,
     _equation_schedule,
     _product_row,
     aut_count_full,
@@ -648,7 +647,7 @@ def test_aut_search_with_singleton_domains_matches_all_pairs_check(cq_algebra):
     kept = 0
     for m in cands:
         expect = (m,) if _is_hom_all_pairs(S, m) and m.rank() == 6 else ()
-        assert _aut_search(S, [[m.col(j)] for j in range(6)]) == expect
+        assert _AutSearch(S)([[m.col(j)] for j in range(6)]) == expect
         kept += bool(expect)
     assert kept >= 196  # the 96 nu = 1 block candidates and the 100 sampled automorphisms
 
@@ -701,7 +700,7 @@ def test_aut_search_matches_brute_force_on_random_structures(n):
     for _ in range(40):
         S = _random_symmetric_structure(rng, n)
         expect = tuple(m for m in mats if _is_hom_all_pairs(S, m))
-        assert _aut_search(S, [range(1 << n)] * n) == expect
+        assert _AutSearch(S)([range(1 << n)] * n) == expect
 
 
 class _Domain(list):
@@ -711,7 +710,7 @@ class _Domain(list):
 
     def __contains__(self, c):
         found = super().__contains__(c)
-        _Domain.misses += not found
+        self.misses += not found
         return found
 
 
@@ -723,7 +722,7 @@ def test_aut_search_matches_brute_force_on_random_sub_domains(n):
         for rows in itertools.product(range(1 << n), repeat=n)
     ]
     mats = [m for m in mats if m.rank() == n]
-    _Domain.misses = 0
+    misses = 0
     for _ in range(60):
         S = _random_symmetric_structure(rng, n)
         domains = [sorted(rng.sample(range(1 << n), rng.randint(1, 1 << n))) for _ in range(n)]
@@ -731,9 +730,11 @@ def test_aut_search_matches_brute_force_on_random_sub_domains(n):
             m for m in mats
             if all(m.col(j) in domains[j] for j in range(n)) and _is_hom_all_pairs(S, m)
         )
-        assert _aut_search(S, [_Domain(d) for d in domains]) == expect
+        counted = [_Domain(d) for d in domains]
+        assert _AutSearch(S)(counted) == expect
+        misses += sum(d.misses for d in counted)
     # some forced column's value lay outside its domain, leaving nothing to try
-    assert _Domain.misses > 0
+    assert misses > 0
 
 
 def test_frozen_cq_basis_forces_columns_2_and_4(cq_algebra):
