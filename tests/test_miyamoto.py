@@ -689,14 +689,16 @@ def test_product_rows_match_bilinear(cq_algebra):
             assert row == [bilinear(S, c, v) for v in range(1 << n)]
 
 
+def _invertible_matrices(n):
+    """Every invertible n x n matrix over GF(2), sorted by rows."""
+    mats = (FieldMatrix(GF2, n, n, rows) for rows in itertools.product(range(1 << n), repeat=n))
+    return [m for m in mats if m.rank() == n]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_aut_search_matches_brute_force_on_random_structures(n):
     rng = random.Random(44 + n)
-    mats = [
-        FieldMatrix(GF2, n, n, rows)
-        for rows in itertools.product(range(1 << n), repeat=n)
-    ]
-    mats = [m for m in mats if m.rank() == n]
+    mats = _invertible_matrices(n)
     for _ in range(40):
         S = _random_symmetric_structure(rng, n)
         expect = tuple(m for m in mats if _is_hom_all_pairs(S, m))
@@ -717,11 +719,7 @@ class _Domain(list):
 @pytest.mark.parametrize("n", [2, 3])
 def test_aut_search_matches_brute_force_on_random_sub_domains(n):
     rng = random.Random(47 + n)
-    mats = [
-        FieldMatrix(GF2, n, n, rows)
-        for rows in itertools.product(range(1 << n), repeat=n)
-    ]
-    mats = [m for m in mats if m.rank() == n]
+    mats = _invertible_matrices(n)
     misses = 0
     for _ in range(60):
         S = _random_symmetric_structure(rng, n)
