@@ -20,8 +20,10 @@ the lines of the space, not from ad(e_a) or the table of structure
 constants: two distinct points of a line L = {x, y, z} multiply to its mask
 m_L, so e_x * v is the sum of (v_y + v_z) m_L over the lines through x.
 Each line's mask is put into coordinates once per line decomposed, as the
-XOR of three columns of the coordinate map, and three carry-free integer
-products add it to the rows of x, y and z.  In the quotient by the
+XOR of three columns of the coordinate map.  One carry-free integer product
+per line, by the XOR of its three points' slot patterns, is added to the
+rows of x, y and z, and one more product per point then removes that
+point's own share of the products of its lines.  In the quotient by the
 all-points sum, the dropped point has no coordinate of its own, and its
 column is the XOR of the kept ones.  XOR-ing the tensor over the set bits
 of a part's basis vector u gives the coordinates of all products u * v_j at
@@ -188,11 +190,15 @@ def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition) -> 
     of a line L = {x, y, z} multiply to its mask m_L, so
     e_x * v = sum over the lines L through x of (v_y + v_z) m_L.  With R[b]
     holding bit j*n for each v_j with coordinate b, and c_L = C m_L =
-    K[x] ^ K[y] ^ K[z] for the columns K of C, each line adds
-    (R[y] ^ R[z]) * c_L to G[x], and likewise to G[y] and G[z].  The set
-    bits of R[b] lie n apart and c_L < 2^n, so the integer product places
-    disjoint copies and cannot carry, and it distributes over the XOR.  In
-    the quotient (alg.reduced) the dropped point N - 1 has no coordinate, so
+    K[x] ^ K[y] ^ K[z] for the columns K of C, each line forms one product
+    t_L = (R[x] ^ R[y] ^ R[z]) * c_L, XORs it into G[x], G[y] and G[z], and
+    adds c_L to S[x], S[y] and S[z].  The set bits of R[b] lie n apart and
+    c_L < 2^n, so the integer product places disjoint copies and cannot
+    carry, and it distributes over the XOR: (R_L ^ R[x]) * c_L =
+    t_L ^ R[x] * c_L.  So once every line is in, G[a] ^= R[a] * S[a] removes
+    the R[a] term of each line through a, S[a] being the XOR of their c_L:
+    one product per line and one per point, not three per line.  In the
+    quotient (alg.reduced) the dropped point N - 1 has no coordinate, so
     R[N - 1] = 0 and no part vector reads its row G[N - 1]; its image is the
     sum of the kept points, so its column of C is the XOR of theirs.
 
@@ -227,12 +233,18 @@ def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition) -> 
             dropped ^= k
         K.append(dropped)
     G = [0] * space.n_points
+    S = [0] * space.n_points  # per point: XOR of c_L over the lines through it
     for x, y, z in space.lines:
         c = K[x] ^ K[y] ^ K[z]
-        rx, ry, rz = R[x], R[y], R[z]
-        G[x] ^= (ry ^ rz) * c
-        G[y] ^= (rx ^ rz) * c
-        G[z] ^= (rx ^ ry) * c
+        t = (R[x] ^ R[y] ^ R[z]) * c
+        G[x] ^= t
+        G[y] ^= t
+        G[z] ^= t
+        S[x] ^= c
+        S[y] ^= c
+        S[z] ^= c
+    for a, r in enumerate(R):
+        G[a] ^= r * S[a]
     lane0 = (1 << d0) - 1
     lane1 = ((1 << n) - 1) ^ lane0
     slots0 = sum(1 << (j * n) for j in range(d0))

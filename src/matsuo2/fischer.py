@@ -8,7 +8,11 @@ affine plane of order 3 (9 points, 12 lines).  Both checks together
 characterize the spaces this package works on.  Validation reads the lines
 once, into the wedge table, each point's collinearity mask and the lines
 through each point; the 0-2-3 check and `points_p0_p2` read the masks of a
-line's three points, with no loop over the points.
+line's three points, with no loop over the points.  The plane of two lines
+{x, a, a'} and {x, b, b'} is built from them, as the two lines plus the
+wedge of each collinear cross pair; it is accepted when it is closed and
+each of its points sees the right number of others in it, and the closure
+(`generated_subspace`) is formed only to word the error.
 
 A line's id is its position in `lines`.  `FischerSpace.line_id` is the one
 place that turns a triple, its points in any order, into an id; it raises
@@ -17,7 +21,7 @@ mask (`line_masks`) and the planes through it: validation records each
 plane once, as a point bitmask listed against every line inside it, and
 `FischerSpace.plane_of(i, j)` is the one lookup of the plane holding two
 lines.  A pair of intersecting lines that already lies in a recorded plane
-is not closed again: the plane is closed, and any two intersecting lines of
+is not visited again: the plane is closed, and any two intersecting lines of
 a quadrilateral or an affine plane generate all of it.
 """
 
@@ -124,6 +128,37 @@ def _check_point_count(n_points: int, n_lines: int) -> None:
         )
 
 
+def _plane_lines(key, pm: int, collinear, wedge, line_ids) -> list[int]:
+    """Ids of the lines inside the point set pm, or [] when it is no plane.
+
+    key lists the points of pm in order.  pm passes when it is closed under
+    wedge and each of its points sees 4 (6 points) or 8 (9 points) others in
+    it.  One walk over the collinear pairs (p, q), p < q, in order checks
+    both and finds each line inside from its two lowest points.  Of a line's
+    three pairs the walk meets that one first, so the other two are skipped
+    once the line is found: every pair of pm then lies on a found line or
+    has its third point tested, with one wedge lookup per line inside.
+    """
+    degree = _PLANE_DEGREE.get(len(key))
+    inside = []
+    found: dict[int, int] = {}  # point -> higher points on a found line with it
+    for p in key:
+        seen = collinear[p] & pm
+        if seen.bit_count() != degree:
+            return []
+        higher = (seen >> (p + 1) << (p + 1)) & ~found.get(p, 0)
+        while higher:
+            low = higher & -higher
+            q = low.bit_length() - 1
+            z = wedge[(p, q)]
+            if not (pm >> z) & 1:
+                return []
+            inside.append(line_ids[(p, q, z)])
+            higher ^= low | (1 << z)
+            found[q] = found.get(q, 0) | (1 << z)
+    return inside
+
+
 def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -> FischerSpace:
     """Check the axioms and build the tables, from one pass over the sorted lines.
 
@@ -202,38 +237,44 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
     if len(space.labels) != n_points:
         raise InvalidSpaceError("label count differs from point count")
 
-    # every pair of intersecting lines must generate a 6- or 9-point plane;
-    # a closed set of that size is one when each point sees the right degree.
-    # shared[k] masks the line ids that lie in a recorded plane with line k;
-    # planes_of[k] lists the planes through line k, ordered at the end by the
-    # sorted points that key_of keeps for each plane.
+    # every pair of intersecting lines must generate a 6- or 9-point plane.
+    # Lines {x, a, a'} and {x, b, b'} lie in the set P of their points and the
+    # wedge of each collinear cross pair p in {a, a'}, q in {b, b'}.  P lies in
+    # the generated subspace, and it is all of it when it is closed; a
+    # quadrilateral or an affine plane through the two lines is exactly P.  So
+    # the lines pass when P is closed and each point of P sees 4 (6 points) or
+    # 8 (9 points) others in it, and the closure is formed only to word the
+    # error.  shared[k] masks the line ids that lie in a recorded plane with
+    # line k; planes_of[k] lists the planes through line k, ordered at the end
+    # by the sorted points that key_of keeps for each plane.
+    masks = space.line_masks
     planes_of: list[list[int]] = [[] for _ in norm]
     key_of: dict[int, list[int]] = {}
     shared = [0] * len(norm)
     for x in range(n_points):
         through = lines_through[x]
-        for i, li in enumerate(through):
-            for lj in through[i + 1:]:
-                if (shared[li] >> lj) & 1:
-                    continue
-                pts = generated_subspace(space, norm[li] + norm[lj])
-                pm = sum(1 << p for p in pts)
-                degree = _PLANE_DEGREE.get(len(pts))
-                if degree is None or any(
-                    (collinear[p] & pm).bit_count() != degree for p in pts
-                ):
+        at_x = mask_from_support(through)
+        for li in through:
+            above = at_x >> (li + 1) << (li + 1)
+            while partners := above & ~shared[li]:
+                lj = (partners & -partners).bit_length() - 1
+                pm = masks[li] | masks[lj]
+                for p in norm[li]:
+                    cp = collinear[p]
+                    for q in norm[lj]:
+                        if p != x and q != x and (cp >> q) & 1:
+                            pm |= 1 << wedge[(p, q)]
+                key = vec_support(pm)
+                inside = _plane_lines(key, pm, collinear, wedge, line_ids)
+                if not inside:
+                    pts = generated_subspace(space, norm[li] + norm[lj])
                     raise InvalidSpaceError(
                         f"lines {norm[li]} and {norm[lj]} generate a {len(pts)}-point "
                         "subspace that is neither a complete quadrilateral nor an "
                         "affine plane"
                     )
-                # a line inside the plane is found once, from its two lowest points
-                key = sorted(pts)
-                inside = [line_ids[(p, q, wedge[(p, q)])]
-                          for h, p in enumerate(key) for q in key[h + 1:]
-                          if (collinear[p] >> q) & 1 and wedge[(p, q)] > q]
-                inside_mask = sum(1 << k for k in inside)
                 key_of[pm] = key
+                inside_mask = mask_from_support(inside)
                 for k in inside:
                     planes_of[k].append(pm)
                     shared[k] |= inside_mask

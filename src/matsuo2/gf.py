@@ -498,8 +498,10 @@ class FieldMatrix:
         columns below it, so free column c gives e_c plus entries at pivot
         columns above c.  Over GF(2) the free-column vectors are filled by
         one walk over the set bits of each pivot row.  Returned as packed
-        vectors of length ncols; empty tuple for injective maps.  Checks
-        rank + nullity == ncols.
+        vectors of length ncols; empty tuple for injective maps.  Nothing is
+        asserted here: rank + nullity == ncols holds by construction, since
+        the free columns are those without a pivot.  The tests check
+        M v = 0 for every basis vector v.
         """
         R, pivots = self.rref(reverse=True)
         f = self.field

@@ -34,15 +34,20 @@ class NilpotentMatsuoAlgebra:
         self.reduced = reduced
         self.basis_labels = basis_labels
         self.table = table  # table[i][j]: product of basis i and j as a mask
-        self._ad_rows = None
+        self._ad_rows = [None] * dim  # per basis element, filled on first request
 
     def ad_rows(self, i: int) -> tuple[int, ...]:
-        """Rows of the left-multiplication matrix of basis element i."""
-        if self._ad_rows is None:
-            self._ad_rows = tuple(
-                FieldMatrix.from_cols(GF2, self.dim, t).rows for t in self.table
-            )
-        return self._ad_rows[i]
+        """Rows of the left-multiplication matrix of basis element i.
+
+        Built from table[i] the first time element i is asked for, so a line's
+        ad matrix costs one transpose per point of the line, not one per point
+        of the space.
+        """
+        rows = self._ad_rows[i]
+        if rows is None:
+            rows = FieldMatrix.from_cols(GF2, self.dim, self.table[i]).rows
+            self._ad_rows[i] = rows
+        return rows
 
     def __repr__(self) -> str:
         kind = "reduced " if self.reduced else ""

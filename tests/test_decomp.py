@@ -160,7 +160,8 @@ def test_lines_read_coordinates_by_columns(algebras, reduced_algebras, monkeypat
     # C is kept by its columns: no line transposes a matrix or applies one
     algs = [*algebras.values(), *reduced_algebras.values()]
     for alg in algs:
-        alg.ad_rows(0)  # the algebra's own ad rows come from from_cols, once
+        for i in range(alg.dim):  # each point's ad rows come from from_cols, once
+            alg.ad_rows(i)
     calls = []
     from_cols, matvec = FieldMatrix.from_cols, FieldMatrix.matvec
     monkeypatch.setattr(FieldMatrix, "from_cols",
@@ -404,9 +405,37 @@ def test_catalog_verdicts_pinned(algebras, reduced_algebras):
     assert hashlib.sha256(blob).hexdigest() == _CATALOG_VERDICTS_SHA256
 
 
+def test_fusion_table_matches_pairwise_reference_on_hall(hall_space):
+    # the tensor at n = 81, where each point lies on 40 lines: cells and
+    # witness of 9 seeded lines, full and reduced, from one product per pair
+    sp = hall_space(8282)
+    full = matsuo.build(sp)
+    lines = random.Random(8383).sample(sp.lines, 9)
+    for alg in (full, matsuo.reduce(full)):
+        for t in lines:
+            dec = decompose_line(alg, t)
+            table = fusion_table(alg, dec)
+            expected_cells, expected_witness = _pairwise_fusion(alg, dec)
+            assert table.cells == expected_cells, t
+            got = table.witness
+            assert (got.u, got.v, got.product, got.bad_component) == expected_witness, t
+
+
+def test_a_hall_line_verdict_transposes_only_its_own_points(hall_space, monkeypatch):
+    # ad rows are built per point on first request: the line nilpotent's ad
+    # matrix reads the rows of its three points, not those of all 81
+    alg = matsuo.build(hall_space())
+    calls = []
+    from_cols = FieldMatrix.from_cols
+    monkeypatch.setattr(FieldMatrix, "from_cols",
+                        staticmethod(lambda *a: calls.append(a) or from_cols(*a)))
+    line_verdict(alg, alg.space.lines[0])
+    assert len(calls) == 3
+
+
 # the same digest over Hall's 81-point space, full then reduced: the witness
-# line {[0,0,0,0], [1,0,0,0], [2,0,0,0]} and 8 seeded lines; the pairwise
-# reference is too slow at n = 81, so this pins the tensor and its witness there
+# line {[0,0,0,0], [1,0,0,0], [2,0,0,0]} and 8 seeded lines; with the pairwise
+# reference above on other lines, this pins the tensor and its witness there
 _HALL_VERDICTS_SHA256 = "3a42dc8d47061b8ba5b7b3e108299acbae163b134926727b8591f2040d10ca2b"
 
 

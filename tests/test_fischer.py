@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from matsuo2 import fischer
+from matsuo2.gf import vec_support
 from matsuo2.fischer import (
     InvalidSpaceError,
     PlaneType,
@@ -90,12 +91,16 @@ def test_reject_a_point_count_the_lines_cannot_cover():
     assert validate(1, []).n_points == 1
 
 
+FANO_LINES = [(i % 7, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+NINE_POINT_LINES = [(0, 1, 2), (0, 3, 6), (0, 4, 8), (0, 5, 7), (1, 3, 8),
+                    (1, 4, 7), (2, 4, 6), (2, 5, 8), (3, 4, 5), (6, 7, 8)]
+
+
 def test_reject_fano_plane():
     # every pair of points is collinear, so 0-2-3 holds, but two lines
     # generate all 7 points
-    fano = [(i % 7, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
     with pytest.raises(InvalidSpaceError) as exc:
-        validate(7, fano)
+        validate(7, FANO_LINES)
     assert str(exc.value) == (
         "lines (0, 1, 3) and (0, 2, 6) generate a 7-point subspace that is "
         "neither a complete quadrilateral nor an affine plane"
@@ -104,14 +109,135 @@ def test_reject_fano_plane():
 
 def test_reject_nine_points_short_of_an_affine_plane():
     # closed under wedge, but six of the points see 6 others instead of 8
-    lines = [(0, 1, 2), (0, 3, 6), (0, 4, 8), (0, 5, 7), (1, 3, 8),
-             (1, 4, 7), (2, 4, 6), (2, 5, 8), (3, 4, 5), (6, 7, 8)]
     with pytest.raises(InvalidSpaceError) as exc:
-        validate(9, lines)
+        validate(9, NINE_POINT_LINES)
     assert str(exc.value) == (
         "lines (0, 1, 2) and (0, 3, 6) generate a 9-point subspace that is "
         "neither a complete quadrilateral nor an affine plane"
     )
+
+
+def _closure_plane_pass(n_points, lines):
+    """The plane pass by closure: every intersecting pair of lines not yet in
+    a recorded plane is closed with generated_subspace, and the closure must
+    have 6 or 9 points, each seeing 4 or 8 others in it.  Returns the planes
+    through each line and the symplectic flag, or the error text.  For input
+    that passed validate's checks before the plane pass."""
+    norm = sorted(tuple(sorted(t)) for t in lines)
+    wedge_of, collinear = {}, [0] * n_points
+    lines_through = [[] for _ in range(n_points)]
+    for i, (x, y, z) in enumerate(norm):
+        for a, b, c in ((x, y, z), (x, z, y), (y, z, x)):
+            wedge_of[(a, b)] = wedge_of[(b, a)] = c
+            collinear[c] |= (1 << a) | (1 << b)
+            lines_through[c].append(i)
+    space = fischer.FischerSpace(n_points, tuple(map(str, range(n_points))), tuple(norm),
+                                 None, tuple(collinear), wedge_of, lines_through, None, None)
+    planes_of = [[] for _ in norm]
+    shared = [0] * len(norm)
+    for x in range(n_points):
+        through = lines_through[x]
+        for i, li in enumerate(through):
+            for lj in through[i + 1:]:
+                if (shared[li] >> lj) & 1:
+                    continue
+                pts = generated_subspace(space, norm[li] + norm[lj])
+                pm = sum(1 << p for p in pts)
+                degree = {6: 4, 9: 8}.get(len(pts))
+                if degree is None or any(
+                        (collinear[p] & pm).bit_count() != degree for p in pts):
+                    return (f"lines {norm[li]} and {norm[lj]} generate a {len(pts)}-point "
+                            "subspace that is neither a complete quadrilateral nor an "
+                            "affine plane")
+                inside = [k for k, t in enumerate(norm) if pts.issuperset(t)]
+                for k in inside:
+                    planes_of[k].append(pm)
+                    shared[k] |= sum(1 << h for h in inside)
+    planes = tuple(tuple(sorted(ps, key=lambda p: sorted(vec_support(p)))) for ps in planes_of)
+    return planes, not any(p.bit_count() == 9 for ps in planes for p in ps)
+
+
+def _switch(rng, lines):
+    """Swap the two points of a random line on one path or cycle of their
+    graph: edge x-y is the line {a, x, y} or {b, x, y}, and switching turns
+    each such a-line into a b-line and back.  Two points stay on at most one
+    line, and a Steiner triple system stays one."""
+    a, b = rng.sample(rng.choice(lines), 2)
+    edges = {}
+    for t in lines:
+        for p, q in ((a, b), (b, a)):
+            if p in t and q not in t:
+                x, y = (u for u in t if u != p)
+                edges.setdefault(x, []).append(y)
+                edges.setdefault(y, []).append(x)
+    if not edges:
+        return lines
+    todo, seen = [rng.choice(sorted(edges))], set()
+    while todo:
+        u = todo.pop()
+        if u not in seen:
+            seen.add(u)
+            todo.extend(edges[u])
+    out = []
+    for t in lines:
+        off = [u for u in t if u not in (a, b)]
+        if len(off) == 2 and off[0] in seen:
+            t = ((b if a in t else a), *off)
+        out.append(tuple(sorted(t)))
+    return out
+
+
+def _corrupt(rng, n_points, lines):
+    """Drop a line, add one on three points no two of which are collinear,
+    or switch two points of a line as in _switch.  Where no three such
+    points exist, as in a Steiner triple system, a line is dropped instead."""
+    lines = list(lines)
+    op = rng.randrange(3)
+    if op == 2:
+        return _switch(rng, lines)
+    if op == 1:
+        sees = [{p} for p in range(n_points)]
+        for t in lines:
+            for p in t:
+                sees[p].update(t)
+        p = rng.randrange(n_points)
+        qs = [q for q in range(n_points) if q not in sees[p]]
+        q = rng.choice(qs) if qs else p
+        rs = [r for r in qs if r not in sees[q]]
+        if rs:
+            return lines + [tuple(sorted((p, q, rng.choice(rs))))]
+    del lines[rng.randrange(len(lines))]
+    return lines
+
+
+def test_plane_pass_matches_closure_oracle(spaces, hall_space):
+    # seeded corruptions of every catalog space and of Hall's space: where
+    # validate reaches its plane pass, it accepts the input the closure
+    # accepts, with the same planes and flag, or fails with the same text
+    rng = random.Random(2828)
+    cases = [(7, FANO_LINES), (9, NINE_POINT_LINES)]
+    corrupted = []
+    for sp, count in [*((sp, 12) for sp in spaces.values()), (hall_space(2929), 8)]:
+        cases.append((sp.n_points, sp.lines))
+        corrupted.extend((sp.n_points, _corrupt(rng, sp.n_points, sp.lines))
+                         for _ in range(count))
+    outcomes = []
+    for n_points, lines in cases + corrupted:
+        try:
+            sp = validate(n_points, lines)
+        except InvalidSpaceError as exc:
+            if "-point subspace" not in str(exc):
+                outcomes.append("early")  # failed a check before the plane pass
+                continue
+            assert str(exc) == _closure_plane_pass(n_points, lines)
+            outcomes.append("rejected")
+        else:
+            assert (sp._planes, sp._symplectic) == _closure_plane_pass(n_points, lines)
+            outcomes.append("accepted")
+    assert outcomes[:len(cases)] == ["rejected"] * 2 + ["accepted"] * (len(cases) - 2)
+    reached = outcomes[len(cases):]
+    # 49 of the 92 corruptions reach the plane pass: 11 accepted, 38 rejected
+    assert reached.count("accepted") >= 5 and reached.count("rejected") >= 30
 
 
 def test_wedge_cq_examples():
