@@ -41,9 +41,15 @@ every kernel of ad, and every product between the parts, from t to
 sigma_y(t): the dimensions, the fusion cells and the graded flag agree.
 orbit_verdicts therefore decides one line per orbit of <sigma_y>; it first
 checks every sigma_y against the whole table instead of assuming the
-theorem.  classify_space stays per line: its witness is the first
-lexicographic pair of an echelon basis, which a permutation of the basis
-does not preserve.
+theorem.  Each sigma_y is turned once into a permutation of the line ids,
+and that permutation serves both steps: the check moves a line mask to the
+mask of its image line, and compares each row of the table as a whole with
+the row of its image; the orbit walk reads the image ids with no lookup per
+step.  An entry that is not a line mask, or a line whose image is not a
+line, is moved point by point, so the check accepts and rejects exactly the
+tables that an entry-by-entry check would, and names the same first pair.
+classify_space stays per line: its witness is the first lexicographic pair
+of an echelon basis, which a permutation of the basis does not preserve.
 """
 
 from __future__ import annotations
@@ -381,44 +387,74 @@ def orbit_verdicts(alg: matsuo.NilpotentMatsuoAlgebra):
     verdict is that of the orbit's first line in line order and orbit_lines
     lists the orbit in line order.  Every reflection is first checked to
     preserve every entry of alg.table; a failure raises and names the point
-    and the pair.  Only the full algebra is accepted: the reduced basis drops
-    a point, which a reflection may move.
+    and the first pair, in row-major order, whose entry it moves wrongly.
+    Only the full algebra is accepted: the reduced basis drops a point, which
+    a reflection may move.
+
+    Per reflection sigma_y the id of the image of every line is found once: a
+    line through y, or with no point collinear with y, is fixed.  The check
+    moves a line mask to the mask of its image line, and any other entry,
+    or a line whose image is not a line, point by point; it compares whole
+    rows, table[i] moved against table[sigma_y(i)] read at the images.  The
+    orbit walk reads the same line permutations.
     """
     if alg.reduced:
         raise ValueError("orbit verdicts are defined on the full algebra")
     space, table, n = alg.space, alg.table, alg.dim
-    reflections = []
+    masks = space.line_masks
+    # each distinct entry gets a code: a line mask its line id, any other
+    # entry a code after them, so a row is read as a list of codes
+    code = {m: k for k, m in enumerate(masks)}
+    others = list(set().union(*table) - code.keys())
+    code.update((m, len(masks) + e) for e, m in enumerate(others))
+    coded = [list(map(code.__getitem__, row)) for row in table]
+    perms = []
     for y in range(n):
         cm = space.collinear[y]
         images = [fischer.wedge(space, y, x) if (cm >> x) & 1 else x for x in range(n)]
-        moved: dict[int, int] = {}  # image of each distinct entry
+        # sigma_y swaps its points in pairs, so a line mapped to line m has m
+        # mapped back to it: each pair of lines costs one lookup
+        perm = list(range(len(masks)))
+        for k, t in enumerate(space.lines):
+            if perm[k] != k or not masks[k] & cm or (masks[k] >> y) & 1:
+                continue
+            try:
+                m = space.line_id([images[p] for p in t])
+            except ValueError:
+                perm[k] = None
+                continue
+            perm[k], perm[m] = m, k
+        moved = [  # image of the entry of each code
+            mask_from_support(images[p] for p in space.lines[k]) if m is None else masks[m]
+            for k, m in enumerate(perm)
+        ] + [mask_from_support(images[p] for p in vec_support(m)) for m in others]
         for i in range(n):
-            row, row_image = table[i], table[images[i]]
-            for j in range(n):
-                m = row[j]
-                if m not in moved:
-                    moved[m] = mask_from_support(images[p] for p in vec_support(m))
-                if row_image[images[j]] != moved[m]:
-                    raise RuntimeError(
-                        f"the reflection in point {y} does not preserve the "
-                        f"structure constants at pair ({i}, {j})"
-                    )
-        reflections.append(images)
+            want = list(map(moved.__getitem__, coded[i]))
+            got = list(map(table[images[i]].__getitem__, images))
+            if got != want:
+                j = next(j for j in range(n) if got[j] != want[j])
+                raise RuntimeError(
+                    f"the reflection in point {y} does not preserve the "
+                    f"structure constants at pair ({i}, {j})"
+                )
+        perms.append((perm, images))
     seen = [False] * len(space.lines)
     out = []
     for start, rep in enumerate(space.lines):
         if seen[start]:
             continue
         seen[start] = True
-        members, todo = [start], [rep]
+        members, todo = [start], [start]
         while todo:
-            t = todo.pop()
-            for images in reflections:
-                k = space.line_id([images[p] for p in t])
-                if not seen[k]:
-                    seen[k] = True
-                    members.append(k)
-                    todo.append(space.lines[k])
+            k = todo.pop()
+            for perm, images in perms:
+                m = perm[k]
+                if m is None:  # raises: the image is not a line
+                    m = space.line_id([images[p] for p in space.lines[k]])
+                if not seen[m]:
+                    seen[m] = True
+                    members.append(m)
+                    todo.append(m)
         out.append((line_verdict(alg, rep),
                     tuple(space.lines[k] for k in sorted(members))))
     return tuple(out)

@@ -19,10 +19,13 @@ place that turns a triple, its points in any order, into an id; it raises
 for a triple that is not a line.  Per id the space keeps the line's point
 mask (`line_masks`) and the planes through it: validation records each
 plane once, as a point bitmask listed against every line inside it, and
-`FischerSpace.plane_of(i, j)` is the one lookup of the plane holding two
-lines.  A pair of intersecting lines that already lies in a recorded plane
-is not visited again: the plane is closed, and any two intersecting lines of
-a quadrilateral or an affine plane generate all of it.
+keeps the coplanar mask of each line: the ids of the lines that share a
+recorded plane with it.  `FischerSpace.plane_of(i, j)` is the one lookup of
+the plane holding two lines; it answers a pair in no common plane from one
+bit of that mask, without scanning the planes.  A pair of intersecting
+lines that already lies in a recorded plane is not visited again: the plane
+is closed, and any two intersecting lines of a quadrilateral or an affine
+plane generate all of it.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ class FischerSpace:
 
     __slots__ = (
         "n_points", "labels", "lines", "line_masks", "meta", "collinear",
-        "_line_ids", "_wedge", "_lines_through", "_planes", "_symplectic",
-        "_point_line_rows",
+        "_line_ids", "_wedge", "_lines_through", "_planes", "_coplanar",
+        "_symplectic", "_point_line_rows",
     )
 
     def __init__(self, n_points, labels, lines, meta, collinear, wedge,
@@ -77,6 +80,8 @@ class FischerSpace:
         self._wedge = wedge
         self._lines_through = lines_through
         self._planes = planes  # per line id: point masks of the planes through it
+        # per line id: mask of the line ids in those planes, set by validate
+        self._coplanar = None
         self._symplectic = symplectic
         # per line id: the products of every point with the line nilpotent,
         # filled by the matsuo predictors when they first ask for that line
@@ -94,9 +99,19 @@ class FischerSpace:
             raise ValueError(f"{line!r} is not a line of the space") from None
 
     def plane_of(self, i: int, j: int) -> int:
-        """Point mask of the recorded plane holding distinct lines i and j, or 0."""
+        """Point mask of the recorded plane holding distinct lines i and j, or 0.
+
+        Bit j of the coplanar mask of line i tells whether any recorded plane
+        holds both lines, so a pair in no common plane costs one bit test;
+        otherwise the planes through line i are scanned for line j.
+        """
+        if not (self._coplanar[i] >> j) & 1:
+            return 0
         mj = self.line_masks[j]
-        return next((p for p in self._planes[i] if p & mj == mj), 0)
+        for p in self._planes[i]:
+            if p & mj == mj:
+                return p
+        return 0
 
     def is_line(self, triple) -> bool:
         try:
@@ -219,7 +234,7 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
         tuple(collinear),
         wedge,
         tuple(tuple(ls) for ls in lines_through),
-        planes=None,  # both filled below
+        planes=None,  # both filled below, with the coplanar masks
         symplectic=None,
     )
     line_ids = space._line_ids
@@ -245,8 +260,9 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
     # the lines pass when P is closed and each point of P sees 4 (6 points) or
     # 8 (9 points) others in it, and the closure is formed only to word the
     # error.  shared[k] masks the line ids that lie in a recorded plane with
-    # line k; planes_of[k] lists the planes through line k, ordered at the end
-    # by the sorted points that key_of keeps for each plane.
+    # line k, and the space keeps it as the coplanar mask of plane_of;
+    # planes_of[k] lists the planes through line k, ordered at the end by the
+    # sorted points that key_of keeps for each plane.
     masks = space.line_masks
     planes_of: list[list[int]] = [[] for _ in norm]
     key_of: dict[int, list[int]] = {}
@@ -279,6 +295,7 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
                     planes_of[k].append(pm)
                     shared[k] |= inside_mask
     space._planes = tuple(tuple(sorted(ps, key=key_of.__getitem__)) for ps in planes_of)
+    space._coplanar = tuple(shared)
     space._symplectic = not any(p.bit_count() == 9 for ps in planes_of for p in ps)
     return space
 

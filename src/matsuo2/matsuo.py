@@ -98,14 +98,19 @@ def line_nilpotent(alg: NilpotentMatsuoAlgebra, line) -> int:
 
 
 def multiply(alg: NilpotentMatsuoAlgebra, u: int, v: int) -> int:
-    """Bilinear extension of the structure constants to arbitrary elements."""
-    if u.bit_length() > alg.dim or v.bit_length() > alg.dim:
+    """Bilinear extension of the structure constants to arbitrary elements.
+
+    Each element must lie in 0..2^dim - 1; a negative one has no GF(2) mask.
+    """
+    if (u | v) >> alg.dim:
         raise ValueError("element does not fit the algebra's dimension")
     return bilinear(alg.table, u, v)
 
 
 def ad_matrix(alg: NilpotentMatsuoAlgebra, u: int) -> FieldMatrix:
-    """Matrix of v -> u*v in the algebra basis, over GF(2)."""
+    """Matrix of v -> u*v in the algebra basis, over GF(2); u as in multiply."""
+    if u >> alg.dim:
+        raise ValueError("element does not fit the algebra's dimension")
     rows = [0] * alg.dim
     uu = u
     while uu:

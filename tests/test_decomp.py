@@ -315,6 +315,31 @@ def _summary(v):
     return (d.gen_dims(), (d.eigen0_dim, d.eigen1_dim), v.fusion.cells, v.z2_graded)
 
 
+def _reflections(sp):
+    return [[fischer.wedge(sp, y, x) if sp.are_collinear(y, x) else x
+             for x in range(sp.n_points)] for y in range(sp.n_points)]
+
+
+def _orbits_reference(sp):
+    """The line orbits of the point reflections, closed over sorted triples."""
+    lines, out = set(sp.lines), []
+    remaining = list(sp.lines)
+    sigmas = _reflections(sp)
+    while remaining:
+        orbit, todo = {remaining[0]}, [remaining[0]]
+        while todo:
+            t = todo.pop()
+            for sigma in sigmas:
+                u = tuple(sorted(sigma[p] for p in t))
+                assert u in lines
+                if u not in orbit:
+                    orbit.add(u)
+                    todo.append(u)
+        out.append(tuple(sorted(orbit)))
+        remaining = [t for t in remaining if t not in orbit]
+    return out
+
+
 ORBIT_SIZES = {
     "cq": [4], "ag23": [3] * 4, "w_a4": [10], "w_d4": [16],
     "3_3_sym4": [36, 6], "ag33": [9] * 13, "su32": [48] * 4,
@@ -329,6 +354,7 @@ def test_orbit_verdicts_match_every_line(spaces, algebras, relabelled, name):
     else:
         alg = algebras[name]
     orbits = orbit_verdicts(alg)
+    assert [o for _, o in orbits] == _orbits_reference(alg.space)
     assert sorted(len(o) for _, o in orbits) == sorted(ORBIT_SIZES[name])
     assert sorted(t for _, o in orbits for t in o) == list(alg.space.lines)
     assert [o[0] for _, o in orbits] == sorted(o[0] for _, o in orbits)
@@ -356,6 +382,46 @@ def test_orbit_verdicts_reject_a_table_with_a_wedge_swapped(algebras):
              for x in range(sp.n_points)]
     image = sum(1 << sigma[p] for p in range(sp.n_points) if (table[a][b] >> p) & 1)
     assert table[sigma[a]][sigma[b]] != image
+
+
+def _first_unpreserved(sp, table):
+    """The first (y, i, j) whose entry the reflection in y moves wrongly, from
+    the entry-by-entry check: each entry's image is read point by point."""
+    n = sp.n_points
+    for y, sigma in enumerate(_reflections(sp)):
+        for i in range(n):
+            for j in range(n):
+                image = sum(1 << sigma[p] for p in range(n) if (table[i][j] >> p) & 1)
+                if table[sigma[i]][sigma[j]] != image:
+                    return y, i, j
+    return None
+
+
+@pytest.mark.parametrize("name", ["ag23", "w_d4"])
+@pytest.mark.parametrize("kind", ["other line", "no line"])
+def test_orbit_verdicts_name_the_first_corrupted_entry(algebras, name, kind):
+    alg = algebras[name]
+    sp, n = alg.space, alg.dim
+    masks = set(sp.line_masks)
+    rng = random.Random(f"{name} {kind}")
+    for _ in range(5):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if kind == "other line":
+            entry = rng.choice(sorted(masks - {alg.table[i][j]}))
+        else:
+            entry = rng.randrange(1, 1 << n)
+            while entry in masks:
+                entry = rng.randrange(1, 1 << n)
+        table = [list(r) for r in alg.table]
+        table[i][j] = entry
+        bad = matsuo.NilpotentMatsuoAlgebra(
+            sp, n, False, alg.basis_labels, tuple(tuple(r) for r in table))
+        expected = _first_unpreserved(sp, table)
+        assert expected is not None
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"point {expected[0]} does not preserve the structure constants "
+                f"at pair ({expected[1]}, {expected[2]})")):
+            orbit_verdicts(bad)
 
 
 def test_orbit_verdicts_need_the_full_algebra(reduced_algebras):

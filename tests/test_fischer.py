@@ -522,6 +522,44 @@ def test_plane_index_on_hall(hall_space):
         assert sp.plane_of(i, j) == sp.plane_of(j, i) == expected
 
 
+def _closure_within(sp, seed, cap):
+    """generated_subspace(sp, seed) by the same closure, or None as soon as it
+    passes cap points: a larger subspace is no recorded plane."""
+    pts = set(seed)
+    todo, done = list(pts), []
+    while todo:
+        x = todo.pop()
+        for y in done:
+            if sp.are_collinear(x, y):
+                z = wedge(sp, x, y)
+                if z not in pts:
+                    if len(pts) == cap:
+                        return None
+                    pts.add(z)
+                    todo.append(z)
+        done.append(x)
+    return pts
+
+
+def test_plane_of_every_partner_of_seeded_hall_lines(hall_space):
+    # most pairs share no plane, so plane_of answers them from the coplanar
+    # mask alone; each of these lines lies in 13 affine planes with 143 others
+    sp = hall_space()
+    for i in random.Random(81).sample(range(len(sp.lines)), 20):
+        coplanar = 0
+        for j in range(len(sp.lines)):
+            if j == i:
+                continue
+            pts = _closure_within(sp, sp.lines[i] + sp.lines[j], 9)
+            expected = 0
+            if pts is not None:
+                assert pts == generated_subspace(sp, sp.lines[i] + sp.lines[j])
+                expected = sum(1 << p for p in pts)
+                coplanar += 1
+            assert sp.plane_of(i, j) == sp.plane_of(j, i) == expected
+        assert coplanar == 13 * 11
+
+
 def test_file_round_trip(tmp_path, spaces):
     for name, sp in spaces.items():
         path = tmp_path / f"{name}.fischer"

@@ -119,6 +119,21 @@ def test_ad_matrix_applies_left_multiplication(algebras, reduced_algebras):
             assert ad_matrix(alg, u).matvec(v) == multiply(alg, u, v)
 
 
+def test_elements_outside_the_dimension_are_rejected(algebras, reduced_algebras):
+    # a negative int has infinitely many set bits, so it is no GF(2) mask;
+    # the cases that would loop forever without the check come last
+    for alg in (algebras["cq"], reduced_algebras["cq"]):
+        top = 1 << alg.dim
+        for bad in (-1, top, -top):
+            with pytest.raises(ValueError, match="does not fit the algebra's dimension"):
+                ad_matrix(alg, bad)
+        for u, v in ((-1, 1), (top, 1), (1, top), (-top, 0), (3, -2), (-2, 3)):
+            with pytest.raises(ValueError, match="does not fit the algebra's dimension"):
+                multiply(alg, u, v)
+        assert multiply(alg, top - 1, top - 1) == 0
+        assert ad_matrix(alg, top - 1).matvec(1) == multiply(alg, top - 1, 1)
+
+
 def test_ad_point_squares_to_zero(algebras):
     for alg in algebras.values():
         for x in range(alg.dim):
