@@ -59,7 +59,15 @@ class SpaceMeta:
 class FischerSpace:
     """A validated partial triple system satisfying the Fischer space axioms.
 
-    Immutable after construction; instances are only created by validate().
+    Instances are only created by validate().  The constructor sets the
+    points, labels, lines, line masks, meta, collinearity masks, wedge and
+    lines through each point.  validate() then assigns `_planes` (the planes
+    through each line), `_coplanar` (the coplanar mask of each line, read by
+    plane_of) and `_symplectic`, so all three are complete once it returns;
+    none of these changes afterwards.  `_point_line_rows` is the one field
+    that fills on demand: the `matsuo` product predictors add the rows of a
+    line when they first ask for it, and a space that never meets them
+    keeps it empty.
     """
 
     __slots__ = (

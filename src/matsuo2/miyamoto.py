@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import json
 import struct
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -241,6 +240,32 @@ class MatrixGroup:
         return m in self._members
 
 
+def _certifying_subset(products, index) -> list[int]:
+    """Positions of a subset Y of the generators that generates the same group.
+
+    products[s][t] is the key of g_s * g_t and index maps the key of each
+    generator to its position.  In generator order g_s joins Y unless it is
+    already reached from the earlier members of Y by right multiplication by
+    members of Y through products that are themselves generators; so every
+    generator is a product of members of Y.
+    """
+    members, reached = [], set()
+    for s in range(len(products)):
+        if s in reached:
+            continue
+        members.append(s)
+        reached.add(s)
+        todo = list(reached)
+        while todo:
+            r = todo.pop()
+            for t in members:
+                u = index.get(products[r][t])
+                if u is not None and u not in reached:
+                    reached.add(u)
+                    todo.append(u)
+    return members
+
+
 def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
     """BFS closure under multiplication; order is frozen by generator order.
 
@@ -259,6 +284,23 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
     are read in generator order, so the FIFO order is that of forming
     x * g_1, x * g_2, ... one at a time.  Rows are unpacked, and a
     FieldMatrix built, only for a new element.
+
+    The search stops as soon as the found set S is provably the whole group
+    G.  The first dequeues are the generators, so their walks give every
+    product g_s * g_t, and from these `_certifying_subset` picks a subset Y
+    with <Y> = G.  Call x certified when x * y lies in S for every y in Y.
+    A dequeued element is certified by its walk; one not yet dequeued is
+    certified by a narrow walk, the same XOR walk over tables with one slot
+    per member of Y.  S only grows, so a certificate stays valid.  When a
+    dequeue finds nothing new, a second pointer advances over the elements
+    not yet dequeued, checking each narrowly, until one lacks a product; the
+    search retries that element only once the missing key is in S.  When the
+    pointer passes the last element, every x in S is certified, so
+    S * y is in S for each y in Y; right multiplication by y is injective, so
+    S * y = S, hence S * <Y> = S and S, a nonempty subset of G, is all of
+    G.  Every later dequeue would find nothing new, so the elements, in the
+    same order, are those of the full search, and the cap is met or exceeded
+    exactly as there.
     """
     gens = list(generators)
     if not gens:
@@ -278,43 +320,73 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
     row_mask = (1 << row_bits) - 1
     slot = (degree * row_bits + 7) // 8
     uniq = []
-    seen = set()
+    index = {}  # key of each distinct generator -> its position in uniq
     for g in sorted(gens, key=lambda m: m.rows):
         y = sum(r << (i * row_bits) for i, r in enumerate(g.rows)).to_bytes(slot, "little")
-        if y not in seen:
-            seen.add(y)
+        if y not in index:
+            index[y] = len(uniq)
             uniq.append(g)
     if len(uniq) > cap:
         raise MiyamotoCheckError(f"group closure exceeds cap {cap}")
-    width = slot * len(uniq)
     images = [g.row_images() for g in uniq]
-    wide = [
-        [
-            sum(img[p] << (i * row_bits + s * 8 * slot) for s, img in enumerate(images))
-            for p in range(row_bits)
+
+    def products(members):
+        """rows of x -> the keys of x * g_s for s in members, from one XOR walk."""
+        tables = [
+            [
+                sum(images[s][p] << (i * row_bits + j * 8 * slot) for j, s in enumerate(members))
+                for p in range(row_bits)
+            ]
+            for i in range(degree)
         ]
-        for i in range(degree)
-    ]
+        width = slot * len(members)
+        cut = struct.Struct(f"{slot}s" * len(members)).unpack
+
+        def keys(x):
+            acc = 0
+            for w, r in zip(tables, x):
+                acc ^= apply_images(w, r)
+            return cut(acc.to_bytes(width, "little"))
+
+        return keys
+
+    wide = products(range(len(uniq)))
+    narrow = None  # built from the generator products, once the generators are dequeued
+    table = []
+    seen = set(index)
     elements = list(uniq)
-    queue = deque(g.rows for g in uniq)
-    cut = struct.Struct(f"{slot}s" * len(uniq)).unpack
-    while queue:
-        x = queue.popleft()
-        acc = 0
-        for w, r in zip(wide, x):
-            acc ^= apply_images(w, r)
-        keys = cut(acc.to_bytes(width, "little"))
-        if seen.issuperset(keys):
+    head = cert = 0  # next to dequeue; next to certify narrowly
+    pending = want = None  # narrow keys of elements[cert]; the first of them not yet seen
+    while head < len(elements):
+        keys = wide(elements[head].rows)
+        head += 1
+        if narrow is None:
+            table.append(keys)
+            if len(table) == len(uniq):
+                narrow = products(_certifying_subset(table, index))
+        if not seen.issuperset(keys):
+            for y in keys:
+                if y not in seen:
+                    seen.add(y)
+                    v = int.from_bytes(y, "little")
+                    rows = tuple([(v >> (i * row_bits)) & row_mask for i in range(degree)])
+                    elements.append(FieldMatrix(field, degree, degree, rows))
+                    if len(elements) > cap:
+                        raise MiyamotoCheckError(f"group closure exceeds cap {cap}")
             continue
-        for y in keys:
-            if y not in seen:
-                seen.add(y)
-                v = int.from_bytes(y, "little")
-                rows = tuple([(v >> (i * row_bits)) & row_mask for i in range(degree)])
-                elements.append(FieldMatrix(field, degree, degree, rows))
-                queue.append(rows)
-                if len(elements) > cap:
-                    raise MiyamotoCheckError(f"group closure exceeds cap {cap}")
+        if narrow is None or (want is not None and want not in seen):
+            continue
+        if cert < head:  # elements[:head] are certified by their wide walks
+            cert, pending = head, None
+        while cert < len(elements):
+            if pending is None:
+                pending = narrow(elements[cert].rows)
+            want = next((y for y in pending if y not in seen), None)
+            if want is not None:
+                break
+            cert, pending = cert + 1, None
+        if cert == len(elements):
+            break
     return MatrixGroup(field, degree, tuple(uniq), tuple(elements))
 
 
@@ -337,8 +409,13 @@ class CqMiyamotoReport:
 def cq_miyamoto_group(field: Field, reduced: bool = False) -> MatrixGroup:
     """Closure of all Miyamoto maps of the quadrilateral over the given field,
     capped at four times its order 2^(2k) (2^k - 1)."""
+    return _cq_group(_cq_algebra(reduced), field)
+
+
+def _cq_group(alg: matsuo.NilpotentMatsuoAlgebra, field: Field) -> MatrixGroup:
+    """`cq_miyamoto_group` of a quadrilateral algebra already built, full or reduced."""
     k = field.k
-    gens = _cq_miyamoto_matrices(_cq_algebra(reduced), field, CQ_LINE_ORDER, field.nonzero())
+    gens = _cq_miyamoto_matrices(alg, field, CQ_LINE_ORDER, field.nonzero())
     return group_closure(gens, cap=4 * (1 << (2 * k)) * ((1 << k) - 1))
 
 
@@ -357,7 +434,8 @@ def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
         raise ValueError("supported field degrees are k in {2, 3, 4}")
     field = Field(k)
     expected = (1 << (2 * k)) * ((1 << k) - 1)
-    G = cq_miyamoto_group(field)
+    alg = _cq_algebra(reduced=False)
+    G = _cq_group(alg, field)
     params = [parse_s_matrix(m) for m in G.elements]
     all_s = all(p is not None for p in params)
     unique = len(set(params)) == len(params)
@@ -366,7 +444,7 @@ def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
     s_col = (0,) * 5 + (1 << (5 * k),)
     fixes_s = all(tuple(r & lane5 for r in m.rows) == s_col for m in G.elements)
 
-    Gr = cq_miyamoto_group(field, reduced=True)
+    Gr = _cq_group(matsuo.reduce(alg), field)
     # the restriction to the quotient drops row 5 and lane 5 of the others
     keep = (1 << (5 * k)) - 1
     restricted = {tuple(r & keep for r in m.rows[:5]) for m in G.elements}

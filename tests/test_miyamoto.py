@@ -520,14 +520,14 @@ _GROUP_CORRUPTIONS = {
 
 @pytest.mark.parametrize("flag", sorted(_GROUP_CORRUPTIONS))
 def test_verify_cq_miyamoto_refuses_a_corrupted_group(monkeypatch, flag):
-    build = miyamoto.cq_miyamoto_group
+    build = miyamoto._cq_group
 
-    def corrupted(field, reduced=False):
-        g = build(field, reduced)
-        els = _GROUP_CORRUPTIONS[flag](list(g.elements), reduced)
+    def corrupted(alg, field):
+        g = build(alg, field)
+        els = _GROUP_CORRUPTIONS[flag](list(g.elements), alg.reduced)
         return miyamoto.MatrixGroup(g.field, g.degree, g.generators, tuple(els))
 
-    monkeypatch.setattr(miyamoto, "cq_miyamoto_group", corrupted)
+    monkeypatch.setattr(miyamoto, "_cq_group", corrupted)
     with pytest.raises(MiyamotoCheckError) as err:
         verify_cq_miyamoto(2)
     for name in _GROUP_CORRUPTIONS:
