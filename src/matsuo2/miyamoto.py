@@ -274,11 +274,12 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
     rows.  All the products x * g come from one XOR walk over the rows of x.
     A matrix packs into one int of degree^2 k bits, row i at bit i degree k.
     Slot s, ceil(degree^2 k / 8) bytes wide, belongs to the s-th generator
-    g_s, and `wide[i][p]` holds in slot s the matrix whose only nonzero row,
-    row i, is image p of g_s (`FieldMatrix.row_images`): the share of bit p
-    of row i of x in x * g_s.  So `XOR_i apply_images(wide[i], x_i)` holds
-    x * g_s in every slot s, and its little-endian bytes, cut into slots by
-    one `struct` unpack, are one `bytes` key per generator.  Past the first
+    g_s, and the walk table `tables[i][p]` of `products` holds in slot s the
+    matrix whose only nonzero row, row i, is image p of g_s
+    (`FieldMatrix.row_images`): the share of bit p of row i of x in x * g_s.
+    So `XOR_i apply_images(tables[i], x_i)` holds x * g_s in every slot s,
+    and its little-endian bytes, cut into slots by one `struct` unpack, are
+    one `bytes` key per generator.  Past the first
     layers almost every product is known, so one `seen.issuperset(keys)`
     test per dequeued element skips it when none is new; otherwise the keys
     are read in generator order, so the FIFO order is that of forming
@@ -352,7 +353,7 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
 
     wide = products(range(len(uniq)))
     narrow = None  # built from the generator products, once the generators are dequeued
-    table = []
+    gen_products = []
     seen = set(index)
     elements = list(uniq)
     head = cert = 0  # next to dequeue; next to certify narrowly
@@ -361,9 +362,9 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
         keys = wide(elements[head].rows)
         head += 1
         if narrow is None:
-            table.append(keys)
-            if len(table) == len(uniq):
-                narrow = products(_certifying_subset(table, index))
+            gen_products.append(keys)
+            if len(gen_products) == len(uniq):
+                narrow = products(_certifying_subset(gen_products, index))
         if not seen.issuperset(keys):
             for y in keys:
                 if y not in seen:

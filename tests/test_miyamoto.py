@@ -355,18 +355,90 @@ def _small_generating_sets(rng, f):
     return cases
 
 
+def _assert_closure_matches_reference(gens):
+    """The closure equals the reference FIFO closure, and its cap is met at the order."""
+    g = group_closure(gens)
+    assert (g.generators, g.elements) == _reference_closure(gens)
+    order = g.size()
+    with pytest.raises(MiyamotoCheckError, match=f"exceeds cap {order - 1}$"):
+        group_closure(gens, cap=order - 1)
+    assert group_closure(gens, cap=order).elements == g.elements
+    return g
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_group_closure_packed_walk_matches_reference(k):
     f = Field(k)
     rng = random.Random(8000 + k)
     for degree, gens in _small_generating_sets(rng, f):
-        g = group_closure(gens)
-        assert g.degree == degree
-        assert (g.generators, g.elements) == _reference_closure(gens)
-        order = g.size()
-        with pytest.raises(MiyamotoCheckError, match=f"exceeds cap {order - 1}"):
-            group_closure(gens, cap=order - 1)
-        assert group_closure(gens, cap=order).elements == g.elements
+        assert _assert_closure_matches_reference(gens).degree == degree
+
+
+def _conjugated_permutations(rng, f, n, cycles):
+    """P^-1 pi P for a random invertible P and each pi in `cycles`, each a
+    cycle on the points of one random arrangement of the n letters."""
+    P, Pinv = _random_invertible(rng, f, n)
+    points = list(range(n))
+    rng.shuffle(points)
+    out = []
+    for cycle in cycles:
+        perm = list(range(n))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[points[a]] = points[b]
+        out.append(Pinv * _permutation_matrix(f, perm) * P)
+    return out
+
+
+def _certificate_sets(rng, f):
+    """Seeded generating sets of Sym(4) and Sym(5) for the closure's
+    certifying subset Y: the adjacent transpositions, where no generator is
+    a product of two, so Y is all of them; and an n-cycle g with g^2, g^3
+    and a transposition, where any two of the family in Y reach the third
+    by a product, so Y is smaller."""
+    whole, cut = [], []
+    for n in (4, 5):
+        whole.append(_conjugated_permutations(rng, f, n, [[i, i + 1] for i in range(n - 1)]))
+        g, t = _conjugated_permutations(rng, f, n, [list(range(n)), [0, 1]])
+        cut.append([g, g * g, g * g * g, t])
+    for gens in whole + cut:
+        rng.shuffle(gens)
+    return whole, cut
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_group_closure_certificate_matches_reference(k):
+    f = Field(k)
+    rng = random.Random(8100 + k)
+    for _ in range(3):
+        whole, cut = _certificate_sets(rng, f)
+        for gens in whole:
+            assert not any(a * b in gens for a in gens for b in gens)
+        for gens in cut:
+            assert any(a * b in gens for a in gens for b in gens)
+        for gens in whole + cut:
+            assert _assert_closure_matches_reference(gens).size() in (24, 120)
+
+
+def test_group_closure_stops_once_certified(cq_algebra, monkeypatch):
+    """Over GF(16) the last new element comes a third of the way through the
+    3840, and the closure stops there instead of multiplying every element
+    by all 57 generators.  A walk over the full generator tables is told
+    from a narrow one by the width of its entries."""
+    f = Field(4)
+    gens = [cq_miyamoto_matrix(cq_algebra, f, line, lam)
+            for line in CQ_LINE_ORDER for lam in f.nonzero()]
+    slot_bits = 8 * ((6 * 6 * f.k + 7) // 8)
+    widths = []
+
+    def walk(images, row):
+        widths.append(max(images).bit_length())
+        return apply_images(images, row)
+
+    monkeypatch.setattr(miyamoto, "apply_images", walk)
+    g = group_closure(gens)
+    wide = sum(w > 8 * slot_bits for w in widths[::6])
+    assert g.size() == 3840 and len(g.generators) == 57
+    assert wide < g.size() // 2
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -419,6 +491,16 @@ def test_cq_miyamoto_group_decides_each_line_once(monkeypatch, k, reduced):
     count(fischer, "validate")
     miyamoto.cq_miyamoto_group(Field(k), reduced)
     assert calls == {"fusion_table": 4, "validate": 1}
+
+
+def test_verify_cq_miyamoto_validates_one_quadrilateral(monkeypatch):
+    """The full group and the quotient's come from one validated cq."""
+    validated = []
+    validate = fischer.validate
+    monkeypatch.setattr(fischer, "validate",
+                        lambda *a, **k: validated.append(a[0]) or validate(*a, **k))
+    verify_cq_miyamoto(2)
+    assert validated == [6]
 
 
 def test_cq_line_order_is_the_catalog_lines():

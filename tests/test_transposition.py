@@ -341,7 +341,7 @@ def test_affineperm_inverse_and_associativity():
         assert (a * a.inverse()).is_identity()
 
 
-@pytest.mark.parametrize("name", ["sym4", "3_3_sym4", "su32"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_gens_round_trip(name):
     gens, seed = preset(name)
     sumzero = isinstance(gens[0], AffinePerm)
@@ -353,6 +353,50 @@ def test_gens_round_trip(name):
     sp1 = fischer_from_class(conjugacy_class(gens, seed))
     sp2 = fischer_from_class(conjugacy_class(gens2, seed2))
     assert sp1.lines == sp2.lines
+
+
+def _random_permutation(rng, n):
+    images = list(range(n))
+    rng.shuffle(images)
+    return Permutation(images)
+
+
+def _random_element(rng, model, shape):
+    """A seeded random element: a permutation of degree `shape`, an affine
+    permutation of (p, m) = `shape`, its vector summing to 0 mod p for the
+    sumzero model, or an affine map of GF(4)^3."""
+    if model == "perm":
+        return _random_permutation(rng, shape)
+    if model == "affinemat":
+        while True:
+            elem = AffineMat([rng.randrange(4) for _ in range(3)],
+                             [[rng.randrange(4) for _ in range(3)] for _ in range(3)])
+            if elem.augmented.rank() == 4:
+                return elem
+    p, m = shape
+    vec = [rng.randrange(p) for _ in range(m)]
+    if model == "affineperm-sumzero":
+        vec[-1] = -sum(vec[:-1]) % p
+    return AffinePerm(p, vec, _random_permutation(rng, m))
+
+
+@pytest.mark.parametrize("model", ["perm", "affineperm", "affineperm-sumzero", "affinemat"])
+def test_gens_round_trip_random_elements(model):
+    """parse_gens(gens_to_text(...)) gives back seeded random elements of
+    every element type, and writing them again gives the same text."""
+    rng = random.Random(f"gens-{model}")
+    sumzero = model == "affineperm-sumzero"
+    for _ in range(20):
+        if model == "perm":
+            shape = rng.randrange(1, 9)
+        else:
+            shape = (rng.choice((2, 3, 5)), rng.randrange(1, 7))
+        *gens, seed = (_random_element(rng, model, shape) for _ in range(rng.randrange(2, 6)))
+        text = gens_to_text(gens, seed, sumzero=sumzero)
+        gens2, seed2 = parse_gens(text)
+        assert [g.key() for g in gens2] == [g.key() for g in gens]
+        assert seed2.key() == seed.key()
+        assert gens_to_text(gens2, seed2, sumzero=sumzero) == text
 
 
 def test_parse_gens_errors():

@@ -91,7 +91,10 @@ def test_suite_enumerates_each_class_once(monkeypatch):
     verify.run_suite()
     assert sorted(sizes) == [10, 12, 18, 36]  # w_a4, w_d4, 3_3_sym4, su32: once each
     assert len(built) == 4
-    assert len(validated) == 13
+    # 5 of them on the 6-point cq: the suite's catalog copy, one per
+    # verify_cq_miyamoto (k = 2, 3), aut_count_full and aut_reduced_unconstrained
+    assert len(validated) == 11
+    assert validated.count(6) == 5
 
 
 def test_aut_claims_share_one_quotient_enumeration(monkeypatch):
