@@ -271,37 +271,31 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
 
     Elements are found in the order of a FIFO search that multiplies each
     dequeued element x on the right by every distinct generator g, sorted by
-    rows.  All the products x * g come from one XOR walk over the rows of x.
-    A matrix packs into one int of degree^2 k bits, row i at bit i degree k.
-    Slot s, ceil(degree^2 k / 8) bytes wide, belongs to the s-th generator
-    g_s, and the walk table `tables[i][p]` of `products` holds in slot s the
-    matrix whose only nonzero row, row i, is image p of g_s
-    (`FieldMatrix.row_images`): the share of bit p of row i of x in x * g_s.
-    So `XOR_i apply_images(tables[i], x_i)` holds x * g_s in every slot s,
-    and its little-endian bytes, cut into slots by one `struct` unpack, are
-    one `bytes` key per generator.  Past the first
-    layers almost every product is known, so one `seen.issuperset(keys)`
-    test per dequeued element skips it when none is new; otherwise the keys
-    are read in generator order, so the FIFO order is that of forming
-    x * g_1, x * g_2, ... one at a time.  Rows are unpacked, and a
-    FieldMatrix built, only for a new element.
+    rows.  A matrix packs into one int of degree^2 k bits, row i at bit
+    i degree k, and the queue holds these ints.  All the products x * g come
+    from one XOR walk over the bits of x: slot s, ceil(degree^2 k / 8) bytes
+    wide, belongs to the s-th generator g_s, and entry i degree k + p of the
+    flat walk table of `products` holds in slot s the matrix whose only
+    nonzero row, row i, is image p of g_s (`FieldMatrix.row_images`): the
+    share of bit p of row i of x in x * g_s.  So `apply_images(table, x)`
+    holds x * g_s in every slot s, and its little-endian bytes, cut into
+    slots by one `struct` unpack, are one `bytes` key per generator, the
+    bytes of the packed product.  Past the first layers almost every product
+    is known, so one `issuperset` test per walk skips it when none is new;
+    otherwise the keys are read in generator order, so the FIFO order is
+    that of forming x * g_1, x * g_2, ... one at a time.  A FieldMatrix is
+    built once per element, at the end, in queue order.
 
-    The search stops as soon as the found set S is provably the whole group
-    G.  The first dequeues are the generators, so their walks give every
-    product g_s * g_t, and from these `_certifying_subset` picks a subset Y
-    with <Y> = G.  Call x certified when x * y lies in S for every y in Y.
-    A dequeued element is certified by its walk; one not yet dequeued is
-    certified by a narrow walk, the same XOR walk over tables with one slot
-    per member of Y.  S only grows, so a certificate stays valid.  When a
-    dequeue finds nothing new, a second pointer advances over the elements
-    not yet dequeued, checking each narrowly, until one lacks a product; the
-    search retries that element only once the missing key is in S.  When the
-    pointer passes the last element, every x in S is certified, so
-    S * y is in S for each y in Y; right multiplication by y is injective, so
-    S * y = S, hence S * <Y> = S and S, a nonempty subset of G, is all of
-    G.  Every later dequeue would find nothing new, so the elements, in the
-    same order, are those of the full search, and the cap is met or exceeded
-    exactly as there.
+    The search stops once it holds |G| elements, and |G| comes first.  The
+    first dequeues are the generators, so their walks give every product
+    g_s * g_t, and from these `_certifying_subset` picks a subset Y with
+    <Y> = G.  The found set S_0 is then closed under right multiplication by
+    Y alone, through a narrow walk table with one slot per member of Y.  The
+    result is S_0 <Y>, the monoid Y generates being <Y> in a finite group,
+    and S_0 <Y> = G because S_0 is a nonempty subset of G; so its size is
+    |G|.  No dequeue after the one that brings the search to |G| elements
+    could find a new one, so the elements, in the same order, are those of
+    the full search, and the cap is exceeded exactly when |G| exceeds it.
     """
     gens = list(generators)
     if not gens:
@@ -316,7 +310,6 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
                 f"dimension mismatch among the generators: {g.nrows}x{g.ncols} "
                 f"with {degree}x{degree}"
             )
-        g.inverse()  # raises NoSolution for a singular generator
     row_bits = degree * field.k
     row_mask = (1 << row_bits) - 1
     slot = (degree * row_bits + 7) // 8
@@ -325,6 +318,7 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
     for g in sorted(gens, key=lambda m: m.rows):
         y = sum(r << (i * row_bits) for i, r in enumerate(g.rows)).to_bytes(slot, "little")
         if y not in index:
+            g.inverse()  # raises NoSolution for a singular generator
             index[y] = len(uniq)
             uniq.append(g)
     if len(uniq) > cap:
@@ -332,62 +326,45 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
     images = [g.row_images() for g in uniq]
 
     def products(members):
-        """rows of x -> the keys of x * g_s for s in members, from one XOR walk."""
-        tables = [
-            [
-                sum(images[s][p] << (i * row_bits + j * 8 * slot) for j, s in enumerate(members))
-                for p in range(row_bits)
-            ]
+        """packed x -> the keys of x * g_s for s in members, from one XOR walk."""
+        table = [
+            sum(images[s][p] << (i * row_bits + j * 8 * slot) for j, s in enumerate(members))
             for i in range(degree)
+            for p in range(row_bits)
         ]
         width = slot * len(members)
         cut = struct.Struct(f"{slot}s" * len(members)).unpack
+        return lambda x: cut(apply_images(table, x).to_bytes(width, "little"))
 
-        def keys(x):
-            acc = 0
-            for w, r in zip(tables, x):
-                acc ^= apply_images(w, r)
-            return cut(acc.to_bytes(width, "little"))
-
-        return keys
+    def extend(found, queue, keys):
+        """Append to queue, in key order, the packed keys not in found."""
+        if not found.issuperset(keys):
+            for y in keys:
+                if y not in found:
+                    found.add(y)
+                    queue.append(int.from_bytes(y, "little"))
+            if len(queue) > cap:
+                raise MiyamotoCheckError(f"group closure exceeds cap {cap}")
 
     wide = products(range(len(uniq)))
-    narrow = None  # built from the generator products, once the generators are dequeued
-    gen_products = []
     seen = set(index)
-    elements = list(uniq)
-    head = cert = 0  # next to dequeue; next to certify narrowly
-    pending = want = None  # narrow keys of elements[cert]; the first of them not yet seen
-    while head < len(elements):
-        keys = wide(elements[head].rows)
+    queue = [int.from_bytes(y, "little") for y in index]
+    gen_products = [wide(x) for x in queue]
+    for keys in gen_products:
+        extend(seen, queue, keys)
+    narrow = products(_certifying_subset(gen_products, index))
+    group, todo = set(seen), list(queue)
+    for x in todo:  # todo grows as the narrow closure finds elements
+        extend(group, todo, narrow(x))
+    head = len(uniq)
+    while len(queue) < len(group):
+        extend(seen, queue, wide(queue[head]))
         head += 1
-        if narrow is None:
-            gen_products.append(keys)
-            if len(gen_products) == len(uniq):
-                narrow = products(_certifying_subset(gen_products, index))
-        if not seen.issuperset(keys):
-            for y in keys:
-                if y not in seen:
-                    seen.add(y)
-                    v = int.from_bytes(y, "little")
-                    rows = tuple([(v >> (i * row_bits)) & row_mask for i in range(degree)])
-                    elements.append(FieldMatrix(field, degree, degree, rows))
-                    if len(elements) > cap:
-                        raise MiyamotoCheckError(f"group closure exceeds cap {cap}")
-            continue
-        if narrow is None or (want is not None and want not in seen):
-            continue
-        if cert < head:  # elements[:head] are certified by their wide walks
-            cert, pending = head, None
-        while cert < len(elements):
-            if pending is None:
-                pending = narrow(elements[cert].rows)
-            want = next((y for y in pending if y not in seen), None)
-            if want is not None:
-                break
-            cert, pending = cert + 1, None
-        if cert == len(elements):
-            break
+    elements = uniq + [
+        FieldMatrix(field, degree, degree,
+                    tuple([(x >> (i * row_bits)) & row_mask for i in range(degree)]))
+        for x in queue[len(uniq):]
+    ]
     return MatrixGroup(field, degree, tuple(uniq), tuple(elements))
 
 

@@ -419,26 +419,57 @@ def test_group_closure_certificate_matches_reference(k):
             assert _assert_closure_matches_reference(gens).size() in (24, 120)
 
 
-def test_group_closure_stops_once_certified(cq_algebra, monkeypatch):
-    """Over GF(16) the last new element comes a third of the way through the
-    3840, and the closure stops there instead of multiplying every element
-    by all 57 generators.  A walk over the full generator tables is told
-    from a narrow one by the width of its entries."""
-    f = Field(4)
-    gens = [cq_miyamoto_matrix(cq_algebra, f, line, lam)
+# Wide walks of the quadrilateral closure over GF(2^k), full or reduced: up
+# to the dequeue that finds the last new element of the reference FIFO search
+_CLOSURE_WIDE_WALKS = {2: 12, 3: 232, 4: 1248}
+
+
+@pytest.mark.parametrize("k", sorted(_CLOSURE_WIDE_WALKS))
+@pytest.mark.parametrize("reduced", [False, True])
+def test_group_closure_stops_at_the_group_order(cq_algebra, monkeypatch, k, reduced):
+    """The closure finds |G| = 2^2k (2^k - 1) by one narrow walk per element,
+    then stops the wide search at the dequeue that finds the last new
+    element; over GF(16) that is a third of the way through the 3840, not a
+    multiplication of every element by all 57 generators.  Each walk is one
+    `apply_images` call, and a wide one reads a table whose entries span one
+    slot per generator."""
+    f = Field(k)
+    alg = matsuo.reduce(cq_algebra) if reduced else cq_algebra
+    gens = [cq_miyamoto_matrix(alg, f, line, lam)
             for line in CQ_LINE_ORDER for lam in f.nonzero()]
-    slot_bits = 8 * ((6 * 6 * f.k + 7) // 8)
-    widths = []
+    slot_bits = 8 * ((alg.dim * alg.dim * k + 7) // 8)
+    spans = []
 
     def walk(images, row):
-        widths.append(max(images).bit_length())
+        spans.append(-(-max(images).bit_length() // slot_bits))
         return apply_images(images, row)
 
     monkeypatch.setattr(miyamoto, "apply_images", walk)
     g = group_closure(gens)
-    wide = sum(w > 8 * slot_bits for w in widths[::6])
-    assert g.size() == 3840 and len(g.generators) == 57
-    assert wide < g.size() // 2
+    wide = spans.count(len(g.generators))
+    assert g.size() == (1 << (2 * k)) * ((1 << k) - 1)
+    assert len(spans) - wide == g.size()
+    assert wide == _CLOSURE_WIDE_WALKS[k]
+    # the last element z is first found by the earliest dequeue x with x * s = z
+    position = {m: i for i, m in enumerate(g.elements)}
+    z = g.elements[-1]
+    assert wide == 1 + min(position[z * s.inverse()] for s in g.generators)
+    if k == 4:
+        assert len(g.generators) == 57 and wide < g.size() // 2
+
+
+def test_group_closure_rejects_a_singular_generator(monkeypatch):
+    """Each distinct generator is inverted once, so a singular one raises."""
+    with pytest.raises(NoSolution):
+        group_closure([s_matrix(GF4, 1, 0, 2), FieldMatrix.zeros(GF4, 6, 6)])
+    with pytest.raises(NoSolution):
+        group_closure([FieldMatrix.zeros(GF4, 6, 6)] * 2, cap=1)
+    inverted = []
+    inverse = FieldMatrix.inverse
+    monkeypatch.setattr(FieldMatrix, "inverse", lambda m: inverted.append(m) or inverse(m))
+    gens = [s_matrix(GF4, 1, 0, 2), s_matrix(GF4, 0, 1, 3), s_matrix(GF4, 1, 0, 2)]
+    group_closure(gens)
+    assert sorted(m.rows for m in inverted) == sorted(m.rows for m in gens[:2])
 
 
 @pytest.mark.parametrize("k", [2, 3])
