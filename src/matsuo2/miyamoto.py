@@ -356,10 +356,13 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
     group, todo = set(seen), list(queue)
     for x in todo:  # todo grows as the narrow closure finds elements
         extend(group, todo, narrow(x))
+    order = len(group)
+    del group, todo  # freed for the wide search, which holds as many keys
     head = len(uniq)
-    while len(queue) < len(group):
+    while len(queue) < order:
         extend(seen, queue, wide(queue[head]))
         head += 1
+    del seen  # freed for the matrices, built only now
     elements = uniq + [
         FieldMatrix(field, degree, degree,
                     tuple([(x >> (i * row_bits)) & row_mask for i in range(degree)]))
