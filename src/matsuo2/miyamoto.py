@@ -291,9 +291,10 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
     g_s * g_t, and from these `_certifying_subset` picks a subset Y with
     <Y> = G.  The found set S_0 is then closed under right multiplication by
     Y alone, through a narrow walk table with one slot per member of Y.  The
-    result is S_0 <Y>, the monoid Y generates being <Y> in a finite group,
-    and S_0 <Y> = G because S_0 is a nonempty subset of G; so its size is
-    |G|.  No dequeue after the one that brings the search to |G| elements
+    result is S_0 <Y>, since every generator is invertible (one `inverse`
+    per distinct generator) and in a finite group the monoid Y generates is
+    <Y>; and S_0 <Y> = G because S_0 is a nonempty subset of G, so its size
+    is |G|.  No dequeue after the one that brings the search to |G| elements
     could find a new one, so the elements, in the same order, are those of
     the full search, and the cap is exceeded exactly when |G| exceeds it.
     """
