@@ -512,9 +512,9 @@ def symplectic_structured_basis(alg: matsuo.NilpotentMatsuoAlgebra,
         ),
     )
     dec = decompose_line(alg, t)
-    if not span_equal(GF2, sb.zero_vectors(), dec.basis0, alg.dim):
+    if not span_equal(sb.zero_vectors(), dec.basis0, alg.dim):
         raise RuntimeError("structured 0-part does not span the 0-eigenspace")
-    if not span_equal(GF2, sb.one_vectors(), dec.basis1, alg.dim):
+    if not span_equal(sb.one_vectors(), dec.basis1, alg.dim):
         raise RuntimeError("structured 1-part does not span the 1-eigenspace")
     if 3 + len(quads) + len(p0) != dec.eigen0_dim:
         raise RuntimeError("structured 0-part is not a direct sum")

@@ -26,10 +26,13 @@ The GF(2) bilinear product `bilinear` of a structure-constant table reads the
 support of its right factor once and, for each set bit i of the left factor,
 XORs row i of the table over that support; it makes no `apply_images` call.
 
-Over GF(2), `FieldMatrix.rref` pivots on bits: each row is reduced by the
-pivot bits it holds, with one back-substitution at the end.  The column loop,
-which finds a pivot column by column and scales rows entry by entry, serves
-only k > 1.
+There is one elimination, `_rref_gf2`, which pivots on bits: each row is
+reduced by the pivot bits it holds, with one back-substitution at the end.
+`FieldMatrix.rref`, `kernel`, `kernel_chain` and `solve` run it on GF(2)
+matrices only.  `inverse` and `rank` serve every k through the row images:
+over GF(2) an n x n matrix M is the nk x nk matrix E of v -> v*M, whose rows
+are `row_images()`, so rank(M) = rank(E) / k and row i of M^-1 is row i*k of
+E^-1.
 """
 
 from __future__ import annotations
@@ -439,98 +442,55 @@ class FieldMatrix:
     # -- elimination --
 
     def rref(self, reverse: bool = False) -> tuple["FieldMatrix", tuple[int, ...]]:
-        """Reduced row-echelon form and the pivot columns, eliminating the
-        columns in ascending order, or in descending order when reverse.
+        """Reduced row-echelon form of a GF(2) matrix and the pivot columns,
+        eliminating the columns in ascending order, or in descending order
+        when reverse.
 
-        Over GF(2) a row's pivot is its lowest set bit (its highest when
-        reverse).  Each row is reduced by the pivot bits it holds and, if
-        anything is left, becomes a pivot row; one newest-first pass then
-        clears the later pivots from the earlier rows.  The pivot rows come
-        out in pivot order, followed by zero rows.  The RREF of a row space
-        is unique for a given column order, so this is the form the column
-        loop used for k > 1 would give.  A GF(2) row with a bit at or above
-        ncols is a ValueError.
+        A row's pivot is its lowest set bit (its highest when reverse).  Each
+        row is reduced by the pivot bits it holds and, if anything is left,
+        becomes a pivot row; one newest-first pass then clears the later
+        pivots from the earlier rows.  The pivot rows come out in pivot
+        order, followed by zero rows.  A row with a bit at or above ncols is a
+        ValueError, and so is a matrix over GF(2^k) with k > 1: only
+        `inverse` and `rank` serve those.
         """
         f = self.field
-        if f.k == 1:
-            rows, pivots = _rref_gf2(self.rows, self.ncols, reverse)
-            rows += [0] * (self.nrows - len(rows))
-            return FieldMatrix(f, self.nrows, self.ncols, rows), pivots
-        k = f.k
-        mask = f.mask
-        rows = list(self.rows)
-        pivots = []
-        r = 0
-        for col in range(self.ncols - 1, -1, -1) if reverse else range(self.ncols):
-            sh = col * k
-            pivot = None
-            for i in range(r, len(rows)):
-                if (rows[i] >> sh) & mask:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            p = (rows[r] >> sh) & mask
-            if p != 1:
-                rows[r] = vec_scale(f, rows[r], f.inv(p), self.ncols)
-            prow = rows[r]
-            for i in range(len(rows)):
-                if i == r:
-                    continue
-                e = (rows[i] >> sh) & mask
-                if e:
-                    rows[i] ^= vec_scale(f, prow, e, self.ncols)
-            pivots.append(col)
-            r += 1
-            if r == len(rows):
-                break
-        return FieldMatrix(f, self.nrows, self.ncols, rows), tuple(pivots)
+        if f.k != 1:
+            raise ValueError(f"rref, kernel and solve need a GF(2) matrix, not one over {f!r}")
+        rows, pivots = _rref_gf2(self.rows, self.ncols, reverse)
+        rows += [0] * (self.nrows - len(rows))
+        return FieldMatrix(f, self.nrows, self.ncols, rows), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """rank(M) = rank(E) / k, where E is the GF(2) matrix whose rows are
+        `row_images()`; for k = 1, E is M."""
+        k = self.field.k
+        return len(_rref_gf2(self.row_images(), self.ncols * k, False)[1]) // k
 
     def kernel(self) -> tuple[int, ...]:
-        """Basis of the right kernel in (canonical) reduced echelon form.
+        """Basis of the right kernel of a GF(2) matrix in (canonical) reduced
+        echelon form.
 
         `rref(reverse=True)` eliminates the columns from last to first, which
-        leaves each pivot row with entries only at its pivot and at free
-        columns below it, so free column c gives e_c plus entries at pivot
-        columns above c.  Over GF(2) the free-column vectors are filled by
-        one walk over the set bits of each pivot row.  Returned as packed
-        vectors of length ncols; empty tuple for injective maps.  Nothing is
-        asserted here: rank + nullity == ncols holds by construction, since
-        the free columns are those without a pivot.  The tests check
-        M v = 0 for every basis vector v.
+        leaves each pivot row with bits only at its pivot and at free columns
+        below it, so free column c gives e_c plus the pivot columns above c
+        whose rows hold bit c.  They are filled by one walk over the set bits
+        of each pivot row.  Returned as masks of length ncols; empty tuple
+        for injective maps.  Nothing is asserted here: rank + nullity ==
+        ncols holds by construction, since the free columns are those without
+        a pivot.  The tests check M v = 0 for every basis vector v.
         """
         R, pivots = self.rref(reverse=True)
-        f = self.field
-        k = f.k
         n = self.ncols
-        free = vec_support(((1 << n) - 1) ^ mask_from_support(pivots))
-        if k == 1:
-            vecs = [1 << c for c in range(n)]
-            for row, pc in zip(R.rows, pivots):
-                bit = 1 << pc
-                rest = row ^ bit
-                while rest:
-                    low = rest & -rest
-                    vecs[low.bit_length() - 1] |= bit
-                    rest ^= low
-            basis = [vecs[c] for c in free]
-        else:
-            mask = f.mask
-            pivot_rows = tuple(zip(R.rows, pivots))
-            basis = []
-            for fc in free:
-                sh = fc * k
-                v = 1 << sh
-                for row, pc in pivot_rows:
-                    e = (row >> sh) & mask
-                    if e:
-                        v |= e << (pc * k)
-                basis.append(v)
-        return tuple(basis)
+        vecs = [1 << c for c in range(n)]
+        for row, pc in zip(R.rows, pivots):
+            bit = 1 << pc
+            rest = row ^ bit
+            while rest:
+                low = rest & -rest
+                vecs[low.bit_length() - 1] |= bit
+                rest ^= low
+        return tuple(vecs[c] for c in vec_support(((1 << n) - 1) ^ mask_from_support(pivots)))
 
     def kernel_chain(self) -> Iterator[tuple[int, ...]]:
         """Yield the bases of ker(M), ker(M^2), ... while the kernel grows.
@@ -543,7 +503,7 @@ class FieldMatrix:
         basis after the first costs one product and one kernel.
         """
         if self.nrows != self.ncols:
-            raise ValueError("iterated kernel needs a square matrix")
+            raise ValueError("kernel_chain needs a square matrix")
         basis = self.kernel()
         yield basis
         power = self
@@ -556,35 +516,33 @@ class FieldMatrix:
             yield basis
 
     def solve(self, b: int) -> int:
-        """One solution x of M x = b; raises NoSolution if inconsistent."""
-        f = self.field
-        k = f.k
-        aug_col = self.ncols
-        rows = [r | (vec_entry(f, b, i) << (aug_col * k)) for i, r in enumerate(self.rows)]
-        A = FieldMatrix(f, self.nrows, self.ncols + 1, rows)
-        R, pivots = A.rref()
-        if pivots and pivots[-1] == aug_col:
+        """One solution x of M x = b over GF(2); raises NoSolution if
+        inconsistent."""
+        n = self.ncols
+        rows = [r | ((b >> i) & 1) << n for i, r in enumerate(self.rows)]
+        R, pivots = FieldMatrix(self.field, self.nrows, n + 1, rows).rref()
+        if pivots and pivots[-1] == n:
             raise NoSolution("inconsistent linear system")
         x = 0
-        for r, pc in enumerate(pivots):
-            e = R.entry(r, aug_col)
-            if e:
-                x |= e << (pc * k)
+        for r, pc in zip(R.rows, pivots):
+            x |= ((r >> n) & 1) << pc
         return x
 
     def inverse(self) -> "FieldMatrix":
+        """M^-1 from the GF(2) elimination of [E | I], where E is the nk x nk
+        matrix whose rows are `row_images()`: M is invertible iff E is, and
+        row i of M^-1 is row i*k of E^-1.  Raises NoSolution for a singular
+        or non-square M."""
         if self.nrows != self.ncols:
             raise NoSolution("only square matrices are invertible")
-        f = self.field
-        k = f.k
-        n = self.ncols
-        rows = [r | (1 << ((n + i) * k)) for i, r in enumerate(self.rows)]
-        A = FieldMatrix(f, n, 2 * n, rows)
-        R, pivots = A.rref()
-        if pivots[:n] != tuple(range(n)) or len(pivots) != n:
+        k = self.field.k
+        m = self.ncols * k
+        rows, pivots = _rref_gf2(
+            [r | 1 << (m + i) for i, r in enumerate(self.row_images())], 2 * m, False
+        )
+        if pivots != tuple(range(m)):
             raise NoSolution("matrix is singular")
-        shift = n * k
-        return FieldMatrix(f, n, n, (r >> shift for r in R.rows))
+        return FieldMatrix(self.field, self.nrows, self.ncols, (r >> m for r in rows[::k]))
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
@@ -624,18 +582,14 @@ def lift_matrix(field: Field, m: FieldMatrix) -> FieldMatrix:
     )
 
 
-def echelon_basis(field: Field, vecs, ncols: int) -> tuple[int, ...]:
-    """Reduced row-echelon basis of the span of packed vectors; () for zero.
+def echelon_basis(vecs, ncols: int) -> tuple[int, ...]:
+    """Reduced row-echelon basis of the span of GF(2) masks; () for zero.
 
     It is canonical: two lists span one subspace iff their bases are equal.
     """
-    vecs = [v for v in vecs if v]
-    if not vecs:
-        return ()
-    R = FieldMatrix(field, len(vecs), ncols, vecs).rref()[0]
-    return tuple(r for r in R.rows if r)
+    return tuple(_rref_gf2(vecs, ncols, False)[0])
 
 
-def span_equal(field: Field, vecs_a, vecs_b, ncols: int) -> bool:
-    """Whether two lists of packed vectors span the same subspace."""
-    return echelon_basis(field, vecs_a, ncols) == echelon_basis(field, vecs_b, ncols)
+def span_equal(vecs_a, vecs_b, ncols: int) -> bool:
+    """Whether two lists of GF(2) masks span the same subspace."""
+    return echelon_basis(vecs_a, ncols) == echelon_basis(vecs_b, ncols)

@@ -459,7 +459,7 @@ def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
 def _span(vectors, n) -> list[int]:
     """All elements of the GF(2) span, ascending."""
     out = [0]
-    for b in echelon_basis(GF2, vectors, n):
+    for b in echelon_basis(vectors, n):
         out += [x ^ b for x in out]
     return sorted(out)
 

@@ -245,11 +245,11 @@ def claim_affine_decomposition(ctx):
 def claim_affine_reduced(ctx):
     red = ctx.reduced["ag23"]
     for t in red.space.lines:
-        d = decomp.decompose_line(red, t)
+        v = decomp.line_verdict(red, t)
+        d = v.decomposition
         if d.gen_dims() != (4, 4) or not d.semisimple:
             return _bad(f"line {t}: dims {d.gen_dims()}, semisimple {d.semisimple}")
-        table = decomp.fusion_table(red, d)
-        if not decomp.is_z2_graded(table):
+        if not v.z2_graded:
             return _bad(f"line {t} of the reduced algebra not graded")
     return _ok("reduced algebra semisimple with dims (4,4) and graded")
 

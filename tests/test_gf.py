@@ -18,6 +18,8 @@ from matsuo2.gf import (
     vec_to_list,
 )
 
+GF2 = Field(1)
+
 
 def test_gf4_omega_squared():
     f = Field(2)
@@ -146,41 +148,43 @@ def test_iterated_kernel_jordan_block():
 
 def test_iterated_kernel_monotone_and_stable():
     rng = random.Random(20230822)
-    for k in (1, 2):
-        f = Field(k)
-        for _ in range(25):
-            n = rng.randrange(1, 7)
-            m = FieldMatrix.from_rows(
-                f, [[rng.randrange(f.order) for _ in range(n)] for _ in range(n)]
-            )
-            dims = [len(_kernel_power(m, p)) for p in range(1, n + 2)]
-            assert all(d1 <= d2 for d1, d2 in zip(dims, dims[1:]))
-            assert dims[-1] == dims[-2]  # stabilized by n = ncols
-            big = _kernel_power(m, n)
-            if big:
-                B = FieldMatrix.from_cols(f, n, big)
-                for v in m.kernel():
-                    B.solve(v)  # ker(M) inside ker(M^n); raises otherwise
+    f = Field(1)
+    for _ in range(25):
+        n = rng.randrange(1, 7)
+        m = FieldMatrix.from_rows(f, [[rng.randrange(2) for _ in range(n)] for _ in range(n)])
+        dims = [len(_kernel_power(m, p)) for p in range(1, n + 2)]
+        assert all(d1 <= d2 for d1, d2 in zip(dims, dims[1:]))
+        assert dims[-1] == dims[-2]  # stabilized by n = ncols
+        big = _kernel_power(m, n)
+        if big:
+            B = FieldMatrix.from_cols(f, n, big)
+            for v in m.kernel():
+                B.solve(v)  # ker(M) inside ker(M^n); raises otherwise
 
 
 def test_kernel_chain_grows_until_stable():
     rng = random.Random(7070)
-    for k in (1, 2):
-        f = Field(k)
-        for _ in range(40):
-            n = rng.randrange(1, 7)
-            rows = [[rng.randrange(f.order) for _ in range(n)] for _ in range(n)]
-            for i in range(n):  # zero some rows on and below the diagonal: longer chains
-                if rng.random() < 0.5:
-                    rows[i][: i + 1] = [0] * (i + 1)
-            m = FieldMatrix.from_rows(f, rows)
-            chain = list(m.kernel_chain())
-            assert len(chain) <= n
-            for p, basis in enumerate(chain, 1):
-                assert basis == (m ** p).kernel()
-            assert all(len(a) < len(b) for a, b in zip(chain, chain[1:]))
-            assert (m ** (len(chain) + 1)).kernel() == chain[-1]
-            assert chain[-1] == (m ** n).kernel()
+    f = Field(1)
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        rows = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+        for i in range(n):  # zero some rows on and below the diagonal: longer chains
+            if rng.random() < 0.5:
+                rows[i][: i + 1] = [0] * (i + 1)
+        m = FieldMatrix.from_rows(f, rows)
+        chain = list(m.kernel_chain())
+        assert len(chain) <= n
+        for p, basis in enumerate(chain, 1):
+            assert basis == (m ** p).kernel()
+        assert all(len(a) < len(b) for a, b in zip(chain, chain[1:]))
+        assert (m ** (len(chain) + 1)).kernel() == chain[-1]
+        assert chain[-1] == (m ** n).kernel()
+
+
+def test_kernel_chain_rejects_a_non_square_matrix():
+    m = FieldMatrix.zeros(Field(1), 2, 3)
+    with pytest.raises(ValueError, match=r"^kernel_chain needs a square matrix$"):
+        next(m.kernel_chain())
 
 
 def test_kernel_contains_plain_kernel():
@@ -204,12 +208,19 @@ def test_solve_basic_and_inconsistent():
         m.solve(vec_from_list(f, [1, 0, 0]))
 
 
-def test_solve_gf4():
+def test_rref_kernel_and_solve_need_gf2():
     f = Field(2)
     m = FieldMatrix.from_rows(f, [[2, 1], [1, 1]])
-    b = vec_from_list(f, [3, 2])
-    x = m.solve(b)
-    assert m.matvec(x) == b
+    calls = (m.rref, lambda: m.rref(reverse=True), m.kernel, lambda: next(m.kernel_chain()),
+             lambda: m.solve(vec_from_list(f, [3, 2])))
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert err.type is ValueError
+        assert str(err.value) == "rref, kernel and solve need a GF(2) matrix, not one over GF(4)"
+    # inverse and rank serve every GF(2^k)
+    assert m.rank() == 2
+    assert m * m.inverse() == FieldMatrix.identity(f, 2)
 
 
 def test_inverse_round_trip():
@@ -281,15 +292,33 @@ def test_row_images_are_powers_of_x_times_rows(k):
 
 
 def _rref_textbook(m, reverse=False):
-    """Gauss-Jordan elimination on entry lists read with `vec_entry`, column
-    by column in ascending order (descending when reverse): find the first
-    row at or below the next pivot slot with a nonzero entry, swap it up,
-    scale it to 1 and clear the column in every other row.  Independent of
-    `FieldMatrix.rref`; returns the rows as packed vectors and the pivots."""
+    """Gauss-Jordan elimination column by column in ascending order
+    (descending when reverse): find the first row at or below the next pivot
+    slot with a nonzero entry, swap it up, scale it to 1 and clear the column
+    in every other row.  Over GF(2) the rows are packed ints and clearing is
+    an XOR; over GF(2^k) they are entry lists read with `vec_entry`.
+    Independent of `FieldMatrix.rref`; returns the rows as packed vectors and
+    the pivots."""
     f = m.field
-    rows = [[vec_entry(f, r, j) for j in range(m.ncols)] for r in m.rows]
+    cols = range(m.ncols - 1, -1, -1) if reverse else range(m.ncols)
     pivots = []
-    for c in range(m.ncols - 1, -1, -1) if reverse else range(m.ncols):
+    if f.k == 1:
+        rows = list(m.rows)
+        for c in cols:
+            bit = 1 << c
+            r = len(pivots)
+            p = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
+            if p is None:
+                continue
+            rows[r], rows[p] = rows[p], rows[r]
+            prow = rows[r]
+            for i, row in enumerate(rows):
+                if i != r and row & bit:
+                    rows[i] = row ^ prow
+            pivots.append(c)
+        return rows, tuple(pivots)
+    rows = [[vec_entry(f, r, j) for j in range(m.ncols)] for r in m.rows]
+    for c in cols:
         r = len(pivots)
         p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if p is None:
@@ -348,7 +377,7 @@ def _check_against_textbook(m):
     assert kernel == _kernel_reference(m, (rows, pivots))
     assert all(m.matvec(v) == 0 for v in kernel)
     assert m.rank() == len(pivots) == n - len(kernel)
-    assert echelon_basis(f, m.rows, n) == tuple(r for r in rows if r)
+    assert echelon_basis(m.rows, n) == tuple(r for r in rows if r)
     if m.nrows != n:
         return
     if len(pivots) < n:
@@ -407,9 +436,10 @@ def test_kernel_and_from_cols_match_entrywise_reference(k):
     f = Field(k)
     for nrows, rank, ncols in ((4, 2, 6), (5, 5, 5), (3, 0, 4), (6, 3, 3), (1, 1, 7)):
         m = _random_matrix(rng, f, nrows, rank) * _random_matrix(rng, f, rank, ncols)
-        assert m.kernel() == _kernel_reference(m)
-        for v in m.kernel():
-            assert m.matvec(v) == 0
+        if k == 1:
+            assert m.kernel() == _kernel_reference(m)
+            for v in m.kernel():
+                assert m.matvec(v) == 0
         # columns may carry entries past nrows; from_cols drops them
         cols = [rng.randrange(f.order ** (nrows + 2)) for _ in range(ncols)]
         c = FieldMatrix.from_cols(f, nrows, cols)
@@ -427,16 +457,20 @@ def test_kernel_and_from_cols_match_entrywise_reference(k):
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_kernel_is_echelon_basis_of_rref_kernel(k):
+    """The kernel over GF(2); for every k, rank + the textbook nullity is ncols."""
     rng = random.Random(1100 + k)
     f = Field(k)
-    assert FieldMatrix.zeros(f, 2, 0).kernel() == ()
+    assert FieldMatrix.zeros(f, 2, 0).rank() == 0
     for _ in range(150):
         nrows, ncols = rng.randrange(1, 8), rng.randrange(1, 9)
         rank = rng.randrange(min(nrows, ncols) + 1)
         m = FieldMatrix.zeros(f, nrows, ncols)
         if rank:
             m = _random_matrix(rng, f, nrows, rank) * _random_matrix(rng, f, rank, ncols)
-        assert m.kernel() == _kernel_reference(m)
+        kernel = _kernel_reference(m)
+        assert m.rank() + len(kernel) == ncols
+        if k == 1:
+            assert m.kernel() == kernel
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -475,8 +509,8 @@ def test_dimension_mismatch_errors():
 
 
 def test_kernel_recomputation_bit_identical():
-    f = Field(2)
-    m = FieldMatrix.from_rows(f, [[1, 2, 3], [2, 3, 1], [3, 1, 2]])
+    f = Field(1)
+    m = FieldMatrix.from_rows(f, [[1, 0, 1], [0, 1, 1], [1, 1, 0]])
     assert m.kernel() == m.kernel()
     assert m.rref()[0].rows == m.rref()[0].rows
 
@@ -505,8 +539,8 @@ def test_lift_matrix_and_span_equal():
     m = FieldMatrix.from_rows(f2, [[1, 0, 1], [0, 1, 1]])
     lifted = lift_matrix(f4, m)
     assert lifted.entry(0, 2) == 1
-    assert span_equal(f2, [0b011, 0b101], [0b101, 0b110], 3)
-    assert not span_equal(f2, [0b001], [0b010], 3)
+    assert span_equal([0b011, 0b101], [0b101, 0b110], 3)
+    assert not span_equal([0b001], [0b010], 3)
 
 
 def _bilinear_reference(table, u, v):
@@ -541,22 +575,63 @@ def test_bilinear_matches_double_loop_on_catalog_tables(algebras, reduced_algebr
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_echelon_basis_matches_rref_reference(k):
+    """echelon_basis of the row images of random rows over GF(2^k), which are
+    the rows themselves for k = 1: the textbook GF(2) basis, k times the
+    textbook rank over GF(2^k) long, and canonical."""
     rng = random.Random(900 + k)
     f = Field(k)
     ncols = 5
-    assert echelon_basis(f, [], ncols) == ()
-    assert echelon_basis(f, [0, 0, 0], ncols) == ()
+    assert echelon_basis([], ncols) == ()
+    assert echelon_basis([0, 0, 0], ncols) == ()
     for count in range(1, 8):
         vecs = [rng.getrandbits(ncols * k) for _ in range(count)]
         vecs.insert(rng.randrange(count + 1), 0)
-        basis = echelon_basis(f, vecs, ncols)
-        assert basis == _echelon_textbook(f, vecs, ncols)
+        m = FieldMatrix(f, len(vecs), ncols, vecs)
+        images = m.row_images()
+        basis = echelon_basis(images, ncols * k)
+        assert basis == _echelon_textbook(GF2, images, ncols * k)
+        assert len(basis) == k * len(_rref_textbook(m)[1])
         assert all(basis)
-        # canonical: a random invertible recombination of the rows spans the
-        # same subspace and gives the same basis
+        # canonical: a random invertible recombination of the rows over
+        # GF(2^k) spans the same subspace and gives the same basis
         mixed = list(vecs)
         for _ in range(10):
             i, j = rng.sample(range(len(mixed)), 2)
             mixed[i] ^= vec_scale(f, mixed[j], rng.randrange(f.order), ncols)
         rng.shuffle(mixed)
-        assert echelon_basis(f, mixed, ncols) == basis
+        mixed_images = FieldMatrix(f, len(mixed), ncols, mixed).row_images()
+        assert echelon_basis(mixed_images, ncols * k) == basis
+
+
+def test_echelon_basis_names_the_callers_row():
+    with pytest.raises(ValueError, match=r"^row 1 has a bit at or above ncols=3$"):
+        echelon_basis([0, 0b1000], 3)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_inverse_and_rank_match_textbook(k):
+    """inverse() and rank() eliminate the row images over GF(2); the textbook
+    eliminates entry lists of M, and of [M | I], over GF(2^k).  Each matrix
+    is a product of factors, redrawn until its rank is exactly the rank
+    asked for, so every square shape is met both invertible and singular."""
+    rng = random.Random(1300 + k)
+    f = Field(k)
+    shapes = [(n, n, r) for n in range(7) for r in sorted({n, n // 2, max(n - 1, 0)})]
+    shapes += [(2, 5, 2), (5, 2, 2), (3, 6, 1), (6, 4, 3), (1, 4, 0), (4, 1, 1)]
+    for nrows, ncols, rank in shapes:
+        for _ in range(3):
+            m = FieldMatrix.zeros(f, nrows, ncols)
+            while rank:
+                m = _random_matrix(rng, f, nrows, rank) * _random_matrix(rng, f, rank, ncols)
+                if len(_rref_textbook(m)[1]) == rank:
+                    break
+            assert m.rank() == rank
+            if nrows != ncols or rank < ncols:
+                with pytest.raises(NoSolution):
+                    m.inverse()
+                continue
+            n = ncols
+            aug = FieldMatrix(f, n, 2 * n, [r | 1 << ((n + i) * k) for i, r in enumerate(m.rows)])
+            inv = m.inverse()
+            assert inv.rows == tuple(r >> (n * k) for r in _rref_textbook(aug)[0])
+            assert (inv.nrows, inv.ncols) == (n, n)
