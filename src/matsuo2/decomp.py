@@ -346,13 +346,6 @@ class GradingVerdict:
     graded: bool
     good_lines: tuple[tuple[int, int, int], ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "z2_graded": self.graded,
-            "good_lines": [list(t) for t in self.good_lines],
-            "lines": [v.to_json_dict() for v in self.verdicts],
-        }
-
 
 def line_verdict(alg: matsuo.NilpotentMatsuoAlgebra, line) -> LineVerdict:
     dec = decompose_line(alg, line)

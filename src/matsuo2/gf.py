@@ -116,10 +116,6 @@ class Field:
 
     # -- element arithmetic (ints in [0, 2^k)) --
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -141,9 +137,6 @@ class Field:
             a = self.mul(a, a)
             n >>= 1
         return r
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def nonzero(self) -> range:
         return range(1, self.order)
@@ -461,9 +454,18 @@ class FieldMatrix:
         rows += [0] * (self.nrows - len(rows))
         return FieldMatrix(f, self.nrows, self.ncols, rows), pivots
 
+    def _check_width(self) -> None:
+        """Reject a packed row with a bit at or above ncols entries, naming
+        the row; the row images and [E | I] would read such bits as columns."""
+        width = self.ncols * self.field.k
+        if self.rows and max(self.rows) >> width:
+            i = next(i for i, r in enumerate(self.rows) if r >> width)
+            raise ValueError(f"row {i} has a bit at or above ncols={self.ncols}")
+
     def rank(self) -> int:
         """rank(M) = rank(E) / k, where E is the GF(2) matrix whose rows are
         `row_images()`; for k = 1, E is M."""
+        self._check_width()
         k = self.field.k
         return len(_rref_gf2(self.row_images(), self.ncols * k, False)[1]) // k
 
@@ -535,6 +537,7 @@ class FieldMatrix:
         or non-square M."""
         if self.nrows != self.ncols:
             raise NoSolution("only square matrices are invertible")
+        self._check_width()
         k = self.field.k
         m = self.ncols * k
         rows, pivots = _rref_gf2(

@@ -18,7 +18,7 @@ Algebra elements are GF(2) coefficient vectors stored as int bitmasks
 from __future__ import annotations
 
 from . import fischer
-from .gf import Field, FieldMatrix, bilinear, vec_support
+from .gf import Field, FieldMatrix, bilinear
 
 GF2 = Field(1)
 
@@ -218,22 +218,3 @@ def predict_line_line(space: fischer.FischerSpace, line1, line2) -> int:
     a, b, c = space.lines[i]
     row = _point_line_row(space, j)
     return row[a] ^ row[b] ^ row[c]
-
-
-# -- export ----------------------------------------------------------------------
-
-
-def to_json_dict(alg: NilpotentMatsuoAlgebra) -> dict:
-    """JSON-ready description; products list nonzero entries with i <= j."""
-    products = []
-    for i in range(alg.dim):
-        for j in range(i, alg.dim):
-            if alg.table[i][j]:
-                products.append([i, j, vec_support(alg.table[i][j])])
-    return {
-        "space": alg.space.meta.name if alg.space.meta else None,
-        "dim": alg.dim,
-        "reduced": alg.reduced,
-        "basis_labels": list(alg.basis_labels),
-        "products": products,
-    }

@@ -325,21 +325,13 @@ def _witness_in_one_part_check(alg, line, u, v):
     return None
 
 
-def _points_by_label(sp):
-    """The point of each label and None, or None and a failed result when
-    the labels are not one per point."""
-    index = {label: i for i, label in enumerate(sp.labels)}
-    if len(index) != sp.n_points:
-        return None, _bad(f"{sp.n_points} points carry {len(index)} distinct labels")
-    return index, None
-
-
 def _labelled_witness(sp, alg, line, u, v, unlabelled, passed):
     """Check a witness named by point labels: a line's three points and the
-    two points of each of u and v.  A missing label fails with `unlabelled`."""
-    index, bad = _points_by_label(sp)
-    if bad:
-        return bad
+    two points of each of u and v.  Labels that are not one per point fail
+    with their count, and a missing label fails with `unlabelled`."""
+    index = {label: i for i, label in enumerate(sp.labels)}
+    if len(index) != sp.n_points:
+        return _bad(f"{sp.n_points} points carry {len(index)} distinct labels")
     try:
         line = tuple(sorted(index[x] for x in line))
         u, v = ((1 << index[a]) ^ (1 << index[b]) for a, b in (u, v))
@@ -361,27 +353,20 @@ def claim_witness_ag33(ctx):
 
 
 def claim_witness_su32(ctx):
-    sp = ctx.spaces["su32"]
-    alg = ctx.algebras["su32"]
     # the catalog labels point i with the label of class element i
-    index, bad = _points_by_label(sp)
-    if bad:
-        return bad
     d, e, f = transposition.su32_matrix_involutions()
     ded = d * e * d
     defed = d * e * f * e * d
     w, w1 = 2, 3  # GF(4) bit patterns for w and w+1
     pt_f = transposition.AffineMat((0, 0, w), f.matrix)
     pt_defed = transposition.AffineMat((w1, 1, w), defed.matrix)
-    line = tuple(sorted(index[x.label()] for x in (d, e, ded)))
-    if not sp.is_line(line):
-        return _bad(f"{line} is not a line")
-    u = (1 << index[f.label()]) ^ (1 << index[defed.label()])
-    v = (1 << index[pt_f.label()]) ^ (1 << index[pt_defed.label()])
-    bad = _witness_in_one_part_check(alg, line, u, v)
-    if bad:
-        return bad
-    return _ok("[0,f]+[0,defed] times [(0,0,w),f]+[(w+1,1,w),defed] lands in the 1-part")
+    return _labelled_witness(
+        ctx.spaces["su32"], ctx.algebras["su32"],
+        (d.label(), e.label(), ded.label()),
+        (f.label(), defed.label()), (pt_f.label(), pt_defed.label()),
+        "space lacks the affine GF(4) labels of the su32 class",
+        "[0,f]+[0,defed] times [(0,0,w),f]+[(w+1,1,w),defed] lands in the 1-part",
+    )
 
 
 def claim_witness_hall(ctx):

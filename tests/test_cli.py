@@ -140,6 +140,10 @@ def test_gens_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "space", "--space", str(bad))
     assert code == 2
     assert err == "error: line 2: the 3x3 matrix is singular\n"
+    bad.write_text("perm 0\n()\nseed ()\n")
+    code, _, err = run_cli(capsys, "space", "--space", str(bad))
+    assert code == 2
+    assert err == "error: line 1: bad degree '0'\n"
 
 
 def test_space_from_gens_su32(capsys, tmp_path):

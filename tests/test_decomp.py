@@ -553,8 +553,6 @@ def test_verdict_json_schema(algebras):
     assert set(d["fusion"]) == {"00", "01", "11"}
     assert d["witness"] is None
     json.dumps(d)
-    gv = classify_space(algebras["cq"])
-    json.dumps(gv.to_json_dict())
 
 
 def test_structured_basis_cq(algebras):

@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 
 import pytest
@@ -17,7 +16,6 @@ from matsuo2.matsuo import (
     predict_line_line,
     predict_point_line,
     reduce,
-    to_json_dict,
 )
 
 
@@ -372,12 +370,3 @@ def test_lifted_product_matches_entrywise_reference(k, algebras, reduced_algebra
             u, v = rng.getrandbits(bits), rng.getrandbits(bits)
             for a, b in ((u, v), (0, v), (u, 0)):
                 assert bilinear(lifted, a, b) == _multiply_ext_reference(alg, f, a, b)
-
-
-def test_json_export_shape(algebras):
-    d = to_json_dict(algebras["cq"])
-    assert d["dim"] == 6 and d["space"] == "cq" and not d["reduced"]
-    assert all(i <= j for i, j, _ in d["products"])
-    assert all(support for _, _, support in d["products"])
-    json.dumps(d)  # serializable
-    assert to_json_dict(algebras["cq"]) == d  # deterministic

@@ -56,6 +56,13 @@ def test_permutation_composition_applies_right_factor_first():
     assert (p * q).images[2] == 0
 
 
+def test_permutation_product_rejects_mixed_degrees():
+    a, b = Permutation((1, 0)), Permutation((0, 1, 2))
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match=f"^mixed degrees {x.degree()} and {y.degree()}$"):
+            x * y
+
+
 def test_product_order_examples():
     d = T(4, 1, 2)
     assert product_order(d, d) == 1
@@ -332,6 +339,23 @@ def test_preset_class_labels_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == _LABEL_DIGESTS[name]
 
 
+# sha256 of gens_to_text(*preset(name)): the generator lists and seed, in order
+_GENS_TEXT_DIGESTS = {
+    "sym4": "81dd31b8c4ba372429d7771084ced067a08628087ec1baca8a496aef53a1c29d",
+    "sym5": "09fcd2af389e88ee78f4942ea372b42f798132ae4f6ce73119b6ed0331483277",
+    "3_2_2": "7544d5ceaa0786ca0f2afc775f50ffcd459e594851456e96faa591d95d8043c7",
+    "w_d4": "06485b16fe44fbc534938899e999d3dca39ae79db958d8a15ce2ef1fc00d447a",
+    "3_3_sym4": "1a2bdbe51fa7a0f1eccaf7b5203bb200234967fbc2bbbad60b2ca8dcdc163be3",
+    "su32": "72a7a6cd51f3c3e17786c4fff84e68fb3eaa0cd2f2a151a3de82c2c8db4ea119",
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_generator_text_pinned(name):
+    text = gens_to_text(*preset(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == _GENS_TEXT_DIGESTS[name]
+
+
 def test_affineperm_inverse_and_associativity():
     rng = random.Random(12)
     els = conjugacy_class(*preset("3_3_sym4")).elements
@@ -412,6 +436,9 @@ def test_parse_gens_errors():
         parse_gens("perm 4\n(1 2\n(2 3)\n(3 4)\nseed (1 2)\n")
     with pytest.raises(ValueError, match="^line 1: bad degree 'x'$"):
         parse_gens("perm x\n(1 2)\nseed (1 2)\n")
+    for n in ("0", "-3"):
+        with pytest.raises(ValueError, match=f"^line 1: bad degree '{n}'$"):
+            parse_gens(f"perm {n}\n()\nseed ()\n")
     with pytest.raises(ValueError, match="^line 2: bad prime 'p'$"):
         parse_gens("# comment\naffineperm p 2\n[0,0 | ()]\nseed [0,0 | ()]\n")
     with pytest.raises(ValueError, match="^line 1: bad prime '0'$"):

@@ -69,8 +69,8 @@ def test_su32_witness_fails_without_one_label_per_point(spaces):
     d = transposition.su32_matrix_involutions()[0]
     labels[labels.index(d.label())] = "d"  # the witness line's first point goes unnamed
     unnamed = fischer.validate(sp.n_points, sp.lines, labels=labels, meta=sp.meta)
-    with pytest.raises(KeyError):  # run_suite turns the crash into a failed claim
-        verify.claim_witness_su32(_su32_ctx(unnamed))
+    assert verify.claim_witness_su32(_su32_ctx(unnamed)) == (
+        "fail", "space lacks the affine GF(4) labels of the su32 class")
 
 
 def test_suite_enumerates_each_class_once(monkeypatch):
