@@ -12,7 +12,9 @@ line's three points, with no loop over the points.  The plane of two lines
 {x, a, a'} and {x, b, b'} is built from them, as the two lines plus the
 wedge of each collinear cross pair; it is accepted when it is closed and
 each of its points sees the right number of others in it, and the closure
-(`generated_subspace`) is formed only to word the error.
+(`_closure`, which `generated_subspace` wraps) is formed only to word the
+error.  `validate` builds every table as a local and constructs the frozen
+`FischerSpace` once, at the end, so a space is complete when it exists.
 
 A line's id is its position in `lines`.  `FischerSpace.line_id` is the one
 place that turns a triple, its points in any order, into an id; it raises
@@ -33,7 +35,7 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .gf import mask_from_support, vec_support
 
@@ -56,44 +58,32 @@ class SpaceMeta:
     symplectic: bool
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FischerSpace:
     """A validated partial triple system satisfying the Fischer space axioms.
 
-    Instances are only created by validate().  The constructor sets the
-    points, labels, lines, line masks, meta, collinearity masks, wedge and
-    lines through each point.  validate() then assigns `_planes` (the planes
-    through each line), `_coplanar` (the coplanar mask of each line, read by
-    plane_of) and `_symplectic`, so all three are complete once it returns;
-    none of these changes afterwards.  `_point_line_rows` is the one field
-    that fills on demand: the `matsuo` product predictors add the rows of a
-    line when they first ask for it, and a space that never meets them
-    keeps it empty.
+    Instances are only created by validate(), which builds every table first
+    and passes them complete to the constructor; the space is frozen, so no
+    field is assigned afterwards.  `_point_line_rows` is the one table that
+    fills on demand: the `matsuo` product predictors add the rows of a line
+    when they first ask for it, and a space that never meets them keeps it
+    empty.  Equality is identity.
     """
 
-    __slots__ = (
-        "n_points", "labels", "lines", "line_masks", "meta", "collinear",
-        "_line_ids", "_wedge", "_lines_through", "_planes", "_coplanar",
-        "_symplectic", "_point_line_rows",
-    )
-
-    def __init__(self, n_points, labels, lines, meta, collinear, wedge,
-                 lines_through, planes, symplectic):
-        self.n_points = n_points
-        self.labels = labels
-        self.lines = lines
-        self.line_masks = tuple(mask_from_support(t) for t in lines)
-        self.meta = meta
-        self.collinear = collinear  # per point: bitmask of collinear points
-        self._line_ids = {t: i for i, t in enumerate(lines)}
-        self._wedge = wedge
-        self._lines_through = lines_through
-        self._planes = planes  # per line id: point masks of the planes through it
-        # per line id: mask of the line ids in those planes, set by validate
-        self._coplanar = None
-        self._symplectic = symplectic
-        # per line id: the products of every point with the line nilpotent,
-        # filled by the matsuo predictors when they first ask for that line
-        self._point_line_rows = {}
+    n_points: int
+    labels: tuple[str, ...]
+    lines: tuple[tuple[int, int, int], ...]
+    line_masks: tuple[int, ...]  # per line id: its point mask
+    meta: SpaceMeta | None
+    collinear: tuple[int, ...]  # per point: bitmask of collinear points
+    _line_ids: dict[tuple[int, int, int], int]
+    _wedge: dict[tuple[int, int], int]
+    _planes: tuple[tuple[int, ...], ...]  # per line id: masks of the planes through it
+    _coplanar: tuple[int, ...]  # per line id: mask of the line ids in those planes
+    _symplectic: bool
+    # per line id: the products of every point with the line nilpotent,
+    # filled by the matsuo predictors when they first ask for that line
+    _point_line_rows: dict = field(default_factory=dict)
 
     def line_id(self, line) -> int:
         """Position in `lines` of a line given by its points in any order."""
@@ -130,9 +120,6 @@ class FischerSpace:
 
     def are_collinear(self, x: int, y: int) -> bool:
         return x != y and bool((self.collinear[x] >> y) & 1)
-
-    def lines_through(self, x: int) -> tuple[tuple[int, int, int], ...]:
-        return tuple(self.lines[i] for i in self._lines_through[x])
 
     def __repr__(self) -> str:
         name = self.meta.name if self.meta else "custom"
@@ -234,18 +221,9 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
         missing = next(i for i in range(n_points) if not (seen >> i) & 1)
         raise InvalidSpaceError(f"space is disconnected (point {missing} unreachable from 0)")
 
-    space = FischerSpace(
-        n_points,
-        tuple(labels) if labels is not None else tuple(str(i) for i in range(n_points)),
-        tuple(norm),
-        meta,
-        tuple(collinear),
-        wedge,
-        tuple(tuple(ls) for ls in lines_through),
-        planes=None,  # both filled below, with the coplanar masks
-        symplectic=None,
-    )
-    line_ids = space._line_ids
+    labels = tuple(labels) if labels is not None else tuple(map(str, range(n_points)))
+    line_ids = {t: i for i, t in enumerate(norm)}
+    masks = tuple(mask_from_support(t) for t in norm)
 
     # 0-2-3 property: no point sees exactly one point of a line; a point on
     # the line sees the other two, so only points off it can be odd ones out
@@ -257,7 +235,7 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
             raise InvalidSpaceError(
                 f"point {x} is collinear with exactly one point of line {t}"
             )
-    if len(space.labels) != n_points:
+    if len(labels) != n_points:
         raise InvalidSpaceError("label count differs from point count")
 
     # every pair of intersecting lines must generate a 6- or 9-point plane.
@@ -271,7 +249,6 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
     # line k, and the space keeps it as the coplanar mask of plane_of;
     # planes_of[k] lists the planes through line k, ordered at the end by the
     # sorted points that key_of keeps for each plane.
-    masks = space.line_masks
     planes_of: list[list[int]] = [[] for _ in norm]
     key_of: dict[int, list[int]] = {}
     shared = [0] * len(norm)
@@ -291,7 +268,7 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
                 key = vec_support(pm)
                 inside = _plane_lines(key, pm, collinear, wedge, line_ids)
                 if not inside:
-                    pts = generated_subspace(space, norm[li] + norm[lj])
+                    pts = _closure(collinear, wedge, norm[li] + norm[lj])
                     raise InvalidSpaceError(
                         f"lines {norm[li]} and {norm[lj]} generate a {len(pts)}-point "
                         "subspace that is neither a complete quadrilateral nor an "
@@ -302,10 +279,12 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
                 for k in inside:
                     planes_of[k].append(pm)
                     shared[k] |= inside_mask
-    space._planes = tuple(tuple(sorted(ps, key=key_of.__getitem__)) for ps in planes_of)
-    space._coplanar = tuple(shared)
-    space._symplectic = not any(p.bit_count() == 9 for ps in planes_of for p in ps)
-    return space
+    return FischerSpace(
+        n_points, labels, tuple(norm), masks, meta, tuple(collinear), line_ids, wedge,
+        tuple(tuple(sorted(ps, key=key_of.__getitem__)) for ps in planes_of),
+        tuple(shared),
+        not any(p.bit_count() == 9 for ps in planes_of for p in ps),
+    )
 
 
 def wedge(s: FischerSpace, x: int, y: int) -> int:
@@ -318,8 +297,9 @@ def wedge(s: FischerSpace, x: int, y: int) -> int:
         raise ValueError(f"points {x} and {y} are not collinear") from None
 
 
-def generated_subspace(s: FischerSpace, seed) -> frozenset[int]:
-    """Smallest point set containing the seed and closed under wedge."""
+def _closure(collinear, wedge, seed) -> frozenset[int]:
+    """Smallest point set containing the seed and closed under wedge, read
+    from the collinearity masks and the wedge table."""
     pts = set(seed)
     if not pts:
         raise ValueError("seed must be nonempty")
@@ -327,15 +307,20 @@ def generated_subspace(s: FischerSpace, seed) -> frozenset[int]:
     done: list[int] = []
     while todo:
         x = todo.pop()
-        cm = s.collinear[x]
+        cm = collinear[x]
         for y in done:
             if (cm >> y) & 1:
-                z = s._wedge[(x, y)]
+                z = wedge[(x, y)]
                 if z not in pts:
                     pts.add(z)
                     todo.append(z)
         done.append(x)
     return frozenset(pts)
+
+
+def generated_subspace(s: FischerSpace, seed) -> frozenset[int]:
+    """Smallest point set containing the seed and closed under wedge."""
+    return _closure(s.collinear, s._wedge, seed)
 
 
 def plane_mask(s: FischerSpace, line1, line2) -> int:
@@ -569,7 +554,8 @@ def load_space(source) -> FischerSpace:
     """The space a catalog name, a .fischer file or a .gens file describes.
 
     `source` is a str or a Path.  A .gens file goes through its class:
-    parse_gens, then conjugacy_class, then fischer_from_class.
+    parse_gens, then conjugacy_class, then fischer_from_class; an error raised
+    after parsing is prefixed with the file line of the seed.
     """
     name = str(source)
     if name in CATALOG_NAMES:
@@ -581,8 +567,15 @@ def load_space(source) -> FischerSpace:
         from . import transposition
 
         with open(name, "r", encoding="utf-8") as fh:
-            gens, seed = transposition.parse_gens(fh.read())
-        return transposition.fischer_from_class(transposition.conjugacy_class(gens, seed))
+            text = fh.read()
+        gens, seed = transposition.parse_gens(text)
+        try:
+            return transposition.fischer_from_class(transposition.conjugacy_class(gens, seed))
+        except ValueError as exc:
+            # after a clean parse, the one line that starts with "seed" is the seed's
+            lineno = next(n for n, raw in enumerate(text.splitlines(), 1)
+                          if raw.split("#", 1)[0].strip().startswith("seed"))
+            raise type(exc)(f"line {lineno}: {exc}") from None
     raise ValueError(
         f"{name!r} is neither a catalog name {CATALOG_NAMES} nor a .fischer/.gens file"
     )

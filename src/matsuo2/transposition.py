@@ -167,12 +167,9 @@ class AffinePerm(GroupElement):
     def __mul__(self, other: "AffinePerm") -> "AffinePerm":
         if other.p != self.p:
             raise ValueError("mixed moduli")
+        perm = self.perm * other.perm  # checks the degrees before _act reads them
         vt = self._act(other.perm)
-        return AffinePerm(
-            self.p,
-            (a + b for a, b in zip(vt, other.vector)),
-            self.perm * other.perm,
-        )
+        return AffinePerm(self.p, (a + b for a, b in zip(vt, other.vector)), perm)
 
     def inverse(self) -> "AffinePerm":
         pi = self.perm.inverse()
@@ -465,10 +462,10 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 
 
 def parse_gens(text: str):
-    """Parse the .gens format; returns (generators, seed)."""
+    """Parse the .gens format; returns (generators, seed).  A file has one seed line."""
     model = None
     gens = []
-    seed = None
+    seed = seed_line = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -500,6 +497,9 @@ def parse_gens(text: str):
             continue
         try:
             if stripped.startswith("seed"):
+                if seed_line is not None:
+                    raise ValueError(f"a second seed line; the seed is on line {seed_line}")
+                seed_line = lineno
                 seed = _parse_element(model, stripped[4:].strip())
             else:
                 gens.append(_parse_element(model, stripped))

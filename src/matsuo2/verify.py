@@ -284,9 +284,7 @@ def claim_witness_3_3_sym4(ctx):
     v = matsuo.multiply(alg, matsuo.line_nilpotent(alg, t), 1 << z)
     # m: a line of the affine plane parallel to t; match its points to a, b
     plane = planes[0]
-    inside = sorted(
-        {u for p in plane for u in sp.lines_through(p) if plane.issuperset(u)}
-    )
+    inside = [u for u in sp.lines if plane.issuperset(u)]
     m = next(u for u in inside if not set(u) & set(t))
     a2 = m[0]
     la = tuple(sorted((a, a2, fischer.wedge(sp, a, a2))))

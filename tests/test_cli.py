@@ -185,8 +185,28 @@ def test_seed_outside_the_generated_group_is_a_usage_error(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == ("error: d*e*d = (2 3) is not in the class, for "
+        assert err == ("error: line 4: d*e*d = (2 3) is not in the class, for "
                        "collinear pair ((1 2), (1 3))\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("perm 3\n(1 2)\nseed (1 2 3)\n", "line 3: seed must be an involution"),
+    # the reflections of the dihedral group of order 10 on 5 points
+    ("perm 5\n(1 2 3 4 5)\n# reflection\nseed (2 5)(3 4)\n",
+     "line 4: product order > 3 for pair ((2 5)(3 4), (1 4)(2 3))"),
+    # 14535 double transpositions of Sym(20)
+    ("perm 20\n(1 2)\n(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20)\n"
+     "seed (1 2)(3 4)\n", "line 4: class size exceeds cap 10000"),
+    # three commuting involutions: a class with no lines
+    ("perm 6\n(1 3)(2 4)\n(3 5)(4 6)\n\nseed (1 2)\n",
+     "line 5: point count 3 exceeds 3 times the number of lines (0)"),
+    ("perm 4\n(1 2)\n(2 3)\n(3 4)\nseed (1 2)\nseed (1 2)(3 4)\n",
+     "line 6: a second seed line; the seed is on line 5"),
+], ids=["not_an_involution", "product_order_5", "class_cap", "no_lines", "second_seed"])
+def test_gens_errors_name_their_file_line(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.gens"
+    bad.write_text(text)
+    assert run_cli(capsys, "space", "--space", str(bad)) == (2, "", f"error: {message}\n")
 
 
 def test_decompose_text(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -131,8 +132,9 @@ def _closure_plane_pass(n_points, lines):
             wedge_of[(a, b)] = wedge_of[(b, a)] = c
             collinear[c] |= (1 << a) | (1 << b)
             lines_through[c].append(i)
+    # only the fields that generated_subspace reads are filled
     space = fischer.FischerSpace(n_points, tuple(map(str, range(n_points))), tuple(norm),
-                                 None, tuple(collinear), wedge_of, lines_through, None, None)
+                                 (), None, tuple(collinear), {}, wedge_of, (), (), None)
     planes_of = [[] for _ in norm]
     shared = [0] * len(norm)
     for x in range(n_points):
@@ -238,6 +240,26 @@ def test_plane_pass_matches_closure_oracle(spaces, hall_space):
     reached = outcomes[len(cases):]
     # 49 of the 92 corruptions reach the plane pass: 11 accepted, 38 rejected
     assert reached.count("accepted") >= 5 and reached.count("rejected") >= 30
+
+
+def test_validate_returns_a_complete_frozen_space():
+    # validate passes every table to the constructor; only the predictor
+    # rows fill on demand, and no field can be assigned afterwards
+    for sp in [*(catalog(name) for name in fischer.CATALOG_NAMES), fischer.hall81()]:
+        n_lines = len(sp.lines)
+        assert len(sp.labels) == len(sp.collinear) == sp.n_points
+        assert len(sp.line_masks) == len(sp._line_ids) == n_lines
+        assert len(sp._planes) == len(sp._coplanar) == n_lines
+        assert all(sp._planes) and isinstance(sp._symplectic, bool)
+        assert len(sp._wedge) == 6 * n_lines
+        assert sp._point_line_rows == {}
+        for f in dataclasses.fields(sp):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sp, f.name, getattr(sp, f.name))
+    sp = catalog("cq")
+    assert repr(sp) == "FischerSpace(cq: 6 points, 4 lines)"
+    assert sp == sp and sp != catalog("cq")  # identity equality
+    assert {sp: 1}[sp] == 1
 
 
 def test_wedge_cq_examples():

@@ -63,6 +63,15 @@ def test_permutation_product_rejects_mixed_degrees():
             x * y
 
 
+def test_affine_product_rejects_mixed_dimensions():
+    a = AffinePerm(3, (1, 0), Permutation.from_cycles(2, "(1 2)"))
+    b = AffinePerm(3, (0, 1, 0), Permutation.identity(3))
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match=f"^mixed degrees {x.perm.degree()} and "
+                                             f"{y.perm.degree()}$"):
+            x * y
+
+
 def test_product_order_examples():
     d = T(4, 1, 2)
     assert product_order(d, d) == 1
@@ -450,6 +459,34 @@ def test_parse_gens_errors():
     with pytest.raises(ValueError, match="^line 3: the 3x3 matrix is singular$"):
         parse_gens("affinemat-gf4 3\n[0,0,0 | 1,0,0,0,1,0,0,0,1]\n"
                    "[0,0,0 | 1,2,0,2,3,0,0,0,1]\nseed [0,0,0 | 1,0,0,0,1,0,0,0,1]\n")
+
+
+def test_parse_gens_rejects_a_second_seed_line():
+    text = "perm 4\n(1 2)\n(2 3)\n(3 4)\nseed (1 2)\n# again\nseed (1 2)(3 4)\n"
+    with pytest.raises(ValueError, match="^line 7: a second seed line; the seed is on line 5$"):
+        parse_gens(text)
+    # a seed line may come before the generators, but only once
+    with pytest.raises(ValueError, match="^line 4: a second seed line; the seed is on line 2$"):
+        parse_gens("perm 4\nseed (1 2)\n(1 2)\nseed (1 2)\n")
+
+
+def test_load_space_locates_errors_after_parsing_and_keeps_their_class(tmp_path):
+    # each file parses; its class or its space fails, at the seed's line
+    cases = [
+        ("perm 3\n(1 2)\nseed (1 2 3)\n", NotTranspositionClass,
+         "line 3: seed must be an involution"),
+        ("perm 4\n(2 3)\n(3 4)\n\nseed (1 2)  # outside the group\n", NotTranspositionClass,
+         "line 5: d*e*d = (2 3) is not in the class, for collinear pair ((1 2), (1 3))"),
+        ("perm 6\nseed (1 2)\n(1 3)(2 4)\n(3 5)(4 6)\n", fischer.InvalidSpaceError,
+         "line 2: point count 3 exceeds 3 times the number of lines (0)"),
+    ]
+    path = tmp_path / "bad.gens"
+    for text, kind, message in cases:
+        path.write_text(text)
+        with pytest.raises(kind) as exc:
+            fischer.load_space(path)
+        assert str(exc.value) == message
+        parse_gens(text)  # the parse alone succeeds
 
 
 def test_parse_gens_affinemat():
