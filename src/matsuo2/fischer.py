@@ -65,7 +65,7 @@ class FischerSpace:
     Instances are only created by validate(), which builds every table first
     and passes them complete to the constructor; the space is frozen, so no
     field is assigned afterwards.  `_point_line_rows` is the one table that
-    fills on demand: the `matsuo` product predictors add the rows of a line
+    fills on demand, and no constructor parameter: the `matsuo` product predictors add the rows of a line
     when they first ask for it, and a space that never meets them keeps it
     empty.  Equality is identity.
     """
@@ -83,7 +83,7 @@ class FischerSpace:
     _symplectic: bool
     # per line id: the products of every point with the line nilpotent,
     # filled by the matsuo predictors when they first ask for that line
-    _point_line_rows: dict = field(default_factory=dict)
+    _point_line_rows: dict = field(default_factory=dict, init=False)
 
     def line_id(self, line) -> int:
         """Position in `lines` of a line given by its points in any order."""
@@ -553,9 +553,8 @@ def _last_listing(text: str, message: str) -> int | None:
 def load_space(source) -> FischerSpace:
     """The space a catalog name, a .fischer file or a .gens file describes.
 
-    `source` is a str or a Path.  A .gens file goes through its class:
-    parse_gens, then conjugacy_class, then fischer_from_class; an error raised
-    after parsing is prefixed with the file line of the seed.
+    `source` is a str or a Path; a .gens file goes through
+    `transposition.space_from_gens`.
     """
     name = str(source)
     if name in CATALOG_NAMES:
@@ -567,15 +566,7 @@ def load_space(source) -> FischerSpace:
         from . import transposition
 
         with open(name, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        gens, seed = transposition.parse_gens(text)
-        try:
-            return transposition.fischer_from_class(transposition.conjugacy_class(gens, seed))
-        except ValueError as exc:
-            # after a clean parse, the one line that starts with "seed" is the seed's
-            lineno = next(n for n, raw in enumerate(text.splitlines(), 1)
-                          if raw.split("#", 1)[0].strip().startswith("seed"))
-            raise type(exc)(f"line {lineno}: {exc}") from None
+            return transposition.space_from_gens(fh.read())
     raise ValueError(
         f"{name!r} is neither a catalog name {CATALOG_NAMES} nor a .fischer/.gens file"
     )

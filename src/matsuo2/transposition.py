@@ -463,6 +463,22 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 
 def parse_gens(text: str):
     """Parse the .gens format; returns (generators, seed).  A file has one seed line."""
+    return _parse_gens(text)[:2]
+
+
+def space_from_gens(text: str) -> fischer.FischerSpace:
+    """The Fischer space of a .gens text's class (parse_gens, conjugacy_class,
+    fischer_from_class); an error raised after parsing keeps its class and is
+    prefixed with the file line of the seed."""
+    gens, seed, seed_line = _parse_gens(text)
+    try:
+        return fischer_from_class(conjugacy_class(gens, seed))
+    except ValueError as exc:
+        raise type(exc)(f"line {seed_line}: {exc}") from None
+
+
+def _parse_gens(text: str):
+    """(generators, seed, file line of the seed) of a .gens text."""
     model = None
     gens = []
     seed = seed_line = None
@@ -511,7 +527,7 @@ def parse_gens(text: str):
         raise ValueError("missing 'seed <element>' line")
     if not gens:
         raise ValueError("no generators given")
-    return gens, seed
+    return gens, seed, seed_line
 
 
 def gens_to_text(generators, seed, sumzero: bool = False) -> str:

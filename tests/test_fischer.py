@@ -120,7 +120,7 @@ def test_reject_nine_points_short_of_an_affine_plane():
 
 def _closure_plane_pass(n_points, lines):
     """The plane pass by closure: every intersecting pair of lines not yet in
-    a recorded plane is closed with generated_subspace, and the closure must
+    a recorded plane is closed with the wedge closure, and the closure must
     have 6 or 9 points, each seeing 4 or 8 others in it.  Returns the planes
     through each line and the symplectic flag, or the error text.  For input
     that passed validate's checks before the plane pass."""
@@ -132,9 +132,6 @@ def _closure_plane_pass(n_points, lines):
             wedge_of[(a, b)] = wedge_of[(b, a)] = c
             collinear[c] |= (1 << a) | (1 << b)
             lines_through[c].append(i)
-    # only the fields that generated_subspace reads are filled
-    space = fischer.FischerSpace(n_points, tuple(map(str, range(n_points))), tuple(norm),
-                                 (), None, tuple(collinear), {}, wedge_of, (), (), None)
     planes_of = [[] for _ in norm]
     shared = [0] * len(norm)
     for x in range(n_points):
@@ -143,7 +140,7 @@ def _closure_plane_pass(n_points, lines):
             for lj in through[i + 1:]:
                 if (shared[li] >> lj) & 1:
                     continue
-                pts = generated_subspace(space, norm[li] + norm[lj])
+                pts = fischer._closure(collinear, wedge_of, norm[li] + norm[lj])
                 pm = sum(1 << p for p in pts)
                 degree = {6: 4, 9: 8}.get(len(pts))
                 if degree is None or any(
@@ -256,6 +253,10 @@ def test_validate_returns_a_complete_frozen_space():
         for f in dataclasses.fields(sp):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(sp, f.name, getattr(sp, f.name))
+        # the predictor rows are no constructor parameter, so no caller can
+        # hand the space rows of its own
+        with pytest.raises(TypeError):
+            fischer.FischerSpace(*(getattr(sp, f.name) for f in dataclasses.fields(sp)))
     sp = catalog("cq")
     assert repr(sp) == "FischerSpace(cq: 6 points, 4 lines)"
     assert sp == sp and sp != catalog("cq")  # identity equality

@@ -19,6 +19,7 @@ from matsuo2.transposition import (
     parse_gens,
     preset,
     product_order,
+    space_from_gens,
     su32_matrix_involutions,
 )
 
@@ -485,6 +486,9 @@ def test_load_space_locates_errors_after_parsing_and_keeps_their_class(tmp_path)
         path.write_text(text)
         with pytest.raises(kind) as exc:
             fischer.load_space(path)
+        assert str(exc.value) == message
+        with pytest.raises(kind) as exc:
+            space_from_gens(text)
         assert str(exc.value) == message
         parse_gens(text)  # the parse alone succeeds
 
