@@ -200,19 +200,37 @@ def s_compose(field: Field, p1, p2) -> tuple[int, int, int]:
 def parse_s_matrix(m: FieldMatrix) -> tuple[int, int, int] | None:
     """Recover (alpha, beta, lambda) if the matrix has the S block shape.
 
-    Compares the packed rows with those of S(alpha, beta, lambda), built by
-    shifts from the lanes of row 3, with no `entry` call and no matrix built.
+    Packs the rows, row i at bit i n k, and reads them with `_s_params`, so
+    a matrix and a packed closure element are read by the same code.  A row
+    with a bit at or above n k is no S row.
     """
     n = m.nrows
     if n not in (5, 6) or m.ncols != n:
         return None
-    k, mask = m.field.k, m.field.mask
-    row3 = m.rows[3]
+    row_bits = n * m.field.k
+    if max(m.rows) >> row_bits:
+        return None
+    return _s_params(sum(r << (i * row_bits) for i, r in enumerate(m.rows)), n, m.field.k)
+
+
+def _s_params(x: int, n: int, k: int) -> tuple[int, int, int] | None:
+    """(alpha, beta, lambda) if the packed n x n matrix x, n in {5, 6} and
+    row i at bit i n k, is S(alpha, beta, lambda) over GF(2^k), else None.
+
+    Reads alpha, beta and lambda from lanes 0, 2 and 3 of row 3 and compares
+    x with the one packed int of S(alpha, beta, lambda), built by shifts:
+    the diagonal 1s of rows 0, 1, 2 (and 5), step n k + k apart, and rows 3
+    and 4.
+    """
+    row_bits = n * k
+    mask = (1 << k) - 1
+    row3 = x >> (3 * row_bits)
     alpha, beta, lam = row3 & mask, (row3 >> (2 * k)) & mask, (row3 >> (3 * k)) & mask
-    rows = [1 << (i * k) for i in range(n)]
-    rows[3] = alpha | (beta << (2 * k)) | (lam << (3 * k))
-    rows[4] = (beta << k) | (alpha << (2 * k)) | (lam << (4 * k))
-    if lam == 0 or m.rows != tuple(rows):
+    step = row_bits + k
+    s = 1 | (1 << step) | (1 << (2 * step)) | ((1 << (5 * step)) if n == 6 else 0)
+    s |= (alpha | (beta << (2 * k)) | (lam << (3 * k))) << (3 * row_bits)
+    s |= ((beta << k) | (alpha << (2 * k)) | (lam << (4 * k))) << (4 * row_bits)
+    if lam == 0 or x != s:
         return None
     return (alpha, beta, lam)
 
@@ -266,25 +284,27 @@ def _certifying_subset(products, index) -> list[int]:
     return members
 
 
-def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
-    """BFS closure under multiplication; order is frozen by generator order.
+def _packed_closure(generators, cap: int) -> tuple[list[FieldMatrix], list[int]]:
+    """(distinct generators sorted by rows, packed elements in closure order).
 
     Elements are found in the order of a FIFO search that multiplies each
     dequeued element x on the right by every distinct generator g, sorted by
     rows.  A matrix packs into one int of degree^2 k bits, row i at bit
-    i degree k, and the queue holds these ints.  All the products x * g come
-    from one XOR walk over the bits of x: slot s, ceil(degree^2 k / 8) bytes
-    wide, belongs to the s-th generator g_s, and entry i degree k + p of the
-    flat walk table of `products` holds in slot s the matrix whose only
-    nonzero row, row i, is image p of g_s (`FieldMatrix.row_images`): the
-    share of bit p of row i of x in x * g_s.  So `apply_images(table, x)`
-    holds x * g_s in every slot s, and its little-endian bytes, cut into
-    slots by one `struct` unpack, are one `bytes` key per generator, the
-    bytes of the packed product.  Past the first layers almost every product
-    is known, so one `issuperset` test per walk skips it when none is new;
-    otherwise the keys are read in generator order, so the FIFO order is
-    that of forming x * g_1, x * g_2, ... one at a time.  A FieldMatrix is
-    built once per element, at the end, in queue order.
+    i degree k, and the queue holds these ints; they are returned as they
+    are, the generators first, with no matrix built per element.  All the
+    products x * g come from one XOR walk over the bits of x: slot s,
+    ceil(degree^2 k / 8) bytes wide, belongs to the s-th generator g_s, and
+    entry i degree k + p of the flat walk table of `products` holds in slot s
+    the matrix whose only nonzero row, row i, is image p of g_s
+    (`FieldMatrix.row_images`): the share of bit p of row i of x in x * g_s.
+    The table is built per column: the value of bit p across the slots is
+    formed once and shifted to each row.  So `apply_images(table, x)` holds
+    x * g_s in every slot s, and its little-endian bytes, cut into slots by
+    one `struct` unpack, are one `bytes` key per generator, the bytes of the
+    packed product.  Past the first layers almost every product is known, so
+    one `issuperset` test per walk skips it when none is new; otherwise the
+    keys are read in generator order, so the FIFO order is that of forming
+    x * g_1, x * g_2, ... one at a time.
 
     The search stops once it holds |G| elements, and |G| comes first.  The
     first dequeues are the generators, so their walks give every product
@@ -312,7 +332,6 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
                 f"with {degree}x{degree}"
             )
     row_bits = degree * field.k
-    row_mask = (1 << row_bits) - 1
     slot = (degree * row_bits + 7) // 8
     uniq = []
     index = {}  # key of each distinct generator -> its position in uniq
@@ -328,11 +347,11 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
 
     def products(members):
         """packed x -> the keys of x * g_s for s in members, from one XOR walk."""
-        table = [
-            sum(images[s][p] << (i * row_bits + j * 8 * slot) for j, s in enumerate(members))
-            for i in range(degree)
+        column = [
+            sum(images[s][p] << (j * 8 * slot) for j, s in enumerate(members))
             for p in range(row_bits)
         ]
+        table = [v << (i * row_bits) for i in range(degree) for v in column]
         width = slot * len(members)
         cut = struct.Struct(f"{slot}s" * len(members)).unpack
         return lambda x: cut(apply_images(table, x).to_bytes(width, "little"))
@@ -363,11 +382,29 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
     while len(queue) < order:
         extend(seen, queue, wide(queue[head]))
         head += 1
-    del seen  # freed for the matrices, built only now
+    return uniq, queue
+
+
+def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
+    """BFS closure under multiplication; order is frozen by generator order.
+
+    The search is `_packed_closure`'s: each dequeued element is multiplied on
+    the right by every distinct generator, sorted by rows, and the search
+    stops once it holds the group order.  Its packed elements are unpacked
+    here into one FieldMatrix each, in closure order, after the distinct
+    generators themselves.  Raises MiyamotoCheckError once more than `cap`
+    elements are found, ValueError for no generators or mixed fields or
+    dimensions, and NoSolution for a singular generator.
+    """
+    gens = list(generators)
+    uniq, packed = _packed_closure(gens, cap)
+    field, degree = gens[0].field, gens[0].nrows
+    row_bits = degree * field.k
+    row_mask = (1 << row_bits) - 1
     elements = uniq + [
         FieldMatrix(field, degree, degree,
                     tuple([(x >> (i * row_bits)) & row_mask for i in range(degree)]))
-        for x in queue[len(uniq):]
+        for x in packed[len(uniq):]
     ]
     return MatrixGroup(field, degree, tuple(uniq), tuple(elements))
 
@@ -391,14 +428,16 @@ class CqMiyamotoReport:
 def cq_miyamoto_group(field: Field, reduced: bool = False) -> MatrixGroup:
     """Closure of all Miyamoto maps of the quadrilateral over the given field,
     capped at four times its order 2^(2k) (2^k - 1)."""
-    return _cq_group(_cq_algebra(reduced), field)
+    return group_closure(*_cq_generators(_cq_algebra(reduced), field))
 
 
-def _cq_group(alg: matsuo.NilpotentMatsuoAlgebra, field: Field) -> MatrixGroup:
-    """`cq_miyamoto_group` of a quadrilateral algebra already built, full or reduced."""
+def _cq_generators(alg: matsuo.NilpotentMatsuoAlgebra, field: Field):
+    """The Miyamoto maps of a quadrilateral algebra already built, full or
+    reduced, in (line, lambda) order, and the closure cap: four times the
+    group order 2^(2k) (2^k - 1)."""
     k = field.k
     gens = _cq_miyamoto_matrices(alg, field, CQ_LINE_ORDER, field.nonzero())
-    return group_closure(gens, cap=4 * (1 << (2 * k)) * ((1 << k) - 1))
+    return gens, 4 * (1 << (2 * k)) * ((1 << k) - 1)
 
 
 def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
@@ -407,46 +446,50 @@ def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
     Verifies that every closure element is a uniquely parameterized S-matrix,
     that the order is 2^(2k) (2^k - 1), that restriction to the quotient
     algebra is injective and lands onto its Miyamoto group, and that every
-    element fixes the annihilator generator s.  Every check reads the packed
-    rows of the closure elements, masked where it needs part of a row, and
-    builds no matrix per element.  Raises MiyamotoCheckError if any check
-    fails.
+    element fixes the annihilator generator s.  Both closures come from
+    `_packed_closure`, and every check reads its packed ints (row i at bit
+    i n k): the S shape and parameters through `_s_params`, the fixed s by
+    one AND per element, and the restriction by repacking rows 0..4 at the
+    quotient's row stride 5k.  No matrix is built per element.  Raises
+    MiyamotoCheckError if any check fails.
     """
     if k not in (2, 3, 4):
         raise ValueError("supported field degrees are k in {2, 3, 4}")
     field = Field(k)
     expected = (1 << (2 * k)) * ((1 << k) - 1)
     alg = _cq_algebra(reduced=False)
-    G = _cq_group(alg, field)
-    params = [parse_s_matrix(m) for m in G.elements]
+    _, full = _packed_closure(*_cq_generators(alg, field))
+    params = [_s_params(x, 6, k) for x in full]
     all_s = all(p is not None for p in params)
     unique = len(set(params)) == len(params)
     # column 5 is lane 5 of every row: e_5 means (0, 0, 0, 0, 0, 1) in it
-    lane5 = field.mask << (5 * k)
-    s_col = (0,) * 5 + (1 << (5 * k),)
-    fixes_s = all(tuple(r & lane5 for r in m.rows) == s_col for m in G.elements)
+    row_bits = 6 * k
+    lane5 = sum(field.mask << (i * row_bits + 5 * k) for i in range(6))
+    s_col = 1 << (5 * row_bits + 5 * k)
+    fixes_s = all(x & lane5 == s_col for x in full)
 
-    Gr = _cq_group(matsuo.reduce(alg), field)
-    # the restriction to the quotient drops row 5 and lane 5 of the others
-    keep = (1 << (5 * k)) - 1
-    restricted = {tuple(r & keep for r in m.rows[:5]) for m in G.elements}
-    restriction_injective = len(restricted) == len(G.elements)
-    onto = restricted == {m.rows for m in Gr.elements}
+    _, reduced = _packed_closure(*_cq_generators(matsuo.reduce(alg), field))
+    # the restriction to the quotient drops row 5 and lane 5 of the others;
+    # shifting x right by i k moves row i from bit 6 i k to bit 5 i k
+    cuts = [(i * k, ((1 << (5 * k)) - 1) << (5 * i * k)) for i in range(5)]
+    restricted = {sum((x >> s) & m for s, m in cuts) for x in full}
+    restriction_injective = len(restricted) == len(full)
+    onto = restricted == set(reduced)
 
     report = CqMiyamotoReport(
         field_k=k,
-        group_order=G.size(),
+        group_order=len(full),
         expected_order=expected,
         all_s_matrices=all_s,
         params_unique=unique,
         restriction_injective=restriction_injective,
         restriction_onto_reduced=onto,
         fixes_s=fixes_s,
-        reduced_group_order=Gr.size(),
+        reduced_group_order=len(reduced),
     )
     ok = (
         all_s and unique and fixes_s and restriction_injective and onto
-        and G.size() == expected and Gr.size() == expected
+        and len(full) == expected and len(reduced) == expected
     )
     if not ok:
         raise MiyamotoCheckError(f"Miyamoto group checks failed: {report!r}")

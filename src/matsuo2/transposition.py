@@ -478,7 +478,11 @@ def space_from_gens(text: str) -> fischer.FischerSpace:
 
 
 def _parse_gens(text: str):
-    """(generators, seed, file line of the seed) of a .gens text."""
+    """(generators, seed, file line of the seed) of a .gens text.
+
+    The seed line is the one whose first whitespace-separated token is
+    exactly `seed`; any other first token starting with `seed` is refused.
+    """
     model = None
     gens = []
     seed = seed_line = None
@@ -511,12 +515,15 @@ def _parse_gens(text: str):
             else:
                 raise ValueError(f"line {lineno}: bad header {stripped!r}")
             continue
+        keyword = stripped.split(None, 1)[0]
         try:
-            if stripped.startswith("seed"):
+            if keyword == "seed":
                 if seed_line is not None:
                     raise ValueError(f"a second seed line; the seed is on line {seed_line}")
                 seed_line = lineno
                 seed = _parse_element(model, stripped[4:].strip())
+            elif keyword.startswith("seed"):
+                raise ValueError(f"unknown keyword {keyword!r}; the seed line is 'seed <element>'")
             else:
                 gens.append(_parse_element(model, stripped))
         except ValueError as exc:

@@ -202,7 +202,12 @@ def test_seed_outside_the_generated_group_is_a_usage_error(capsys, tmp_path):
      "line 5: point count 3 exceeds 3 times the number of lines (0)"),
     ("perm 4\n(1 2)\n(2 3)\n(3 4)\nseed (1 2)\nseed (1 2)(3 4)\n",
      "line 6: a second seed line; the seed is on line 5"),
-], ids=["not_an_involution", "product_order_5", "class_cap", "no_lines", "second_seed"])
+    ("perm 4\n(1 2)\n(2 3)\nseeds (1 2)\n",
+     "line 4: unknown keyword 'seeds'; the seed line is 'seed <element>'"),
+    ("perm 4\n(1 2)\nseed(1 2)\n",
+     "line 3: unknown keyword 'seed(1'; the seed line is 'seed <element>'"),
+], ids=["not_an_involution", "product_order_5", "class_cap", "no_lines", "second_seed",
+        "misspelt_seed", "seed_without_space"])
 def test_gens_errors_name_their_file_line(capsys, tmp_path, text, message):
     bad = tmp_path / "bad.gens"
     bad.write_text(text)

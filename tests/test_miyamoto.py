@@ -258,6 +258,12 @@ def test_parse_s_matrix_rejects_non_s():
     rows = list(m.rows)
     rows[0] ^= 1 << (1 * 2)  # stain the identity block
     assert parse_s_matrix(FieldMatrix(GF4, 6, 6, rows)) is None
+    # row 0 holds, past its 6 lanes, the diagonal 1 that row 1 lacks: packed
+    # at row stride 12 bits the rows would read as S, but no row may hold it
+    rows = list(s_matrix(GF4, 0, 0, 1).rows)
+    rows[0] |= 1 << (12 + 2)
+    rows[1] ^= 1 << 2
+    assert parse_s_matrix(FieldMatrix(GF4, 6, 6, rows)) is None
 
 
 def test_group_closure_single_involution():
@@ -611,40 +617,72 @@ def test_verify_cq_miyamoto_rejects_bad_degree():
         verify_cq_miyamoto(5)
 
 
-def _add_entry(m, i, j, value):
-    rows = list(m.rows)
-    rows[i] ^= value << (j * m.field.k)
-    return FieldMatrix(m.field, m.nrows, m.ncols, rows)
+def test_verify_cq_miyamoto_builds_no_matrix_per_element(monkeypatch):
+    """The GF(16) check reads its two closures of 3840 elements as packed
+    ints: the matrices it builds are the 2 x 57 maps with their basis changes
+    and one inverse per distinct generator, a few hundred in all."""
+    built = []
+    init = FieldMatrix.__init__
+
+    def counted(m, *args, **kwargs):
+        built.append(m)
+        init(m, *args, **kwargs)
+
+    monkeypatch.setattr(FieldMatrix, "__init__", counted)
+    verify_cq_miyamoto(4)
+    assert 0 < len(built) < 1000
 
 
-# Each corruption of the closure elements falsifies one structural flag and
-# leaves the other two standing.
+def _gf4_entry(i, j):
+    """The packed 6 x 6 matrix over GF(4), row i at bit 12 i, with one 1 at (i, j)."""
+    return 1 << (12 * i + 2 * j)
+
+
+_CQ_FLAGS = ("all_s_matrices", "params_unique", "restriction_injective",
+             "restriction_onto_reduced", "fixes_s")
+
+# Each corruption of the packed closure elements over GF(4), and the flags it
+# falsifies; the other flags stay true.
 _GROUP_CORRUPTIONS = {
+    # one full element gets entry (5, 0): no S-matrix, but its restriction
+    # and its column 5 are unchanged
+    "all_s_matrices": (
+        lambda els, reduced: els if reduced else els[:7] + [els[7] ^ _gf4_entry(5, 0)] + els[8:],
+        {"all_s_matrices"}),
     # one full element gets entry (0, 5), above the diagonal in column 5
-    "fixes_s": lambda els, reduced: (
-        els if reduced else els[:7] + [_add_entry(els[7], 0, 5, 1)] + els[8:]),
+    "fixes_s": (
+        lambda els, reduced: els if reduced else els[:7] + [els[7] ^ _gf4_entry(0, 5)] + els[8:],
+        {"all_s_matrices", "fixes_s"}),
+    # one full element appears twice, with its parameters and its restriction
+    "params_unique": (
+        lambda els, reduced: els if reduced else els + [els[7]],
+        {"params_unique", "restriction_injective"}),
     # the reduced group loses one element
-    "restriction_onto_reduced": lambda els, reduced: els[:-1] if reduced else els,
+    "restriction_onto_reduced": (
+        lambda els, reduced: els[:-1] if reduced else els,
+        {"restriction_onto_reduced"}),
     # one full element gains a twin that differs from it only in row 5
-    "restriction_injective": lambda els, reduced: (
-        els if reduced else els + [_add_entry(els[7], 5, 0, 1)]),
+    "restriction_injective": (
+        lambda els, reduced: els if reduced else els + [els[7] ^ _gf4_entry(5, 0)],
+        {"all_s_matrices", "restriction_injective"}),
 }
 
 
 @pytest.mark.parametrize("flag", sorted(_GROUP_CORRUPTIONS))
 def test_verify_cq_miyamoto_refuses_a_corrupted_group(monkeypatch, flag):
-    build = miyamoto._cq_group
+    close = miyamoto._packed_closure
+    corrupt, falsified = _GROUP_CORRUPTIONS[flag]
 
-    def corrupted(alg, field):
-        g = build(alg, field)
-        els = _GROUP_CORRUPTIONS[flag](list(g.elements), alg.reduced)
-        return miyamoto.MatrixGroup(g.field, g.degree, g.generators, tuple(els))
+    def corrupted(generators, cap):
+        uniq, els = close(generators, cap)
+        return uniq, corrupt(els, uniq[0].nrows == 5)
 
-    monkeypatch.setattr(miyamoto, "_cq_group", corrupted)
+    monkeypatch.setattr(miyamoto, "_packed_closure", corrupted)
     with pytest.raises(MiyamotoCheckError) as err:
         verify_cq_miyamoto(2)
-    for name in _GROUP_CORRUPTIONS:
-        assert f"{name}={name != flag}" in str(err.value)
+    assert flag in falsified
+    for name in _CQ_FLAGS:
+        assert f"{name}={name not in falsified}" in str(err.value)
 
 
 def test_aut_reduced_group():

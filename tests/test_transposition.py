@@ -471,6 +471,19 @@ def test_parse_gens_rejects_a_second_seed_line():
         parse_gens("perm 4\nseed (1 2)\n(1 2)\nseed (1 2)\n")
 
 
+def test_parse_gens_seed_keyword_stands_alone():
+    # the seed line's first token is exactly `seed`; a token that only starts
+    # with it is a misspelt keyword, not a seed or a generator
+    for line, keyword in (("seeds (1 2)", "seeds"), ("seed(1 2)", "seed(1"),
+                          ("seed_x (1 2)", "seed_x")):
+        with pytest.raises(ValueError) as exc:
+            parse_gens(f"perm 4\n(1 2)\n{line}\n")
+        assert str(exc.value) == (f"line 3: unknown keyword {keyword!r}; "
+                                  "the seed line is 'seed <element>'")
+    gens, seed = parse_gens("perm 4\n(1 2)\n  seed\t(1 2)  \n")
+    assert seed.key() == gens[0].key()
+
+
 def test_load_space_locates_errors_after_parsing_and_keeps_their_class(tmp_path):
     # each file parses; its class or its space fails, at the seed's line
     cases = [
