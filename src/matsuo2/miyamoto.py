@@ -207,10 +207,11 @@ def parse_s_matrix(m: FieldMatrix) -> tuple[int, int, int] | None:
     n = m.nrows
     if n not in (5, 6) or m.ncols != n:
         return None
-    row_bits = n * m.field.k
+    k = m.field.k
+    row_bits = n * k
     if max(m.rows) >> row_bits:
         return None
-    return _s_params(sum(r << (i * row_bits) for i, r in enumerate(m.rows)), n, m.field.k)
+    return _s_params(sum(r << (i * row_bits) for i, r in enumerate(m.rows)), n, k)
 
 
 def _s_params(x: int, n: int, k: int) -> tuple[int, int, int] | None:
