@@ -308,11 +308,23 @@ def strong_law(table: FusionTable) -> bool:
 
 @dataclass(frozen=True)
 class LineVerdict:
-    line: tuple[int, int, int]
+    """A line's decomposition and fusion table; its line, grading and witness
+    are read from them."""
+
     decomposition: LineDecomposition
     fusion: FusionTable
-    z2_graded: bool
-    witness: Witness | None
+
+    @property
+    def line(self) -> tuple[int, int, int]:
+        return self.decomposition.line
+
+    @property
+    def z2_graded(self) -> bool:
+        return is_z2_graded(self.fusion)
+
+    @property
+    def witness(self) -> Witness | None:
+        return self.fusion.witness
 
     def to_json_dict(self) -> dict:
         w = None
@@ -349,14 +361,7 @@ class GradingVerdict:
 
 def line_verdict(alg: matsuo.NilpotentMatsuoAlgebra, line) -> LineVerdict:
     dec = decompose_line(alg, line)
-    table = fusion_table(alg, dec)
-    return LineVerdict(
-        line=tuple(sorted(line)),
-        decomposition=dec,
-        fusion=table,
-        z2_graded=is_z2_graded(table),
-        witness=table.witness,
-    )
+    return LineVerdict(dec, fusion_table(alg, dec))
 
 
 def classify_space(alg: matsuo.NilpotentMatsuoAlgebra) -> GradingVerdict:

@@ -398,9 +398,9 @@ _CATALOG_META = {
     "su32": SpaceMeta("su32", rank=4, symplectic=False),
 }
 
-# point labels a,b,c,x,y,z; lines l={a,b,c}, m={a,y,z}, n={b,x,z}, {c,x,y}
+# point labels a,b,c,x,y,z; lines l1..l4 in the frame order of `miyamoto`
 _CQ_LABELS = ("a", "b", "c", "x", "y", "z")
-_CQ_LINES = ((0, 1, 2), (0, 4, 5), (1, 3, 5), (2, 3, 4))
+_CQ_LINES = ((0, 1, 2), (1, 3, 5), (0, 4, 5), (2, 3, 4))
 
 
 def _build_cq() -> FischerSpace:
@@ -467,9 +467,18 @@ def catalog(name: str) -> FischerSpace:
 
 
 def space_to_text(s: FischerSpace) -> str:
+    """The space in the .fischer format; raises ValueError for a label that
+    `parse_space` would not read back: empty, with a '#' or a line break, or
+    with whitespace at either end."""
     out = [f"fischer {s.n_points}"]
     for i, lab in enumerate(s.labels):
         if lab != str(i):
+            if "#" in lab or lab.strip().splitlines() != [lab]:
+                raise ValueError(
+                    f"point {i} has label {lab!r}, which the .fischer format cannot "
+                    "hold: a label must be nonempty, without '#' or line breaks, and "
+                    "without whitespace at either end"
+                )
             out.append(f"label {i} {lab}")
     for t in s.lines:
         out.append(f"{t[0]} {t[1]} {t[2]}")
@@ -477,8 +486,9 @@ def space_to_text(s: FischerSpace) -> str:
 
 
 def save_space(s: FischerSpace, path) -> None:
+    text = space_to_text(s)  # raises before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(space_to_text(s))
+        fh.write(text)
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:

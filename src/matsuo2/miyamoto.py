@@ -16,7 +16,12 @@ catalog algebra, full or reduced (tests/test_miyamoto.py).  In the frozen basis
     B  = (a, b, l, lx, ly, s)      for the 6-dimensional algebra,
     B' = (a, b, l, lx, ly)         for its quotient by <s>,
 
-these maps are exactly the block matrices
+the frame is read from the space in any point order (`_frame`): l1 = {a < b < c}
+is the first line, l its nilpotent, x, y, z the points not collinear with a,
+b, c, and l2 = {b,x,z}, l3 = {a,y,z}, l4 = {c,x,y}.  Aut(cq) = Sym(4) acts
+sharply transitively on the 24 pairs (line, ordered pair of its points), so
+every point order gives the same frame up to an automorphism, and so the same
+structure constants and matrices.  The Miyamoto maps are the block matrices
 
     S(alpha, beta, lambda) = [ I3            0            ]
                              [ M(alpha,beta) diag(l,l,1)  ]
@@ -62,21 +67,12 @@ from .gf import (Field, FieldMatrix, apply_images, bilinear, echelon_basis, lift
 
 GF2 = matsuo.GF2
 
-# the four lines of the quadrilateral in the order l1={a,b,c}, l2={b,x,z},
-# l3={a,y,z}, l4={c,x,y}, matching the catalog point order (a,b,c,x,y,z)
-CQ_LINE_ORDER = ((0, 1, 2), (1, 3, 5), (0, 4, 5), (2, 3, 4))
+# the catalog quadrilateral's lines l1..l4 in frame order, as `fischer` lists them
+CQ_LINE_ORDER = fischer._CQ_LINES
 
 
 class MiyamotoCheckError(RuntimeError):
     """A structural check on a Miyamoto group computation failed."""
-
-
-def _require_cq(alg: matsuo.NilpotentMatsuoAlgebra) -> None:
-    if (alg.space.n_points, alg.space.lines) != (6, tuple(sorted(CQ_LINE_ORDER))):
-        raise ValueError(
-            "this operation is specific to the complete quadrilateral "
-            "(catalog space 'cq')"
-        )
 
 
 def require_miyamoto_space(alg: matsuo.NilpotentMatsuoAlgebra) -> None:
@@ -90,7 +86,7 @@ def require_miyamoto_space(alg: matsuo.NilpotentMatsuoAlgebra) -> None:
                 f"fusion cells are {json.dumps(table.to_json_dict())}; over a field of "
                 "characteristic 2 its only Miyamoto map is the trivial one, lambda = 1"
             )
-    _require_cq(alg)
+    _frame(alg)
 
 
 def _cq_algebra(reduced: bool) -> matsuo.NilpotentMatsuoAlgebra:
@@ -128,25 +124,34 @@ def miyamoto_map(verdict: decomp.LineVerdict, field: Field, lam: int) -> FieldMa
 # -- the frozen quadrilateral basis -------------------------------------------------
 
 
-def frozen_basis_columns(alg: matsuo.NilpotentMatsuoAlgebra) -> tuple[int, ...]:
-    """(a, b, l, lx, ly[, s]) as point-basis masks; 5 columns when reduced."""
-    _require_cq(alg)
-    ell = matsuo.line_nilpotent(alg, (0, 1, 2))
-    cols = [
-        1 << 0,
-        1 << 1,
-        ell,
-        matsuo.multiply(alg, ell, 1 << 3),
-        matsuo.multiply(alg, ell, 1 << 4),
-    ]
-    if not alg.reduced:
-        cols.append((1 << alg.dim) - 1)
-    return tuple(cols)
+def _frame(alg: matsuo.NilpotentMatsuoAlgebra):
+    """The frozen columns (a, b, l, lx, ly[, s]) as point-basis masks, and the
+    lines (l1, l2, l3, l4), by the frame rule of the module docstring; in the
+    quotient a point mask is folded by s, as `matsuo._fold` does.
+
+    A validated space of 6 points and 4 lines is the quadrilateral: two
+    disjoint lines would cover all six points and leave no room for a line
+    that meets each of them in at most one point, and two meeting lines
+    generate a quadrilateral, as an affine plane has nine points.
+    """
+    space, n = alg.space, alg.space.n_points
+    if (n, len(space.lines)) != (6, 4):
+        raise ValueError("this operation is specific to the complete quadrilateral "
+                         "(catalog space 'cq')")
+    full = (1 << n) - 1
+    a, b, c = space.lines[0]
+    x, y, z = ((full ^ space.collinear[p] ^ 1 << p).bit_length() - 1 for p in (a, b, c))
+    lines = tuple(tuple(sorted(t)) for t in ((a, b, c), (b, x, z), (a, y, z), (c, x, y)))
+    fold = (lambda m: matsuo._fold(m, n)) if alg.reduced else (lambda m: m)
+    ell = matsuo.line_nilpotent(alg, lines[0])
+    cols = (fold(1 << a), fold(1 << b), ell,
+            matsuo.multiply(alg, ell, fold(1 << x)), matsuo.multiply(alg, ell, fold(1 << y)))
+    return (cols if alg.reduced else cols + (full,)), lines
 
 
 def frozen_basis_structure(alg: matsuo.NilpotentMatsuoAlgebra) -> tuple[tuple[int, ...], ...]:
     """Structure constants rewritten in the frozen basis (masks per pair)."""
-    cols = frozen_basis_columns(alg)
+    cols = _frame(alg)[0]
     Cinv_cols = FieldMatrix(GF2, alg.dim, alg.dim, cols).inverse().rows  # C^-1 by columns
     return tuple(
         tuple(apply_images(Cinv_cols, matsuo.multiply(alg, ci, cj)) for cj in cols)
@@ -161,7 +166,7 @@ def _cq_miyamoto_matrices(alg: matsuo.NilpotentMatsuoAlgebra, field: Field,
     The basis change is inverted once per call, and each line's verdict is
     computed once for all lambdas.
     """
-    C = FieldMatrix.from_cols(GF2, alg.dim, frozen_basis_columns(alg))
+    C = FieldMatrix.from_cols(GF2, alg.dim, _frame(alg)[0])
     C, Cinv = lift_matrix(field, C), lift_matrix(field, C.inverse())
     maps = []
     for line in lines:
@@ -437,7 +442,7 @@ def _cq_generators(alg: matsuo.NilpotentMatsuoAlgebra, field: Field):
     reduced, in (line, lambda) order, and the closure cap: four times the
     group order 2^(2k) (2^k - 1)."""
     k = field.k
-    gens = _cq_miyamoto_matrices(alg, field, CQ_LINE_ORDER, field.nonzero())
+    gens = _cq_miyamoto_matrices(alg, field, _frame(alg)[1], field.nonzero())
     return gens, 4 * (1 << (2 * k)) * ((1 << k) - 1)
 
 
@@ -519,11 +524,6 @@ def _annihilator_span(structure, n):
     """{v : e_i v = 0 for every i}: the kernel of the stacked ad matrices, with 0."""
     rows = [r for t in structure for r in FieldMatrix.from_cols(GF2, n, t).rows]
     return _span(FieldMatrix(GF2, n * n, n, rows).kernel(), n)
-
-
-def _cq_structure(reduced: bool):
-    """Frozen-basis structure constants of the quadrilateral algebra or its quotient."""
-    return frozen_basis_structure(_cq_algebra(reduced))
 
 
 def _equation_schedule(structure) -> list[list[tuple[int, int, int]]]:
@@ -653,12 +653,12 @@ def _aut_enumerate(search: _AutSearch) -> MatrixGroup:
 
 def aut_enumerate_reduced() -> MatrixGroup:
     """All automorphisms of the 5-dimensional quotient algebra over GF(2)."""
-    return _aut_enumerate(_AutSearch(_cq_structure(reduced=True)))
+    return _aut_enumerate(_AutSearch(frozen_basis_structure(_cq_algebra(reduced=True))))
 
 
 def aut_enumerate_full() -> MatrixGroup:
     """All automorphisms of the 6-dimensional algebra over GF(2)."""
-    return _aut_enumerate(_AutSearch(_cq_structure(reduced=False)))
+    return _aut_enumerate(_AutSearch(frozen_basis_structure(_cq_algebra(reduced=False))))
 
 
 def aut_reduced_unconstrained() -> tuple[FieldMatrix, ...]:
@@ -670,7 +670,7 @@ def aut_reduced_unconstrained() -> tuple[FieldMatrix, ...]:
     only the value the earlier columns force.  Neither changes the surviving
     set.
     """
-    structure = _cq_structure(reduced=True)
+    structure = frozen_basis_structure(_cq_algebra(reduced=True))
     n = len(structure)
     return _AutSearch(structure)([range(1 << n)] * n)
 

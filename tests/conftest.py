@@ -13,14 +13,15 @@ def spaces():
 
 def _relabelled(sp, seed):
     """The space with its points renumbered by a seeded permutation, each
-    label carried along to its point's new number, and the permutation."""
+    label carried along to its point's new number and its catalog metadata
+    kept, and the permutation."""
     perm = list(range(sp.n_points))
     random.Random(seed).shuffle(perm)
     labels = [None] * sp.n_points
     for i, lab in enumerate(sp.labels):
         labels[perm[i]] = lab
     return fischer.validate(sp.n_points, [[perm[p] for p in t] for t in sp.lines],
-                            labels=labels), perm
+                            labels=labels, meta=sp.meta), perm
 
 
 @pytest.fixture(scope="session")

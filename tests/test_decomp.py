@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -9,6 +10,7 @@ import pytest
 from matsuo2 import fischer, matsuo
 from matsuo2.gf import FieldMatrix
 from matsuo2.decomp import (
+    LineVerdict,
     classify_space,
     cq_pair_case,
     decompose_line,
@@ -18,6 +20,14 @@ from matsuo2.decomp import (
     orbit_verdicts,
     symplectic_structured_basis,
 )
+
+
+def test_line_verdict_reads_line_grading_and_witness_from_its_parts(algebras):
+    assert [f.name for f in dataclasses.fields(LineVerdict)] == ["decomposition", "fusion"]
+    for v in classify_space(algebras["3_3_sym4"]).verdicts:
+        assert v.line == v.decomposition.line
+        assert v.z2_graded == is_z2_graded(v.fusion)
+        assert v.witness is v.fusion.witness
 
 
 def test_cq_dims_and_common_one_part(algebras):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -583,14 +584,28 @@ def test_plane_of_every_partner_of_seeded_hall_lines(hall_space):
         assert coplanar == 13 * 11
 
 
-def test_file_round_trip(tmp_path, spaces):
-    for name, sp in spaces.items():
+def test_file_round_trip(tmp_path, spaces, hall_space):
+    for name, sp in [*spaces.items(), ("hall81", hall_space())]:
         path = tmp_path / f"{name}.fischer"
         fischer.save_space(sp, path)
         loaded = fischer.load_space(path)
         assert loaded.n_points == sp.n_points
         assert loaded.lines == sp.lines
         assert loaded.labels == sp.labels
+
+
+@pytest.mark.parametrize("label", ["a#b", " x", "", "a\nb"],
+                         ids=["comment", "leading-space", "empty", "line-break"])
+def test_writer_refuses_a_label_it_cannot_read_back(tmp_path, label):
+    # read back, these come out as 'a' and 'x', or make parse_space raise
+    sp = fischer.validate(3, [(0, 1, 2)], labels=["p", label, "q"])
+    message = f"point 1 has label {label!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        space_to_text(sp)
+    path = tmp_path / "bad.fischer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fischer.save_space(sp, path)
+    assert not path.exists()
 
 
 def test_parse_rejects_missing_header():

@@ -544,6 +544,34 @@ def test_cq_line_order_is_the_catalog_lines():
     assert sorted(CQ_LINE_ORDER) == list(fischer.catalog("cq").lines)
 
 
+def test_frame_of_the_catalog_reads_its_line_order(cq_algebra):
+    for alg in (cq_algebra, matsuo.reduce(cq_algebra)):
+        assert miyamoto._frame(alg)[1] == CQ_LINE_ORDER
+
+
+def test_frame_gives_one_structure_in_every_point_order(cq_algebra):
+    # Sym(4) is sharply transitive on (line, ordered pair of its points), so
+    # each of the 720 orders gives the catalog's frozen structure, whichever
+    # point the quotient drops
+    full = frozen_basis_structure(cq_algebra)
+    reduced = frozen_basis_structure(matsuo.reduce(cq_algebra))
+    lines = cq_algebra.space.lines
+    for perm in itertools.permutations(range(6)):
+        alg = matsuo.build(fischer.validate(6, [[perm[p] for p in t] for t in lines]))
+        assert frozen_basis_structure(alg) == full
+        assert frozen_basis_structure(matsuo.reduce(alg)) == reduced
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_frame_line_matrices_match_the_catalog(cq_algebra, relabelled, seed):
+    moved = matsuo.build(relabelled(cq_algebra.space, seed)[0])
+    for alg, ref in ((moved, cq_algebra), (matsuo.reduce(moved), matsuo.reduce(cq_algebra))):
+        for line, ref_line in zip(miyamoto._frame(alg)[1], CQ_LINE_ORDER):
+            for lam in GF4.nonzero():
+                assert (cq_miyamoto_matrix(alg, GF4, line, lam)
+                        == cq_miyamoto_matrix(ref, GF4, ref_line, lam))
+
+
 def test_verify_cq_miyamoto_gf4():
     rep = verify_cq_miyamoto(2)
     assert rep.group_order == 48
