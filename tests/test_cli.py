@@ -318,28 +318,22 @@ def test_miyamoto_refuses_reduced_strong_law_spaces_other_than_cq(capsys, space)
     assert "quadrilateral" in err
 
 
-def test_miyamoto_space_given_as_fischer_file(capsys, tmp_path):
+def test_miyamoto_space_given_as_fischer_file(capsys, tmp_path, relabelled):
+    # the catalog's cq, the same cq with its points renumbered, and the Sym(4)
+    # class, whose lines are (0,1,2), (0,3,4), (1,3,5), (2,4,5), all report
+    # as the catalog does
     path = tmp_path / "cq.fischer"
     path.write_text(fischer.space_to_text(fischer.catalog("cq")), encoding="utf-8")
-    expected = run_cli(capsys, "miyamoto", "--field", "2", "--space", "cq")
-    assert run_cli(capsys, "miyamoto", "--field", "2", "--space", str(path)) == expected
-    assert expected[0] == 0
-
-
-@pytest.mark.parametrize("reduced", [(), ("--reduced",)], ids=["full", "reduced"])
-def test_miyamoto_accepts_the_quadrilateral_in_any_point_order(capsys, tmp_path, relabelled,
-                                                               reduced):
-    # the Sym(4) class lists its lines as (0,1,2), (0,3,4), (1,3,5), (2,4,5),
-    # and the seeded relabelling moves every point of the catalog's cq
-    gens = tmp_path / "sym4.gens"
-    gens.write_text(gens_to_text(*preset("sym4")), encoding="utf-8")
     moved = tmp_path / "moved.fischer"
     fischer.save_space(relabelled(fischer.catalog("cq"), 606)[0], moved)
-    expected = run_cli(capsys, "miyamoto", "--field", "2", "--space", "cq", *reduced)
-    assert expected[0] == 0
-    for path in (gens, moved):
-        assert run_cli(capsys, "miyamoto", "--field", "2", "--space", str(path),
-                       *reduced) == expected
+    gens = tmp_path / "sym4.gens"
+    gens.write_text(gens_to_text(*preset("sym4")), encoding="utf-8")
+    for reduced in ((), ("--reduced",)):
+        expected = run_cli(capsys, "miyamoto", "--field", "2", "--space", "cq", *reduced)
+        assert expected[0] == 0
+        for source in (path, moved, gens):
+            assert run_cli(capsys, "miyamoto", "--field", "2", "--space", str(source),
+                           *reduced) == expected
 
 
 def test_aut_reports(capsys):
