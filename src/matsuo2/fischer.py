@@ -500,7 +500,7 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 
 def parse_space(text: str) -> FischerSpace:
     n_points = None
-    labels: dict[int, str] = {}
+    labels: dict[int, tuple[int, str]] = {}  # point -> (file line, label)
     lines = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.split("#", 1)[0].strip()
@@ -524,7 +524,11 @@ def parse_space(text: str) -> FischerSpace:
                 raise InvalidSpaceError(
                     f"line {lineno}: label index {i} is outside 0..{n_points - 1}"
                 )
-            labels[i] = stripped.split(None, 2)[2]
+            if i in labels:
+                raise InvalidSpaceError(
+                    f"line {lineno}: point {i} already has a label, on line {labels[i][0]}"
+                )
+            labels[i] = (lineno, stripped.split(None, 2)[2])
             continue
         if len(parts) != 3:
             raise InvalidSpaceError(f"line {lineno}: expected three point indices")
@@ -535,7 +539,7 @@ def parse_space(text: str) -> FischerSpace:
     if n_points is None:
         raise InvalidSpaceError("missing 'fischer <n_points>' header")
     _check_point_count(n_points, len(lines))
-    label_list = [labels.get(i, str(i)) for i in range(n_points)]
+    label_list = [labels[i][1] if i in labels else str(i) for i in range(n_points)]
     try:
         return validate(n_points, lines, labels=label_list)
     except InvalidSpaceError as exc:

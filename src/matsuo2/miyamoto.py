@@ -290,39 +290,48 @@ def _certifying_subset(products, index) -> list[int]:
     return members
 
 
-def _packed_closure(generators, cap: int) -> tuple[list[FieldMatrix], list[int]]:
-    """(distinct generators sorted by rows, packed elements in closure order).
+def _extend(found, queue, keys, cap: int) -> None:
+    """Append to queue, in key order, the packed keys not in found; raise
+    once the queue holds more than cap elements."""
+    if not found.issuperset(keys):
+        for y in keys:
+            if y not in found:
+                found.add(y)
+                queue.append(int.from_bytes(y, "little"))
+        if len(queue) > cap:
+            raise MiyamotoCheckError(f"group closure exceeds cap {cap}")
 
-    Elements are found in the order of a FIFO search that multiplies each
-    dequeued element x on the right by every distinct generator g, sorted by
-    rows.  A matrix packs into one int of degree^2 k bits, row i at bit
-    i degree k, and the queue holds these ints; they are returned as they
-    are, the generators first, with no matrix built per element.  All the
-    products x * g come from one XOR walk over the bits of x: slot s,
-    ceil(degree^2 k / 8) bytes wide, belongs to the s-th generator g_s, and
+
+def _certified_closure(generators, cap: int):
+    """(distinct generators sorted by rows, packed elements of G, the wide
+    walk, the keys of the generators' wide walks): the set stage.
+
+    A matrix packs into one int of degree^2 k bits, row i at bit i degree k,
+    and every element is returned as one such int, with no matrix built per
+    element; the distinct generators come first.  All the products x * g_s
+    for the members g_s of a list come from one XOR walk over the bits of x:
+    slot s, ceil(degree^2 k / 8) bytes wide, belongs to the s-th member, and
     entry i degree k + p of the flat walk table of `products` holds in slot s
     the matrix whose only nonzero row, row i, is image p of g_s
     (`FieldMatrix.row_images`): the share of bit p of row i of x in x * g_s.
     The table is built per column: the value of bit p across the slots is
     formed once and shifted to each row.  So `apply_images(table, x)` holds
     x * g_s in every slot s, and its little-endian bytes, cut into slots by
-    one `struct` unpack, are one `bytes` key per generator, the bytes of the
-    packed product.  Past the first layers almost every product is known, so
-    one `issuperset` test per walk skips it when none is new; otherwise the
-    keys are read in generator order, so the FIFO order is that of forming
-    x * g_1, x * g_2, ... one at a time.
+    one `struct` unpack, are one `bytes` key per member, the bytes of the
+    packed product.  One `issuperset` test per walk skips it when no product
+    is new, as almost all are past the first layers.
 
-    The search stops once it holds |G| elements, and |G| comes first.  The
-    first dequeues are the generators, so their walks give every product
-    g_s * g_t, and from these `_certifying_subset` picks a subset Y with
-    <Y> = G.  The found set S_0 is then closed under right multiplication by
-    Y alone, through a narrow walk table with one slot per member of Y.  The
-    result is S_0 <Y>, since every generator is invertible (one `inverse`
-    per distinct generator) and in a finite group the monoid Y generates is
-    <Y>; and S_0 <Y> = G because S_0 is a nonempty subset of G, so its size
-    is |G|.  No dequeue after the one that brings the search to |G| elements
-    could find a new one, so the elements, in the same order, are those of
-    the full search, and the cap is exceeded exactly when |G| exceeds it.
+    Each distinct generator is inverted once and takes one wide walk, over
+    a table with a slot per distinct generator; these give every product
+    g_s * g_t, and from them `_certifying_subset` picks a subset Y with
+    <Y> = <gens>.  The found set S_0, the generators and the new products in
+    the order of their walks, is then closed under right multiplication by
+    Y alone, one narrow walk per element through a table with one slot per
+    member of Y.  The result is S_0 <Y>, since every generator is invertible
+    and in a finite group the monoid Y generates is <Y>; and S_0 <Y> = G
+    because S_0 is a nonempty subset of G, so its size is |G|.  The cap is
+    exceeded exactly when |G| exceeds it.  The `bytes` keys of the found set
+    are freed on return; only the ints stay.
     """
     gens = list(generators)
     if not gens:
@@ -362,31 +371,44 @@ def _packed_closure(generators, cap: int) -> tuple[list[FieldMatrix], list[int]]
         cut = struct.Struct(f"{slot}s" * len(members)).unpack
         return lambda x: cut(apply_images(table, x).to_bytes(width, "little"))
 
-    def extend(found, queue, keys):
-        """Append to queue, in key order, the packed keys not in found."""
-        if not found.issuperset(keys):
-            for y in keys:
-                if y not in found:
-                    found.add(y)
-                    queue.append(int.from_bytes(y, "little"))
-            if len(queue) > cap:
-                raise MiyamotoCheckError(f"group closure exceeds cap {cap}")
-
     wide = products(range(len(uniq)))
-    seen = set(index)
-    queue = [int.from_bytes(y, "little") for y in index]
-    gen_products = [wide(x) for x in queue]
+    found = set(index)
+    elements = [int.from_bytes(y, "little") for y in index]
+    gen_products = [wide(x) for x in elements]
     for keys in gen_products:
-        extend(seen, queue, keys)
+        _extend(found, elements, keys, cap)
     narrow = products(_certifying_subset(gen_products, index))
-    group, todo = set(seen), list(queue)
-    for x in todo:  # todo grows as the narrow closure finds elements
-        extend(group, todo, narrow(x))
-    order = len(group)
-    del group, todo  # freed for the wide search, which holds as many keys
+    for x in elements:  # elements grows as the narrow closure finds them
+        _extend(found, elements, narrow(x), cap)
+    return uniq, elements, wide, gen_products
+
+
+def _packed_closure(generators, cap: int) -> tuple[list[FieldMatrix], list[int]]:
+    """(distinct generators sorted by rows, packed elements in closure order):
+    the ordered FIFO search, on top of `_certified_closure`.
+
+    Elements are found in the order of a FIFO search that multiplies each
+    dequeued element x on the right by every distinct generator g, sorted by
+    rows; the keys of one wide walk are read in generator order, so the FIFO
+    order is that of forming x * g_1, x * g_2, ... one at a time.  The set
+    stage gives |G| first, and the generators' own walks, which are the
+    search's first dequeues; it replays their keys and walks on from the
+    first dequeue after them.  It stops once it holds |G| elements: no later
+    dequeue could find a new one, so the elements, in the same order, are
+    those of the full search.  Its caller pays one wide walk per dequeue up
+    to the one that finds the last element; only `group_closure`, and so
+    `cq_miyamoto_group`, reads this order.
+    """
+    uniq, elements, wide, gen_products = _certified_closure(generators, cap)
+    order, slot = len(elements), len(gen_products[0][0])
+    queue = elements[:len(uniq)]
+    del elements  # freed for the wide search, which holds as many keys
+    seen = {x.to_bytes(slot, "little") for x in queue}
+    for keys in gen_products:
+        _extend(seen, queue, keys, cap)
     head = len(uniq)
     while len(queue) < order:
-        extend(seen, queue, wide(queue[head]))
+        _extend(seen, queue, wide(queue[head]), cap)
         head += 1
     return uniq, queue
 
@@ -452,10 +474,12 @@ def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
     Verifies that every closure element is a uniquely parameterized S-matrix,
     that the order is 2^(2k) (2^k - 1), that restriction to the quotient
     algebra is injective and lands onto its Miyamoto group, and that every
-    element fixes the annihilator generator s.  Both closures come from
-    `_packed_closure`, and every check reads its packed ints (row i at bit
-    i n k): the S shape and parameters through `_s_params`, the fixed s by
-    one AND per element, and the restriction by repacking rows 0..4 at the
+    element fixes the annihilator generator s.  Every flag is a property of
+    the element set, so both closures come from the set stage
+    `_certified_closure`, with one wide walk per distinct generator and no
+    FIFO search, and every check reads its packed ints (row i at bit i n k):
+    the S shape and parameters through `_s_params`, the fixed s by one AND
+    per element, and the restriction by repacking rows 0..4 at the
     quotient's row stride 5k.  No matrix is built per element.  Raises
     MiyamotoCheckError if any check fails.
     """
@@ -464,7 +488,7 @@ def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
     field = Field(k)
     expected = (1 << (2 * k)) * ((1 << k) - 1)
     alg = _cq_algebra(reduced=False)
-    _, full = _packed_closure(*_cq_generators(alg, field))
+    full = _certified_closure(*_cq_generators(alg, field))[1]
     params = [_s_params(x, 6, k) for x in full]
     all_s = all(p is not None for p in params)
     unique = len(set(params)) == len(params)
@@ -474,7 +498,7 @@ def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
     s_col = 1 << (5 * row_bits + 5 * k)
     fixes_s = all(x & lane5 == s_col for x in full)
 
-    _, reduced = _packed_closure(*_cq_generators(matsuo.reduce(alg), field))
+    reduced = _certified_closure(*_cq_generators(matsuo.reduce(alg), field))[1]
     # the restriction to the quotient drops row 5 and lane 5 of the others;
     # shifting x right by i k moves row i from bit 6 i k to bit 5 i k
     cuts = [(i * k, ((1 << (5 * k)) - 1) << (5 * i * k)) for i in range(5)]

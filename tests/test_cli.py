@@ -120,6 +120,9 @@ def test_space_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "space", "--space", str(bad))
     assert code == 2
     assert err == "error: line 2: expected 'label <index> <text>'\n"
+    bad.write_text("fischer 3\nlabel 0 a\n# again\nlabel 0 b\n0 1 2\n")
+    assert run_cli(capsys, "space", "--space", str(bad)) == (
+        2, "", "error: line 4: point 0 already has a label, on line 2\n")
 
 
 def test_gens_parse_error_exit_code(capsys, tmp_path):

@@ -624,6 +624,8 @@ def test_parse_rejects_bad_triple():
     ("fischer 3\nlabel 2\n0 1 2\n", "line 2: expected 'label <index> <text>'"),
     ("# header next\nfischer 3\nlabel two b\n0 1 2\n", "line 3: bad label index 'two'"),
     ("fischer 3\n0 1 2\nlabel 3 d\n", "line 3: label index 3 is outside 0..2"),
+    ("fischer 3\nlabel 0 a\nlabel 0 b\n0 1 2\n",
+     "line 3: point 0 already has a label, on line 2"),
     # axiom failures found by validate name the last listed line they mention
     ("fischer 4\n0 1 2\n0 1 3\n",
      "line 3: lines (0, 1, 2) and (0, 1, 3) share two points 0, 1"),
@@ -637,6 +639,7 @@ def test_parse_rejects_bad_triple():
      "neither a complete quadrilateral nor an affine plane"),
     ("fischer 6\n0 1 2\n3 4 5\n", "space is disconnected (point 3 unreachable from 0)"),
 ], ids=["bad-count", "label-without-text", "bad-label-index", "label-out-of-range",
+        "label-twice",
         "two-shared-points", "listed-twice", "repeated-point", "point-out-of-range",
         "zero-two-three", "fano-plane", "disconnected-names-no-line"])
 def test_parse_errors_name_the_line(text, message):

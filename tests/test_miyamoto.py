@@ -361,14 +361,35 @@ def _small_generating_sets(rng, f):
     return cases
 
 
+def _packed(m):
+    """A matrix as the closure packs it: one int, row i at bit i n k."""
+    row_bits = m.ncols * m.field.k
+    return sum(r << (i * row_bits) for i, r in enumerate(m.rows))
+
+
+def _assert_set_stage_matches(gens, g):
+    """The set stage finds the elements of g = group_closure(gens) as a set,
+    each once, the distinct generators first; at cap |G| - 1 it raises the
+    closure's error, and at cap |G| it finds the same elements."""
+    uniq, found = miyamoto._certified_closure(gens, 1_000_000)[:2]
+    assert tuple(uniq) == g.generators
+    assert found[:len(uniq)] == [_packed(m) for m in uniq]
+    assert len(set(found)) == len(found) == g.size()
+    assert set(found) == {_packed(m) for m in g.elements}
+    order = g.size()
+    for close in (group_closure, miyamoto._certified_closure):
+        with pytest.raises(MiyamotoCheckError, match=f"^group closure exceeds cap {order - 1}$"):
+            close(gens, order - 1)
+    assert miyamoto._certified_closure(gens, order)[1] == found
+
+
 def _assert_closure_matches_reference(gens):
-    """The closure equals the reference FIFO closure, and its cap is met at the order."""
+    """The closure equals the reference FIFO closure, its set stage finds the
+    same set, and both meet their cap at the order."""
     g = group_closure(gens)
     assert (g.generators, g.elements) == _reference_closure(gens)
-    order = g.size()
-    with pytest.raises(MiyamotoCheckError, match=f"exceeds cap {order - 1}$"):
-        group_closure(gens, cap=order - 1)
-    assert group_closure(gens, cap=order).elements == g.elements
+    _assert_set_stage_matches(gens, g)
+    assert group_closure(gens, cap=g.size()).elements == g.elements
     return g
 
 
@@ -423,6 +444,50 @@ def test_group_closure_certificate_matches_reference(k):
             assert any(a * b in gens for a in gens for b in gens)
         for gens in whole + cut:
             assert _assert_closure_matches_reference(gens).size() in (24, 120)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("reduced", [False, True])
+def test_certified_closure_is_the_group_closure_set(cq_algebra, k, reduced):
+    alg = matsuo.reduce(cq_algebra) if reduced else cq_algebra
+    gens = miyamoto._cq_generators(alg, Field(k))[0]
+    _assert_set_stage_matches(gens, group_closure(gens))
+
+
+# Distinct Miyamoto maps of the quadrilateral over GF(2^k), full or reduced:
+# 2^k - 2 per line for lambda != 1, and the identity for lambda = 1
+_CQ_DISTINCT_MAPS = {2: 9, 3: 25, 4: 57}
+
+
+@pytest.mark.parametrize("k", sorted(_CQ_DISTINCT_MAPS))
+def test_verify_cq_miyamoto_walks_each_generator_once(monkeypatch, k):
+    """Each of the check's two closures, full then reduced, makes one wide
+    walk per distinct generator and |G| narrow walks, and no FIFO search.
+    A walk is one `apply_images` call, and a wide one reads a table whose
+    entries span one slot per distinct generator."""
+    closures = []  # (degree, table bit lengths of its walks), one per closure
+    close = miyamoto._certified_closure
+
+    def counted_close(gens, cap):
+        closures.append((gens[0].nrows, []))
+        return close(gens, cap)
+
+    def walk(images, row):
+        closures[-1][1].append(max(images).bit_length())
+        return apply_images(images, row)
+
+    monkeypatch.setattr(miyamoto, "_certified_closure", counted_close)
+    monkeypatch.setattr(miyamoto, "apply_images", walk)
+    rep = verify_cq_miyamoto(k)
+    distinct = _CQ_DISTINCT_MAPS[k]
+    assert [n for n, _ in closures] == [6, 5]
+    for n, bits in closures:
+        slot_bits = 8 * ((n * n * k + 7) // 8)
+        spans = [-(-b // slot_bits) for b in bits]
+        wide = spans.count(distinct)
+        assert wide == distinct
+        assert len(spans) - wide == rep.group_order == rep.reduced_group_order
+        assert max(s for s in spans if s != distinct) < distinct
 
 
 # Wide walks of the quadrilateral closure over GF(2^k), full or reduced: up
@@ -669,7 +734,7 @@ def _gf4_entry(i, j):
 _CQ_FLAGS = ("all_s_matrices", "params_unique", "restriction_injective",
              "restriction_onto_reduced", "fixes_s")
 
-# Each corruption of the packed closure elements over GF(4), and the flags it
+# Each corruption of the set stage's packed elements over GF(4), and the flags it
 # falsifies; the other flags stay true.
 _GROUP_CORRUPTIONS = {
     # one full element gets entry (5, 0): no S-matrix, but its restriction
@@ -698,14 +763,14 @@ _GROUP_CORRUPTIONS = {
 
 @pytest.mark.parametrize("flag", sorted(_GROUP_CORRUPTIONS))
 def test_verify_cq_miyamoto_refuses_a_corrupted_group(monkeypatch, flag):
-    close = miyamoto._packed_closure
+    close = miyamoto._certified_closure
     corrupt, falsified = _GROUP_CORRUPTIONS[flag]
 
     def corrupted(generators, cap):
-        uniq, els = close(generators, cap)
-        return uniq, corrupt(els, uniq[0].nrows == 5)
+        uniq, els, *walks = close(generators, cap)
+        return (uniq, corrupt(els, uniq[0].nrows == 5), *walks)
 
-    monkeypatch.setattr(miyamoto, "_packed_closure", corrupted)
+    monkeypatch.setattr(miyamoto, "_certified_closure", corrupted)
     with pytest.raises(MiyamotoCheckError) as err:
         verify_cq_miyamoto(2)
     assert flag in falsified
