@@ -42,7 +42,9 @@ from .matsuo import (
     line_nilpotent,
     multiply,
     predict_line_line,
+    predict_line_row,
     predict_point_line,
+    predict_point_row,
     reduce,
 )
 from .decomp import (

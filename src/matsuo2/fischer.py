@@ -21,10 +21,11 @@ place that turns a triple, its points in any order, into an id; it raises
 for a triple that is not a line.  Per id the space keeps the line's point
 mask (`line_masks`) and the planes through it: validation records each
 plane once, as a point bitmask listed against every line inside it, and
-keeps the coplanar mask of each line: the ids of the lines that share a
-recorded plane with it.  `FischerSpace.plane_of(i, j)` is the one lookup of
-the plane holding two lines; it answers a pair in no common plane from one
-bit of that mask, without scanning the planes.  A pair of intersecting
+keeps the coplanar mask of each line: the ids of the other lines that share
+a recorded plane with it, which `FischerSpace.coplanar` reads.
+`FischerSpace.plane_of(i, j)` is the one lookup of the plane holding two
+lines; it answers a pair in no common plane from one bit of that mask,
+without scanning the planes.  A pair of intersecting
 lines that already lies in a recorded plane is not visited again: the plane
 is closed, and any two intersecting lines of a quadrilateral or an affine
 plane generate all of it.
@@ -79,7 +80,7 @@ class FischerSpace:
     _line_ids: dict[tuple[int, int, int], int]
     _wedge: dict[tuple[int, int], int]
     _planes: tuple[tuple[int, ...], ...]  # per line id: masks of the planes through it
-    _coplanar: tuple[int, ...]  # per line id: mask of the line ids in those planes
+    _coplanar: tuple[int, ...]  # per line id: mask of the other line ids in those planes
     _symplectic: bool
     # per line id: the products of every point with the line nilpotent,
     # filled by the matsuo predictors when they first ask for that line
@@ -96,13 +97,21 @@ class FischerSpace:
         except KeyError:
             raise ValueError(f"{line!r} is not a line of the space") from None
 
+    def coplanar(self, i: int) -> int:
+        """Mask of the ids of the lines other than i that share a recorded
+        plane with line i."""
+        return self._coplanar[i]
+
     def plane_of(self, i: int, j: int) -> int:
         """Point mask of the recorded plane holding distinct lines i and j, or 0.
 
         Bit j of the coplanar mask of line i tells whether any recorded plane
         holds both lines, so a pair in no common plane costs one bit test;
-        otherwise the planes through line i are scanned for line j.
+        otherwise the planes through line i are scanned for line j.  Equal
+        ids raise ValueError.
         """
+        if i == j:
+            raise ValueError("lines must be distinct")
         if not (self._coplanar[i] >> j) & 1:
             return 0
         mj = self.line_masks[j]
@@ -246,7 +255,7 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
     # the lines pass when P is closed and each point of P sees 4 (6 points) or
     # 8 (9 points) others in it, and the closure is formed only to word the
     # error.  shared[k] masks the line ids that lie in a recorded plane with
-    # line k, and the space keeps it as the coplanar mask of plane_of;
+    # line k, and the space keeps it, less bit k, as the coplanar mask;
     # planes_of[k] lists the planes through line k, ordered at the end by the
     # sorted points that key_of keeps for each plane.
     planes_of: list[list[int]] = [[] for _ in norm]
@@ -282,7 +291,7 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
     return FischerSpace(
         n_points, labels, tuple(norm), masks, meta, tuple(collinear), line_ids, wedge,
         tuple(tuple(sorted(ps, key=key_of.__getitem__)) for ps in planes_of),
-        tuple(shared),
+        tuple(m & ~(1 << k) for k, m in enumerate(shared)),
         not any(p.bit_count() == 9 for ps in planes_of for p in ps),
     )
 
@@ -334,8 +343,6 @@ def plane_mask(s: FischerSpace, line1, line2) -> int:
         i, j = s.line_id(line1), s.line_id(line2)
     except ValueError:
         raise ValueError("both arguments must be lines of the space") from None
-    if i == j:
-        raise ValueError("lines must be distinct")
     return s.plane_of(i, j)
 
 

@@ -151,9 +151,13 @@ def annihilator(alg: NilpotentMatsuoAlgebra) -> tuple[int, ...]:
 # is determined by the geometry alone.  These predictors recompute the
 # products from collinearity, wedges and the plane index only, independently
 # of the structure constants, and serve as oracles against multiply().  A
-# line's row, the products of every point with its nilpotent, is computed by
-# _point_line from that same geometry the first time a predictor asks for the
-# line, and cached on the space.
+# line's point row, the products of every point with its nilpotent, is
+# computed by _point_line from that same geometry the first time a predictor
+# asks for the line, and cached on the space.  Two line nilpotents multiply
+# by _plane_product when the lines share a recorded plane, and otherwise by
+# the point row of the first line read at the points of the second.
+# predict_line_row applies both rules to every line at once and is never
+# cached: the rows of all lines would hold the square of the line count.
 
 
 def predict_point_line(space: fischer.FischerSpace, x: int, line) -> int:
@@ -163,11 +167,19 @@ def predict_point_line(space: fischer.FischerSpace, x: int, line) -> int:
     joining lines when x sees two of its points (they span a quadrilateral);
     x + line + m when x sees all three (they span an affine plane), with
     m = {x^a, x^b, x^c} the parallel line avoiding x.  Read from the
-    line's cached row.
+    line's cached point row.
     """
     if not 0 <= x < space.n_points:
         raise ValueError(f"point {x} is outside 0..{space.n_points - 1}")
-    return _point_line_row(space, space.line_id(line))[x]
+    return predict_point_row(space, line)[x]
+
+
+def predict_point_row(space: fischer.FischerSpace, line) -> tuple[int, ...]:
+    """predict_point_line of every point with the line, in point order.
+
+    The line is resolved once and its cached point row returned.
+    """
+    return _point_line_row(space, space.line_id(line))
 
 
 def _point_line_row(space: fischer.FischerSpace, j: int) -> tuple[int, ...]:
@@ -197,24 +209,54 @@ def _point_line(space: fischer.FischerSpace, x: int, m: int) -> int:
     return out ^ (1 << x) if joiners.bit_count() == 3 else out
 
 
+def _plane_product(m1: int, m2: int, plane: int) -> int:
+    """Product of the nilpotents of two distinct lines, given as point masks,
+    that lie in the recorded plane `plane`.
+
+    A quadrilateral gives the sum of the two nilpotents.  In an affine plane,
+    intersecting lines give the four points off both, and disjoint lines the
+    sum of its nine points.
+    """
+    if plane.bit_count() == 6:
+        return m1 ^ m2
+    return plane & ~(m1 | m2) if m1 & m2 else plane
+
+
 def predict_line_line(space: fischer.FischerSpace, line1, line2) -> int:
     """Predicted product of two line nilpotents, from the geometry alone.
 
-    Equal lines give zero.  Intersecting lines give the sum of the two
-    nilpotents in a quadrilateral, or the four points off both lines in an
-    affine plane.  Disjoint lines spanning an affine plane give the sum of
-    its nine points; other disjoint pairs expand point by point, reading the
-    cached row of the second line.
+    Equal lines give zero.  Lines sharing a recorded plane follow the plane
+    (_plane_product); every other pair expands point by point, reading the
+    cached point row of the first line at the points of the second.
     """
     i, j = space.line_id(line1), space.line_id(line2)
     if i == j:
         return 0
-    m1, m2 = space.line_masks[i], space.line_masks[j]
     plane = space.plane_of(i, j)
-    if plane.bit_count() == 6:
-        return m1 ^ m2
     if plane:
-        return plane & ~(m1 | m2) if m1 & m2 else plane
-    a, b, c = space.lines[i]
-    row = _point_line_row(space, j)
+        return _plane_product(space.line_masks[i], space.line_masks[j], plane)
+    a, b, c = space.lines[j]
+    row = _point_line_row(space, i)
     return row[a] ^ row[b] ^ row[c]
+
+
+def predict_line_row(space: fischer.FischerSpace, line) -> tuple[int, ...]:
+    """predict_line_line of the line with every line, in line-id order.
+
+    With r the line's cached point row, each line {x, y, z} first gets
+    r[x] ^ r[y] ^ r[z]; then the lines sharing a recorded plane with it
+    (`FischerSpace.coplanar`) are overwritten by _plane_product.  The line's
+    own entry is r at three of its own points, each zero.  The row is
+    computed on every call and not cached.
+    """
+    i = space.line_id(line)
+    r = _point_line_row(space, i)
+    row = [r[x] ^ r[y] ^ r[z] for x, y, z in space.lines]
+    m1 = space.line_masks[i]
+    partners = space.coplanar(i)
+    while partners:
+        low = partners & -partners
+        j = low.bit_length() - 1
+        row[j] = _plane_product(m1, space.line_masks[j], space.plane_of(i, j))
+        partners ^= low
+    return tuple(row)

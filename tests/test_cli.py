@@ -258,6 +258,36 @@ def test_decompose_json_bytes_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_JSON_SHA256[name]
 
 
+def _decompose_json(capsys, name):
+    code, out, _ = run_cli(capsys, "decompose", "--space", name, "--format", "json")
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", fischer.CATALOG_NAMES)
+def test_decompose_json_is_invariant_under_relabelling(capsys, monkeypatch, relabelled,
+                                                       name, seed):
+    """The catalog space renumbered by a seeded permutation reports each line
+    as before, once its points are mapped back.  A witness is compared by its
+    presence alone: it is the first pair of an echelon basis, and the basis
+    follows the point order."""
+    expected = _decompose_json(capsys, name)
+    catalog = fischer.catalog
+    moved, perm = relabelled(catalog(name), f"{seed}:{name}")
+    monkeypatch.setattr(fischer, "catalog", lambda n: moved if n == name else catalog(n))
+    got = _decompose_json(capsys, name)
+    back = {q: p for p, q in enumerate(perm)}
+
+    def unmoved(entry, point=back.__getitem__):
+        return dict(entry, line=sorted(map(point, entry["line"])),
+                    witness=entry["witness"] is not None)
+
+    got_lines = sorted(map(unmoved, got.pop("lines")), key=lambda e: e["line"])
+    assert got_lines == [unmoved(e, int) for e in expected.pop("lines")]
+    assert got == expected
+
+
 def test_decompose_reduced(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--space", "ag23",
                            "--reduced", "--format", "json")

@@ -397,9 +397,12 @@ def test_plane_mask_matches_plane_queries(spaces, name):
     sp = spaces[name]
     quads_of = {t: cqs_through_line(sp, t) for t in sp.lines}
     affine_of = {t: affine_planes_through_line(sp, t) for t in sp.lines}
+    for i in range(len(sp.lines)):
+        assert not (sp.coplanar(i) >> i) & 1
     for (i, l1), (j, l2) in itertools.permutations(enumerate(sp.lines), 2):
         got = plane_mask(sp, l1, l2)
         assert got == plane_mask(sp, l2, l1) == sp.plane_of(i, j)
+        assert (sp.coplanar(i) >> j) & 1 == (got != 0)
         affine = [p for p in affine_of[l1] if p.issuperset(l2)]
         if set(l1) & set(l2):
             kind = plane_type(sp, l1, l2)
@@ -419,6 +422,9 @@ def test_plane_mask_rejects_bad_arguments(spaces):
         plane_mask(sp, (0, 1, 2), (0, 1, 3))
     with pytest.raises(ValueError, match="distinct"):
         plane_mask(sp, (0, 1, 2), (2, 1, 0))
+    for i in range(len(sp.lines)):
+        with pytest.raises(ValueError, match="^lines must be distinct$"):
+            sp.plane_of(i, i)
 
 
 def test_plane_queries_reject_non_lines(spaces):
@@ -579,9 +585,10 @@ def test_plane_of_every_partner_of_seeded_hall_lines(hall_space):
             if pts is not None:
                 assert pts == generated_subspace(sp, sp.lines[i] + sp.lines[j])
                 expected = sum(1 << p for p in pts)
-                coplanar += 1
+                coplanar |= 1 << j
             assert sp.plane_of(i, j) == sp.plane_of(j, i) == expected
-        assert coplanar == 13 * 11
+        assert coplanar.bit_count() == 13 * 11
+        assert sp.coplanar(i) == coplanar
 
 
 def test_file_round_trip(tmp_path, spaces, hall_space):

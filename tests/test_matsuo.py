@@ -14,7 +14,9 @@ from matsuo2.matsuo import (
     line_nilpotent,
     multiply,
     predict_line_line,
+    predict_line_row,
     predict_point_line,
+    predict_point_row,
     reduce,
 )
 
@@ -267,7 +269,32 @@ def test_rows_are_built_only_when_a_predictor_asks(name):
     last = len(sp.lines) - 1
     predict_point_line(sp, 0, sp.lines[last])
     assert set(sp._point_line_rows) == {last}
+    # a line row fills its own point row and no other
+    predict_line_row(sp, sp.lines[0])
+    assert set(sp._point_line_rows) == {0, last}
     assert again._point_line_rows == {}
+
+
+@pytest.mark.parametrize("name", [*fischer.CATALOG_NAMES, "hall81"])
+def test_rows_equal_the_pair_predictors(spaces, hall_space, name):
+    """Each row equals its pair predictor entry by entry, on every line of a
+    catalog space and on 20 seeded lines of Hall's space.  A pair in no
+    common plane is also asked in the other order, which reads the point row
+    of the other line: the rows of two lines agree at each other's points."""
+    if name == "hall81":
+        sp = hall_space()
+        line_ids = random.Random(1080).sample(range(len(sp.lines)), 20)
+    else:
+        sp = spaces[name]
+        line_ids = range(len(sp.lines))
+    for i in line_ids:
+        t = sp.lines[i]
+        assert predict_point_row(sp, t) == tuple(
+            predict_point_line(sp, x, t) for x in range(sp.n_points))
+        row = predict_line_row(sp, t)
+        assert len(row) == len(sp.lines)
+        for j, u in enumerate(sp.lines):
+            assert row[j] == predict_line_line(sp, t, u) == predict_line_line(sp, u, t)
 
 
 @pytest.mark.parametrize("name", fischer.CATALOG_NAMES)
@@ -280,17 +307,24 @@ def test_predictors_commute_with_relabelling(spaces, relabelled, name):
 
     lines = {t: [perm[p] for p in t] for t in sp.lines}
     for t, u in lines.items():
+        point_row = predict_point_row(moved, u)
         for x in range(sp.n_points):
-            assert predict_point_line(moved, perm[x], u) == image(predict_point_line(sp, x, t))
-    for (t1, u1), (t2, u2) in itertools.product(lines.items(), repeat=2):
-        assert predict_line_line(moved, u1, u2) == image(predict_line_line(sp, t1, t2))
+            want = image(predict_point_line(sp, x, t))
+            assert predict_point_line(moved, perm[x], u) == point_row[perm[x]] == want
+    for t1, u1 in lines.items():
+        line_row = predict_line_row(moved, u1)
+        for t2, u2 in lines.items():
+            want = image(predict_line_line(sp, t1, t2))
+            assert predict_line_line(moved, u1, u2) == line_row[moved.line_id(u2)] == want
 
 
 def test_predictors_reject_a_triple_that_is_not_a_line(spaces):
     cq = spaces["cq"]
     assert not cq.is_line((0, 1, 3))
-    with pytest.raises(ValueError, match="not a line"):
-        predict_point_line(cq, 4, (0, 1, 3))
+    for query in (lambda t: predict_point_line(cq, 4, t), lambda t: predict_point_row(cq, t),
+                  lambda t: predict_line_row(cq, t)):
+        with pytest.raises(ValueError, match="not a line"):
+            query((0, 1, 3))
     for pair in (((0, 1, 3), (0, 1, 2)), ((0, 1, 2), (0, 1, 3))):
         with pytest.raises(ValueError, match="not a line"):
             predict_line_line(cq, *pair)

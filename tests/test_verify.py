@@ -1,4 +1,5 @@
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -156,6 +157,60 @@ def test_corrupted_structure_constants_fail(monkeypatch):
     assert statuses["algebra.annihilator"] == "fail"
     # the reflection check of the orbit verdicts sees the broken table
     assert statuses["decomp.grading_biconditional"] == "fail"
+
+
+def _oracle_pairs(ctx, claim_id):
+    """(space name, u, v, predicted product, failure detail) of each pair an
+    oracle claim checks, in its order, predicted by the pair predictors."""
+    for name, sp in ctx.spaces.items():
+        alg = ctx.algebras[name]
+        nils = [(t, matsuo.line_nilpotent(alg, t)) for t in sp.lines]
+        if claim_id == "oracle.point_line":
+            for x in range(sp.n_points):
+                for t, ln in nils:
+                    yield (name, 1 << x, ln, matsuo.predict_point_line(sp, x, t),
+                           f"{name}: point {x}, line {t}")
+        else:
+            for t1, n1 in nils:
+                for t2, n2 in nils:
+                    yield (name, n1, n2, matsuo.predict_line_line(sp, t1, t2),
+                           f"{name}: lines {t1}, {t2}")
+
+
+@pytest.mark.parametrize("claim_id, what, seed", [
+    ("oracle.point_line", "point*line", 11251),
+    ("oracle.line_line", "line*line", 52833),
+])
+def test_oracle_claims_name_the_first_failing_pair(monkeypatch, claim_id, what, seed):
+    """With one seeded product flipped, an oracle claim reports what a
+    pairwise loop over the pair predictors finds first, after the same
+    multiply calls in the same order; with none flipped it counts every pair."""
+    ctx = verify.SuiteContext()
+    claim = dict(verify.CLAIMS)[claim_id]
+    pairs = list(_oracle_pairs(ctx, claim_id))
+    multiply = matsuo.multiply
+    products = [multiply(ctx.algebras[name], u, v) for name, u, v, _, _ in pairs]
+    # one seeded pair of each space, and the last pair of all
+    rng = random.Random(seed)
+    flips = [None, len(pairs) - 1]
+    for name in ctx.spaces:
+        flips.append(rng.choice([i for i, pair in enumerate(pairs) if pair[0] == name]))
+    for flip in flips:
+        calls = []
+
+        def flipped(alg, u, v):
+            calls.append((alg.space.meta.name, u, v))
+            return multiply(alg, u, v) ^ (len(calls) - 1 == flip)
+
+        expected, stop = ("pass", f"{len(pairs)} {what} products agree"), len(pairs)
+        for i, ((_, _, _, want, detail), got) in enumerate(zip(pairs, products)):
+            if got ^ (i == flip) != want:
+                expected, stop = ("fail", detail), i + 1
+                break
+        monkeypatch.setattr(matsuo, "multiply", flipped)
+        assert claim(ctx) == expected
+        monkeypatch.setattr(matsuo, "multiply", multiply)
+        assert calls == [(name, u, v) for name, u, v, _, _ in pairs[:stop]]
 
 
 def test_suite_result_serialization():
