@@ -25,10 +25,10 @@ keeps the coplanar mask of each line: the ids of the other lines that share
 a recorded plane with it, which `FischerSpace.coplanar` reads.
 `FischerSpace.plane_of(i, j)` is the one lookup of the plane holding two
 lines; it answers a pair in no common plane from one bit of that mask,
-without scanning the planes.  A pair of intersecting
-lines that already lies in a recorded plane is not visited again: the plane
-is closed, and any two intersecting lines of a quadrilateral or an affine
-plane generate all of it.
+without scanning the planes.  A pair of intersecting lines that already
+lies in a recorded plane is not visited again: the plane is closed, and any
+two intersecting lines of a quadrilateral or an affine plane generate all
+of it.
 """
 
 from __future__ import annotations
@@ -288,10 +288,12 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
                 for k in inside:
                     planes_of[k].append(pm)
                     shared[k] |= inside_mask
+    for k in range(len(shared)):  # in place, so no second set of masks is alive
+        shared[k] &= ~(1 << k)
     return FischerSpace(
         n_points, labels, tuple(norm), masks, meta, tuple(collinear), line_ids, wedge,
         tuple(tuple(sorted(ps, key=key_of.__getitem__)) for ps in planes_of),
-        tuple(m & ~(1 << k) for k, m in enumerate(shared)),
+        tuple(shared),
         not any(p.bit_count() == 9 for ps in planes_of for p in ps),
     )
 
