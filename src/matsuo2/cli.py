@@ -91,7 +91,7 @@ def cmd_decompose(args) -> int:
     alg = matsuo.build(sp)
     if args.reduced:
         alg = matsuo.reduce(alg)
-    if args.line:
+    if args.line is not None:
         try:
             t = tuple(int(x) for x in args.line.split(","))
         except ValueError:

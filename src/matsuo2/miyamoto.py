@@ -99,8 +99,9 @@ def _cq_algebra(reduced: bool) -> matsuo.NilpotentMatsuoAlgebra:
 
 
 def miyamoto_map(verdict: decomp.LineVerdict, field: Field, lam: int) -> FieldMatrix:
-    """I + (1+lambda) Pi_1 in the point basis, refused for lambda != 1 unless
-    the line's GF(2) fusion table (`verdict.fusion`) has the strong law.
+    """I + (1+lambda) Pi_1 in the point basis, refused for lambda outside
+    1..2^k - 1, and for lambda != 1 unless the line's GF(2) fusion table
+    (`verdict.fusion`) has the strong law.
 
     Column j of Pi_1 is the 1-part of e_j along `verdict.decomposition`.  A
     lifted row of Pi_1 holds 0 or 1 per k-bit lane, so its integer product
@@ -108,6 +109,8 @@ def miyamoto_map(verdict: decomp.LineVerdict, field: Field, lam: int) -> FieldMa
     """
     if lam == 0:
         raise ValueError("lambda must be a unit")
+    if not 0 < lam < field.order:
+        raise ValueError(f"lambda={lam} is not an element of GF({field.order})")
     dec = verdict.decomposition
     if lam != 1 and not decomp.strong_law(verdict.fusion):
         raise ValueError(
@@ -246,6 +249,15 @@ def _s_params(x: int, n: int, k: int) -> tuple[int, int, int] | None:
 
 @dataclass(frozen=True)
 class MatrixGroup:
+    """A finite group of degree x degree matrices over `field`.
+
+    `generators` holds the distinct generators sorted by rows, and is empty
+    for an enumerated automorphism group.  `elements` holds each element
+    once: for `group_closure`, the generators first and then the rest in
+    the closure's order; for an automorphism enumeration, every element
+    sorted by rows.
+    """
+
     field: Field
     degree: int
     generators: tuple[FieldMatrix, ...]
@@ -290,21 +302,20 @@ def _certifying_subset(products, index) -> list[int]:
     return members
 
 
-def _extend(found, queue, keys, cap: int) -> None:
-    """Append to queue, in key order, the packed keys not in found; raise
-    once the queue holds more than cap elements."""
+def _extend(found, elements, keys, cap: int) -> None:
+    """Append to elements, in key order, the packed keys not in found; raise
+    once elements holds more than cap."""
     if not found.issuperset(keys):
         for y in keys:
             if y not in found:
                 found.add(y)
-                queue.append(int.from_bytes(y, "little"))
-        if len(queue) > cap:
+                elements.append(int.from_bytes(y, "little"))
+        if len(elements) > cap:
             raise MiyamotoCheckError(f"group closure exceeds cap {cap}")
 
 
-def _certified_closure(generators, cap: int):
-    """(distinct generators sorted by rows, packed elements of G, the wide
-    walk, the keys of the generators' wide walks): the set stage.
+def _certified_closure(generators, cap: int) -> tuple[list[FieldMatrix], list[int]]:
+    """(distinct generators sorted by rows, packed elements of G): the closure.
 
     A matrix packs into one int of degree^2 k bits, row i at bit i degree k,
     and every element is returned as one such int, with no matrix built per
@@ -324,14 +335,17 @@ def _certified_closure(generators, cap: int):
     Each distinct generator is inverted once and takes one wide walk, over
     a table with a slot per distinct generator; these give every product
     g_s * g_t, and from them `_certifying_subset` picks a subset Y with
-    <Y> = <gens>.  The found set S_0, the generators and the new products in
-    the order of their walks, is then closed under right multiplication by
-    Y alone, one narrow walk per element through a table with one slot per
-    member of Y.  The result is S_0 <Y>, since every generator is invertible
-    and in a finite group the monoid Y generates is <Y>; and S_0 <Y> = G
-    because S_0 is a nonempty subset of G, so its size is |G|.  The cap is
-    exceeded exactly when |G| exceeds it.  The `bytes` keys of the found set
-    are freed on return; only the ints stay.
+    <Y> = <gens>.  The found set S_0, the distinct generators and then each
+    new product g_s * g_t in (s, t) order, is then closed under right
+    multiplication by Y alone, one narrow walk per element in the order
+    found through a table with one slot per member of Y.  The result is
+    S_0 <Y>, since every generator is invertible and in a finite group the
+    monoid Y generates is <Y>; and S_0 <Y> = G because S_0 is a nonempty
+    subset of G, so its size is |G|.  The elements are returned in the
+    order found, so every element past the generators is x * g for an
+    earlier element x and a distinct generator g.  The cap is exceeded
+    exactly when |G| exceeds it.  The `bytes` keys of the found set are
+    freed on return; only the ints stay.
     """
     gens = list(generators)
     if not gens:
@@ -380,53 +394,21 @@ def _certified_closure(generators, cap: int):
     narrow = products(_certifying_subset(gen_products, index))
     for x in elements:  # elements grows as the narrow closure finds them
         _extend(found, elements, narrow(x), cap)
-    return uniq, elements, wide, gen_products
-
-
-def _packed_closure(generators, cap: int) -> tuple[list[FieldMatrix], list[int]]:
-    """(distinct generators sorted by rows, packed elements in closure order):
-    the ordered FIFO search, on top of `_certified_closure`.
-
-    Elements are found in the order of a FIFO search that multiplies each
-    dequeued element x on the right by every distinct generator g, sorted by
-    rows; the keys of one wide walk are read in generator order, so the FIFO
-    order is that of forming x * g_1, x * g_2, ... one at a time.  The set
-    stage gives |G| first, and the generators' own walks, which are the
-    search's first dequeues; it replays their keys and walks on from the
-    first dequeue after them.  It stops once it holds |G| elements: no later
-    dequeue could find a new one, so the elements, in the same order, are
-    those of the full search.  Its caller pays one wide walk per dequeue up
-    to the one that finds the last element; only `group_closure`, and so
-    `cq_miyamoto_group`, reads this order.
-    """
-    uniq, elements, wide, gen_products = _certified_closure(generators, cap)
-    order, slot = len(elements), len(gen_products[0][0])
-    queue = elements[:len(uniq)]
-    del elements  # freed for the wide search, which holds as many keys
-    seen = {x.to_bytes(slot, "little") for x in queue}
-    for keys in gen_products:
-        _extend(seen, queue, keys, cap)
-    head = len(uniq)
-    while len(queue) < order:
-        _extend(seen, queue, wide(queue[head]), cap)
-        head += 1
-    return uniq, queue
+    return uniq, elements
 
 
 def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
-    """BFS closure under multiplication; order is frozen by generator order.
+    """The group the generators generate, from `_certified_closure`.
 
-    The search is `_packed_closure`'s: each dequeued element is multiplied on
-    the right by every distinct generator, sorted by rows, and the search
-    stops once it holds the group order.  Its packed elements are unpacked
-    here into one FieldMatrix each, in closure order, after the distinct
-    generators themselves.  Raises MiyamotoCheckError once more than `cap`
-    elements are found, ValueError for no generators or mixed fields or
+    Its packed elements are unpacked here into one FieldMatrix each, in the
+    closure's order: the distinct generators sorted by rows, then each new
+    product g_s * g_t in (s, t) order, then the elements the narrow walks
+    find, in walk order.  Raises MiyamotoCheckError once the group has more
+    than `cap` elements, ValueError for no generators or mixed fields or
     dimensions, and NoSolution for a singular generator.
     """
-    gens = list(generators)
-    uniq, packed = _packed_closure(gens, cap)
-    field, degree = gens[0].field, gens[0].nrows
+    uniq, packed = _certified_closure(generators, cap)
+    field, degree = uniq[0].field, uniq[0].nrows
     row_bits = degree * field.k
     row_mask = (1 << row_bits) - 1
     elements = uniq + [
@@ -454,8 +436,9 @@ class CqMiyamotoReport:
 
 
 def cq_miyamoto_group(field: Field, reduced: bool = False) -> MatrixGroup:
-    """Closure of all Miyamoto maps of the quadrilateral over the given field,
-    capped at four times its order 2^(2k) (2^k - 1)."""
+    """`group_closure` of all Miyamoto maps of the quadrilateral over the given
+    field, in (line, lambda) order, capped at four times its order
+    2^(2k) (2^k - 1)."""
     return group_closure(*_cq_generators(_cq_algebra(reduced), field))
 
 
@@ -474,10 +457,9 @@ def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
     Verifies that every closure element is a uniquely parameterized S-matrix,
     that the order is 2^(2k) (2^k - 1), that restriction to the quotient
     algebra is injective and lands onto its Miyamoto group, and that every
-    element fixes the annihilator generator s.  Every flag is a property of
-    the element set, so both closures come from the set stage
-    `_certified_closure`, with one wide walk per distinct generator and no
-    FIFO search, and every check reads its packed ints (row i at bit i n k):
+    element fixes the annihilator generator s.  Both closures are
+    `_certified_closure`'s, which `group_closure` unpacks, and every check
+    reads their packed ints (row i at bit i n k):
     the S shape and parameters through `_s_params`, the fixed s by one AND
     per element, and the restriction by repacking rows 0..4 at the
     quotient's row stride 5k.  No matrix is built per element.  Raises

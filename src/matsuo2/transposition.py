@@ -537,15 +537,13 @@ def _parse_gens(text: str):
     return gens, seed, seed_line
 
 
-def gens_to_text(generators, seed, sumzero: bool = False) -> str:
-    """Serialize generator data in the .gens format."""
+def gens_to_text(generators, seed) -> str:
+    """Serialize generator data in the .gens format, with no sumzero flag."""
     first = generators[0]
     if isinstance(first, Permutation):
         header = f"perm {first.degree()}"
     elif isinstance(first, AffinePerm):
         header = f"affineperm {first.p} {len(first.vector)}"
-        if sumzero:
-            header += " sumzero"
     elif isinstance(first, AffineMat):
         header = "affinemat-gf4 3"
     else:

@@ -297,11 +297,13 @@ def test_decompose_reduced(capsys):
     assert all(e["semisimple"] for e in report["lines"])
 
 
-def test_decompose_unknown_line(capsys):
-    code, _, err = run_cli(capsys, "decompose", "--space", "cq",
-                           "--line", "0,1,3")
+@pytest.mark.parametrize("line,message", [("0,1,3", "not a line"), ("", "bad --line ''")],
+                         ids=["0,1,3", "empty"])
+def test_decompose_unknown_line(capsys, line, message):
+    code, out, err = run_cli(capsys, "decompose", "--space", "cq", "--line", line)
     assert code == 2
-    assert "not a line" in err
+    assert message in err
+    assert out == ""
 
 
 def test_decompose_unknown_space(capsys):

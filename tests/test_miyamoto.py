@@ -102,6 +102,26 @@ def test_nontrivial_scaling_rejected_on_z2_only_space():
         miyamoto_map(verdict, GF4, 2)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_miyamoto_maps_refuse_lambda_outside_the_field(cq_algebra, k):
+    """0 is no unit, and -1, 2^k and 2^k + 3 are no element of GF(2^k): both
+    map builders refuse them, and every unit still gives a matrix whose rows
+    stay inside their n lanes."""
+    f = Field(k)
+    line = CQ_LINE_ORDER[0]
+    verdict = decomp.line_verdict(cq_algebra, line)
+    for build in (lambda lam: miyamoto_map(verdict, f, lam),
+                  lambda lam: cq_miyamoto_matrix(cq_algebra, f, line, lam)):
+        with pytest.raises(ValueError, match="^lambda must be a unit$"):
+            build(0)
+        for lam in (-1, 1 << k, (1 << k) + 3):
+            with pytest.raises(ValueError, match=rf"^lambda={lam} is not an element of GF\({1 << k}\)$"):
+                build(lam)
+        for lam in f.nonzero():
+            m = build(lam)
+            assert min(m.rows) >= 0 and max(m.rows) < 1 << (6 * k)
+
+
 # sha256 prefix of the rows of every miyamoto_map matrix of the quadrilateral,
 # over each line of CQ_LINE_ORDER and each unit lambda in turn
 _MIYAMOTO_MAP_DIGESTS = {
@@ -300,12 +320,14 @@ def test_group_closure_rejects_mixed_degrees():
         group_closure([FieldMatrix.zeros(GF4, 2, 3)])
 
 
+def _distinct_sorted(gens):
+    """The distinct generators, sorted by rows: the closure's first elements."""
+    return tuple(dict.fromkeys(sorted(gens, key=lambda m: m.rows)))
+
+
 def _reference_closure(gens):
-    """Plain FIFO closure with x * g, the definition the closure order follows."""
-    uniq = []
-    for g in sorted(gens, key=lambda m: m.rows):
-        if g not in uniq:
-            uniq.append(g)
+    """Plain FIFO closure with x * g: the group, by its definition."""
+    uniq = _distinct_sorted(gens)
     elements = list(uniq)
     seen = set(uniq)
     head = 0
@@ -317,7 +339,7 @@ def _reference_closure(gens):
             if y not in seen:
                 seen.add(y)
                 elements.append(y)
-    return tuple(uniq), tuple(elements)
+    return uniq, tuple(elements)
 
 
 def _random_invertible(rng, f, n):
@@ -367,29 +389,30 @@ def _packed(m):
     return sum(r << (i * row_bits) for i, r in enumerate(m.rows))
 
 
-def _assert_set_stage_matches(gens, g):
-    """The set stage finds the elements of g = group_closure(gens) as a set,
-    each once, the distinct generators first; at cap |G| - 1 it raises the
-    closure's error, and at cap |G| it finds the same elements."""
-    uniq, found = miyamoto._certified_closure(gens, 1_000_000)[:2]
-    assert tuple(uniq) == g.generators
-    assert found[:len(uniq)] == [_packed(m) for m in uniq]
-    assert len(set(found)) == len(found) == g.size()
-    assert set(found) == {_packed(m) for m in g.elements}
+def _assert_closure_matches_reference(gens, expected=None):
+    """group_closure(gens) holds each element of the reference closure (or of
+    `expected`, a set of matrices, when given) once, the distinct generators
+    sorted by rows first, and every later element z is x * g for an earlier
+    element x and a distinct generator g.  The closure packs the same list,
+    at cap |G| - 1 raises its error, and at cap |G| finds the same elements."""
+    g = group_closure(gens)
+    uniq = _distinct_sorted(gens)
+    assert g.generators == uniq
+    assert g.elements[:len(uniq)] == uniq
+    assert len(set(g.elements)) == len(g.elements)
+    assert set(g.elements) == (set(_reference_closure(gens)[1]) if expected is None else expected)
+    position = {m: i for i, m in enumerate(g.elements)}
+    inverses = [s.inverse() for s in uniq]
+    for i in range(len(uniq), g.size()):
+        assert any(position[g.elements[i] * s] < i for s in inverses)
+    found = miyamoto._certified_closure(gens, 1_000_000)
+    assert found == (list(uniq), [_packed(m) for m in g.elements])
     order = g.size()
     for close in (group_closure, miyamoto._certified_closure):
         with pytest.raises(MiyamotoCheckError, match=f"^group closure exceeds cap {order - 1}$"):
             close(gens, order - 1)
-    assert miyamoto._certified_closure(gens, order)[1] == found
-
-
-def _assert_closure_matches_reference(gens):
-    """The closure equals the reference FIFO closure, its set stage finds the
-    same set, and both meet their cap at the order."""
-    g = group_closure(gens)
-    assert (g.generators, g.elements) == _reference_closure(gens)
-    _assert_set_stage_matches(gens, g)
-    assert group_closure(gens, cap=g.size()).elements == g.elements
+    assert miyamoto._certified_closure(gens, order) == found
+    assert group_closure(gens, cap=order).elements == g.elements
     return g
 
 
@@ -449,9 +472,12 @@ def test_group_closure_certificate_matches_reference(k):
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("reduced", [False, True])
 def test_certified_closure_is_the_group_closure_set(cq_algebra, k, reduced):
+    f = Field(k)
     alg = matsuo.reduce(cq_algebra) if reduced else cq_algebra
-    gens = miyamoto._cq_generators(alg, Field(k))[0]
-    _assert_set_stage_matches(gens, group_closure(gens))
+    gens = miyamoto._cq_generators(alg, f)[0]
+    every_s = {s_matrix(f, a, b, lam, reduced) for a in range(f.order)
+               for b in range(f.order) for lam in f.nonzero()}
+    _assert_closure_matches_reference(gens, every_s)
 
 
 # Distinct Miyamoto maps of the quadrilateral over GF(2^k), full or reduced:
@@ -459,12 +485,11 @@ def test_certified_closure_is_the_group_closure_set(cq_algebra, k, reduced):
 _CQ_DISTINCT_MAPS = {2: 9, 3: 25, 4: 57}
 
 
-@pytest.mark.parametrize("k", sorted(_CQ_DISTINCT_MAPS))
-def test_verify_cq_miyamoto_walks_each_generator_once(monkeypatch, k):
-    """Each of the check's two closures, full then reduced, makes one wide
-    walk per distinct generator and |G| narrow walks, and no FIFO search.
-    A walk is one `apply_images` call, and a wide one reads a table whose
-    entries span one slot per distinct generator."""
+def _assert_each_generator_walks_once(monkeypatch, k, run):
+    """Each closure that run() makes, run() returning their orders, makes one
+    wide walk per distinct generator and |G| narrow walks; returns the
+    closures' degrees.  A walk is one `apply_images` call, and a wide one
+    reads a table whose entries span one slot per distinct generator."""
     closures = []  # (degree, table bit lengths of its walks), one per closure
     close = miyamoto._certified_closure
 
@@ -478,55 +503,49 @@ def test_verify_cq_miyamoto_walks_each_generator_once(monkeypatch, k):
 
     monkeypatch.setattr(miyamoto, "_certified_closure", counted_close)
     monkeypatch.setattr(miyamoto, "apply_images", walk)
-    rep = verify_cq_miyamoto(k)
+    orders = run()
     distinct = _CQ_DISTINCT_MAPS[k]
-    assert [n for n, _ in closures] == [6, 5]
-    for n, bits in closures:
+    assert len(orders) == len(closures)
+    for (n, bits), order in zip(closures, orders):
         slot_bits = 8 * ((n * n * k + 7) // 8)
         spans = [-(-b // slot_bits) for b in bits]
         wide = spans.count(distinct)
         assert wide == distinct
-        assert len(spans) - wide == rep.group_order == rep.reduced_group_order
+        assert len(spans) - wide == order
         assert max(s for s in spans if s != distinct) < distinct
+    return [n for n, _ in closures]
 
 
-# Wide walks of the quadrilateral closure over GF(2^k), full or reduced: up
-# to the dequeue that finds the last new element of the reference FIFO search
-_CLOSURE_WIDE_WALKS = {2: 12, 3: 232, 4: 1248}
+@pytest.mark.parametrize("k", sorted(_CQ_DISTINCT_MAPS))
+def test_verify_cq_miyamoto_walks_each_generator_once(monkeypatch, k):
+    """Each of the check's two closures, full then reduced, makes one wide
+    walk per distinct generator and |G| narrow walks."""
+    def run():
+        rep = verify_cq_miyamoto(k)
+        assert rep.group_order == rep.reduced_group_order
+        return [rep.group_order, rep.reduced_group_order]
+
+    assert _assert_each_generator_walks_once(monkeypatch, k, run) == [6, 5]
 
 
-@pytest.mark.parametrize("k", sorted(_CLOSURE_WIDE_WALKS))
+@pytest.mark.parametrize("k", sorted(_CQ_DISTINCT_MAPS))
 @pytest.mark.parametrize("reduced", [False, True])
 def test_group_closure_stops_at_the_group_order(cq_algebra, monkeypatch, k, reduced):
-    """The closure finds |G| = 2^2k (2^k - 1) by one narrow walk per element,
-    then stops the wide search at the dequeue that finds the last new
-    element; over GF(16) that is a third of the way through the 3840, not a
-    multiplication of every element by all 57 generators.  Each walk is one
-    `apply_images` call, and a wide one reads a table whose entries span one
-    slot per generator."""
+    """`group_closure` walks as the check does: it finds |G| = 2^2k (2^k - 1)
+    by one wide walk per distinct generator and one narrow walk per element,
+    and walks no further; over GF(16) that is 57 wide walks, not one per
+    element of the 3840."""
     f = Field(k)
     alg = matsuo.reduce(cq_algebra) if reduced else cq_algebra
     gens = [cq_miyamoto_matrix(alg, f, line, lam)
             for line in CQ_LINE_ORDER for lam in f.nonzero()]
-    slot_bits = 8 * ((alg.dim * alg.dim * k + 7) // 8)
-    spans = []
 
-    def walk(images, row):
-        spans.append(-(-max(images).bit_length() // slot_bits))
-        return apply_images(images, row)
+    def run():
+        g = group_closure(gens)
+        assert g.size() == (1 << (2 * k)) * ((1 << k) - 1)
+        return [g.size()]
 
-    monkeypatch.setattr(miyamoto, "apply_images", walk)
-    g = group_closure(gens)
-    wide = spans.count(len(g.generators))
-    assert g.size() == (1 << (2 * k)) * ((1 << k) - 1)
-    assert len(spans) - wide == g.size()
-    assert wide == _CLOSURE_WIDE_WALKS[k]
-    # the last element z is first found by the earliest dequeue x with x * s = z
-    position = {m: i for i, m in enumerate(g.elements)}
-    z = g.elements[-1]
-    assert wide == 1 + min(position[z * s.inverse()] for s in g.generators)
-    if k == 4:
-        assert len(g.generators) == 57 and wide < g.size() // 2
+    assert _assert_each_generator_walks_once(monkeypatch, k, run) == [alg.dim]
 
 
 def test_group_closure_rejects_a_singular_generator(monkeypatch):
@@ -553,16 +572,15 @@ def test_group_closure_order_matches_reference_bfs(cq_algebra, k, reduced):
         for line in CQ_LINE_ORDER
         for lam in f.nonzero()
     ]
-    g = group_closure(gens)
-    assert (g.generators, g.elements) == _reference_closure(gens)
+    g = _assert_closure_matches_reference(gens)
     assert g.elements == miyamoto.cq_miyamoto_group(f, reduced=reduced).elements
 
 
 # sha256 prefix of the rows of every element of the GF(16) quadrilateral
-# Miyamoto group, in closure order; the reference-BFS comparison stops at k = 3
+# Miyamoto group, in closure order; the reference comparison stops at k = 3
 _CLOSURE_ORDER_DIGESTS = {
-    False: "766bf161c26520e0",
-    True: "aa064bded8f59034",
+    False: "7e9e94aa31aea69d",
+    True: "2b5ac128a57f3944",
 }
 
 
@@ -734,7 +752,7 @@ def _gf4_entry(i, j):
 _CQ_FLAGS = ("all_s_matrices", "params_unique", "restriction_injective",
              "restriction_onto_reduced", "fixes_s")
 
-# Each corruption of the set stage's packed elements over GF(4), and the flags it
+# Each corruption of the closure's packed elements over GF(4), and the flags it
 # falsifies; the other flags stay true.
 _GROUP_CORRUPTIONS = {
     # one full element gets entry (5, 0): no S-matrix, but its restriction
@@ -767,8 +785,8 @@ def test_verify_cq_miyamoto_refuses_a_corrupted_group(monkeypatch, flag):
     corrupt, falsified = _GROUP_CORRUPTIONS[flag]
 
     def corrupted(generators, cap):
-        uniq, els, *walks = close(generators, cap)
-        return (uniq, corrupt(els, uniq[0].nrows == 5), *walks)
+        uniq, els = close(generators, cap)
+        return uniq, corrupt(els, uniq[0].nrows == 5)
 
     monkeypatch.setattr(miyamoto, "_certified_closure", corrupted)
     with pytest.raises(MiyamotoCheckError) as err:

@@ -1,0 +1,35 @@
+import importlib
+import re
+from pathlib import Path
+
+from matsuo2 import verify
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+MODULES = ("gf", "fischer", "matsuo", "decomp", "miyamoto", "transposition", "verify", "cli")
+
+# a backticked span that opens with module.name, as `miyamoto.group_closure`
+# or `fischer.load_space(source)`
+_CITED = re.compile(r"`(" + "|".join(MODULES) + r")\.([A-Za-z_]\w*)[^`]*`")
+
+
+def _stale(text):
+    """The cited `module.name`s of text, sorted, that are neither an attribute
+    of matsuo2.<module> nor a claim id of either verify suite."""
+    claims = {cid for cid, _ in verify.CLAIMS + verify.FAMILY_CLAIMS}
+    cited = {m.groups() for m in _CITED.finditer(text)}
+    return sorted(f"{mod}.{name}" for mod, name in cited
+                  if f"{mod}.{name}" not in claims
+                  and not hasattr(importlib.import_module(f"matsuo2.{mod}"), name))
+
+
+def test_every_readme_name_resolves():
+    text = README.read_text(encoding="utf-8")
+    assert _CITED.search(text)
+    assert _stale(text) == []
+
+
+def test_a_stale_readme_name_is_caught():
+    text = ("`miyamoto.group_closure` and `miyamoto._packed_closure`, then\n"
+            "`decomp.witness_hall`, `gf.apply_images(rows, x)` and `gf.no_such(x)`")
+    assert _stale(text) == ["gf.no_such", "miyamoto._packed_closure"]
