@@ -115,7 +115,8 @@ def test_miyamoto_maps_refuse_lambda_outside_the_field(cq_algebra, k):
         with pytest.raises(ValueError, match="^lambda must be a unit$"):
             build(0)
         for lam in (-1, 1 << k, (1 << k) + 3):
-            with pytest.raises(ValueError, match=rf"^lambda={lam} is not an element of GF\({1 << k}\)$"):
+            message = rf"^lambda={lam} is not an element of GF\({1 << k}\)$"
+            with pytest.raises(ValueError, match=message):
                 build(lam)
         for lam in f.nonzero():
             m = build(lam)
