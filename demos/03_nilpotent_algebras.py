@@ -24,17 +24,18 @@ print("its square:", matsuo.multiply(alg, ell, ell))
 
 # Products with line nilpotents are predictable from the geometry alone:
 x = 3
-predicted = matsuo.predict_point_line(cq, x, (0, 1, 2))
+predicted = matsuo.predict_point_row(cq, (0, 1, 2))[x]
 computed = matsuo.multiply(alg, 1 << x, ell)
 print("x * line: predicted == computed:", predicted == computed)
 
 # ... and the same for pairs of lines, across a whole space:
 ag = fischer.catalog("ag23")
 aag = matsuo.build(ag)
+nils = [matsuo.line_nilpotent(aag, t) for t in ag.lines]
 agree = all(
-    matsuo.predict_line_line(ag, t1, t2)
-    == matsuo.multiply(aag, matsuo.line_nilpotent(aag, t1), matsuo.line_nilpotent(aag, t2))
-    for t1 in ag.lines for t2 in ag.lines
+    want == matsuo.multiply(aag, n1, n2)
+    for t1, n1 in zip(ag.lines, nils)
+    for want, n2 in zip(matsuo.predict_line_row(ag, t1), nils)
 )
 print("all line*line products of ag23 match the prediction:", agree)
 

@@ -41,9 +41,7 @@ from .matsuo import (
     build,
     line_nilpotent,
     multiply,
-    predict_line_line,
     predict_line_row,
-    predict_point_line,
     predict_point_row,
     reduce,
 )

@@ -330,7 +330,14 @@ def _closure(collinear, wedge, seed) -> frozenset[int]:
 
 
 def generated_subspace(s: FischerSpace, seed) -> frozenset[int]:
-    """Smallest point set containing the seed and closed under wedge."""
+    """Smallest point set containing the seed and closed under wedge.
+
+    Every seed point must lie in 0..n-1.
+    """
+    seed = tuple(seed)
+    for p in seed:
+        if not 0 <= p < s.n_points:
+            raise ValueError(f"point {p} is outside 0..{s.n_points - 1}")
     return _closure(s.collinear, s._wedge, seed)
 
 

@@ -26,13 +26,12 @@ GF2 = Field(1)
 class NilpotentMatsuoAlgebra:
     """Structure constants of a nilpotent Matsuo algebra; immutable."""
 
-    __slots__ = ("space", "dim", "reduced", "basis_labels", "table", "_ad_rows")
+    __slots__ = ("space", "dim", "reduced", "table", "_ad_rows")
 
-    def __init__(self, space, dim, reduced, basis_labels, table) -> None:
+    def __init__(self, space, dim, reduced, table) -> None:
         self.space = space
         self.dim = dim
         self.reduced = reduced
-        self.basis_labels = basis_labels
         self.table = table  # table[i][j]: product of basis i and j as a mask
         self._ad_rows = [None] * dim  # per basis element, filled on first request
 
@@ -63,9 +62,7 @@ def build(space: fischer.FischerSpace) -> NilpotentMatsuoAlgebra:
     for (x, y, z), m in zip(space.lines, space.line_masks):
         table[x][y] = table[y][x] = table[x][z] = m
         table[z][x] = table[y][z] = table[z][y] = m
-    alg = NilpotentMatsuoAlgebra(
-        space, n, False, space.labels, tuple(tuple(r) for r in table)
-    )
+    alg = NilpotentMatsuoAlgebra(space, n, False, tuple(tuple(r) for r in table))
     for i in range(n):
         assert alg.table[i][i] == 0, "basis square must vanish"
         for j in range(i):
@@ -88,7 +85,7 @@ def reduce(alg: NilpotentMatsuoAlgebra) -> NilpotentMatsuoAlgebra:
     table = tuple(
         tuple(_fold(alg.table[i][j], n) for j in range(n - 1)) for i in range(n - 1)
     )
-    return NilpotentMatsuoAlgebra(alg.space, n - 1, True, alg.basis_labels[:-1], table)
+    return NilpotentMatsuoAlgebra(alg.space, n - 1, True, table)
 
 
 def line_nilpotent(alg: NilpotentMatsuoAlgebra, line) -> int:
@@ -148,65 +145,48 @@ def annihilator(alg: NilpotentMatsuoAlgebra) -> tuple[int, ...]:
 # -- combinatorial product predictions ----------------------------------------
 #
 # The product of a point with a line nilpotent, and of two line nilpotents,
-# is determined by the geometry alone.  These predictors recompute the
-# products from collinearity, wedges and the plane index only, independently
-# of the structure constants, and serve as oracles against multiply().  A
-# line's point row, the products of every point with its nilpotent, is
-# computed by _point_line from that same geometry the first time a predictor
-# asks for the line, and cached on the space.  Two line nilpotents multiply
-# by _plane_product when the lines share a recorded plane, and otherwise by
-# the point row of the first line read at the points of the second.
-# predict_line_row applies both rules to every line at once and is never
-# cached: the rows of all lines would hold the square of the line count.
+# is determined by the geometry alone.  The two row predictors recompute
+# these products from collinearity, wedges and the plane index only,
+# independently of the structure constants, and serve as oracles against
+# multiply().  A line's point row is cached on the space the first time a
+# predictor asks for it; a line row is rebuilt on every call, since the rows
+# of all lines would hold the square of the line count.
 
 
-def predict_point_line(space: fischer.FischerSpace, x: int, line) -> int:
-    """Predicted product x * (line nilpotent), from the geometry alone.
+def predict_point_row(space: fischer.FischerSpace, line) -> tuple[int, ...]:
+    """Predicted product x * (line nilpotent) of every point x, in point order.
 
     Cases: zero when x is on the line or sees none of it; the sum of the two
     joining lines when x sees two of its points (they span a quadrilateral);
     x + line + m when x sees all three (they span an affine plane), with
-    m = {x^a, x^b, x^c} the parallel line avoiding x.  Read from the
-    line's cached point row.
-    """
-    if not 0 <= x < space.n_points:
-        raise ValueError(f"point {x} is outside 0..{space.n_points - 1}")
-    return predict_point_row(space, line)[x]
-
-
-def predict_point_row(space: fischer.FischerSpace, line) -> tuple[int, ...]:
-    """predict_point_line of every point with the line, in point order.
-
-    The line is resolved once and its cached point row returned.
+    m = {x^a, x^b, x^c} the parallel line avoiding x.  The line is resolved
+    once and its cached point row returned.
     """
     return _point_line_row(space, space.line_id(line))
 
 
 def _point_line_row(space: fischer.FischerSpace, j: int) -> tuple[int, ...]:
-    """x * (nilpotent of line j) for every point x, computed on first request."""
-    row = space._point_line_rows.get(j)
-    if row is None:
-        m = space.line_masks[j]
-        row = tuple(_point_line(space, x, m) for x in range(space.n_points))
-        space._point_line_rows[j] = row
-    return row
-
-
-def _point_line(space: fischer.FischerSpace, x: int, m: int) -> int:
-    """predict_point_line for a line already checked, given as its point mask m.
+    """x * (nilpotent of line j) for every point x, computed on first request.
 
     x on the line sees the other two points, whose terms b + c and c + b
     cancel, so that case needs no test of its own.
     """
-    joiners = space.collinear[x] & m
-    out = 0
-    j = joiners
-    while j:
-        low = j & -j
-        out ^= low ^ (1 << fischer.wedge(space, x, low.bit_length() - 1))
-        j ^= low
-    # two joining lines: x cancels; all three: x + t + {x^a, x^b, x^c}
-    return out ^ (1 << x) if joiners.bit_count() == 3 else out
+    row = space._point_line_rows.get(j)
+    if row is None:
+        m = space.line_masks[j]
+        out = []
+        for x in range(space.n_points):
+            joiners = space.collinear[x] & m
+            p = 0
+            rest = joiners
+            while rest:
+                low = rest & -rest
+                p ^= low ^ (1 << fischer.wedge(space, x, low.bit_length() - 1))
+                rest ^= low
+            # two joining lines: x cancels; all three: x + t + {x^a, x^b, x^c}
+            out.append(p ^ (1 << x) if joiners.bit_count() == 3 else p)
+        row = space._point_line_rows[j] = tuple(out)
+    return row
 
 
 def _plane_product(m1: int, m2: int, plane: int) -> int:
@@ -222,26 +202,9 @@ def _plane_product(m1: int, m2: int, plane: int) -> int:
     return plane & ~(m1 | m2) if m1 & m2 else plane
 
 
-def predict_line_line(space: fischer.FischerSpace, line1, line2) -> int:
-    """Predicted product of two line nilpotents, from the geometry alone.
-
-    Equal lines give zero.  Lines sharing a recorded plane follow the plane
-    (_plane_product); every other pair expands point by point, reading the
-    cached point row of the first line at the points of the second.
-    """
-    i, j = space.line_id(line1), space.line_id(line2)
-    if i == j:
-        return 0
-    plane = space.plane_of(i, j)
-    if plane:
-        return _plane_product(space.line_masks[i], space.line_masks[j], plane)
-    a, b, c = space.lines[j]
-    row = _point_line_row(space, i)
-    return row[a] ^ row[b] ^ row[c]
-
-
 def predict_line_row(space: fischer.FischerSpace, line) -> tuple[int, ...]:
-    """predict_line_line of the line with every line, in line-id order.
+    """Predicted product of the line's nilpotent with every line nilpotent,
+    in line-id order.
 
     With r the line's cached point row, each line {x, y, z} first gets
     r[x] ^ r[y] ^ r[z]; then the lines sharing a recorded plane with it

@@ -274,10 +274,9 @@ class TranspositionClass:
     at i < j with o(de) = 3, `thirds[(i, j)]` is d*e*d, the third point of their line.
     """
 
-    __slots__ = ("generators", "seed", "elements", "_index", "thirds")
+    __slots__ = ("seed", "elements", "_index", "thirds")
 
-    def __init__(self, generators, seed, elements, thirds) -> None:
-        self.generators = tuple(generators)
+    def __init__(self, seed, elements, thirds) -> None:
         self.seed = seed
         self.elements = tuple(elements)
         self._index = {e.key(): i for i, e in enumerate(self.elements)}
@@ -343,7 +342,7 @@ def conjugacy_class(generators, seed, cap: int = DEFAULT_CLASS_CAP) -> Transposi
             if ded != e * de:
                 raise NotTranspositionClass(f"product order > 3 for pair ({d!r}, {e!r})")
             thirds[(i, j)] = ded
-    return TranspositionClass(generators, seed, ordered, thirds)
+    return TranspositionClass(seed, ordered, thirds)
 
 
 def fischer_from_class(cls: TranspositionClass,

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from matsuo2 import fischer, matsuo
-from matsuo2.gf import Field, lift_vec
+from matsuo2.gf import Field, lift_vec, vec_support
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +62,23 @@ def _lift_table(field: Field, table):
 @pytest.fixture(scope="session")
 def lift_table():
     return _lift_table
+
+
+def _product_by_definition(sp, x, mask):
+    """x times the sum of the points of mask, one point y at a time:
+    x*y = e_x + e_y + e_{x^y} when x and y are collinear, else 0.  It reads
+    collinearity and wedges only, and no plane, so it is the reference of
+    the row predictors of `matsuo`."""
+    out = 0
+    for y in vec_support(mask):
+        if (sp.collinear[x] >> y) & 1:
+            out ^= (1 << x) ^ (1 << y) ^ (1 << fischer.wedge(sp, x, y))
+    return out
+
+
+@pytest.fixture(scope="session")
+def product_by_definition():
+    return _product_by_definition
 
 
 @pytest.fixture(scope="session")

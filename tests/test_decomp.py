@@ -207,7 +207,7 @@ def test_fusion_tensor_reads_the_lines_not_the_table(algebras, reduced_algebras,
     for name in ("ag23", "3_3_sym4"):
         for alg in (algebras[name], reduced_algebras[name]):
             watched = matsuo.NilpotentMatsuoAlgebra(
-                alg.space, alg.dim, alg.reduced, alg.basis_labels, WatchedTable(alg.table))
+                alg.space, alg.dim, alg.reduced, WatchedTable(alg.table))
             for t in alg.space.lines:
                 dec = decompose_line(alg, t)
                 assert fusion_table(watched, dec) == fusion_table(alg, dec), t
@@ -382,7 +382,7 @@ def test_orbit_verdicts_reject_a_table_with_a_wedge_swapped(algebras):
     table = [list(r) for r in alg.table]
     table[i][j] = table[j][i] = (1 << i) | (1 << j) | (1 << other)
     bad = matsuo.NilpotentMatsuoAlgebra(
-        sp, alg.dim, False, alg.basis_labels, tuple(tuple(r) for r in table))
+        sp, alg.dim, False, tuple(tuple(r) for r in table))
     with pytest.raises(RuntimeError, match="point") as exc:
         orbit_verdicts(bad)
     y, a, b = map(int, re.search(
@@ -425,7 +425,7 @@ def test_orbit_verdicts_name_the_first_corrupted_entry(algebras, name, kind):
         table = [list(r) for r in alg.table]
         table[i][j] = entry
         bad = matsuo.NilpotentMatsuoAlgebra(
-            sp, n, False, alg.basis_labels, tuple(tuple(r) for r in table))
+            sp, n, False, tuple(tuple(r) for r in table))
         expected = _first_unpreserved(sp, table)
         assert expected is not None
         with pytest.raises(RuntimeError, match=re.escape(

@@ -302,6 +302,17 @@ def test_generated_subspace_two_lines_ag23(spaces):
     assert len(generated_subspace(sp, set(l1) | set(l2))) == 9
 
 
+@pytest.mark.parametrize("seed, message", [
+    ([-1], r"point -1 is outside 0\.\.5"),
+    ([6], r"point 6 is outside 0\.\.5"),
+    ([0, -1], r"point -1 is outside 0\.\.5"),
+    ([], "seed must be nonempty"),
+])
+def test_generated_subspace_rejects_a_bad_seed(spaces, seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generated_subspace(spaces["cq"], seed)
+
+
 def test_plane_type_examples(spaces):
     cq = spaces["cq"]
     for l1, l2 in itertools.combinations(cq.lines, 2):
