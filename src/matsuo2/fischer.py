@@ -100,6 +100,8 @@ class FischerSpace:
     def coplanar(self, i: int) -> int:
         """Mask of the ids of the lines other than i that share a recorded
         plane with line i."""
+        if not 0 <= i < len(self.lines):
+            raise ValueError(f"line id {i} is outside 0..{len(self.lines) - 1}")
         return self._coplanar[i]
 
     def plane_of(self, i: int, j: int) -> int:
@@ -108,8 +110,12 @@ class FischerSpace:
         Bit j of the coplanar mask of line i tells whether any recorded plane
         holds both lines, so a pair in no common plane costs one bit test;
         otherwise the planes through line i are scanned for line j.  Equal
-        ids raise ValueError.
+        ids, and an id outside 0..len(lines)-1, raise ValueError.
         """
+        m = len(self.lines)
+        if not 0 <= i < m > j >= 0:
+            bad = j if 0 <= i < m else i
+            raise ValueError(f"line id {bad} is outside 0..{m - 1}")
         if i == j:
             raise ValueError("lines must be distinct")
         if not (self._coplanar[i] >> j) & 1:
@@ -128,6 +134,12 @@ class FischerSpace:
         return True
 
     def are_collinear(self, x: int, y: int) -> bool:
+        """Whether distinct points x and y lie on a line; a point outside
+        0..n-1 raises ValueError."""
+        n = self.n_points
+        if not 0 <= x < n > y >= 0:
+            bad = y if 0 <= x < n else x
+            raise ValueError(f"point {bad} is outside 0..{n - 1}")
         return x != y and bool((self.collinear[x] >> y) & 1)
 
     def __repr__(self) -> str:

@@ -15,6 +15,12 @@ polynomial per degree:
 
 The choice is frozen so that all reports are bit-exact and reproducible.
 
+There is one multiplication rule, shift-and-reduce: multiply by x with a left
+shift, and add the modulus back when the shift reaches x^k.  `Field.mul`
+applies it to one pair of elements, and `inv(a)` is a^(2^k - 2) through
+`power`; `FieldMatrix.row_images` applies it to every entry of a packed row
+at once.
+
 Vectors and matrix rows pack their entries k bits apiece into a single int.
 Addition of packed rows is therefore always XOR (characteristic 2), and over
 GF(2) a vector is an ordinary bitmask.
@@ -57,27 +63,15 @@ class NoSolution(ValueError):
     """Raised when a linear system is inconsistent or a matrix is singular."""
 
 
-def _mul_raw(a: int, b: int, k: int, modulus: int) -> int:
-    """Carry-less multiply mod the irreducible polynomial, without tables."""
-    p = 0
-    top = 1 << k
-    while b:
-        if b & 1:
-            p ^= a
-        a <<= 1
-        if a & top:
-            a ^= modulus
-        b >>= 1
-    return p
-
-
 class Field:
-    """The finite field GF(2^k), with log/antilog multiplication tables.
+    """The finite field GF(2^k); `mul` shifts and reduces by the frozen modulus.
 
-    Two Field instances with the same k are interchangeable.
+    Elements are ints in 0..2^k-1; `mul`, `inv` and `pretty` refuse any
+    other int with ValueError, so `power` does too for n != 0.  Two Field
+    instances with the same k are interchangeable.
     """
 
-    __slots__ = ("k", "modulus", "order", "mask", "generator", "_exp", "_log")
+    __slots__ = ("k", "modulus", "order", "mask")
 
     def __init__(self, k: int) -> None:
         if k not in IRREDUCIBLE:
@@ -86,48 +80,36 @@ class Field:
         self.modulus = IRREDUCIBLE[k]
         self.order = 1 << k
         self.mask = self.order - 1
-        self.generator = self._find_generator()
-        # log/antilog tables; exp is doubled so mul never needs a reduction.
-        n = self.order - 1
-        self._exp = [1] * (2 * max(n, 1))
-        self._log = [0] * self.order
-        x = 1
-        for i in range(n):
-            self._exp[i] = x
-            self._exp[i + n] = x
-            self._log[x] = i
-            x = _mul_raw(x, self.generator, k, self.modulus)
-        if x != 1:
-            raise AssertionError("generator does not have full multiplicative order")
-
-    def _find_generator(self) -> int:
-        n = self.order - 1
-        if n == 1:
-            return 1
-        for g in range(2, self.order):
-            x = g
-            order = 1
-            while x != 1:
-                x = _mul_raw(x, g, self.k, self.modulus)
-                order += 1
-            if order == n:
-                return g
-        raise AssertionError("no multiplicative generator found")
 
     # -- element arithmetic (ints in [0, 2^k)) --
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
+        """Carry-less product of a and b reduced mod the modulus: a is
+        multiplied by x once per bit of b, and the modulus is added back
+        whenever the shift reaches x^k."""
+        if (a | b) >> self.k:
+            raise ValueError(f"operands {a} and {b} are not both elements of {self!r}")
+        p = 0
+        top = self.order
+        while b:
+            if b & 1:
+                p ^= a
+            a <<= 1
+            if a & top:
+                a ^= self.modulus
+            b >>= 1
+        return p
 
     def inv(self, a: int) -> int:
+        """a^(2^k - 2), the inverse of a nonzero a."""
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(2^k)")
-        n = self.order - 1
-        return self._exp[(n - self._log[a]) % n]
+        if a >> self.k:
+            raise ValueError(f"{a} is not an element of {self!r}")
+        return self.power(a, self.order - 2)
 
     def power(self, a: int, n: int) -> int:
+        """a^n, read through `mul`; a^0 is 1 without reading a."""
         if n < 0:
             return self.power(self.inv(a), -n)
         r = 1
@@ -143,6 +125,8 @@ class Field:
 
     def pretty(self, bits: int) -> str:
         """Pretty name of an element; GF(4) uses {0, 1, w, w+1}."""
+        if bits >> self.k:
+            raise ValueError(f"{bits} is not an element of {self!r}")
         if self.k == 2:
             return _GF4_NAMES[bits]
         return str(bits)

@@ -313,6 +313,22 @@ def test_generated_subspace_rejects_a_bad_seed(spaces, seed, message):
         generated_subspace(spaces["cq"], seed)
 
 
+@pytest.mark.parametrize("query, args, message", [
+    ("are_collinear", (-1, 0), r"point -1 is outside 0\.\.5"),
+    ("are_collinear", (0, 6), r"point 6 is outside 0\.\.5"),
+    ("are_collinear", (6, 0), r"point 6 is outside 0\.\.5"),
+    ("are_collinear", (0, -1), r"point -1 is outside 0\.\.5"),
+    ("coplanar", (-1,), r"line id -1 is outside 0\.\.3"),
+    ("coplanar", (4,), r"line id 4 is outside 0\.\.3"),
+    ("plane_of", (-1, 0), r"line id -1 is outside 0\.\.3"),
+    ("plane_of", (0, 4), r"line id 4 is outside 0\.\.3"),
+])
+def test_space_queries_refuse_ids_they_do_not_own(spaces, query, args, message):
+    # a negative id must not be read as a table index from the end
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        getattr(spaces["cq"], query)(*args)
+
+
 def test_plane_type_examples(spaces):
     cq = spaces["cq"]
     for l1, l2 in itertools.combinations(cq.lines, 2):

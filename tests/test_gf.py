@@ -4,6 +4,7 @@ import pytest
 
 from matsuo2 import fischer, matsuo
 from matsuo2.gf import (
+    IRREDUCIBLE,
     Field,
     FieldMatrix,
     NoSolution,
@@ -68,15 +69,74 @@ def test_zero_has_no_inverse():
 
 
 def test_nonzero_elements_cyclic():
+    # some element has order 2^k - 1, so its powers are all the nonzero ones
     for k in (2, 3, 4, 8):
         f = Field(k)
-        g = f.generator
-        seen = set()
-        x = 1
-        for _ in range(f.order - 1):
-            seen.add(x)
-            x = f.mul(x, g)
-        assert seen == set(f.nonzero())
+        for g in f.nonzero():
+            powers = [1]
+            for _ in range(f.order - 2):
+                powers.append(f.mul(powers[-1], g))
+            if f.mul(powers[-1], g) == 1 and len(set(powers)) == f.order - 1:
+                break
+        else:
+            pytest.fail(f"no element of order {f.order - 1} in {f!r}")
+        assert sorted(powers) == list(f.nonzero())
+
+
+def _clmul(a, b):
+    """Schoolbook carry-less product of two GF(2) polynomials."""
+    p = 0
+    for i in range(b.bit_length()):
+        if (b >> i) & 1:
+            p ^= a << i
+    return p
+
+
+def _polymod(a, m):
+    """Remainder of a on long division by m over GF(2)."""
+    d = m.bit_length()
+    while a.bit_length() >= d:
+        a ^= m << (a.bit_length() - d)
+    return a
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_modulus_is_irreducible(k):
+    m = IRREDUCIBLE[k]
+    assert m.bit_length() == k + 1
+    # no polynomial of degree 1..k/2 divides it
+    for d in range(2, 1 << (k // 2 + 1)):
+        assert _polymod(m, d), (k, bin(d))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_mul_matches_the_schoolbook_oracle(k):
+    f = Field(k)
+    m = IRREDUCIBLE[k]
+    for a in range(f.order):
+        for b in range(f.order):
+            assert f.mul(a, b) == _polymod(_clmul(a, b), m), (k, a, b)
+    for a in f.nonzero():
+        assert f.mul(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("call, args", [
+    ("mul", (-1, 2)),
+    ("mul", (4, 1)),
+    ("inv", (-1,)),
+    ("inv", (4,)),
+    ("power", (-1, 1)),
+    ("pretty", (-1,)),
+    ("pretty", (4,)),
+])
+def test_out_of_range_operands_are_refused(call, args):
+    # a negative operand must not be read as a list index from the end,
+    # nor reach a shift loop that never ends
+    f = Field(2)
+    with pytest.raises(ValueError, match=r"not (both )?(an )?elements? of GF\(4\)") as info:
+        getattr(f, call)(*args)
+    for a in args[:2 if call == "mul" else 1]:
+        assert str(a) in str(info.value)
 
 
 def test_fel_wrappers():
