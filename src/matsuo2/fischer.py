@@ -6,12 +6,16 @@ connectivity, the 0-2-3 collinearity property, and that any two intersecting
 lines generate either a complete quadrilateral (6 points, 4 lines) or an
 affine plane of order 3 (9 points, 12 lines).  Both checks together
 characterize the spaces this package works on.  Validation reads the lines
-once, into the wedge table, each point's collinearity mask and the lines
-through each point; the 0-2-3 check and `points_p0_p2` read the masks of a
-line's three points, with no loop over the points.  The plane of two lines
-{x, a, a'} and {x, b, b'} is built from them, as the two lines plus the
-wedge of each collinear cross pair; it is accepted when it is closed and
-each of its points sees the right number of others in it, and the closure
+once, into one pair table keyed x * n + y, each point's collinearity mask
+and the lines through each point; the 0-2-3 check and `points_p0_p2` read
+the masks of a line's three points, with no loop over the points.  The
+pair table holds the third point and the line id of each collinear pair
+while `validate` runs, and the space keeps the third points alone as its
+wedge table.  The plane of two lines {x, a, a'} and {x, b, b'} is the two
+lines plus the wedge of each collinear cross pair, and it is checked by its
+shape: a 6-point plane by whether x sees the one new point, a 9-point plane
+by whether six triples of its points are lines, and any other size fails
+(the docstring of `validate` shows why this is exact).  The closure
 (`_closure`, which `generated_subspace` wraps) is formed only to word the
 error.  `validate` builds every table as a local and constructs the frozen
 `FischerSpace` once, at the end, so a space is complete when it exists.
@@ -78,7 +82,7 @@ class FischerSpace:
     meta: SpaceMeta | None
     collinear: tuple[int, ...]  # per point: bitmask of collinear points
     _line_ids: dict[tuple[int, int, int], int]
-    _wedge: dict[tuple[int, int], int]
+    _wedge: dict[int, int]  # key x * n_points + y: third point of the line through x, y
     _planes: tuple[tuple[int, ...], ...]  # per line id: masks of the planes through it
     _coplanar: tuple[int, ...]  # per line id: mask of the other line ids in those planes
     _symplectic: bool
@@ -136,10 +140,7 @@ class FischerSpace:
     def are_collinear(self, x: int, y: int) -> bool:
         """Whether distinct points x and y lie on a line; a point outside
         0..n-1 raises ValueError."""
-        n = self.n_points
-        if not 0 <= x < n > y >= 0:
-            bad = y if 0 <= x < n else x
-            raise ValueError(f"point {bad} is outside 0..{n - 1}")
+        _refuse_outside(self.n_points, x, y)
         return x != y and bool((self.collinear[x] >> y) & 1)
 
     def __repr__(self) -> str:
@@ -147,8 +148,8 @@ class FischerSpace:
         return f"FischerSpace({name}: {self.n_points} points, {len(self.lines)} lines)"
 
 
-# points of a plane -> how many of the others each of its points sees
-_PLANE_DEGREE = {6: 4, 9: 8}
+# bit i of a byte moved to bit 7 - i, for the plane order key of validate
+_BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
 def _check_point_count(n_points: int, n_lines: int) -> None:
@@ -159,41 +160,48 @@ def _check_point_count(n_points: int, n_lines: int) -> None:
         )
 
 
-def _plane_lines(key, pm: int, collinear, wedge, line_ids) -> list[int]:
-    """Ids of the lines inside the point set pm, or [] when it is no plane.
+def _refuse_outside(n: int, x: int, y: int) -> None:
+    """Raise ValueError naming the first of x, y outside 0..n-1."""
+    if not 0 <= x < n > y >= 0:
+        bad = y if 0 <= x < n else x
+        raise ValueError(f"point {bad} is outside 0..{n - 1}")
 
-    key lists the points of pm in order.  pm passes when it is closed under
-    wedge and each of its points sees 4 (6 points) or 8 (9 points) others in
-    it.  One walk over the collinear pairs (p, q), p < q, in order checks
-    both and finds each line inside from its two lowest points.  Of a line's
-    three pairs the walk meets that one first, so the other two are skipped
-    once the line is found: every pair of pm then lies on a found line or
-    has its third point tested, with one wedge lookup per line inside.
-    """
-    degree = _PLANE_DEGREE.get(len(key))
-    inside = []
-    found: dict[int, int] = {}  # point -> higher points on a found line with it
-    for p in key:
-        seen = collinear[p] & pm
-        if seen.bit_count() != degree:
-            return []
-        higher = (seen >> (p + 1) << (p + 1)) & ~found.get(p, 0)
-        while higher:
-            low = higher & -higher
-            q = low.bit_length() - 1
-            z = wedge[(p, q)]
-            if not (pm >> z) & 1:
-                return []
-            inside.append(line_ids[(p, q, z)])
-            higher ^= low | (1 << z)
-            found[q] = found.get(q, 0) | (1 << z)
-    return inside
+
+def _others(t, x: int) -> tuple[int, int]:
+    """The two points of line t other than its point x."""
+    p, q, r = t
+    return (q, r) if p == x else (p, r) if q == x else (p, q)
 
 
 def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -> FischerSpace:
     """Check the axioms and build the tables, from one pass over the sorted lines.
 
     A point count the lines cannot cover fails before any per-point table exists.
+
+    Two intersecting lines li = {x, a, a'} and lj = {x, b, b'} are checked
+    by the shape of the set P of their points and the wedge of each
+    collinear cross pair.  P lies in the subspace they generate, and a
+    complete quadrilateral or an affine plane through them is exactly P.
+    By the 0-2-3 property each of a, a', b, b' sees a cross partner, so 2
+    cross pairs are collinear, as a matching, or 3, or all 4.  Two cross
+    pairs through one point have distinct wedges, so |P| = 6 exactly when a
+    matching has one common wedge w, |P| = 9 exactly when all 4 pairs are
+    collinear with distinct wedges, and any other P has 7 or 8 points,
+    which fails.
+
+    - |P| = 6, with lines li, lj, {a, b, w} and {a', b', w} (or the other
+      matching): accept iff x is not collinear with w.  Then, as a, b' and
+      a', b are not collinear, the collinear pairs of P are the 12 pairs of
+      those 4 lines, so P is closed and each point sees 4 others; if x sees
+      w, their line leaves P.
+    - |P| = 9, with w1 = w(a,b), w2 = w(a,b'), w3 = w(a',b), w4 = w(a',b'):
+      accept iff {x,w1,w4}, {x,w2,w3}, {b,w2,w4}, {b',w1,w3}, {a,w3,w4} and
+      {a',w1,w2} are lines.  With li, lj and the 4 cross lines these are 12
+      lines, which cover the 36 pairs of P once, so P is closed and every
+      point sees 8 others.  Conversely a closed 9-point set whose points
+      each see 8 others is a Steiner triple system on 9 points, which is
+      AG(2,3); put x = (0,0), a = (1,0), b = (0,1), with -(p+q) the third
+      point of the line through p and q, and the six triples are lines.
     """
     if n_points < 1:
         raise InvalidSpaceError("a space needs at least one point")
@@ -208,20 +216,26 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
     norm.sort()
     _check_point_count(n_points, len(norm))
 
-    wedge: dict[tuple[int, int], int] = {}
+    # pair[p * n + q], for collinear p and q in either order, is
+    # (r << shift) | i for the third point r and the id i of their line; the
+    # plane pass reads both, and the space keeps r alone as its wedge table
+    n = n_points
+    shift = len(norm).bit_length()
+    ids = (1 << shift) - 1
+    pair: dict[int, int] = {}
     collinear = [0] * n_points
     lines_through: list[list[int]] = [[] for _ in range(n_points)]
     for i, t in enumerate(norm):
         x, y, z = t
         for a, b, c in ((x, y, z), (x, z, y), (y, z, x)):
-            if (a, b) in wedge:
-                other = tuple(sorted((a, b, wedge[(a, b)])))
+            if a * n + b in pair:
+                other = norm[pair[a * n + b] & ids]
                 if other == t:
                     raise InvalidSpaceError(f"line {t} is listed twice")
                 raise InvalidSpaceError(
                     f"lines {other} and {t} share two points {a}, {b}"
                 )
-            wedge[(a, b)] = wedge[(b, a)] = c
+            pair[a * n + b] = pair[b * n + a] = (c << shift) | i
             collinear[c] |= (1 << a) | (1 << b)
             lines_through[c].append(i)
 
@@ -259,70 +273,95 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
     if len(labels) != n_points:
         raise InvalidSpaceError("label count differs from point count")
 
-    # every pair of intersecting lines must generate a 6- or 9-point plane.
-    # Lines {x, a, a'} and {x, b, b'} lie in the set P of their points and the
-    # wedge of each collinear cross pair p in {a, a'}, q in {b, b'}.  P lies in
-    # the generated subspace, and it is all of it when it is closed; a
-    # quadrilateral or an affine plane through the two lines is exactly P.  So
-    # the lines pass when P is closed and each point of P sees 4 (6 points) or
-    # 8 (9 points) others in it, and the closure is formed only to word the
-    # error.  shared[k] masks the line ids that lie in a recorded plane with
-    # line k, and the space keeps it, less bit k, as the coplanar mask;
-    # planes_of[k] lists the planes through line k, ordered at the end by the
-    # sorted points that key_of keeps for each plane.
+    # every pair of intersecting lines must generate a 6- or 9-point plane,
+    # checked by its shape as the docstring sets out; get(k, -1) >> shift is
+    # -1 for a pair k that is not collinear, and no point.  shared[k] masks
+    # the line ids that lie in a recorded plane with line k, and the space
+    # keeps it, less bit k, as the coplanar mask; planes_of[k] lists the
+    # planes through line k.  They are ordered at the end as their sorted
+    # point lists are: plane A comes first iff min(A ^ B) lies in A, as no
+    # plane holds another, so key_of keeps each plane's mask bit-reversed
+    # over a fixed width and the planes sort by it descending.
+    get = pair.get
+    width = (n + 7) // 8
     planes_of: list[list[int]] = [[] for _ in norm]
-    key_of: dict[int, list[int]] = {}
+    key_of: dict[int, int] = {}
     shared = [0] * len(norm)
     for x in range(n_points):
         through = lines_through[x]
         at_x = mask_from_support(through)
+        xn, cx = x * n, collinear[x]
         for li in through:
+            a, a2 = _others(norm[li], x)
+            an, a2n = a * n, a2 * n
             above = at_x >> (li + 1) << (li + 1)
             while partners := above & ~shared[li]:
                 lj = (partners & -partners).bit_length() - 1
-                pm = masks[li] | masks[lj]
-                for p in norm[li]:
-                    cp = collinear[p]
-                    for q in norm[lj]:
-                        if p != x and q != x and (cp >> q) & 1:
-                            pm |= 1 << wedge[(p, q)]
-                key = vec_support(pm)
-                inside = _plane_lines(key, pm, collinear, wedge, line_ids)
-                if not inside:
-                    pts = _closure(collinear, wedge, norm[li] + norm[lj])
+                b, b2 = _others(norm[lj], x)
+                v1, v2, v3, v4 = get(an + b), get(an + b2), get(a2n + b), get(a2n + b2)
+                inside = None
+                if v2 is None and v3 is None or v1 is None and v4 is None:
+                    # two cross pairs, a matching; the 0-2-3 property gives the other two
+                    u, v = (v1, v4) if v2 is None else (v2, v3)
+                    w = u >> shift
+                    if v >> shift == w and not (cx >> w) & 1:
+                        inside = (li, lj, u & ids, v & ids)
+                        pm = masks[li] | masks[lj] | (1 << w)
+                elif None not in (v1, v2, v3, v4):
+                    w1, w2, w3, w4 = v1 >> shift, v2 >> shift, v3 >> shift, v4 >> shift
+                    u1, u2 = get(xn + w1, -1), get(xn + w2, -1)
+                    u3, u4 = get(b * n + w2, -1), get(b2 * n + w1, -1)
+                    u5, u6 = get(an + w3, -1), get(a2n + w1, -1)
+                    if (u1 >> shift == w4 and u2 >> shift == w3 and u3 >> shift == w4
+                            and u4 >> shift == w3 and u5 >> shift == w4
+                            and u6 >> shift == w2):
+                        inside = (li, lj, v1 & ids, v2 & ids, v3 & ids, v4 & ids,
+                                  u1 & ids, u2 & ids, u3 & ids, u4 & ids, u5 & ids,
+                                  u6 & ids)
+                        pm = (masks[li] | masks[lj] | (1 << w1) | (1 << w2)
+                              | (1 << w3) | (1 << w4))
+                if inside is None:
+                    wedge_of = {k: v >> shift for k, v in pair.items()}
+                    pts = _closure(collinear, wedge_of, norm[li] + norm[lj])
                     raise InvalidSpaceError(
                         f"lines {norm[li]} and {norm[lj]} generate a {len(pts)}-point "
                         "subspace that is neither a complete quadrilateral nor an "
                         "affine plane"
                     )
-                key_of[pm] = key
+                key_of[pm] = int.from_bytes(
+                    pm.to_bytes(width, "little").translate(_BIT_REVERSED), "big")
                 inside_mask = mask_from_support(inside)
                 for k in inside:
                     planes_of[k].append(pm)
                     shared[k] |= inside_mask
     for k in range(len(shared)):  # in place, so no second set of masks is alive
         shared[k] &= ~(1 << k)
+    for k, v in pair.items():  # in place too: the values become the wedge table
+        pair[k] = v >> shift
     return FischerSpace(
-        n_points, labels, tuple(norm), masks, meta, tuple(collinear), line_ids, wedge,
-        tuple(tuple(sorted(ps, key=key_of.__getitem__)) for ps in planes_of),
+        n_points, labels, tuple(norm), masks, meta, tuple(collinear), line_ids, pair,
+        tuple(tuple(sorted(ps, key=key_of.__getitem__, reverse=True)) for ps in planes_of),
         tuple(shared),
         not any(p.bit_count() == 9 for ps in planes_of for p in ps),
     )
 
 
 def wedge(s: FischerSpace, x: int, y: int) -> int:
-    """The third point on the line through two collinear points."""
+    """The third point on the line through two collinear points; a point
+    outside 0..n-1 raises ValueError."""
+    _refuse_outside(s.n_points, x, y)
     if x == y:
         raise ValueError(f"wedge needs two distinct points, got {x} twice")
     try:
-        return s._wedge[(x, y)]
+        return s._wedge[x * s.n_points + y]
     except KeyError:
         raise ValueError(f"points {x} and {y} are not collinear") from None
 
 
 def _closure(collinear, wedge, seed) -> frozenset[int]:
     """Smallest point set containing the seed and closed under wedge, read
-    from the collinearity masks and the wedge table."""
+    from the collinearity masks and the wedge table, keyed x * n + y."""
+    n = len(collinear)
     pts = set(seed)
     if not pts:
         raise ValueError("seed must be nonempty")
@@ -333,7 +372,7 @@ def _closure(collinear, wedge, seed) -> frozenset[int]:
         cm = collinear[x]
         for y in done:
             if (cm >> y) & 1:
-                z = wedge[(x, y)]
+                z = wedge[x * n + y]
                 if z not in pts:
                     pts.add(z)
                     todo.append(z)

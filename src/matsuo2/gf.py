@@ -166,6 +166,10 @@ def vec_to_list(field: Field, v: int, n: int) -> list[int]:
 
 
 def vec_scale(field: Field, v: int, c: int, n: int) -> int:
+    """c times the vector v of n entries; a v with bits at or above n·k is
+    refused, whatever c is."""
+    if v >> (n * field.k):
+        raise ValueError(f"{v} is not a vector of {n} entries over {field!r}")
     if c == 0:
         return 0
     if c == 1:

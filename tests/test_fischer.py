@@ -119,6 +119,15 @@ def test_reject_nine_points_short_of_an_affine_plane():
     )
 
 
+def _oracle_closure(wedge_of, seed):
+    """The seed closed under wedge, by adding the third point of every
+    collinear pair until none is new; shares no code with `fischer`."""
+    pts = set(seed)
+    while new := {wedge_of[(p, q)] for p in pts for q in pts if (p, q) in wedge_of} - pts:
+        pts |= new
+    return frozenset(pts)
+
+
 def _closure_plane_pass(n_points, lines):
     """The plane pass by closure: every intersecting pair of lines not yet in
     a recorded plane is closed with the wedge closure, and the closure must
@@ -141,7 +150,7 @@ def _closure_plane_pass(n_points, lines):
             for lj in through[i + 1:]:
                 if (shared[li] >> lj) & 1:
                     continue
-                pts = fischer._closure(collinear, wedge_of, norm[li] + norm[lj])
+                pts = _oracle_closure(wedge_of, norm[li] + norm[lj])
                 pm = sum(1 << p for p in pts)
                 degree = {6: 4, 9: 8}.get(len(pts))
                 if degree is None or any(
@@ -240,6 +249,59 @@ def test_plane_pass_matches_closure_oracle(spaces, hall_space):
     assert reached.count("accepted") >= 5 and reached.count("rejected") >= 30
 
 
+# AG(2,3) on F_3^2, where the third point of the line through p and q is
+# -(p+q).  x = (0,0), a = (1,0), a' = (2,0), b = (0,1) and b' = (0,2) are
+# points 0..4, and w1..w4, the wedges of (a,b), (a,b'), (a',b) and (a',b'),
+# are points 5..8, so lines (0, 1, 2) and (0, 3, 4) are the first pair the
+# plane pass visits.  Beside those two and the 4 cross lines, the plane
+# holds the six lines {x,w1,w4}, {x,w2,w3}, {b,w2,w4}, {b',w1,w3},
+# {a,w3,w4} and {a',w1,w2}.
+AG_POINTS = [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (2, 2), (2, 1), (1, 2), (1, 1)]
+AG_SIX = [(0, 5, 8), (0, 6, 7), (3, 6, 8), (4, 5, 7), (1, 7, 8), (2, 5, 6)]
+
+
+def _ag_plane_lines():
+    index = {p: i for i, p in enumerate(AG_POINTS)}
+    return sorted({tuple(sorted((i, j, index[tuple(-(u + v) % 3 for u, v in zip(p, q))])))
+                   for i, p in enumerate(AG_POINTS) for j, q in enumerate(AG_POINTS) if i < j})
+
+
+def test_ag_plane_numbering_holds_the_six_lines():
+    lines = _ag_plane_lines()
+    assert len(lines) == 12 and set(AG_SIX) <= set(lines)
+    assert {(0, 1, 2), (0, 3, 4), (1, 3, 5), (1, 4, 6), (2, 3, 7), (2, 4, 8)} <= set(lines)
+    assert validate(9, lines)._planes == ((0b111111111,),) * 12
+
+
+@pytest.mark.parametrize("missing", AG_SIX)
+def test_a_nine_point_candidate_missing_one_of_its_six_lines_is_refused(missing):
+    # AG(2,3) less one line keeps the 0-2-3 property, so the plane pass is
+    # reached; the first pair it visits has 9 points and every condition
+    # but the one on the missing line
+    lines = [t for t in _ag_plane_lines() if t != missing]
+    with pytest.raises(InvalidSpaceError) as exc:
+        validate(9, lines)
+    assert str(exc.value) == _closure_plane_pass(9, lines) == (
+        "lines (0, 1, 2) and (0, 3, 4) generate a 9-point subspace that is "
+        "neither a complete quadrilateral nor an affine plane")
+
+
+def test_a_six_point_candidate_whose_x_sees_w_is_refused(spaces):
+    # in w_d4, lines (0, 1, 2) and (0, 3, 5) generate a quadrilateral whose
+    # sixth point w is 8 or 9; a line on the non-collinear points 0, 8 and 9
+    # keeps the 0-2-3 property and makes x = 0 see w
+    sp = spaces["w_d4"]
+    quad = generated_subspace(sp, (0, 1, 2, 3, 5))
+    assert len(quad) == 6 and len(quad & {8, 9}) == 1
+    assert not any(sp.are_collinear(p, q) for p, q in ((0, 8), (0, 9), (8, 9)))
+    lines = [*sp.lines, (0, 8, 9)]
+    with pytest.raises(InvalidSpaceError) as exc:
+        validate(12, lines)
+    assert str(exc.value) == _closure_plane_pass(12, lines) == (
+        "lines (0, 1, 2) and (0, 3, 5) generate a 12-point subspace that is "
+        "neither a complete quadrilateral nor an affine plane")
+
+
 def test_validate_returns_a_complete_frozen_space():
     # validate passes every table to the constructor; only the predictor
     # rows fill on demand, and no field can be assigned afterwards
@@ -273,6 +335,14 @@ def test_wedge_cq_examples():
         wedge(sp, a, a)
     with pytest.raises(ValueError):
         wedge(sp, a, x)  # opposite vertices are not collinear
+
+
+@pytest.mark.parametrize("x, y, bad", [(-1, 0, -1), (0, 9, 9), (6, 0, 6), (0, 6, 6)])
+def test_wedge_refuses_points_outside_the_space(spaces, x, y, bad):
+    # the wedge table is keyed x * n + y, so (0, 9) on 6 points would read
+    # the key of pair (1, 3)
+    with pytest.raises(ValueError, match=rf"^point {bad} is outside 0\.\.5$"):
+        wedge(spaces["cq"], x, y)
 
 
 def test_wedge_symmetric_everywhere(spaces):

@@ -139,6 +139,16 @@ def test_out_of_range_operands_are_refused(call, args):
         assert str(a) in str(info.value)
 
 
+@pytest.mark.parametrize("c", [0, 1, 2])
+def test_vec_scale_refuses_bits_beyond_its_entries(c):
+    # over GF(4) a vector of 2 entries has 4 bits; 0b111111 has a third
+    # entry, which c = 1 kept and c = 2 dropped
+    f = Field(2)
+    with pytest.raises(ValueError, match=r"^63 is not a vector of 2 entries over GF\(4\)$"):
+        vec_scale(f, 0b111111, c, 2)
+    assert vec_scale(f, 0b1111, c, 2) == [0, 0b1111, 0b0101][c]  # w(w+1) = 1
+
+
 def test_fel_wrappers():
     # Field elements are plain ints; Field's own methods do the arithmetic
     # and the printing.

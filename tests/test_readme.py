@@ -33,6 +33,7 @@ def test_a_stale_readme_name_is_caught():
     text = ("`miyamoto.group_closure` and `miyamoto._packed_closure`, then\n"
             "`decomp.witness_hall`, `gf.apply_images(rows, x)` and `gf.no_such(x)`;\n"
             "`matsuo.predict_line_row(sp, line)` and `matsuo.predict_line_line(sp, a, b)`;\n"
-            "`gf._mul_raw(a, b, k, modulus)` and `gf.Field`")
-    assert _stale(text) == ["gf._mul_raw", "gf.no_such", "matsuo.predict_line_line",
-                            "miyamoto._packed_closure"]
+            "`gf._mul_raw(a, b, k, modulus)` and `gf.Field`;\n"
+            "`fischer._plane_lines(key, pm, collinear, wedge, line_ids)` and `fischer.wedge`")
+    assert _stale(text) == ["fischer._plane_lines", "gf._mul_raw", "gf.no_such",
+                            "matsuo.predict_line_line", "miyamoto._packed_closure"]
