@@ -8,6 +8,8 @@ lambda) composing like the affine group of the plane, and over GF(2^k) they
 close into a group of order 2^(2k) (2^k - 1).
 """
 
+import itertools
+
 from matsuo2 import fischer, matsuo, miyamoto
 from matsuo2.gf import Field
 
@@ -15,9 +17,10 @@ GF4 = Field(2)
 alg = matsuo.build(fischer.catalog("cq"))
 
 print("Miyamoto maps of the four lines over GF(4), as S(alpha, beta, lambda):")
-for line in miyamoto.CQ_LINE_ORDER:
-    for lam in (2, 3):
-        m = miyamoto.cq_miyamoto_matrix(alg, GF4, line, lam)
+# cq_miyamoto_maps lists every map in (line, lambda) order; lambda = 1 is the identity
+pairs = itertools.product(miyamoto.CQ_LINE_ORDER, GF4.nonzero())
+for (line, lam), m in zip(pairs, miyamoto.cq_miyamoto_maps(alg, GF4)):
+    if lam != 1:
         a, b, l = miyamoto.parse_s_matrix(m)
         print(f"  line {line}, lambda={GF4.pretty(lam):3s} -> "
               f"S({GF4.pretty(a)}, {GF4.pretty(b)}, {GF4.pretty(l)})")

@@ -1,17 +1,17 @@
 """Miyamoto maps over GF(2^k) and the groups they generate for the quadrilateral.
 
-A line's Miyamoto map for the unit lambda is x -> x_0 + lambda x_1 =
-x + (1+lambda) x_1, that is tau_{l,lambda} = I + (1+lambda) Pi_1 with Pi_1
-the GF(2) projection onto the 1-part along the 0-part.  For lambda not in
-{0, 1} it is an automorphism iff the line has the strong law
-(`decomp.strong_law`).  Both facts belong to the line, not to lambda, so
-`miyamoto_map` takes the line's `decomp.LineVerdict`, computed once per line
-for every lambda: the strong law from its GF(2) fusion table, Pi_1 from its
-decomposition.  It forms no product over GF(2^k).  In the catalog the
-strong law holds on every line of cq, full or reduced, the small case of
-Sym(4) in the paper, and on every line of the reduced w_a4 and w_d4,
-quotients of full algebras with 1*1 = {0}; it holds on no line of any other
-catalog algebra, full or reduced (tests/test_miyamoto.py).  In the frozen basis
+Every Miyamoto map is I + (1+lambda) P for a GF(2) matrix P, formed by
+`_scaled` with no product over GF(2^k): a row of P holds 0 or 1 per k-bit
+lane, so its product with 1+lambda has no carries.  In the point basis P is
+Pi_1, the GF(2) projection onto a line's 1-part along its 0-part, so
+x -> x_0 + lambda x_1 (`miyamoto_map`); for lambda not in {0, 1} this is an
+automorphism iff the line has the strong law (`decomp.strong_law`).  Both
+facts belong to the line: `_one_part_projection` reads them once per line
+from its `decomp.LineVerdict`.  In the catalog the strong law holds on every
+line of cq, full or reduced, the small case of Sym(4) in the paper, and on
+every line of the reduced w_a4 and w_d4, quotients of full algebras with
+1*1 = {0}; it holds on no line of any other catalog algebra, full or reduced
+(tests/test_miyamoto.py).  In the frozen basis
 
     B  = (a, b, l, lx, ly, s)      for the 6-dimensional algebra,
     B' = (a, b, l, lx, ly)         for its quotient by <s>,
@@ -21,7 +21,8 @@ is the first line, l its nilpotent, x, y, z the points not collinear with a,
 b, c, and l2 = {b,x,z}, l3 = {a,y,z}, l4 = {c,x,y}.  Aut(cq) = Sym(4) acts
 sharply transitively on the 24 pairs (line, ordered pair of its points), so
 every point order gives the same frame up to an automorphism, and so the same
-structure constants and matrices.  The Miyamoto maps are the block matrices
+structure constants and matrices.  The maps are I + (1+lambda) C^-1 Pi_1 C,
+C the 0/1 basis change (`cq_miyamoto_maps`), that is the block matrices
 
     S(alpha, beta, lambda) = [ I3            0            ]
                              [ M(alpha,beta) diag(l,l,1)  ]
@@ -62,8 +63,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import decomp, fischer, matsuo
-from .gf import (Field, FieldMatrix, apply_images, bilinear, echelon_basis, lift_matrix,
-                 lift_vec, vec_from_list, vec_support)
+from .gf import Field, FieldMatrix, apply_images, bilinear, echelon_basis, lift_vec, vec_support
 
 GF2 = matsuo.GF2
 
@@ -98,30 +98,43 @@ def _cq_algebra(reduced: bool) -> matsuo.NilpotentMatsuoAlgebra:
 # -- Miyamoto maps -----------------------------------------------------------------
 
 
-def miyamoto_map(verdict: decomp.LineVerdict, field: Field, lam: int) -> FieldMatrix:
-    """I + (1+lambda) Pi_1 in the point basis, refused for lambda outside
-    1..2^k - 1, and for lambda != 1 unless the line's GF(2) fusion table
-    (`verdict.fusion`) has the strong law.
-
-    Column j of Pi_1 is the 1-part of e_j along `verdict.decomposition`.  A
-    lifted row of Pi_1 holds 0 or 1 per k-bit lane, so its integer product
-    with 1+lambda has no carries.
-    """
-    if lam == 0:
-        raise ValueError("lambda must be a unit")
-    if not 0 < lam < field.order:
-        raise ValueError(f"lambda={lam} is not an element of GF({field.order})")
+def _one_part_projection(verdict: decomp.LineVerdict, field: Field, lams) -> FieldMatrix:
+    """Pi_1 of the verdict's line over GF(2), its column j the 1-part of e_j,
+    refused unless every lambda in lams is a unit of the field and, if one
+    is not 1, the line has the strong law."""
+    for lam in lams:
+        _refuse_scalars(field, lam)
+    other = next((lam for lam in lams if lam != 1), None)
     dec = verdict.decomposition
-    if lam != 1 and not decomp.strong_law(verdict.fusion):
+    if other is not None and not decomp.strong_law(verdict.fusion):
         raise ValueError(
-            f"map for line {dec.line} with lambda={lam} is not an "
+            f"map for line {dec.line} with lambda={other} is not an "
             "automorphism; the line lacks the strong law (Z/2Z-graded with an "
             "empty 1*1 cell)"
         )
-    n = dec.dim
-    pi1 = FieldMatrix.from_cols(GF2, n, (dec.split(1 << j)[1] for j in range(n)))
+    return FieldMatrix.from_cols(GF2, dec.dim, (dec.split(1 << j)[1] for j in range(dec.dim)))
+
+
+def _refuse_scalars(field: Field, lam: int, *named) -> None:
+    """Refuse a lambda that is no unit, and a (name, c) in named outside the field."""
+    if lam == 0:
+        raise ValueError("lambda must be a unit")
+    for name, c in (("lambda", lam), *named):
+        if not 0 <= c < field.order:
+            raise ValueError(f"{name}={c} is not an element of GF({field.order})")
+
+
+def _scaled(field: Field, P: FieldMatrix, lam: int) -> FieldMatrix:
+    """I + (1+lambda) P over the field, for a square GF(2) matrix P."""
+    n = P.nrows
     return FieldMatrix(field, n, n, ((1 << (i * field.k)) ^ lift_vec(field, r, n) * (1 ^ lam)
-                                     for i, r in enumerate(pi1.rows)))
+                                     for i, r in enumerate(P.rows)))
+
+
+def miyamoto_map(verdict: decomp.LineVerdict, field: Field, lam: int) -> FieldMatrix:
+    """I + (1+lambda) Pi_1 in the point basis, refused for lambda outside
+    1..2^k - 1, and for lambda != 1 unless the line has the strong law."""
+    return _scaled(field, _one_part_projection(verdict, field, (lam,)), lam)
 
 
 # -- the frozen quadrilateral basis -------------------------------------------------
@@ -162,41 +175,53 @@ def frozen_basis_structure(alg: matsuo.NilpotentMatsuoAlgebra) -> tuple[tuple[in
     )
 
 
-def _cq_miyamoto_matrices(alg: matsuo.NilpotentMatsuoAlgebra, field: Field,
-                          lines, lams) -> list[FieldMatrix]:
-    """Miyamoto maps of the quadrilateral in the frozen basis, in (line, lambda) order.
-
-    The basis change is inverted once per call, and each line's verdict is
-    computed once for all lambdas.
-    """
-    C = FieldMatrix.from_cols(GF2, alg.dim, _frame(alg)[0])
-    C, Cinv = lift_matrix(field, C), lift_matrix(field, C.inverse())
+def cq_miyamoto_maps(alg: matsuo.NilpotentMatsuoAlgebra, field: Field) -> list[FieldMatrix]:
+    """Every Miyamoto map of a quadrilateral algebra, full or reduced, in the
+    frozen basis, in (frame line, lambda) order for lambda in `field.nonzero()`;
+    each line's verdict and P = C^-1 Pi_1 C are formed once."""
+    cols, lines = _frame(alg)
+    C = FieldMatrix.from_cols(GF2, alg.dim, cols)
+    Cinv = C.inverse()
     maps = []
     for line in lines:
-        verdict = decomp.line_verdict(alg, line)
-        maps += [Cinv * miyamoto_map(verdict, field, lam) * C for lam in lams]
+        P = Cinv * _one_part_projection(decomp.line_verdict(alg, line), field, field.nonzero()) * C
+        maps += [_scaled(field, P, lam) for lam in field.nonzero()]
     return maps
-
-
-def cq_miyamoto_matrix(alg: matsuo.NilpotentMatsuoAlgebra, field: Field,
-                      line, lam: int) -> FieldMatrix:
-    """Miyamoto map of the quadrilateral, written in the frozen basis."""
-    return _cq_miyamoto_matrices(alg, field, (line,), (lam,))[0]
 
 
 # -- S-matrices ---------------------------------------------------------------------
 
 
+def _pack(m: FieldMatrix) -> int:
+    """A square matrix as one int, row i at bit i n k."""
+    row_bits = m.ncols * m.field.k
+    return sum(r << (i * row_bits) for i, r in enumerate(m.rows))
+
+
+def _unpack(field: Field, n: int, x: int) -> FieldMatrix:
+    """The n x n matrix over the field that `_pack` packs into x."""
+    row_bits = n * field.k
+    row_mask = (1 << row_bits) - 1
+    return FieldMatrix(field, n, n, [(x >> (i * row_bits)) & row_mask for i in range(n)])
+
+
+def _s_packed(n: int, k: int, alpha: int, beta: int, lam: int) -> int:
+    """S(alpha, beta, lambda) over GF(2^k), n in {5, 6}, `_pack`ed by shifts:
+    the diagonal 1s of rows 0, 1, 2 (and 5), n k + k apart, and rows 3, 4."""
+    row_bits = n * k
+    step = row_bits + k
+    s = 1 | (1 << step) | (1 << (2 * step)) | ((1 << (5 * step)) if n == 6 else 0)
+    s |= (alpha | (beta << (2 * k)) | (lam << (3 * k))) << (3 * row_bits)
+    s |= ((beta << k) | (alpha << (2 * k)) | (lam << (4 * k))) << (4 * row_bits)
+    return s
+
+
 def s_matrix(field: Field, alpha: int, beta: int, lam: int,
              reduced: bool = False) -> FieldMatrix:
     """The block matrix S(alpha, beta, lambda) in the frozen basis."""
-    if lam == 0:
-        raise ValueError("lambda must be a unit")
+    _refuse_scalars(field, lam, ("alpha", alpha), ("beta", beta))
     n = 5 if reduced else 6
-    rows = [1 << (i * field.k) for i in range(n)]  # identity outside rows 3 and 4
-    rows[3] = vec_from_list(field, (alpha, 0, beta, lam))
-    rows[4] = vec_from_list(field, (0, beta, alpha, 0, lam))
-    return FieldMatrix(field, n, n, rows)
+    return _unpack(field, n, _s_packed(n, field.k, alpha, beta, lam))
 
 
 def s_compose(field: Field, p1, p2) -> tuple[int, int, int]:
@@ -208,40 +233,22 @@ def s_compose(field: Field, p1, p2) -> tuple[int, int, int]:
 def parse_s_matrix(m: FieldMatrix) -> tuple[int, int, int] | None:
     """Recover (alpha, beta, lambda) if the matrix has the S block shape.
 
-    Packs the rows, row i at bit i n k, and reads them with `_s_params`, so
-    a matrix and a packed closure element are read by the same code.  A row
-    with a bit at or above n k is no S row.
+    Reads `_pack(m)` with `_s_params`, as a packed closure element is read;
+    a row with a bit at or above n k is no S row.
     """
-    n = m.nrows
-    if n not in (5, 6) or m.ncols != n:
+    n, k = m.nrows, m.field.k
+    if n not in (5, 6) or m.ncols != n or max(m.rows) >> (n * k):
         return None
-    k = m.field.k
-    row_bits = n * k
-    if max(m.rows) >> row_bits:
-        return None
-    return _s_params(sum(r << (i * row_bits) for i, r in enumerate(m.rows)), n, k)
+    return _s_params(_pack(m), n, k)
 
 
 def _s_params(x: int, n: int, k: int) -> tuple[int, int, int] | None:
-    """(alpha, beta, lambda) if the packed n x n matrix x, n in {5, 6} and
-    row i at bit i n k, is S(alpha, beta, lambda) over GF(2^k), else None.
-
-    Reads alpha, beta and lambda from lanes 0, 2 and 3 of row 3 and compares
-    x with the one packed int of S(alpha, beta, lambda), built by shifts:
-    the diagonal 1s of rows 0, 1, 2 (and 5), step n k + k apart, and rows 3
-    and 4.
-    """
-    row_bits = n * k
+    """(alpha, beta, lambda) if the packed n x n matrix x is S(alpha, beta,
+    lambda) over GF(2^k), read from lanes 0, 2 and 3 of row 3, else None."""
     mask = (1 << k) - 1
-    row3 = x >> (3 * row_bits)
+    row3 = x >> (3 * n * k)
     alpha, beta, lam = row3 & mask, (row3 >> (2 * k)) & mask, (row3 >> (3 * k)) & mask
-    step = row_bits + k
-    s = 1 | (1 << step) | (1 << (2 * step)) | ((1 << (5 * step)) if n == 6 else 0)
-    s |= (alpha | (beta << (2 * k)) | (lam << (3 * k))) << (3 * row_bits)
-    s |= ((beta << k) | (alpha << (2 * k)) | (lam << (4 * k))) << (4 * row_bits)
-    if lam == 0 or x != s:
-        return None
-    return (alpha, beta, lam)
+    return (alpha, beta, lam) if lam and x == _s_packed(n, k, alpha, beta, lam) else None
 
 
 # -- matrix group closure --------------------------------------------------------------
@@ -317,9 +324,8 @@ def _extend(found, elements, keys, cap: int) -> None:
 def _certified_closure(generators, cap: int) -> tuple[list[FieldMatrix], list[int]]:
     """(distinct generators sorted by rows, packed elements of G): the closure.
 
-    A matrix packs into one int of degree^2 k bits, row i at bit i degree k,
-    and every element is returned as one such int, with no matrix built per
-    element; the distinct generators come first.  All the products x * g_s
+    Every element is returned as one `_pack`ed int, with no matrix built
+    per element; the distinct generators come first.  All the products x * g_s
     for the members g_s of a list come from one XOR walk over the bits of x:
     slot s, ceil(degree^2 k / 8) bytes wide, belongs to the s-th member, and
     entry i degree k + p of the flat walk table of `products` holds in slot s
@@ -365,7 +371,7 @@ def _certified_closure(generators, cap: int) -> tuple[list[FieldMatrix], list[in
     uniq = []
     index = {}  # key of each distinct generator -> its position in uniq
     for g in sorted(gens, key=lambda m: m.rows):
-        y = sum(r << (i * row_bits) for i, r in enumerate(g.rows)).to_bytes(slot, "little")
+        y = _pack(g).to_bytes(slot, "little")
         if y not in index:
             g.inverse()  # raises NoSolution for a singular generator
             index[y] = len(uniq)
@@ -409,13 +415,7 @@ def group_closure(generators, cap: int = 1_000_000) -> MatrixGroup:
     """
     uniq, packed = _certified_closure(generators, cap)
     field, degree = uniq[0].field, uniq[0].nrows
-    row_bits = degree * field.k
-    row_mask = (1 << row_bits) - 1
-    elements = uniq + [
-        FieldMatrix(field, degree, degree,
-                    tuple([(x >> (i * row_bits)) & row_mask for i in range(degree)]))
-        for x in packed[len(uniq):]
-    ]
+    elements = uniq + [_unpack(field, degree, x) for x in packed[len(uniq):]]
     return MatrixGroup(field, degree, tuple(uniq), tuple(elements))
 
 
@@ -435,20 +435,14 @@ class CqMiyamotoReport:
     reduced_group_order: int
 
 
+def _cq_cap(k: int) -> int:
+    """The closure cap over GF(2^k): four times the group order 2^(2k) (2^k - 1)."""
+    return 4 * (1 << (2 * k)) * ((1 << k) - 1)
+
+
 def cq_miyamoto_group(field: Field, reduced: bool = False) -> MatrixGroup:
-    """`group_closure` of all Miyamoto maps of the quadrilateral over the given
-    field, in (line, lambda) order, capped at four times its order
-    2^(2k) (2^k - 1)."""
-    return group_closure(*_cq_generators(_cq_algebra(reduced), field))
-
-
-def _cq_generators(alg: matsuo.NilpotentMatsuoAlgebra, field: Field):
-    """The Miyamoto maps of a quadrilateral algebra already built, full or
-    reduced, in (line, lambda) order, and the closure cap: four times the
-    group order 2^(2k) (2^k - 1)."""
-    k = field.k
-    gens = _cq_miyamoto_matrices(alg, field, _frame(alg)[1], field.nonzero())
-    return gens, 4 * (1 << (2 * k)) * ((1 << k) - 1)
+    """`group_closure` of `cq_miyamoto_maps` over the given field."""
+    return group_closure(cq_miyamoto_maps(_cq_algebra(reduced), field), _cq_cap(field.k))
 
 
 def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
@@ -457,20 +451,19 @@ def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
     Verifies that every closure element is a uniquely parameterized S-matrix,
     that the order is 2^(2k) (2^k - 1), that restriction to the quotient
     algebra is injective and lands onto its Miyamoto group, and that every
-    element fixes the annihilator generator s.  Both closures are
-    `_certified_closure`'s, which `group_closure` unpacks, and every check
-    reads their packed ints (row i at bit i n k):
-    the S shape and parameters through `_s_params`, the fixed s by one AND
-    per element, and the restriction by repacking rows 0..4 at the
-    quotient's row stride 5k.  No matrix is built per element.  Raises
-    MiyamotoCheckError if any check fails.
+    element fixes the annihilator generator s.  Both closures, of
+    `cq_miyamoto_maps`, are `_certified_closure`'s, and every check reads
+    their `_pack`ed ints: the S shape and parameters through `_s_params`,
+    the fixed s by one AND per element, and the restriction by repacking
+    rows 0..4 at the quotient's row stride 5k.  No matrix is built per
+    element.  Raises MiyamotoCheckError if any check fails.
     """
     if k not in (2, 3, 4):
         raise ValueError("supported field degrees are k in {2, 3, 4}")
     field = Field(k)
     expected = (1 << (2 * k)) * ((1 << k) - 1)
     alg = _cq_algebra(reduced=False)
-    full = _certified_closure(*_cq_generators(alg, field))[1]
+    full = _certified_closure(cq_miyamoto_maps(alg, field), _cq_cap(k))[1]
     params = [_s_params(x, 6, k) for x in full]
     all_s = all(p is not None for p in params)
     unique = len(set(params)) == len(params)
@@ -480,7 +473,7 @@ def verify_cq_miyamoto(k: int) -> CqMiyamotoReport:
     s_col = 1 << (5 * row_bits + 5 * k)
     fixes_s = all(x & lane5 == s_col for x in full)
 
-    reduced = _certified_closure(*_cq_generators(matsuo.reduce(alg), field))[1]
+    reduced = _certified_closure(cq_miyamoto_maps(matsuo.reduce(alg), field), _cq_cap(k))[1]
     # the restriction to the quotient drops row 5 and lane 5 of the others;
     # shifting x right by i k moves row i from bit 6 i k to bit 5 i k
     cuts = [(i * k, ((1 << (5 * k)) - 1) << (5 * i * k)) for i in range(5)]

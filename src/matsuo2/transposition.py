@@ -453,11 +453,24 @@ def _parse_element(model, body: str):
     raise AssertionError(kind)
 
 
-def _parse_int(token: str, lineno: int, what: str) -> int:
+def _parse_int(token: str, lineno: int, what: str, valid=lambda v: True) -> int:
+    """The int a header token spells, refused as a bad `what` unless valid."""
     try:
-        return int(token)
+        if valid(v := int(token)):
+            return v
     except ValueError:
-        raise ValueError(f"line {lineno}: bad {what} {token!r}") from None
+        pass
+    raise ValueError(f"line {lineno}: bad {what} {token!r}")
+
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin to the prime bases up to 41: exact below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if p < 2 or any(p % b == 0 for b in bases):
+        return p in bases
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # 2^s exactly divides p - 1
+    d = (p - 1) >> s
+    return all(pow(b, d, p) == 1 or p - 1 in (pow(b, d << i, p) for i in range(s)) for b in bases)
 
 
 def parse_gens(text: str):
@@ -492,20 +505,13 @@ def _parse_gens(text: str):
         if model is None:
             parts = stripped.split()
             if parts[0] == "perm" and len(parts) == 2:
-                n = _parse_int(parts[1], lineno, "degree")
-                if n < 1:
-                    raise ValueError(f"line {lineno}: bad degree {parts[1]!r}")
-                model = ("perm", n)
+                model = ("perm", _parse_int(parts[1], lineno, "degree", lambda n: n >= 1))
             elif parts[0] == "affineperm" and len(parts) in (3, 4):
                 sumzero = len(parts) == 4 and parts[3] == "sumzero"
                 if len(parts) == 4 and not sumzero:
                     raise ValueError(f"line {lineno}: bad affineperm flag {parts[3]!r}")
-                p = _parse_int(parts[1], lineno, "prime")
-                if p < 2:
-                    raise ValueError(f"line {lineno}: bad prime {parts[1]!r}")
-                m = _parse_int(parts[2], lineno, "dimension")
-                if m < 1:
-                    raise ValueError(f"line {lineno}: bad dimension {parts[2]!r}")
+                p = _parse_int(parts[1], lineno, "prime", _is_prime)
+                m = _parse_int(parts[2], lineno, "dimension", lambda m: m >= 1)
                 model = ("affineperm", p, m, sumzero)
             elif parts[0] == "affinemat-gf4" and len(parts) == 2:
                 if _parse_int(parts[1], lineno, "dimension") != 3:

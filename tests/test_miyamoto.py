@@ -19,7 +19,7 @@ from matsuo2.miyamoto import (
     aut_enumerate_full,
     aut_enumerate_reduced,
     aut_reduced_unconstrained,
-    cq_miyamoto_matrix,
+    cq_miyamoto_maps,
     group_closure,
     miyamoto_map,
     frozen_basis_structure,
@@ -55,13 +55,14 @@ def test_frozen_basis_multiplication_table(cq_algebra):
 
 def test_miyamoto_maps_have_s_form_over_gf4(cq_algebra):
     expected_flags = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    for line, (ea, eb) in zip(CQ_LINE_ORDER, expected_flags):
+    maps = iter(cq_miyamoto_maps(cq_algebra, GF4))
+    for ea, eb in expected_flags:
         for lam in GF4.nonzero():
-            m = cq_miyamoto_matrix(cq_algebra, GF4, line, lam)
             one_plus = 1 ^ lam
-            assert parse_s_matrix(m) == (
+            assert parse_s_matrix(next(maps)) == (
                 one_plus if ea else 0, one_plus if eb else 0, lam
             )
+    assert next(maps, None) is None
 
 
 def test_miyamoto_fixes_line_and_moves_off_points(cq_algebra):
@@ -104,23 +105,46 @@ def test_nontrivial_scaling_rejected_on_z2_only_space():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_miyamoto_maps_refuse_lambda_outside_the_field(cq_algebra, k):
-    """0 is no unit, and -1, 2^k and 2^k + 3 are no element of GF(2^k): both
-    map builders refuse them, and every unit still gives a matrix whose rows
-    stay inside their n lanes."""
+    """0 is no unit, and -1, 2^k and 2^k + 3 are no element of GF(2^k): the
+    map refuses them, and every unit still gives a matrix whose rows stay
+    inside their n lanes."""
     f = Field(k)
-    line = CQ_LINE_ORDER[0]
-    verdict = decomp.line_verdict(cq_algebra, line)
-    for build in (lambda lam: miyamoto_map(verdict, f, lam),
-                  lambda lam: cq_miyamoto_matrix(cq_algebra, f, line, lam)):
-        with pytest.raises(ValueError, match="^lambda must be a unit$"):
-            build(0)
-        for lam in (-1, 1 << k, (1 << k) + 3):
-            message = rf"^lambda={lam} is not an element of GF\({1 << k}\)$"
-            with pytest.raises(ValueError, match=message):
-                build(lam)
-        for lam in f.nonzero():
-            m = build(lam)
-            assert min(m.rows) >= 0 and max(m.rows) < 1 << (6 * k)
+    verdict = decomp.line_verdict(cq_algebra, CQ_LINE_ORDER[0])
+    with pytest.raises(ValueError, match="^lambda must be a unit$"):
+        miyamoto_map(verdict, f, 0)
+    for lam in (-1, 1 << k, (1 << k) + 3):
+        message = rf"^lambda={lam} is not an element of GF\({1 << k}\)$"
+        with pytest.raises(ValueError, match=message):
+            miyamoto_map(verdict, f, lam)
+    maps = [miyamoto_map(verdict, f, lam) for lam in f.nonzero()]
+    for m in maps + cq_miyamoto_maps(cq_algebra, f):
+        assert min(m.rows) >= 0 and max(m.rows) < 1 << (6 * k)
+
+
+def _lifted_conjugation_maps(alg, field):
+    """Reference: C^-1 tau C over GF(2^k) for each frame line and unit lambda,
+    C (the frozen columns in the point basis) and C^-1 lifted from GF(2) and
+    tau the point-basis `miyamoto_map`."""
+    cols, lines = miyamoto._frame(alg)
+    C = FieldMatrix.from_cols(GF2, alg.dim, cols)
+    C, Cinv = lift_matrix(field, C), lift_matrix(field, C.inverse())
+    return [Cinv * miyamoto_map(decomp.line_verdict(alg, line), field, lam) * C
+            for line in lines for lam in field.nonzero()]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_cq_miyamoto_maps_match_the_lifted_conjugation(cq_algebra, relabelled, k):
+    """The one GF(2) conjugation per line gives the maps that lifting C and
+    C^-1 and forming two GF(2^k) products per map gives, on the catalog cq and
+    three relabellings, full and reduced."""
+    f = Field(k)
+    spaces = [cq_algebra.space] + [relabelled(cq_algebra.space, seed)[0] for seed in (41, 42, 43)]
+    for sp in spaces:
+        alg = matsuo.build(sp)
+        for a in (alg, matsuo.reduce(alg)):
+            maps = cq_miyamoto_maps(a, f)
+            assert len(maps) == 4 * (f.order - 1)
+            assert maps == _lifted_conjugation_maps(a, f), (sp.lines, a.reduced)
 
 
 # sha256 prefix of the rows of every miyamoto_map matrix of the quadrilateral,
@@ -258,6 +282,25 @@ def test_s_matrix_composition_law():
             p1 = (rng.randrange(f.order), rng.randrange(f.order), rng.randrange(1, f.order))
             p2 = (rng.randrange(f.order), rng.randrange(f.order), rng.randrange(1, f.order))
             assert s_matrix(f, *p1) * s_matrix(f, *p2) == s_matrix(f, *s_compose(f, p1, p2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_s_matrix_refuses_scalars_outside_the_field(k):
+    """alpha or beta outside 0..2^k - 1, lambda = 0 and lambda >= 2^k are
+    refused; every other triple gives an S-matrix."""
+    f = Field(k)
+    q = f.order
+    with pytest.raises(ValueError, match="^lambda must be a unit$"):
+        s_matrix(f, 0, 0, 0)
+    for bad in (-1, q, q + 3):
+        cases = (((bad, 0, 1), "alpha"), ((0, bad, 1), "beta"), ((0, 0, bad), "lambda"))
+        for params, name in cases:
+            message = rf"^{name}={bad} is not an element of GF\({q}\)$"
+            for reduced in (False, True):
+                with pytest.raises(ValueError, match=message):
+                    s_matrix(f, *params, reduced=reduced)
+    for params in itertools.product(range(q), range(q), f.nonzero()):
+        assert parse_s_matrix(s_matrix(f, *params)) == params
 
 
 def test_s_matrix_specific_gf4_product():
@@ -475,7 +518,7 @@ def test_group_closure_certificate_matches_reference(k):
 def test_certified_closure_is_the_group_closure_set(cq_algebra, k, reduced):
     f = Field(k)
     alg = matsuo.reduce(cq_algebra) if reduced else cq_algebra
-    gens = miyamoto._cq_generators(alg, f)[0]
+    gens = cq_miyamoto_maps(alg, f)
     every_s = {s_matrix(f, a, b, lam, reduced) for a in range(f.order)
                for b in range(f.order) for lam in f.nonzero()}
     _assert_closure_matches_reference(gens, every_s)
@@ -538,8 +581,7 @@ def test_group_closure_stops_at_the_group_order(cq_algebra, monkeypatch, k, redu
     element of the 3840."""
     f = Field(k)
     alg = matsuo.reduce(cq_algebra) if reduced else cq_algebra
-    gens = [cq_miyamoto_matrix(alg, f, line, lam)
-            for line in CQ_LINE_ORDER for lam in f.nonzero()]
+    gens = cq_miyamoto_maps(alg, f)
 
     def run():
         g = group_closure(gens)
@@ -568,12 +610,7 @@ def test_group_closure_rejects_a_singular_generator(monkeypatch):
 def test_group_closure_order_matches_reference_bfs(cq_algebra, k, reduced):
     f = Field(k)
     alg = matsuo.reduce(cq_algebra) if reduced else cq_algebra
-    gens = [
-        cq_miyamoto_matrix(alg, f, line, lam)
-        for line in CQ_LINE_ORDER
-        for lam in f.nonzero()
-    ]
-    g = _assert_closure_matches_reference(gens)
+    g = _assert_closure_matches_reference(cq_miyamoto_maps(alg, f))
     assert g.elements == miyamoto.cq_miyamoto_group(f, reduced=reduced).elements
 
 
@@ -650,10 +687,7 @@ def test_frame_gives_one_structure_in_every_point_order(cq_algebra):
 def test_frame_line_matrices_match_the_catalog(cq_algebra, relabelled, seed):
     moved = matsuo.build(relabelled(cq_algebra.space, seed)[0])
     for alg, ref in ((moved, cq_algebra), (matsuo.reduce(moved), matsuo.reduce(cq_algebra))):
-        for line, ref_line in zip(miyamoto._frame(alg)[1], CQ_LINE_ORDER):
-            for lam in GF4.nonzero():
-                assert (cq_miyamoto_matrix(alg, GF4, line, lam)
-                        == cq_miyamoto_matrix(ref, GF4, ref_line, lam))
+        assert cq_miyamoto_maps(alg, GF4) == cq_miyamoto_maps(ref, GF4)
 
 
 def test_verify_cq_miyamoto_gf4():
@@ -731,8 +765,9 @@ def test_verify_cq_miyamoto_rejects_bad_degree():
 
 def test_verify_cq_miyamoto_builds_no_matrix_per_element(monkeypatch):
     """The GF(16) check reads its two closures of 3840 elements as packed
-    ints: the matrices it builds are the 2 x 57 maps with their basis changes
-    and one inverse per distinct generator, a few hundred in all."""
+    ints: the matrices it builds are the 2 x 60 maps, the GF(2) projections
+    and basis changes they come from, and one inverse per distinct
+    generator, a few hundred in all."""
     built = []
     init = FieldMatrix.__init__
 
@@ -853,7 +888,7 @@ def test_aut_full_group_closed():
 def test_miyamoto_requires_cq(cq_algebra):
     alg = matsuo.build(fischer.catalog("ag23"))
     with pytest.raises(ValueError, match="quadrilateral"):
-        cq_miyamoto_matrix(alg, GF4, alg.space.lines[0], 2)
+        cq_miyamoto_maps(alg, GF4)
 
 
 def _times(S, u, v):

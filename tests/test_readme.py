@@ -34,6 +34,11 @@ def test_a_stale_readme_name_is_caught():
             "`decomp.witness_hall`, `gf.apply_images(rows, x)` and `gf.no_such(x)`;\n"
             "`matsuo.predict_line_row(sp, line)` and `matsuo.predict_line_line(sp, a, b)`;\n"
             "`gf._mul_raw(a, b, k, modulus)` and `gf.Field`;\n"
-            "`fischer._plane_lines(key, pm, collinear, wedge, line_ids)` and `fischer.wedge`")
+            "`fischer._plane_lines(key, pm, collinear, wedge, line_ids)` and `fischer.wedge`;\n"
+            "`miyamoto._cq_miyamoto_matrices(alg, field, lines, lams)`, "
+            "`miyamoto.cq_miyamoto_matrix(alg, field, line, lam)`,\n"
+            "`miyamoto._cq_generators(alg, field)` and `miyamoto.cq_miyamoto_maps(alg, field)`")
     assert _stale(text) == ["fischer._plane_lines", "gf._mul_raw", "gf.no_such",
-                            "matsuo.predict_line_line", "miyamoto._packed_closure"]
+                            "matsuo.predict_line_line", "miyamoto._cq_generators",
+                            "miyamoto._cq_miyamoto_matrices", "miyamoto._packed_closure",
+                            "miyamoto.cq_miyamoto_matrix"]

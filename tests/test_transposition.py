@@ -1,11 +1,12 @@
 import hashlib
 import itertools
+import math
 import random
 import re
 
 import pytest
 
-from matsuo2 import fischer
+from matsuo2 import fischer, transposition
 from matsuo2.gf import Field, vec_to_list
 from matsuo2.transposition import (
     PRESET_NAMES,
@@ -458,8 +459,9 @@ def test_parse_gens_errors():
             parse_gens(f"perm {n}\n()\nseed ()\n")
     with pytest.raises(ValueError, match="^line 2: bad prime 'p'$"):
         parse_gens("# comment\naffineperm p 2\n[0,0 | ()]\nseed [0,0 | ()]\n")
-    with pytest.raises(ValueError, match="^line 1: bad prime '0'$"):
-        parse_gens("affineperm 0 2\n[1,0 | ()]\nseed [0,0 | ()]\n")
+    for p in ("0", "4", "6", "9"):  # a composite modulus is refused as p < 2 is
+        with pytest.raises(ValueError, match=f"^line 1: bad prime '{p}'$"):
+            parse_gens(f"affineperm {p} 2\n[1,0 | ()]\nseed [0,0 | ()]\n")
     with pytest.raises(ValueError, match="^line 1: bad dimension '-2'$"):
         parse_gens("affineperm 3 -2\n[1,0 | ()]\nseed [0,0 | ()]\n")
     with pytest.raises(ValueError, match=r"^line 2: letter 2 is in two cycles of '\(1 2\)\(2 3\)'$"):
@@ -467,6 +469,29 @@ def test_parse_gens_errors():
     with pytest.raises(ValueError, match="^line 3: the 3x3 matrix is singular$"):
         parse_gens("affinemat-gf4 3\n[0,0,0 | 1,0,0,0,1,0,0,0,1]\n"
                    "[0,0,0 | 1,2,0,2,3,0,0,0,1]\nseed [0,0,0 | 1,0,0,0,1,0,0,0,1]\n")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_parse_gens_reads_a_prime_modulus(p):
+    gens, seed = parse_gens(f"affineperm {p} 2\n[1,0 | ()]\nseed [0,0 | ()]\n")
+    assert gens[0].p == seed.p == p
+
+
+def test_is_prime_matches_trial_division():
+    """Exact on every p below 20,000 and on seeded 10-digit p; a strong
+    pseudoprime to the prime bases up to 37 (399165290221 * 798330580441),
+    Carmichael numbers and a product of two Mersenne primes are refused, and
+    Mersenne primes of 19 and 27 digits pass."""
+    def by_division(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    rng = random.Random(4343)
+    for p in list(range(-3, 20_000)) + [rng.randrange(10**9, 10**10) for _ in range(300)]:
+        assert transposition._is_prime(p) == by_division(p), p
+    for p in (318665857834031151167461, 561, 41041, 3825123056546413051,
+              (2**61 - 1) * (2**31 - 1)):
+        assert not transposition._is_prime(p)
+    assert transposition._is_prime(2**61 - 1) and transposition._is_prime(2**89 - 1)
 
 
 def test_parse_gens_rejects_a_second_seed_line():
