@@ -99,7 +99,7 @@ def cmd_decompose(args) -> int:
             return 2
         verdicts = [decomp.line_verdict(alg, t)]
     else:
-        verdicts = [decomp.line_verdict(alg, t) for t in sp.lines]
+        verdicts = decomp.classify_space(alg).verdicts
     if args.format == "json":
         _emit_json({
             "space": sp.meta.name if sp.meta else None,

@@ -48,8 +48,20 @@ the row of its image; the orbit walk reads the image ids with no lookup per
 step.  An entry that is not a line mask, or a line whose image is not a
 line, is moved point by point, so the check accepts and rejects exactly the
 tables that an entry-by-entry check would, and names the same first pair.
-classify_space stays per line: its witness is the first lexicographic pair
-of an echelon basis, which a permutation of the basis does not preserve.
+
+classify_space walks the same orbits and decides only their first lines.
+Every other line m = sigma_y(k) takes its verdict from the line k it was
+reached from, with bases of its own.  kernel() returns the unique reduced
+echelon basis whose pivots are the lowest bits, so the forward echelon
+form of sigma_y applied to k's bases is the basis decompose_line would
+find for m; the coordinate map is the inverse of the new bases, built by
+the constructor decompose_line uses.  The witness is the one thing a
+permutation of the basis does not carry: it is the first lexicographic
+pair of the echelon basis1 whose product meets the 1-part.  One routine
+walks those pairs with matsuo.multiply for every line whose 1*1 cell holds
+label 1, decided or carried, and raises if it finds none.  On the catalog
+it takes one product on most lines and 43 at most (on su32); on sampled
+lines of Hall's space, one or two.
 """
 
 from __future__ import annotations
@@ -57,7 +69,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fischer, matsuo
-from .gf import FieldMatrix, apply_images, mask_from_support, span_equal, vec_support
+from .gf import (
+    FieldMatrix,
+    apply_images,
+    echelon_basis,
+    mask_from_support,
+    span_equal,
+    vec_support,
+)
 
 GF2 = matsuo.GF2
 
@@ -79,6 +98,9 @@ class LineDecomposition:
         return (len(self.basis0), len(self.basis1))
 
     def coords(self, v: int) -> int:
+        """Coordinates of v in basis0 + basis1; v as in matsuo.multiply."""
+        if v >> self.dim:
+            raise ValueError("element does not fit the algebra's dimension")
         return apply_images(self.coord_cols, v)
 
     def split(self, v: int) -> tuple[int, int]:
@@ -125,6 +147,17 @@ def decompose_line(alg: matsuo.NilpotentMatsuoAlgebra, line) -> LineDecompositio
         if grown is None:
             raise _split_error(line, ad1, basis0, basis1)
         basis0 = grown
+    return _decomposition(line, n, basis0, basis1, eigen0)
+
+
+def _decomposition(line, n: int, basis0, basis1, eigen0: int) -> LineDecomposition:
+    """The decomposition with these bases and dim ker(ad) = eigen0.
+
+    The 1-part is an eigenspace, so the line is semisimple exactly when the
+    0-part is too: eigen0 == len(basis0).  The columns of C = P^-1, with
+    P = [basis0 | basis1], are the rows of (P^T)^-1, and P^T has the bases
+    as its rows.
+    """
     return LineDecomposition(
         line=tuple(sorted(line)),
         dim=n,
@@ -132,7 +165,7 @@ def decompose_line(alg: matsuo.NilpotentMatsuoAlgebra, line) -> LineDecompositio
         basis1=basis1,
         eigen0_dim=eigen0,
         eigen1_dim=len(basis1),
-        semisimple=(eigen0 == target),
+        semisimple=(eigen0 == len(basis0)),
         coord_cols=FieldMatrix(GF2, n, n, basis0 + basis1).inverse().rows,
     )
 
@@ -215,14 +248,15 @@ def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition) -> 
     j >= i: the product is commutative (matsuo.build asserts it), so the
     block is symmetric and both halves hold the same products.
 
-    The witness is the first (lexicographic) 1-part basis pair whose product
-    has a nonzero 1-component, read as the lowest 1-lane bit in the 1-part
-    slots of the first u that has one; a graded line has none, at no cost.
+    When the 1*1 cell holds label 1, the witness comes from _witness, which
+    walks the 1-part basis pairs with matsuo.multiply; a line whose cell
+    does not hold it has no witness, at no cost.  If the walk finds no pair,
+    the tensor and multiply disagree, and that is an error naming the line.
 
     alg.table comes only from matsuo.build and matsuo.reduce, and both fill
     it from these same lines, so the tensor reads the lines instead.  The
     decomposition still reads the table, and so do the pairwise oracle of
-    the tests and the matsuo.multiply cross-check of the witness.
+    the tests and the witness walk.
     """
     n = alg.dim
     d0 = len(dec.basis0)
@@ -262,28 +296,35 @@ def fusion_table(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition) -> 
         g = apply_images(G, u)
         c00 |= bool(g & m00) | bool(g & m10) << 1
         c01 |= bool(g & m01) | bool(g & m11) << 1
-    witness = None
     for u in dec.basis1:
         g = apply_images(G, u)
-        hit = g & m11
-        c11 |= bool(g & m01) | bool(hit) << 1
-        if witness is None and hit:
-            # no set slot lies at or below u's own: u u = 0, and by commutativity
-            # an earlier u' with u' u in the 1-part would have been taken
-            v = vs[((hit & -hit).bit_length() - 1) // n]
-            p = matsuo.multiply(alg, u, v)
-            bad = dec.split(p)[1]
-            if not bad:
-                raise RuntimeError(
-                    "product tensor and multiply disagree on the witness "
-                    f"for line {dec.line!r}"
-                )
-            witness = Witness(u, v, p, bad)
+        c11 |= bool(g & m01) | bool(g & m11) << 1
     cells = {
         cell: frozenset(label for label in (0, 1) if (bits >> label) & 1)
         for cell, bits in (((0, 0), c00), ((0, 1), c01), ((1, 1), c11))
     }
-    return FusionTable(cells, witness)
+    return FusionTable(cells, _witness(alg, dec) if c11 & 2 else None)
+
+
+def _witness(alg: matsuo.NilpotentMatsuoAlgebra, dec: LineDecomposition) -> Witness:
+    """The first 1-part basis pair (u_i, u_j), i < j, whose product meets
+    the 1-part, for a line whose 1*1 cell holds label 1.
+
+    Pairs are walked in lexicographic order with matsuo.multiply; u u = 0,
+    and the product is commutative, so these pairs are all there is to
+    try.  No such pair means the cell and the products disagree.
+    """
+    d0 = len(dec.basis0)
+    b1 = dec.basis1
+    for i, u in enumerate(b1):
+        for v in b1[i + 1:]:
+            p = matsuo.multiply(alg, u, v)
+            bad = dec.coords(p) >> d0
+            if bad:
+                return Witness(u, v, p, apply_images(b1, bad))
+    raise RuntimeError(
+        f"product tensor and multiply disagree on the witness for line {dec.line!r}"
+    )
 
 
 def is_z2_graded(table: FusionTable) -> bool:
@@ -365,17 +406,55 @@ def line_verdict(alg: matsuo.NilpotentMatsuoAlgebra, line) -> LineVerdict:
 
 
 def classify_space(alg: matsuo.NilpotentMatsuoAlgebra) -> GradingVerdict:
-    """Verdicts for every line, in line order."""
+    """Verdicts for every line, in line order, decided once per line orbit.
+
+    The first line of each orbit of the point reflections gets its
+    line_verdict, as in orbit_verdicts, after the same check of every
+    reflection against alg.table.  Every other line m = sigma_y(k) is met
+    by the orbit walk from a line k already decided, and its verdict is
+    carried from k's (_carried): it equals line_verdict(alg, m) as a
+    dataclass.  A reduced algebra has no reflections, so each of its lines
+    is an orbit of its own and gets its line_verdict.
+    """
     lines = alg.space.lines
-    verdicts = tuple(line_verdict(alg, t) for t in lines)
+    verdicts = [None] * len(lines)
+    for start, steps in _line_orbits(alg):
+        verdicts[start] = line_verdict(alg, lines[start])
+        for m, k, images in steps:
+            verdicts[m] = _carried(alg, verdicts[k], lines[m], images)
     good = tuple(
         t for t in lines if not fischer.cqs_through_line(alg.space, t)
     )
     return GradingVerdict(
-        verdicts=verdicts,
+        verdicts=tuple(verdicts),
         graded=all(v.z2_graded for v in verdicts),
         good_lines=good,
     )
+
+
+def _carried(alg: matsuo.NilpotentMatsuoAlgebra, verdict: LineVerdict, line,
+             images) -> LineVerdict:
+    """The verdict of line = sigma(k) from the verdict of line k, where the
+    checked reflection sigma moves point p to images[p].
+
+    sigma permutes the basis and preserves the structure constants, so it
+    carries each kernel of ad along k onto the same kernel along its image:
+    the bases of the image are the forward echelon forms (lowest-bit pivots)
+    of the moved bases of k, which are the canonical bases kernel() returns,
+    and the eigen dims, the semisimple flag and the fusion cells are k's.
+    The coordinate map and the witness are built from the new bases as for
+    any line.
+    """
+    d = verdict.decomposition
+    moved = [1 << p for p in images]
+    basis0, basis1 = (
+        echelon_basis([apply_images(moved, v) for v in part], d.dim)
+        for part in (d.basis0, d.basis1)
+    )
+    dec = _decomposition(line, d.dim, basis0, basis1, d.eigen0_dim)
+    cells = verdict.fusion.cells
+    return LineVerdict(
+        dec, FusionTable(cells, _witness(alg, dec) if 1 in cells[(1, 1)] else None))
 
 
 def orbit_verdicts(alg: matsuo.NilpotentMatsuoAlgebra):
@@ -383,11 +462,31 @@ def orbit_verdicts(alg: matsuo.NilpotentMatsuoAlgebra):
 
     Returns (verdict, orbit_lines) pairs ordered by representative, where the
     verdict is that of the orbit's first line in line order and orbit_lines
-    lists the orbit in line order.  Every reflection is first checked to
-    preserve every entry of alg.table; a failure raises and names the point
-    and the first pair, in row-major order, whose entry it moves wrongly.
-    Only the full algebra is accepted: the reduced basis drops a point, which
-    a reflection may move.
+    lists the orbit in line order.  The reflections are checked as
+    _line_orbits describes.  Only the full algebra is accepted: the reduced
+    basis drops a point, which a reflection may move.
+    """
+    if alg.reduced:
+        raise ValueError("orbit verdicts are defined on the full algebra")
+    lines = alg.space.lines
+    return tuple(
+        (line_verdict(alg, lines[start]),
+         tuple(lines[k] for k in sorted([start, *(m for m, _, _ in steps)])))
+        for start, steps in _line_orbits(alg)
+    )
+
+
+def _line_orbits(alg: matsuo.NilpotentMatsuoAlgebra) -> list:
+    """The line orbits of the checked point reflections, each as a walk from
+    its first line.
+
+    Returns one (start, steps) pair per orbit, ordered by start, the orbit's
+    first line id.  Each step (m, k, images) meets line m as sigma(k), where
+    sigma moves point p to images[p] and k is start or the line of an
+    earlier step.  Every reflection is first checked to preserve every entry
+    of alg.table; a failure raises and names the point and the first pair,
+    in row-major order, whose entry it moves wrongly.  A reduced algebra
+    gets no reflections, so each of its lines is an orbit with no steps.
 
     Per reflection sigma_y the id of the image of every line is found once: a
     line through y, or with no point collinear with y, is fixed.  The check
@@ -396,8 +495,6 @@ def orbit_verdicts(alg: matsuo.NilpotentMatsuoAlgebra):
     rows, table[i] moved against table[sigma_y(i)] read at the images.  The
     orbit walk reads the same line permutations.
     """
-    if alg.reduced:
-        raise ValueError("orbit verdicts are defined on the full algebra")
     space, table, n = alg.space, alg.table, alg.dim
     masks = space.line_masks
     # each distinct entry gets a code: a line mask its line id, any other
@@ -407,7 +504,7 @@ def orbit_verdicts(alg: matsuo.NilpotentMatsuoAlgebra):
     code.update((m, len(masks) + e) for e, m in enumerate(others))
     coded = [list(map(code.__getitem__, row)) for row in table]
     perms = []
-    for y in range(n):
+    for y in range(0 if alg.reduced else n):
         cm = space.collinear[y]
         images = [fischer.wedge(space, y, x) if (cm >> x) & 1 else x for x in range(n)]
         # sigma_y swaps its points in pairs, so a line mapped to line m has m
@@ -438,11 +535,11 @@ def orbit_verdicts(alg: matsuo.NilpotentMatsuoAlgebra):
         perms.append((perm, images))
     seen = [False] * len(space.lines)
     out = []
-    for start, rep in enumerate(space.lines):
+    for start in range(len(space.lines)):
         if seen[start]:
             continue
         seen[start] = True
-        members, todo = [start], [start]
+        steps, todo = [], [start]
         while todo:
             k = todo.pop()
             for perm, images in perms:
@@ -451,11 +548,10 @@ def orbit_verdicts(alg: matsuo.NilpotentMatsuoAlgebra):
                     m = space.line_id([images[p] for p in space.lines[k]])
                 if not seen[m]:
                     seen[m] = True
-                    members.append(m)
+                    steps.append((m, k, images))
                     todo.append(m)
-        out.append((line_verdict(alg, rep),
-                    tuple(space.lines[k] for k in sorted(members))))
-    return tuple(out)
+        out.append((start, steps))
+    return out
 
 
 # -- structured eigenbasis for symplectic spaces --------------------------------

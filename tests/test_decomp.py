@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from matsuo2 import fischer, matsuo
+from matsuo2 import decomp, fischer, matsuo
 from matsuo2.gf import FieldMatrix
 from matsuo2.decomp import (
     LineVerdict,
@@ -306,6 +306,14 @@ def test_split_reconstructs_vectors(algebras, reduced_algebras):
                 assert d.component_flags(v1) == (False, v1 != 0)
 
 
+@pytest.mark.parametrize("v", [1 << 6, -1])
+def test_coordinates_refuse_an_element_outside_the_algebra(algebras, v):
+    d = decompose_line(algebras["cq"], (0, 1, 2))
+    for read in (d.coords, d.split, d.component_flags):
+        with pytest.raises(ValueError, match="does not fit the algebra's dimension"):
+            read(v)
+
+
 def test_decomposition_exhausts_algebra(algebras):
     for alg in algebras.values():
         for t in alg.space.lines[:3]:
@@ -428,15 +436,84 @@ def test_orbit_verdicts_name_the_first_corrupted_entry(algebras, name, kind):
             sp, n, False, tuple(tuple(r) for r in table))
         expected = _first_unpreserved(sp, table)
         assert expected is not None
-        with pytest.raises(RuntimeError, match=re.escape(
-                f"point {expected[0]} does not preserve the structure constants "
-                f"at pair ({expected[1]}, {expected[2]})")):
-            orbit_verdicts(bad)
+        for decide in (orbit_verdicts, classify_space):
+            with pytest.raises(RuntimeError, match=re.escape(
+                    f"point {expected[0]} does not preserve the structure constants "
+                    f"at pair ({expected[1]}, {expected[2]})")):
+                decide(bad)
 
 
 def test_orbit_verdicts_need_the_full_algebra(reduced_algebras):
     with pytest.raises(ValueError, match="full algebra"):
         orbit_verdicts(reduced_algebras["cq"])
+
+
+@pytest.mark.parametrize("name", list(fischer.CATALOG_NAMES) + ["su32~", "ag33~"])
+def test_classify_space_equals_every_line_verdict(spaces, algebras, relabelled, name):
+    if name.endswith("~"):
+        alg = matsuo.build(relabelled(spaces[name[:-1]], 4343)[0])
+    else:
+        alg = algebras[name]
+    for a in (alg, matsuo.reduce(alg)):
+        want = [line_verdict(a, t) for t in a.space.lines]
+        assert list(classify_space(a).verdicts) == want
+
+
+def test_classify_space_equals_line_verdict_on_hall(hall_space):
+    sp = hall_space(8484)
+    alg = matsuo.build(sp)
+    verdicts = classify_space(alg).verdicts
+    for k in random.Random(8585).sample(range(len(sp.lines)), 40):
+        assert verdicts[k] == line_verdict(alg, sp.lines[k]), sp.lines[k]
+
+
+@pytest.mark.parametrize("name, reduced, decided",
+                         [("su32", False, 4), ("ag33", False, 13), ("cq", True, 4)])
+def test_classify_space_decides_one_line_per_orbit(algebras, reduced_algebras,
+                                                   monkeypatch, name, reduced, decided):
+    calls = {"decompose_line": 0, "fusion_table": 0}
+
+    def count(fn):
+        original = getattr(decomp, fn)
+
+        def counted(*args):
+            calls[fn] += 1
+            return original(*args)
+
+        monkeypatch.setattr(decomp, fn, counted)
+
+    for fn in calls:
+        count(fn)
+    classify_space((reduced_algebras if reduced else algebras)[name])
+    assert calls == {"decompose_line": decided, "fusion_table": decided}
+
+
+def test_a_carried_witness_is_cross_checked(algebras, monkeypatch):
+    # each orbit's first line is decided with the true products, and every
+    # carried line sees multiply return 0: the first ungraded carried line
+    # finds no witness pair for its 1*1 cell
+    alg = algebras["3_3_sym4"]
+    first = {o[0] for _, o in orbit_verdicts(alg)}
+    multiply, decide = matsuo.multiply, decomp.line_verdict
+    deciding = []
+
+    def decided_truly(a, t):
+        deciding.append(t)
+        try:
+            return decide(a, t)
+        finally:
+            deciding.pop()
+
+    monkeypatch.setattr(matsuo, "multiply",
+                        lambda a, u, v: multiply(a, u, v) if deciding else 0)
+    monkeypatch.setattr(decomp, "line_verdict", decided_truly)
+    with pytest.raises(RuntimeError, match="disagree") as exc:
+        classify_space(alg)
+    named = tuple(map(int, re.search(r"line \((\d+), (\d+), (\d+)\)",
+                                     str(exc.value)).groups()))
+    assert named not in first
+    monkeypatch.setattr(matsuo, "multiply", multiply)
+    assert not decide(alg, named).z2_graded
 
 
 def test_witness_recorded_for_failing_lines(algebras):
