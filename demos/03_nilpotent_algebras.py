@@ -35,7 +35,7 @@ nils = [matsuo.line_nilpotent(aag, t) for t in ag.lines]
 agree = all(
     want == matsuo.multiply(aag, n1, n2)
     for t1, n1 in zip(ag.lines, nils)
-    for want, n2 in zip(matsuo.predict_line_row(ag, t1), nils)
+    for want, n2 in zip(matsuo.predict_line_row(ag, t1, matsuo.predict_point_row(ag, t1)), nils)
 )
 print("all line*line products of ag23 match the prediction:", agree)
 

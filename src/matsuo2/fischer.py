@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gf import mask_from_support, vec_support
 
@@ -69,10 +69,8 @@ class FischerSpace:
 
     Instances are only created by validate(), which builds every table first
     and passes them complete to the constructor; the space is frozen, so no
-    field is assigned afterwards.  `_point_line_rows` is the one table that
-    fills on demand, and no constructor parameter: the `matsuo` product predictors add the rows of a line
-    when they first ask for it, and a space that never meets them keeps it
-    empty.  Equality is identity.
+    field is assigned afterwards, and every field is a constructor argument.
+    Equality is identity.
     """
 
     n_points: int
@@ -86,9 +84,6 @@ class FischerSpace:
     _planes: tuple[tuple[int, ...], ...]  # per line id: masks of the planes through it
     _coplanar: tuple[int, ...]  # per line id: mask of the other line ids in those planes
     _symplectic: bool
-    # per line id: the products of every point with the line nilpotent,
-    # filled by the matsuo predictors when they first ask for that line
-    _point_line_rows: dict = field(default_factory=dict, init=False)
 
     def line_id(self, line) -> int:
         """Position in `lines` of a line given by its points in any order."""
@@ -467,11 +462,11 @@ _CATALOG_META = {
 
 # point labels a,b,c,x,y,z; lines l1..l4 in the frame order of `miyamoto`
 _CQ_LABELS = ("a", "b", "c", "x", "y", "z")
-_CQ_LINES = ((0, 1, 2), (1, 3, 5), (0, 4, 5), (2, 3, 4))
+CQ_LINES = ((0, 1, 2), (1, 3, 5), (0, 4, 5), (2, 3, 4))
 
 
 def _build_cq() -> FischerSpace:
-    return validate(6, _CQ_LINES, labels=_CQ_LABELS, meta=_CATALOG_META["cq"])
+    return validate(6, CQ_LINES, labels=_CQ_LABELS, meta=_CATALOG_META["cq"])
 
 
 def _f3_space(dim: int, hall: bool = False) -> tuple[list[tuple[int, int, int]], list[str]]:

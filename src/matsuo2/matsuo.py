@@ -77,6 +77,15 @@ def _fold(mask: int, n: int) -> int:
     return mask
 
 
+def point_element(alg: NilpotentMatsuoAlgebra, x: int) -> int:
+    """Point x of the space as an algebra element; in the reduced algebra the
+    dropped point n-1 is the sum of all the others."""
+    n = alg.space.n_points
+    if not 0 <= x < n:
+        raise ValueError(f"point {x} is outside 0..{n - 1}")
+    return _fold(1 << x, n) if alg.reduced else 1 << x
+
+
 def reduce(alg: NilpotentMatsuoAlgebra) -> NilpotentMatsuoAlgebra:
     """The quotient by the annihilator <s>, on basis points 0..n-2."""
     if alg.reduced:
@@ -148,45 +157,30 @@ def annihilator(alg: NilpotentMatsuoAlgebra) -> tuple[int, ...]:
 # is determined by the geometry alone.  The two row predictors recompute
 # these products from collinearity, wedges and the plane index only,
 # independently of the structure constants, and serve as oracles against
-# multiply().  A line's point row is cached on the space the first time a
-# predictor asks for it; a line row is rebuilt on every call, since the rows
-# of all lines would hold the square of the line count.
+# multiply().  Both rows are computed on every call and kept nowhere; a
+# caller that needs a line's point row twice, as the line row does, keeps it.
 
 
 def predict_point_row(space: fischer.FischerSpace, line) -> tuple[int, ...]:
     """Predicted product x * (line nilpotent) of every point x, in point order.
 
-    Cases: zero when x is on the line or sees none of it; the sum of the two
-    joining lines when x sees two of its points (they span a quadrilateral);
+    Each point p of the line adds, at every point x that sees it, the line
+    {x, p, x^p}.  By the 0-2-3 property x sees 0, 2 or 3 points of the
+    line, so the entry is zero when x sees none of it, or is on it (the two
+    lines it adds are the line itself, twice); the sum of the two joining
+    lines when x sees two of its points (they span a quadrilateral); and
     x + line + m when x sees all three (they span an affine plane), with
-    m = {x^a, x^b, x^c} the parallel line avoiding x.  The line is resolved
-    once and its cached point row returned.
+    m = {x^a, x^b, x^c} the parallel line avoiding x.
     """
-    return _point_line_row(space, space.line_id(line))
-
-
-def _point_line_row(space: fischer.FischerSpace, j: int) -> tuple[int, ...]:
-    """x * (nilpotent of line j) for every point x, computed on first request.
-
-    x on the line sees the other two points, whose terms b + c and c + b
-    cancel, so that case needs no test of its own.
-    """
-    row = space._point_line_rows.get(j)
-    if row is None:
-        m = space.line_masks[j]
-        out = []
-        for x in range(space.n_points):
-            joiners = space.collinear[x] & m
-            p = 0
-            rest = joiners
-            while rest:
-                low = rest & -rest
-                p ^= low ^ (1 << fischer.wedge(space, x, low.bit_length() - 1))
-                rest ^= low
-            # two joining lines: x cancels; all three: x + t + {x^a, x^b, x^c}
-            out.append(p ^ (1 << x) if joiners.bit_count() == 3 else p)
-        row = space._point_line_rows[j] = tuple(out)
-    return row
+    row = [0] * space.n_points
+    for p in space.lines[space.line_id(line)]:
+        seen = space.collinear[p]
+        while seen:
+            low = seen & -seen
+            x = low.bit_length() - 1
+            row[x] ^= low | 1 << p | 1 << fischer.wedge(space, x, p)
+            seen ^= low
+    return tuple(row)
 
 
 def _plane_product(m1: int, m2: int, plane: int) -> int:
@@ -202,19 +196,17 @@ def _plane_product(m1: int, m2: int, plane: int) -> int:
     return plane & ~(m1 | m2) if m1 & m2 else plane
 
 
-def predict_line_row(space: fischer.FischerSpace, line) -> tuple[int, ...]:
+def predict_line_row(space: fischer.FischerSpace, line, point_row) -> tuple[int, ...]:
     """Predicted product of the line's nilpotent with every line nilpotent,
-    in line-id order.
+    in line-id order, given the line's point row `predict_point_row(space, line)`.
 
-    With r the line's cached point row, each line {x, y, z} first gets
-    r[x] ^ r[y] ^ r[z]; then the lines sharing a recorded plane with it
-    (`FischerSpace.coplanar`) are overwritten by _plane_product.  The line's
-    own entry is r at three of its own points, each zero.  The row is
-    computed on every call and not cached.
+    With r that point row, each line {x, y, z} first gets r[x] ^ r[y] ^ r[z];
+    then the lines sharing a recorded plane with it (`FischerSpace.coplanar`)
+    are overwritten by _plane_product.  The line's own entry is r at three
+    of its own points, each zero.
     """
     i = space.line_id(line)
-    r = _point_line_row(space, i)
-    row = [r[x] ^ r[y] ^ r[z] for x, y, z in space.lines]
+    row = [point_row[x] ^ point_row[y] ^ point_row[z] for x, y, z in space.lines]
     m1 = space.line_masks[i]
     partners = space.coplanar(i)
     while partners:

@@ -68,7 +68,7 @@ from .gf import Field, FieldMatrix, apply_images, bilinear, echelon_basis, lift_
 GF2 = matsuo.GF2
 
 # the catalog quadrilateral's lines l1..l4 in frame order, as `fischer` lists them
-CQ_LINE_ORDER = fischer._CQ_LINES
+CQ_LINE_ORDER = fischer.CQ_LINES
 
 
 class MiyamotoCheckError(RuntimeError):
@@ -142,8 +142,8 @@ def miyamoto_map(verdict: decomp.LineVerdict, field: Field, lam: int) -> FieldMa
 
 def _frame(alg: matsuo.NilpotentMatsuoAlgebra):
     """The frozen columns (a, b, l, lx, ly[, s]) as point-basis masks, and the
-    lines (l1, l2, l3, l4), by the frame rule of the module docstring; in the
-    quotient a point mask is folded by s, as `matsuo._fold` does.
+    lines (l1, l2, l3, l4), by the frame rule of the module docstring; a
+    point is its `matsuo.point_element`, folded by s in the quotient.
 
     A validated space of 6 points and 4 lines is the quadrilateral: two
     disjoint lines would cover all six points and leave no room for a line
@@ -158,10 +158,9 @@ def _frame(alg: matsuo.NilpotentMatsuoAlgebra):
     a, b, c = space.lines[0]
     x, y, z = ((full ^ space.collinear[p] ^ 1 << p).bit_length() - 1 for p in (a, b, c))
     lines = tuple(tuple(sorted(t)) for t in ((a, b, c), (b, x, z), (a, y, z), (c, x, y)))
-    fold = (lambda m: matsuo._fold(m, n)) if alg.reduced else (lambda m: m)
+    ea, eb, ex, ey = (matsuo.point_element(alg, p) for p in (a, b, x, y))
     ell = matsuo.line_nilpotent(alg, lines[0])
-    cols = (fold(1 << a), fold(1 << b), ell,
-            matsuo.multiply(alg, ell, fold(1 << x)), matsuo.multiply(alg, ell, fold(1 << y)))
+    cols = (ea, eb, ell, matsuo.multiply(alg, ell, ex), matsuo.multiply(alg, ell, ey))
     return (cols if alg.reduced else cols + (full,)), lines
 
 

@@ -418,10 +418,9 @@ def su32_matrix_involutions():
 
 
 def _parse_affine_body(body: str):
-    if not (body.startswith("[") and body.endswith("]")):
+    left, bar, right = body[1:-1].partition("|")
+    if not (body.startswith("[") and body.endswith("]") and bar):
         raise ValueError(f"expected '[...|...]', got {body!r}")
-    inner = body[1:-1]
-    left, _, right = inner.partition("|")
     return left.strip(), right.strip()
 
 

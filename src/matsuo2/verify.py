@@ -38,12 +38,20 @@ class SuiteContext:
         self.algebras = {name: matsuo.build(sp) for name, sp in self.spaces.items()}
         self.reduced = {name: matsuo.reduce(a) for name, a in self.algebras.items()}
         self._verdicts: dict = {}
+        self._point_rows: dict = {}
         self._aut = None
 
     def verdict(self, name: str) -> decomp.GradingVerdict:
         if name not in self._verdicts:
             self._verdicts[name] = decomp.classify_space(self.algebras[name])
         return self._verdicts[name]
+
+    def point_rows(self, name: str) -> tuple[tuple[int, ...], ...]:
+        """`matsuo.predict_point_row` of each line of the space, in line-id order."""
+        if name not in self._point_rows:
+            sp = self.spaces[name]
+            self._point_rows[name] = tuple(matsuo.predict_point_row(sp, t) for t in sp.lines)
+        return self._point_rows[name]
 
     def aut(self) -> miyamoto.AutFullReport:
         """The quadrilateral's Aut report; it carries the quotient's group too."""
@@ -144,8 +152,8 @@ def claim_oracle_point_line(ctx):
     total = 0
     for name, sp in ctx.spaces.items():
         alg = ctx.algebras[name]
-        nils = [(t, matsuo.line_nilpotent(alg, t), matsuo.predict_point_row(sp, t))
-                for t in sp.lines]
+        nils = [(t, matsuo.line_nilpotent(alg, t), row)
+                for t, row in zip(sp.lines, ctx.point_rows(name))]
         for x in range(sp.n_points):
             for t, ln, row in nils:
                 if matsuo.multiply(alg, 1 << x, ln) != row[x]:
@@ -159,8 +167,8 @@ def claim_oracle_line_line(ctx):
     for name, sp in ctx.spaces.items():
         alg = ctx.algebras[name]
         nils = [(t, matsuo.line_nilpotent(alg, t)) for t in sp.lines]
-        for t1, n1 in nils:
-            row = matsuo.predict_line_row(sp, t1)
+        for (t1, n1), point_row in zip(nils, ctx.point_rows(name)):
+            row = matsuo.predict_line_row(sp, t1, point_row)
             for (t2, n2), want in zip(nils, row):
                 if matsuo.multiply(alg, n1, n2) != want:
                     return _bad(f"{name}: lines {t1}, {t2}")

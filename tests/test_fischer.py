@@ -303,8 +303,10 @@ def test_a_six_point_candidate_whose_x_sees_w_is_refused(spaces):
 
 
 def test_validate_returns_a_complete_frozen_space():
-    # validate passes every table to the constructor; only the predictor
-    # rows fill on demand, and no field can be assigned afterwards
+    # validate passes every table to the constructor, every field is a
+    # constructor argument, and no field can be assigned afterwards
+    assert all(f.init for f in dataclasses.fields(fischer.FischerSpace))
+    assert not hasattr(fischer, "field")  # no dataclasses.field default
     for sp in [*(catalog(name) for name in fischer.CATALOG_NAMES), fischer.hall81()]:
         n_lines = len(sp.lines)
         assert len(sp.labels) == len(sp.collinear) == sp.n_points
@@ -312,14 +314,9 @@ def test_validate_returns_a_complete_frozen_space():
         assert len(sp._planes) == len(sp._coplanar) == n_lines
         assert all(sp._planes) and isinstance(sp._symplectic, bool)
         assert len(sp._wedge) == 6 * n_lines
-        assert sp._point_line_rows == {}
         for f in dataclasses.fields(sp):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(sp, f.name, getattr(sp, f.name))
-        # the predictor rows are no constructor parameter, so no caller can
-        # hand the space rows of its own
-        with pytest.raises(TypeError):
-            fischer.FischerSpace(*(getattr(sp, f.name) for f in dataclasses.fields(sp)))
     sp = catalog("cq")
     assert repr(sp) == "FischerSpace(cq: 6 points, 4 lines)"
     assert sp == sp and sp != catalog("cq")  # identity equality

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import random
 
@@ -7,7 +9,6 @@ from matsuo2 import decomp, fischer, matsuo
 from matsuo2.gf import Field, bilinear, mask_from_support, vec_support
 from matsuo2.matsuo import (
     _fold,
-    _point_line_row,
     ad_matrix,
     annihilator,
     build,
@@ -226,15 +227,15 @@ def test_predict_against_structure_constants(spaces, algebras):
             point_row = predict_point_row(sp, t)
             for x in range(sp.n_points):
                 assert point_row[x] == multiply(alg, 1 << x, ln)
-            for want, other in zip(predict_line_row(sp, t), nils):
+            for want, other in zip(predict_line_row(sp, t, point_row), nils):
                 assert want == multiply(alg, ln, other)
 
 
 def test_point_line_rows_match_the_definition(spaces, hall_space, product_by_definition):
     for sp in [*spaces.values(), hall_space()]:
         n = sp.n_points
-        for j, m in enumerate(sp.line_masks):
-            row = _point_line_row(sp, j)
+        for t, m in zip(sp.lines, sp.line_masks):
+            row = predict_point_row(sp, t)
             assert len(row) == n
             folded = _fold(m, n)
             for x in range(n):
@@ -244,20 +245,15 @@ def test_point_line_rows_match_the_definition(spaces, hall_space, product_by_def
 
 
 @pytest.mark.parametrize("name", fischer.CATALOG_NAMES)
-def test_rows_are_built_only_when_a_predictor_asks(name):
+def test_predictors_leave_the_space_as_validate_built_it(name):
+    """The predictors and classify_space write nothing into a space: every
+    field holds after them what validate passed the constructor."""
     sp = fischer.catalog(name)
-    assert sp._point_line_rows == {}
+    before = {f.name: copy.deepcopy(getattr(sp, f.name)) for f in dataclasses.fields(sp)}
     decomp.classify_space(build(sp))
-    assert sp._point_line_rows == {}
-    again = fischer.validate(sp.n_points, sp.lines)
-    assert again._point_line_rows == {}
-    last = len(sp.lines) - 1
-    predict_point_row(sp, sp.lines[last])
-    assert set(sp._point_line_rows) == {last}
-    # a line row fills its own point row and no other
-    predict_line_row(sp, sp.lines[0])
-    assert set(sp._point_line_rows) == {0, last}
-    assert again._point_line_rows == {}
+    for t in sp.lines:
+        predict_line_row(sp, t, predict_point_row(sp, t))
+    assert {f.name: getattr(sp, f.name) for f in dataclasses.fields(sp)} == before
 
 
 @pytest.mark.parametrize("name", [*fischer.CATALOG_NAMES, "hall81"])
@@ -279,12 +275,13 @@ def test_rows_equal_the_pair_predictors(spaces, hall_space, product_by_definitio
         t, m = sp.lines[i], sp.line_masks[i]
         point_row = tuple(product_by_definition(sp, x, m) for x in range(sp.n_points))
         assert predict_point_row(sp, t) == point_row
-        row = predict_line_row(sp, t)
+        row = predict_line_row(sp, t, point_row)
         assert len(row) == len(sp.lines)
         for j, (x, y, z) in enumerate(sp.lines):
             assert row[j] == point_row[x] ^ point_row[y] ^ point_row[z]
             if j not in rows:
-                rows[j] = predict_line_row(sp, sp.lines[j])
+                u = sp.lines[j]
+                rows[j] = predict_line_row(sp, u, predict_point_row(sp, u))
             assert rows[j][i] == row[j]
 
 
@@ -302,7 +299,8 @@ def test_predictors_commute_with_relabelling(spaces, relabelled, name):
         for x in range(sp.n_points):
             assert point_row[perm[x]] == image(want[x])
     for t1, u1 in lines.items():
-        line_row, want = predict_line_row(moved, u1), predict_line_row(sp, t1)
+        line_row = predict_line_row(moved, u1, predict_point_row(moved, u1))
+        want = predict_line_row(sp, t1, predict_point_row(sp, t1))
         for j, t2 in enumerate(sp.lines):
             assert line_row[moved.line_id(lines[t2])] == image(want[j])
 
@@ -310,16 +308,17 @@ def test_predictors_commute_with_relabelling(spaces, relabelled, name):
 def test_predictors_reject_a_triple_that_is_not_a_line(spaces):
     cq = spaces["cq"]
     assert not cq.is_line((0, 1, 3))
-    for predictor in (predict_point_row, predict_line_row):
-        with pytest.raises(ValueError, match="not a line"):
-            predictor(cq, (0, 1, 3))
+    with pytest.raises(ValueError, match="not a line"):
+        predict_point_row(cq, (0, 1, 3))
+    with pytest.raises(ValueError, match="not a line"):
+        predict_line_row(cq, (0, 1, 3), predict_point_row(cq, (0, 1, 2)))
 
 
 def test_predict_line_row_disjoint_affine_gives_all_nine(spaces):
     ag = spaces["ag23"]
     l1 = ag.lines[0]
     m = next(t for t in ag.lines[1:] if not set(t) & set(l1))
-    assert predict_line_row(ag, l1)[ag.line_id(m)] == (1 << 9) - 1
+    assert predict_line_row(ag, l1, predict_point_row(ag, l1))[ag.line_id(m)] == (1 << 9) - 1
 
 
 def _multiply_ext_reference(alg, field, u, v):

@@ -450,6 +450,13 @@ def test_parse_gens_errors():
         parse_gens("affineperm 3 2 sumzero\n[1,1 | ()]\nseed [0,0 | ()]\n")
     with pytest.raises(ValueError, match="9 matrix entries"):
         parse_gens("affinemat-gf4 3\n[0,0,0 | 1,0,0]\nseed [0,0,0 | 1,0,0,0,1,0,0,0,1]\n")
+    # a body with no bar is refused at its file line in both models
+    with pytest.raises(ValueError, match=r"^line 2: expected '\[\.\.\.\|\.\.\.\]', got '\[1,0\]'$"):
+        parse_gens("affineperm 3 2\n[1,0]\nseed [0,0 | ()]\n")
+    with pytest.raises(ValueError, match=r"^line 3: expected '\[\.\.\.\|\.\.\.\]', got '\[0,0,0\]'$"):
+        parse_gens("affinemat-gf4 3\n[0,0,0 | 1,0,0,0,1,0,0,0,1]\nseed [0,0,0]\n")
+    assert parse_gens("affineperm 3 2\n[1,0 | ]\nseed [0,0 | ()]\n")[0][0].key() == (
+        parse_gens("affineperm 3 2\n[1,0 | ()]\nseed [0,0 | ()]\n")[0][0].key())
     with pytest.raises(ValueError, match=r"^line 2: bad cycle notation '\(1 2'$"):
         parse_gens("perm 4\n(1 2\n(2 3)\n(3 4)\nseed (1 2)\n")
     with pytest.raises(ValueError, match="^line 1: bad degree 'x'$"):

@@ -98,6 +98,19 @@ def test_suite_enumerates_each_class_once(monkeypatch):
     assert validated.count(6) == 5
 
 
+def test_suite_predicts_each_catalog_row_once(monkeypatch):
+    point_calls, line_calls = [], []
+    point_row, line_row = matsuo.predict_point_row, matsuo.predict_line_row
+    monkeypatch.setattr(matsuo, "predict_point_row", lambda sp, line: point_calls.append(
+        (sp.meta.name, sp.line_id(line))) or point_row(sp, line))
+    monkeypatch.setattr(matsuo, "predict_line_row", lambda sp, line, row: line_calls.append(
+        (sp.meta.name, sp.line_id(line))) or line_row(sp, line, row))
+    verify.run_suite()
+    assert sum(len(fischer.catalog(name).lines) for name in fischer.CATALOG_NAMES) == 393
+    assert len(point_calls) == len(set(point_calls)) == 393
+    assert len(line_calls) == len(set(line_calls)) == 393
+
+
 def test_aut_claims_share_one_quotient_enumeration(monkeypatch):
     dims = []
     enumerate_group = miyamoto._aut_enumerate
