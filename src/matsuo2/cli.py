@@ -13,6 +13,7 @@ import json
 import sys
 
 from . import decomp, fischer, matsuo, miyamoto, verify
+from .gf import vec_support
 
 
 def _emit_json(obj, out_path=None) -> None:
@@ -77,8 +78,6 @@ def _fusion_text(v: decomp.LineVerdict) -> str:
         f"    1  | {cell(0, 1):>5s}  {cell(1, 1):>5s}",
     ]
     if v.witness is not None:
-        from .gf import vec_support
-
         out.append(
             f"  witness: u={vec_support(v.witness.u)} v={vec_support(v.witness.v)} "
             f"bad 1-component {vec_support(v.witness.bad_component)}"

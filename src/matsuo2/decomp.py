@@ -31,23 +31,19 @@ once, and masks pick out the cells.  Because the product is commutative,
 the pairs of a diagonal cell can be read as a full block: its two halves
 hold the same products.
 
-A line's verdict is constant on its orbit under the point reflections.  A
-point y gives the permutation sigma_y of the points: x -> x^y for x collinear
-with y, and x -> x otherwise.  In a Fischer space sigma_y is an automorphism
-of the geometry (Fischer, 1971; Cuypers and Hall, 1995), so it permutes the
-algebra basis, preserves the structure constants, and maps the nilpotent of
-a line t to that of sigma_y(t).  Conjugating by this permutation carries
+A line's verdict is constant on its orbit under the point reflections
+sigma_y, which fischer.reflections builds as permutations of the points
+and of the line ids.  Each sigma_y is an automorphism of the geometry, so it
+permutes the algebra basis, preserves the structure constants, and maps the
+nilpotent of a line t to that of sigma_y(t).  Conjugating by it carries
 every kernel of ad, and every product between the parts, from t to
 sigma_y(t): the dimensions, the fusion cells and the graded flag agree.
 orbit_verdicts therefore decides one line per orbit of <sigma_y>; it first
 checks every sigma_y against the whole table instead of assuming the
-theorem.  Each sigma_y is turned once into a permutation of the line ids,
-and that permutation serves both steps: the check moves a line mask to the
-mask of its image line, and compares each row of the table as a whole with
-the row of its image; the orbit walk reads the image ids with no lookup per
-step.  An entry that is not a line mask, or a line whose image is not a
-line, is moved point by point, so the check accepts and rejects exactly the
+theorem.  The check moves a line mask to the mask of its image line and
+any other entry point by point, so it accepts and rejects exactly the
 tables that an entry-by-entry check would, and names the same first pair.
+The orbit walk reads the line-id images with no lookup per step.
 
 classify_space walks the same orbits and decides only their first lines.
 Every other line m = sigma_y(k) takes its verdict from the line k it was
@@ -483,17 +479,14 @@ def _line_orbits(alg: matsuo.NilpotentMatsuoAlgebra) -> list:
     Returns one (start, steps) pair per orbit, ordered by start, the orbit's
     first line id.  Each step (m, k, images) meets line m as sigma(k), where
     sigma moves point p to images[p] and k is start or the line of an
-    earlier step.  Every reflection is first checked to preserve every entry
-    of alg.table; a failure raises and names the point and the first pair,
-    in row-major order, whose entry it moves wrongly.  A reduced algebra
-    gets no reflections, so each of its lines is an orbit with no steps.
-
-    Per reflection sigma_y the id of the image of every line is found once: a
-    line through y, or with no point collinear with y, is fixed.  The check
-    moves a line mask to the mask of its image line, and any other entry,
-    or a line whose image is not a line, point by point; it compares whole
-    rows, table[i] moved against table[sigma_y(i)] read at the images.  The
-    orbit walk reads the same line permutations.
+    earlier step.  The reflections come from fischer.reflections, and every
+    one is first checked to preserve every entry of alg.table: a line mask
+    moves to the mask of its image line, any other entry point by point, and
+    each row table[i], moved, is compared as a whole with table[sigma_y(i)]
+    read at the images.  A failure raises and names the point and the first
+    pair, in row-major order, whose entry it moves wrongly.  A reduced
+    algebra gets no reflections, so each of its lines is an orbit with no
+    steps.
     """
     space, table, n = alg.space, alg.table, alg.dim
     masks = space.line_masks
@@ -503,26 +496,10 @@ def _line_orbits(alg: matsuo.NilpotentMatsuoAlgebra) -> list:
     others = list(set().union(*table) - code.keys())
     code.update((m, len(masks) + e) for e, m in enumerate(others))
     coded = [list(map(code.__getitem__, row)) for row in table]
-    perms = []
-    for y in range(0 if alg.reduced else n):
-        cm = space.collinear[y]
-        images = [fischer.wedge(space, y, x) if (cm >> x) & 1 else x for x in range(n)]
-        # sigma_y swaps its points in pairs, so a line mapped to line m has m
-        # mapped back to it: each pair of lines costs one lookup
-        perm = list(range(len(masks)))
-        for k, t in enumerate(space.lines):
-            if perm[k] != k or not masks[k] & cm or (masks[k] >> y) & 1:
-                continue
-            try:
-                m = space.line_id([images[p] for p in t])
-            except ValueError:
-                perm[k] = None
-                continue
-            perm[k], perm[m] = m, k
-        moved = [  # image of the entry of each code
-            mask_from_support(images[p] for p in space.lines[k]) if m is None else masks[m]
-            for k, m in enumerate(perm)
-        ] + [mask_from_support(images[p] for p in vec_support(m)) for m in others]
+    sigmas = () if alg.reduced else fischer.reflections(space)
+    for y, (images, perm) in enumerate(sigmas):
+        moved = [masks[m] for m in perm] + [  # image of the entry of each code
+            mask_from_support(images[p] for p in vec_support(m)) for m in others]
         for i in range(n):
             want = list(map(moved.__getitem__, coded[i]))
             got = list(map(table[images[i]].__getitem__, images))
@@ -532,7 +509,6 @@ def _line_orbits(alg: matsuo.NilpotentMatsuoAlgebra) -> list:
                     f"the reflection in point {y} does not preserve the "
                     f"structure constants at pair ({i}, {j})"
                 )
-        perms.append((perm, images))
     seen = [False] * len(space.lines)
     out = []
     for start in range(len(space.lines)):
@@ -542,10 +518,8 @@ def _line_orbits(alg: matsuo.NilpotentMatsuoAlgebra) -> list:
         steps, todo = [], [start]
         while todo:
             k = todo.pop()
-            for perm, images in perms:
+            for images, perm in sigmas:
                 m = perm[k]
-                if m is None:  # raises: the image is not a line
-                    m = space.line_id([images[p] for p in space.lines[k]])
                 if not seen[m]:
                     seen[m] = True
                     steps.append((m, k, images))

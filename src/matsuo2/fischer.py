@@ -33,6 +33,9 @@ without scanning the planes.  A pair of intersecting lines that already
 lies in a recorded plane is not visited again: the plane is closed, and any
 two intersecting lines of a quadrilateral or an affine plane generate all
 of it.
+
+`reflections` builds the point reflections, which `decomp` checks against
+an algebra and whose line orbits it walks.
 """
 
 from __future__ import annotations
@@ -99,8 +102,7 @@ class FischerSpace:
     def coplanar(self, i: int) -> int:
         """Mask of the ids of the lines other than i that share a recorded
         plane with line i."""
-        if not 0 <= i < len(self.lines):
-            raise ValueError(f"line id {i} is outside 0..{len(self.lines) - 1}")
+        _refuse_outside(len(self.lines), "line id", i)
         return self._coplanar[i]
 
     def plane_of(self, i: int, j: int) -> int:
@@ -111,10 +113,7 @@ class FischerSpace:
         otherwise the planes through line i are scanned for line j.  Equal
         ids, and an id outside 0..len(lines)-1, raise ValueError.
         """
-        m = len(self.lines)
-        if not 0 <= i < m > j >= 0:
-            bad = j if 0 <= i < m else i
-            raise ValueError(f"line id {bad} is outside 0..{m - 1}")
+        _refuse_outside(len(self.lines), "line id", i, j)
         if i == j:
             raise ValueError("lines must be distinct")
         if not (self._coplanar[i] >> j) & 1:
@@ -135,7 +134,7 @@ class FischerSpace:
     def are_collinear(self, x: int, y: int) -> bool:
         """Whether distinct points x and y lie on a line; a point outside
         0..n-1 raises ValueError."""
-        _refuse_outside(self.n_points, x, y)
+        _refuse_outside(self.n_points, "point", x, y)
         return x != y and bool((self.collinear[x] >> y) & 1)
 
     def __repr__(self) -> str:
@@ -155,11 +154,11 @@ def _check_point_count(n_points: int, n_lines: int) -> None:
         )
 
 
-def _refuse_outside(n: int, x: int, y: int) -> None:
-    """Raise ValueError naming the first of x, y outside 0..n-1."""
-    if not 0 <= x < n > y >= 0:
-        bad = y if 0 <= x < n else x
-        raise ValueError(f"point {bad} is outside 0..{n - 1}")
+def _refuse_outside(n: int, what: str, *values: int) -> None:
+    """Raise ValueError naming the first of values outside 0..n-1 as a `what`."""
+    for v in values:
+        if not 0 <= v < n:
+            raise ValueError(f"{what} {v} is outside 0..{n - 1}")
 
 
 def _others(t, x: int) -> tuple[int, int]:
@@ -344,7 +343,7 @@ def validate(n_points: int, lines, labels=None, meta: SpaceMeta | None = None) -
 def wedge(s: FischerSpace, x: int, y: int) -> int:
     """The third point on the line through two collinear points; a point
     outside 0..n-1 raises ValueError."""
-    _refuse_outside(s.n_points, x, y)
+    _refuse_outside(s.n_points, "point", x, y)
     if x == y:
         raise ValueError(f"wedge needs two distinct points, got {x} twice")
     try:
@@ -381,10 +380,32 @@ def generated_subspace(s: FischerSpace, seed) -> frozenset[int]:
     Every seed point must lie in 0..n-1.
     """
     seed = tuple(seed)
-    for p in seed:
-        if not 0 <= p < s.n_points:
-            raise ValueError(f"point {p} is outside 0..{s.n_points - 1}")
+    _refuse_outside(s.n_points, "point", *seed)
     return _closure(s.collinear, s._wedge, seed)
+
+
+def reflections(s: FischerSpace) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per point y, the reflection sigma_y as (point images, line-id images).
+
+    sigma_y sends x collinear with y to x^y, read from the wedge table, and
+    fixes every other point; in a Fischer space it is an automorphism
+    (Fischer, 1971; Cuypers and Hall, 1995).  It swaps lines in pairs, so one
+    line_id lookup serves both lines of a pair, and a line through y or with
+    no point collinear with y is fixed with no lookup.  line_id raises for an
+    image that is not a line, which a validated space cannot hold.
+    """
+    n, masks, wedge_of = s.n_points, s.line_masks, s._wedge
+    out = []
+    for y in range(n):
+        cm = s.collinear[y]
+        images = tuple(wedge_of[y * n + x] if (cm >> x) & 1 else x for x in range(n))
+        perm = list(range(len(masks)))
+        for k, t in enumerate(s.lines):
+            if perm[k] == k and masks[k] & cm and not (masks[k] >> y) & 1:
+                m = s.line_id([images[p] for p in t])
+                perm[k], perm[m] = m, k
+        out.append((images, tuple(perm)))
+    return tuple(out)
 
 
 def plane_mask(s: FischerSpace, line1, line2) -> int:
@@ -575,6 +596,8 @@ def parse_space(text: str) -> FischerSpace:
                     f"line {lineno}: expected header 'fischer <n_points>'"
                 )
             n_points = _parse_int(parts[1], lineno, "point count")
+            if n_points < 1:
+                raise InvalidSpaceError(f"line {lineno}: bad point count {parts[1]!r}")
             continue
         if parts[0] == "label":
             if len(parts) < 3:

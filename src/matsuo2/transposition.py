@@ -84,7 +84,7 @@ class Permutation(GroupElement):
         im = list(range(n))
         used = set()
         for cyc in re.findall(r"\(([^()]*)\)", text):
-            entries = [int(t) - 1 for t in cyc.split()]
+            entries = [_parse_int(t, "letter") - 1 for t in cyc.split()]
             if not entries:
                 continue
             if any(not 0 <= e < n for e in entries) or len(set(entries)) != len(entries):
@@ -431,7 +431,7 @@ def _parse_element(model, body: str):
     if kind == "affineperm":
         p, m, sumzero = model[1], model[2], model[3]
         vec_s, perm_s = _parse_affine_body(body)
-        vec = tuple(int(c) % p for c in vec_s.split(","))
+        vec = tuple(_parse_int(c, "coordinate") % p for c in vec_s.split(","))
         if len(vec) != m:
             raise ValueError(f"expected {m} coordinates, got {len(vec)}")
         if sumzero and sum(vec) % p != 0:
@@ -439,8 +439,8 @@ def _parse_element(model, body: str):
         return AffinePerm(p, vec, Permutation.from_cycles(m, perm_s))
     if kind == "affinemat":
         vec_s, mat_s = _parse_affine_body(body)
-        vec = tuple(int(c) for c in vec_s.split(","))
-        ent = [int(c) for c in mat_s.split(",")]
+        vec = tuple(_parse_int(c, "coordinate") for c in vec_s.split(","))
+        ent = [_parse_int(c, "matrix entry") for c in mat_s.split(",")]
         if len(ent) != 9:
             raise ValueError(f"expected 9 matrix entries, got {len(ent)}")
         if any(not 0 <= c < 4 for c in vec + tuple(ent)):
@@ -452,14 +452,14 @@ def _parse_element(model, body: str):
     raise AssertionError(kind)
 
 
-def _parse_int(token: str, lineno: int, what: str, valid=lambda v: True) -> int:
-    """The int a header token spells, refused as a bad `what` unless valid."""
+def _parse_int(token: str, what: str, valid=lambda v: True) -> int:
+    """The int a token spells, refused as a bad `what` unless valid."""
     try:
         if valid(v := int(token)):
             return v
     except ValueError:
         pass
-    raise ValueError(f"line {lineno}: bad {what} {token!r}")
+    raise ValueError(f"bad {what} {token!r}")
 
 
 def _is_prime(p: int) -> bool:
@@ -501,26 +501,26 @@ def _parse_gens(text: str):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if model is None:
-            parts = stripped.split()
-            if parts[0] == "perm" and len(parts) == 2:
-                model = ("perm", _parse_int(parts[1], lineno, "degree", lambda n: n >= 1))
-            elif parts[0] == "affineperm" and len(parts) in (3, 4):
-                sumzero = len(parts) == 4 and parts[3] == "sumzero"
-                if len(parts) == 4 and not sumzero:
-                    raise ValueError(f"line {lineno}: bad affineperm flag {parts[3]!r}")
-                p = _parse_int(parts[1], lineno, "prime", _is_prime)
-                m = _parse_int(parts[2], lineno, "dimension", lambda m: m >= 1)
-                model = ("affineperm", p, m, sumzero)
-            elif parts[0] == "affinemat-gf4" and len(parts) == 2:
-                if _parse_int(parts[1], lineno, "dimension") != 3:
-                    raise ValueError(f"line {lineno}: affinemat-gf4 only supports dimension 3")
-                model = ("affinemat",)
-            else:
-                raise ValueError(f"line {lineno}: bad header {stripped!r}")
-            continue
-        keyword = stripped.split(None, 1)[0]
         try:
+            if model is None:
+                parts = stripped.split()
+                if parts[0] == "perm" and len(parts) == 2:
+                    model = ("perm", _parse_int(parts[1], "degree", lambda n: n >= 1))
+                elif parts[0] == "affineperm" and len(parts) in (3, 4):
+                    sumzero = len(parts) == 4 and parts[3] == "sumzero"
+                    if len(parts) == 4 and not sumzero:
+                        raise ValueError(f"bad affineperm flag {parts[3]!r}")
+                    p = _parse_int(parts[1], "prime", _is_prime)
+                    m = _parse_int(parts[2], "dimension", lambda m: m >= 1)
+                    model = ("affineperm", p, m, sumzero)
+                elif parts[0] == "affinemat-gf4" and len(parts) == 2:
+                    if _parse_int(parts[1], "dimension") != 3:
+                        raise ValueError("affinemat-gf4 only supports dimension 3")
+                    model = ("affinemat",)
+                else:
+                    raise ValueError(f"bad header {stripped!r}")
+                continue
+            keyword = stripped.split(None, 1)[0]
             if keyword == "seed":
                 if seed_line is not None:
                     raise ValueError(f"a second seed line; the seed is on line {seed_line}")

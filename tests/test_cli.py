@@ -209,8 +209,15 @@ def test_seed_outside_the_generated_group_is_a_usage_error(capsys, tmp_path):
      "line 4: unknown keyword 'seeds'; the seed line is 'seed <element>'"),
     ("perm 4\n(1 2)\nseed(1 2)\n",
      "line 3: unknown keyword 'seed(1'; the seed line is 'seed <element>'"),
+    # a body token that is not an integer, in each model
+    ("perm 4\n(1 x)\n(2 3)\nseed (1 2)\n", "line 2: bad letter 'x'"),
+    ("affineperm 3 2\n[1,x | ()]\nseed [0,0 | ()]\n", "line 2: bad coordinate 'x'"),
+    ("affineperm 3 2\n[1,0 | ()]\nseed [ | ()]\n", "line 3: bad coordinate ''"),
+    ("affinemat-gf4 3\n[0,0,0 | 1,0,0,0,1,0,0,0,1,]\nseed [0,0,0 | 1,0,0,0,1,0,0,0,1]\n",
+     "line 2: bad matrix entry ''"),
 ], ids=["not_an_involution", "product_order_5", "class_cap", "no_lines", "second_seed",
-        "misspelt_seed", "seed_without_space"])
+        "misspelt_seed", "seed_without_space", "perm_letter", "affineperm_coordinate",
+        "affineperm_empty_vector", "affinemat_trailing_comma"])
 def test_gens_errors_name_their_file_line(capsys, tmp_path, text, message):
     bad = tmp_path / "bad.gens"
     bad.write_text(text)

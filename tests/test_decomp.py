@@ -358,6 +358,35 @@ def _orbits_reference(sp):
     return out
 
 
+@pytest.mark.parametrize("name", list(fischer.CATALOG_NAMES) + ["hall81", "su32~", "hall81~"])
+def test_reflections_match_the_oracle(spaces, relabelled, hall_space, name):
+    if name.startswith("hall81"):
+        sp = hall_space(5151 if name.endswith("~") else None)
+    elif name.endswith("~"):
+        sp = relabelled(spaces[name[:-1]], 5252)[0]
+    else:
+        sp = spaces[name]
+    ids = {t: k for k, t in enumerate(sp.lines)}
+    got = fischer.reflections(sp)
+    assert len(got) == sp.n_points
+    for y, (sigma, (images, perm)) in enumerate(zip(_reflections(sp), got)):
+        assert images == tuple(sigma)
+        assert perm == tuple(ids[tuple(sorted(sigma[p] for p in t))] for t in sp.lines)
+        assert all(perm[perm[k]] == k for k in range(len(perm)))
+        assert all(perm[k] == k for k, t in enumerate(sp.lines) if y in t)
+
+
+@pytest.mark.parametrize("decide, reduced, calls", [
+    (orbit_verdicts, False, 1), (classify_space, False, 1), (classify_space, True, 0)])
+def test_each_entry_point_builds_the_reflections_once(algebras, reduced_algebras,
+                                                      monkeypatch, decide, reduced, calls):
+    count = []
+    build = fischer.reflections
+    monkeypatch.setattr(fischer, "reflections", lambda sp: count.append(sp) or build(sp))
+    decide((reduced_algebras if reduced else algebras)["3_3_sym4"])
+    assert len(count) == calls
+
+
 ORBIT_SIZES = {
     "cq": [4], "ag23": [3] * 4, "w_a4": [10], "w_d4": [16],
     "3_3_sym4": [36, 6], "ag33": [9] * 13, "su32": [48] * 4,

@@ -722,6 +722,8 @@ def test_parse_rejects_bad_triple():
 
 @pytest.mark.parametrize("text, message", [
     ("fischer x\n0 1 2\n", "line 1: bad point count 'x'"),
+    ("fischer 0\n", "line 1: bad point count '0'"),
+    ("# empty\nfischer -2\n0 1 2\n", "line 2: bad point count '-2'"),
     ("fischer 3\nlabel 2\n0 1 2\n", "line 2: expected 'label <index> <text>'"),
     ("# header next\nfischer 3\nlabel two b\n0 1 2\n", "line 3: bad label index 'two'"),
     ("fischer 3\n0 1 2\nlabel 3 d\n", "line 3: label index 3 is outside 0..2"),
@@ -739,7 +741,7 @@ def test_parse_rejects_bad_triple():
      "line 8: lines (0, 1, 3) and (0, 2, 6) generate a 7-point subspace that is "
      "neither a complete quadrilateral nor an affine plane"),
     ("fischer 6\n0 1 2\n3 4 5\n", "space is disconnected (point 3 unreachable from 0)"),
-], ids=["bad-count", "label-without-text", "bad-label-index", "label-out-of-range",
+], ids=["bad-count", "zero-count", "negative-count", "label-without-text", "bad-label-index", "label-out-of-range",
         "label-twice",
         "two-shared-points", "listed-twice", "repeated-point", "point-out-of-range",
         "zero-two-three", "fano-plane", "disconnected-names-no-line"])
