@@ -389,6 +389,9 @@ def test_generated_subspace_rejects_a_bad_seed(spaces, seed, message):
     ("coplanar", (4,), r"line id 4 is outside 0\.\.3"),
     ("plane_of", (-1, 0), r"line id -1 is outside 0\.\.3"),
     ("plane_of", (0, 4), r"line id 4 is outside 0\.\.3"),
+    # the first bad value is named
+    ("are_collinear", (6, -1), r"point 6 is outside 0\.\.5"),
+    ("plane_of", (-1, 4), r"line id -1 is outside 0\.\.3"),
 ])
 def test_space_queries_refuse_ids_they_do_not_own(spaces, query, args, message):
     # a negative id must not be read as a table index from the end
